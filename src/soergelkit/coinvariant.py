@@ -330,9 +330,7 @@ class CoinvariantRing:
             for b in src:
                 prod = self.normal_form(xi * MultiPoly.monomial(self.basis[b]))
                 cols.append(prod.coord_vector(d + 2))
-            cached = QMatrix(
-                len(tgt), len(src), [[cols[j][r] for j in range(len(src))] for r in range(len(tgt))]
-            )
+            cached = QMatrix.from_columns(len(tgt), cols)
             self._var_mult[key] = cached
         return cached
 
@@ -346,9 +344,7 @@ class CoinvariantRing:
             for b in idxs:
                 img = self.weyl_act(w, self.basis_element(b))
                 cols.append(img.coord_vector(d))
-            cached = QMatrix(
-                len(idxs), len(idxs), [[cols[j][r] for j in range(len(idxs))] for r in range(len(idxs))]
-            )
+            cached = QMatrix.from_columns(len(idxs), cols)
             self._act_matrices[key] = cached
         return cached
 
@@ -371,9 +367,9 @@ class CoinvariantRing:
 
         These are the variables other than x_i, x_{i+1} together with
         x_i + x_{i+1} and x_i x_{i+1}; their positive-degree span generates
-        the positive part of the invariant subalgebra, which is all the
-        tensor-relation machinery needs.  Generators that die in the
-        quotient are dropped.
+        the positive part of the invariant subalgebra, which is all a
+        presentation of C (x)_{C^s} M by tensor relations needs.
+        Generators that die in the quotient are dropped.
         """
         polys = []
         for j in range(1, self.n + 1):

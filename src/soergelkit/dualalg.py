@@ -127,7 +127,7 @@ class DualAlgebra:
             if x is None:
                 raise AssertionError("Cartan matrix is singular")
             cols.append(x)
-        return QMatrix(c.rows, c.rows, [[cols[j][i] for j in range(c.rows)] for i in range(c.rows)])
+        return QMatrix.from_columns(c.rows, cols)
 
     # -- projective machinery -----------------------------------------------------
 
@@ -233,11 +233,8 @@ class DualAlgebra:
                     if any(any(x for x in img) for img in images):
                         raise AssertionError("cover kernel is not action-stable")
                     continue
-                cols = [solvers[tgt_key].coords(img) for img in images]
-                mat = QMatrix(
-                    len(tgt_vecs),
-                    len(vecs),
-                    [[cols[j][r] for j in range(len(vecs))] for r in range(len(tgt_vecs))],
+                mat = QMatrix.from_columns(
+                    len(tgt_vecs), [solvers[tgt_key].coords(img) for img in images]
                 )
                 if not mat.is_zero():
                     per_key[key] = mat

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gradedmod import hom_degree_range
-from .linalg import QMatrix, SpanSolver, kernel_basis
+from .linalg import QMatrix, SpanSolver, flatten, kernel_basis
 from .soergel import SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
@@ -169,7 +169,7 @@ class FormalCategory:
         solver = None
         if mats:
             dim = dy.total_dim() * dx.total_dim()
-            solver = SpanSolver([_flatten(m) for m in mats], dim)
+            solver = SpanSolver([flatten(m) for m in mats], dim)
         data = (mats, solver)
         self._spaces[key] = data
         return data
@@ -182,7 +182,7 @@ class FormalCategory:
             if mat.is_zero():
                 return []
             raise ValueError("nonzero entry in a zero Hom space")
-        return solver.coords(_flatten(mat))
+        return solver.coords(flatten(mat))
 
     def validate(self, x: FormalComplex) -> None:
         """Check entry membership and that the differential squares to zero."""
@@ -333,9 +333,7 @@ class FormalCategory:
                     for idx, val in enumerate(coords):
                         col[off2 + idx] -= sign * val
                 columns.append(col)
-        return QMatrix(
-            n_tgt, n_src, [[columns[j][r] for j in range(n_src)] for r in range(n_tgt)]
-        )
+        return QMatrix.from_columns(n_tgt, columns)
 
     # -- corpus generation ----------------------------------------------------
 
@@ -443,7 +441,7 @@ class FormalCategory:
                         basis_maps = self.hom_space("MIX", g_mid, gt)
                         for idx in range(dim):
                             prod = basis_maps[idx] * e_prev
-                            flat = _flatten(prod)
+                            flat = flatten(prod)
                             for r, val in enumerate(flat):
                                 if val:
                                     block_rows[r][off + idx] += val
@@ -451,10 +449,6 @@ class FormalCategory:
                 if touched:
                     rows.extend(row for row in block_rows if any(row))
         return rows
-
-
-def _flatten(m: QMatrix) -> list[Fraction]:
-    return [x for row in m.data for x in row]
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .coinvariant import CoinvariantRing
 from .laurent import LaurentPoly
-from .linalg import QMatrix, SpanSolver, kernel_basis
+from .linalg import QMatrix, SpanSolver, block_matrix, kernel_basis
 from .multipoly import MultiPoly
 
 
@@ -108,12 +108,9 @@ class GradedModule:
                 a, b = self.action(i, d), other.action(i, d)
                 if a.rows + b.rows == 0 or a.cols + b.cols == 0:
                     continue
-                rows = []
-                for r in range(a.rows):
-                    rows.append(a.row(r) + [Fraction(0)] * b.cols)
-                for r in range(b.rows):
-                    rows.append([Fraction(0)] * a.cols + b.row(r))
-                actions[(i, d)] = QMatrix(a.rows + b.rows, a.cols + b.cols, rows)
+                actions[(i, d)] = block_matrix(
+                    [[a, QMatrix.zero(a.rows, b.cols)], [QMatrix.zero(b.rows, a.cols), b]]
+                )
         return GradedModule(self.ring, dims, actions, validate=False)
 
     # -- module axioms ---------------------------------------------------------
@@ -424,18 +421,11 @@ def kernel_module(e: ModuleMap) -> tuple[GradedModule, ModuleMap]:
                 if any(any(x for x in img) for img in images):
                     raise AssertionError("kernel is not action-stable")
                 continue
-            cols = [solvers[d + 2].coords(img) for img in images]
-            actions[(i, d)] = QMatrix(
-                len(tgt), len(vecs), [[cols[j][r] for j in range(len(vecs))] for r in range(len(tgt))]
+            actions[(i, d)] = QMatrix.from_columns(
+                len(tgt), [solvers[d + 2].coords(img) for img in images]
             )
     K = GradedModule(M.ring, dims, actions, validate=False)
     inclusion = ModuleMap(
-        K,
-        M,
-        0,
-        {
-            d: QMatrix(M.dim_at(d), len(vecs), [[vecs[j][r] for j in range(len(vecs))] for r in range(M.dim_at(d))])
-            for d, vecs in basis.items()
-        },
+        K, M, 0, {d: QMatrix.from_columns(M.dim_at(d), vecs) for d, vecs in basis.items()}
     )
     return K, inclusion

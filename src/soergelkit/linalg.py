@@ -87,6 +87,14 @@ class QMatrix:
         return cls(rows, cols, data)
 
     @classmethod
+    def from_columns(cls, rows: int, columns) -> "QMatrix":
+        """The matrix whose j-th column is ``columns[j]``; ``rows`` keeps the
+        shape when the column list is empty."""
+        if any(len(c) != rows for c in columns):
+            raise ValueError(f"columns do not all have length {rows}")
+        return cls(rows, len(columns), [[c[r] for c in columns] for r in range(rows)])
+
+    @classmethod
     def column(cls, vec) -> "QMatrix":
         return cls(len(vec), 1, [[x] for x in vec])
 
@@ -160,6 +168,28 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
+
+
+def block_matrix(blocks) -> QMatrix:
+    """Assemble a matrix from a list of block rows.
+
+    Blocks in one block row must share their row count, and every block row
+    must have the same column widths.
+    """
+    widths = [b.cols for b in blocks[0]] if blocks else []
+    data = []
+    for block_row in blocks:
+        height = block_row[0].rows
+        if [b.cols for b in block_row] != widths or any(b.rows != height for b in block_row):
+            raise ValueError("blocks do not tile a matrix")
+        for r in range(height):
+            data.append([x for b in block_row for x in b.data[r]])
+    return QMatrix(len(data), sum(widths), data)
+
+
+def flatten(m: QMatrix) -> list[Fraction]:
+    """The entries of m, row by row."""
+    return [x for row in m.data for x in row]
 
 
 @dataclass(frozen=True)
@@ -293,7 +323,7 @@ class SpanSolver:
         for v in vectors:
             if len(v) != dim:
                 raise ValueError("basis vector length does not match ambient dimension")
-        a = QMatrix(dim, self.k, [[vectors[j][i] for j in range(self.k)] for i in range(dim)])
+        a = QMatrix.from_columns(dim, vectors)
         res = rref(a.hstack(QMatrix.identity(dim)))
         if res.pivots[: self.k] != tuple(range(self.k)):
             raise ValueError("vectors passed to SpanSolver are linearly dependent")

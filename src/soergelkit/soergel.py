@@ -1,18 +1,13 @@
 """Bott-Samelson induction and indecomposable summands.
 
-For a simple reflection s, induction sends a module M to the tensor product
-of the coinvariant algebra C with M over the s-invariant subalgebra,
-shifted one grading step down so that self-dual characters stay self-dual.
-The tensor product is built as an explicit quotient of the full tensor
-space C (x) M: the relation subspace is spanned by
-
-    (c f) (x) m  -  c (x) (f m)
-
-over basis elements c of C, basis elements m of M and algebra generators f
-of the positive-degree invariants; products of generators reduce to
-generator instances by telescoping, so this span is the full relation
-space.  Freeness of C over the invariants forces the result to have
-exactly twice the dimension of M, and the constructor raises otherwise.
+For a simple reflection s = s_i, induction sends a module M to the tensor
+product of the coinvariant algebra C with M over the s-invariant
+subalgebra, shifted one grading step down so that self-dual characters
+stay self-dual.  C is free over its s-invariants with basis {1, x_i}
+(Soergel 1990), so the tensor product is two copies of M, and the
+variables act on it by 2x2 block matrices built from the actions on M;
+see :meth:`SoergelCategory.induct`.  The result is validated as a module
+over C, which is the evidence that the formulas are right.
 
 Iterating induction along a word starting from the one-dimensional module
 gives the Bott-Samelson module of the word.  Its indecomposable summands
@@ -41,7 +36,8 @@ from .gradedmod import (
 )
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from .laurent import LaurentPoly
-from .linalg import QMatrix, SizeCapError, SpanSolver, dimension_cap, rref
+from .linalg import QMatrix, SizeCapError, SpanSolver, block_matrix, dimension_cap, flatten
+from .linalg import rref  # noqa: F401  benchmarks/test_harness.py traces this binding
 from .weyl import Perm, Word, WeylGroup, format_perm, length, weyl_group
 
 
@@ -99,121 +95,46 @@ class SoergelCategory:
         return trivial_module(self.ring)
 
     def induct(self, i: int, M: GradedModule) -> GradedModule:
-        ring = self.ring
-        if M.ring is not ring:
+        """C (x)_{C^s} M for s = s_i, shifted one step down.
+
+        Degree d holds 1 (x) M_d followed by x_i (x) M_{d-2}.  With E1 and E2
+        the actions of x_i + x_{i+1} and x_i x_{i+1}, the relation
+        x_i^2 = E1 x_i - E2 gives x_i the blocks [[0, -E2], [I, E1]] and
+        x_{i+1} = E1 - x_i the blocks [[E1, E2], [-I, 0]]; every other
+        variable is invariant and acts diagonally.
+        """
+        if M.ring is not self.ring:
             raise ValueError("module belongs to a different ring")
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"simple reflection index {i} out of range for rank {self.n}")
-        if ring.dim * M.total_dim() > dimension_cap():
+        if 2 * M.total_dim() > dimension_cap():
             raise SizeCapError(
-                f"intermediate tensor space of dimension {ring.dim * M.total_dim()} "
-                f"exceeds the cap {dimension_cap()}"
+                f"induced module of dimension {2 * M.total_dim()} exceeds the cap {dimension_cap()}"
             )
+        act, dim, zero = M.action, M.dim_at, QMatrix.zero
 
-        # ordered basis of C (x) M, degree by degree: (module degree, module
-        # index, ring basis index)
-        tensor_basis: dict[int, list[tuple[int, int, int]]] = {}
-        for dm in M.degrees():
-            for mi in range(M.dim_at(dm)):
-                for ci in range(ring.dim):
-                    d = dm + ring.basis_degree(ci)
-                    tensor_basis.setdefault(d, []).append((dm, mi, ci))
-        tensor_pos = {
-            d: {key: p for p, key in enumerate(keys)} for d, keys in tensor_basis.items()
-        }
+        def e1(d: int) -> QMatrix:
+            return act(i, d) + act(i + 1, d)
 
-        relations: dict[int, list[list[Fraction]]] = {}
-        for g in ring.invariant_generators(i):
-            dg = g.degree()
-            g_on_m = M.poly_action(g.lift())
-            g_times_basis = [(g * ring.basis_element(ci)).coords for ci in range(ring.dim)]
-            for dm in M.degrees():
-                gm_block = g_on_m[dm]
-                for ci in range(ring.dim):
-                    d = dm + ring.basis_degree(ci) + dg
-                    if d not in tensor_basis:
-                        continue
-                    pos = tensor_pos[d]
-                    prod_coords = g_times_basis[ci]
-                    for mi in range(M.dim_at(dm)):
-                        row = [Fraction(0)] * len(tensor_basis[d])
-                        touched = False
-                        for cj, x in prod_coords.items():
-                            row[pos[(dm, mi, cj)]] += x
-                            touched = True
-                        for mj in range(M.dim_at(dm + dg)):
-                            x = gm_block.data[mj][mi]
-                            if x:
-                                row[pos[(dm + dg, mj, ci)]] -= x
-                                touched = True
-                        if touched:
-                            relations.setdefault(d, []).append(row)
-
-        # reduce the relation span per degree; free coordinates give the
-        # quotient basis and a projection
-        reducers: dict[int, tuple[list[list[Fraction]], tuple[int, ...], list[int]]] = {}
-        quot_dims: dict[int, int] = {}
-        for d, keys in tensor_basis.items():
-            rows = relations.get(d)
-            if rows:
-                res = rref(QMatrix.from_rows(rows))
-                reduced = [res.matrix.row(k) for k in range(res.rank)]
-                pivots = res.pivots
-            else:
-                reduced, pivots = [], ()
-            pivot_set = set(pivots)
-            free = [j for j in range(len(keys)) if j not in pivot_set]
-            reducers[d] = (reduced, pivots, free)
-            if free:
-                quot_dims[d] = len(free)
-
-        def project(d: int, vec: list[Fraction]) -> list[Fraction]:
-            reduced, pivots, free = reducers[d]
-            v = list(vec)
-            for r, pc in enumerate(pivots):
-                x = v[pc]
-                if x:
-                    row = reduced[r]
-                    for j in range(pc, len(v)):
-                        if row[j]:
-                            v[j] -= x * row[j]
-            return [v[j] for j in free]
-
-        # the variables act on the ring tensor factor
-        var_times_basis = [
-            [(ring.variable(l) * ring.basis_element(ci)).coords for ci in range(ring.dim)]
-            for l in range(1, ring.n + 1)
-        ]
-        actions: dict[tuple[int, int], QMatrix] = {}
-        for l in range(1, ring.n + 1):
-            prods = var_times_basis[l - 1]
-            for d in sorted(quot_dims):
-                if quot_dims.get(d + 2, 0) == 0:
-                    continue
-                _, _, free = reducers[d]
-                keys = tensor_basis[d]
-                pos_up = tensor_pos[d + 2]
-                cols = []
-                for j in free:
-                    dm, mi, ci = keys[j]
-                    vec = [Fraction(0)] * len(tensor_basis[d + 2])
-                    for cj, x in prods[ci].items():
-                        vec[pos_up[(dm, mi, cj)]] += x
-                    cols.append(project(d + 2, vec))
-                rows_out = quot_dims[d + 2]
-                actions[(l, d)] = QMatrix(
-                    rows_out,
-                    len(free),
-                    [[cols[j][r] for j in range(len(free))] for r in range(rows_out)],
-                )
-
-        quotient = GradedModule(ring, quot_dims, actions, validate=True)
-        if quotient.total_dim() != 2 * M.total_dim():
-            raise AssertionError(
-                f"induction produced dimension {quotient.total_dim()}, "
-                f"expected {2 * M.total_dim()}"
-            )
-        return quotient.shift(1)
+        dims = {d: dim(d) + dim(d - 2) for e in M.degrees() for d in (e, e + 2)}
+        actions = {}
+        for d in dims:
+            if d + 2 not in dims:
+                continue
+            one = QMatrix.identity(dim(d))
+            e2 = act(i + 1, d) * act(i, d - 2)
+            for l in range(1, self.n + 1):
+                if l == i:
+                    grid = [[zero(dim(d + 2), dim(d)), -e2], [one, e1(d - 2)]]
+                elif l == i + 1:
+                    grid = [[e1(d), e2], [-one, zero(dim(d), dim(d - 2))]]
+                else:
+                    grid = [
+                        [act(l, d), zero(dim(d + 2), dim(d - 2))],
+                        [zero(dim(d), dim(d)), act(l, d - 2)],
+                    ]
+                actions[(l, d)] = block_matrix(grid)
+        return GradedModule(self.ring, dims, actions, validate=True).shift(1)
 
     def bott_samelson(self, word: Word) -> GradedModule:
         """Iterated induction along the word, starting from the trivial module."""
@@ -373,12 +294,11 @@ class SoergelCategory:
                 raise DecompositionError(
                     f"D[{format_perm(w)}] came out with a non-self-dual character"
                 )
-        self._indec[w] = module
         if len(hom_graded(module, module, 0)) != 1:
-            del self._indec[w]
             raise DecompositionError(
                 f"degree-0 endomorphisms of D[{format_perm(w)}] are not scalars"
             )
+        self._indec[w] = module
         return module
 
     def hecke_class(self, M: GradedModule, expected=None) -> HeckeElement:
@@ -413,14 +333,11 @@ def kernel_module_with_projection(e: ModuleMap):
         for d in K.degrees()
     }
     blocks = {}
-    for d in M.degrees():
-        kdim = K.dim_at(d)
-        mdim = M.dim_at(d)
-        if kdim == 0:
-            continue
-        comp = QMatrix.identity(mdim) - e.block(d)
-        cols = [solvers[d].coords(comp.col(j)) for j in range(mdim)]
-        blocks[d] = QMatrix(kdim, mdim, [[cols[j][r] for j in range(mdim)] for r in range(kdim)])
+    for d in K.degrees():
+        comp = QMatrix.identity(M.dim_at(d)) - e.block(d)
+        blocks[d] = QMatrix.from_columns(
+            K.dim_at(d), [solvers[d].coords(comp.col(j)) for j in range(comp.cols)]
+        )
     proj = ModuleMap(M, K, 0, blocks)
     return K, inc, proj
 
@@ -451,7 +368,7 @@ class EndoAlgebra:
                         self.basis.append((a, b, d, m))
         self._solvers: dict[tuple[int, int], tuple[list[int], SpanSolver]] = {}
         for (a, b), idxs in self._block_index.items():
-            vecs = [_flatten(self.basis[i][3].to_total()) for i in idxs]
+            vecs = [flatten(self.basis[i][3].to_total()) for i in idxs]
             dim = self.modules[b].total_dim() * self.modules[a].total_dim()
             self._solvers[(a, b)] = (idxs, SpanSolver(vecs, dim))
         self.table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
@@ -461,7 +378,7 @@ class EndoAlgebra:
                     continue
                 comp = m1.compose(m2)
                 idxs, solver = self._solvers[(a2, b1)]
-                coords = solver.coords(_flatten(comp.to_total()))
+                coords = solver.coords(flatten(comp.to_total()))
                 entry = tuple((idxs[t], c) for t, c in enumerate(coords) if c)
                 self.table[(i, j)] = entry
 
@@ -493,10 +410,6 @@ class EndoAlgebra:
     def compose_indices(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         """Structure constants of basis[i] after basis[j]; empty if not composable."""
         return self.table.get((i, j), ())
-
-
-def _flatten(m: QMatrix) -> list[Fraction]:
-    return [x for row in m.data for x in row]
 
 
 @lru_cache(maxsize=None)

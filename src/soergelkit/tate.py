@@ -434,9 +434,7 @@ def random_complex(rng: random.Random, max_pos: int = 3, max_dim: int = 2) -> Co
         for j in range(mat.rows):
             unit = [Fraction(1 if i == j else 0) for i in range(mat.rows)]
             cols.append(solve(mat, unit))
-        inverses[c] = QMatrix(
-            mat.rows, mat.rows, [[cols[j][i] for j in range(mat.rows)] for i in range(mat.rows)]
-        )
+        inverses[c] = QMatrix.from_columns(mat.rows, cols)
     diffs = {}
     for c in out.positions():
         if out.dim_at(c + 1):

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +140,59 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["--help"])
     assert exc.value.code == 0
+
+
+# Exact stdout of each command, pinned so that refactors keep the CLI bytes.
+GOLDEN = {
+    "decompose --rank 4 --word 1,2,3,2,1": (
+        '{"character":"v^-5+5v^-3+10v^-1+10v+5v^3+v^5","dim":32,'
+        '"dims":{"-1":10,"-3":5,"-5":1,"1":10,"3":5,"5":1},"rank":4,'
+        '"summands":[{"shift":0,"w":"2134"},{"shift":0,"w":"3214"},{"shift":0,"w":"4231"}],'
+        '"word":"1,2,3,2,1"}\n'
+    ),
+    "bs --rank 4 --word 3,2,1,2,3": (
+        '{"character":"v^-5+5v^-3+10v^-1+10v+5v^3+v^5","dim":32,'
+        '"dims":{"-1":10,"-3":5,"-5":1,"1":10,"3":5,"5":1},"rank":4,"word":"3,2,1,2,3"}\n'
+    ),
+    "endo --rank 3": (
+        '{"dim":77,"graded":{"0":6,"1":16,"2":22,"3":18,"4":10,"5":4,"6":1},"rank":3,'
+        '"summands":["123","132","213","231","312","321"]}\n'
+    ),
+    "hom --rank 4 --x 1,2,3 --y 2,3,2": (
+        '{"graded":{"2":1,"4":2,"6":1},"match":true,"pairing":"v^2+2v^4+v^6","rank":4,'
+        '"total":4,"x":"2341","y":"1432"}\n'
+    ),
+    "ext --rank 3 --x 1 --y 1,2,1": (
+        '{"complete":true,"rank":3,"resolution_length":5,'
+        '"table":[{"dim":1,"graded":{"4":1},"k":2}],"x":"213","y":"321"}\n'
+    ),
+    "koszulity --rank 3": '{"complete":true,"koszul":true,"max_k":6,"rank":3}\n',
+    "koszul-square --rank 3 --cases 50": '{"cases":50,"failures":0,"rank":3,"seed":42}\n',
+}
+
+
+def run_fresh(command, hash_seed):
+    """Stdout of the CLI in a new interpreter, with no cap override."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SOERGEL_")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from soergelkit.cli import main; sys.exit(main())"]
+        + command.split(),
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_stdout(command):
+    assert run_fresh(command, 0) == GOLDEN[command].encode()
+
+
+def test_fresh_processes_agree_across_hash_seeds():
+    command = "decompose --rank 4 --word 1,2,3,2,1"
+    assert run_fresh(command, 1) == run_fresh(command, 2)
+

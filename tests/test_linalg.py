@@ -7,6 +7,8 @@ from soergelkit.linalg import (
     QMatrix,
     SizeCapError,
     SpanSolver,
+    block_matrix,
+    flatten,
     kernel_basis,
     rank,
     rref,
@@ -143,3 +145,25 @@ def test_span_solver():
     assert not s.contains([Fraction(1), Fraction(0), Fraction(0)])
     with pytest.raises(ValueError):
         s.coords([Fraction(1), Fraction(0), Fraction(0)])
+
+
+def test_from_columns_keeps_shape():
+    m = QMatrix.from_columns(2, [[1, 2], [3, 4], [5, 6]])
+    assert m == QMatrix.from_rows([[1, 3, 5], [2, 4, 6]])
+    assert flatten(m) == [1, 3, 5, 2, 4, 6]
+    empty = QMatrix.from_columns(3, [])
+    assert (empty.rows, empty.cols) == (3, 0)
+    with pytest.raises(ValueError):
+        QMatrix.from_columns(2, [[1, 2], [3]])
+
+
+def test_block_matrix_tiles_blocks():
+    a = QMatrix.from_rows([[1, 2]])
+    b = QMatrix.from_rows([[3], [4]])
+    m = block_matrix([[a, QMatrix.zero(1, 1)], [QMatrix.zero(2, 2), b]])
+    assert m == QMatrix.from_rows([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    # a block row of height zero still fixes the column widths
+    m = block_matrix([[QMatrix.zero(0, 2), QMatrix.zero(0, 1)], [a, QMatrix.zero(1, 1)]])
+    assert (m.rows, m.cols) == (1, 3)
+    with pytest.raises(ValueError):
+        block_matrix([[a, b]])

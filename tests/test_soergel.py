@@ -1,10 +1,19 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from soergelkit.gradedmod import ModuleMap, graded_hom_poly, hom_graded, hom_ungraded_dim
+from soergelkit import soergel
+from soergelkit.gradedmod import (
+    GradedModule,
+    ModuleMap,
+    graded_hom_poly,
+    hom_graded,
+    hom_ungraded_dim,
+)
 from soergelkit.laurent import LaurentPoly
-from soergelkit.soergel import DecompositionError, soergel_category
+from soergelkit.linalg import QMatrix, SizeCapError, rank, rref
+from soergelkit.soergel import DecompositionError, SoergelCategory, soergel_category
 from soergelkit.weyl import format_perm, length, parse_perm
 
 
@@ -30,6 +39,134 @@ def test_bott_samelson_character_closed_form():
     vvinv = LaurentPoly({1: 1, -1: 1})
     for word in s3_words(4):
         assert cat.bott_samelson(word).character() == vvinv ** len(word)
+
+
+def tensor_quotient_induct(ring, i, M):
+    """Reference route for induction, without the free basis {1, x_i}.
+
+    C (x)_{C^s} M is built as the quotient of the full tensor space C (x) M
+    by the span of (c f) (x) m - c (x) (f m), over basis elements c of C,
+    basis elements m of M and the generators f of the positive-degree
+    s_i-invariants.  Returns the unshifted quotient module and a function
+    ``image(c, dm, mi, d)`` giving the quotient coordinates of c (x) m for a
+    homogeneous ring element c and the basis vector mi of M in degree dm;
+    the target degree d defaults to dm + deg c and is needed when c is zero.
+    """
+    basis = {}  # degree -> [(module degree, module index, ring index)]
+    for dm in M.degrees():
+        for mi in range(M.dim_at(dm)):
+            for ci in range(ring.dim):
+                basis.setdefault(dm + ring.basis_degree(ci), []).append((dm, mi, ci))
+    pos = {d: {key: p for p, key in enumerate(keys)} for d, keys in basis.items()}
+
+    def tensor(d, entries):
+        vec = [Fraction(0)] * len(basis[d])
+        for key, x in entries:
+            vec[pos[d][key]] += x
+        return vec
+
+    relations = {}
+    for g in ring.invariant_generators(i):
+        dg = g.degree()
+        g_on_m = M.poly_action(g.lift())
+        for dm in M.degrees():
+            for ci in range(ring.dim):
+                d = dm + ring.basis_degree(ci) + dg
+                if d not in basis:
+                    continue
+                gc = (g * ring.basis_element(ci)).coords
+                for mi in range(M.dim_at(dm)):
+                    entries = [((dm, mi, cj), x) for cj, x in gc.items()]
+                    fm = g_on_m[dm].col(mi)
+                    entries += [((dm + dg, mj, ci), -x) for mj, x in enumerate(fm) if x]
+                    relations.setdefault(d, []).append(tensor(d, entries))
+
+    reducers = {}
+    for d, keys in basis.items():
+        rows = relations.get(d, [])
+        res = rref(QMatrix(len(rows), len(keys), rows))
+        reducers[d] = (res, [j for j in range(len(keys)) if j not in res.pivots])
+
+    def project(d, vec):
+        res, free = reducers[d]
+        for r, pc in enumerate(res.pivots):
+            x = vec[pc]
+            if x:
+                vec = [a - x * b for a, b in zip(vec, res.matrix.data[r])]
+        return [vec[j] for j in free]
+
+    def image(c, dm, mi, d=None):
+        d = dm + c.degree() if d is None else d
+        return project(d, tensor(d, [((dm, mi, cj), x) for cj, x in c.coords.items()]))
+
+    dims = {d: len(free) for d, (_, free) in reducers.items()}
+    actions = {}
+    for l in range(1, ring.n + 1):
+        for d, (_, free) in reducers.items():
+            if dims.get(d + 2, 0) == 0:
+                continue
+            cols = []
+            for j in free:
+                dm, mi, ci = basis[d][j]
+                cols.append(image(ring.variable(l) * ring.basis_element(ci), dm, mi, d + 2))
+            actions[(l, d)] = QMatrix.from_columns(dims[d + 2], cols)
+    return GradedModule(ring, dims, actions, validate=True), image
+
+
+ORACLE_WORDS = [
+    (n, word)
+    for n, max_len in ((2, 4), (3, 4), (4, 3))
+    for k in range(1, max_len + 1)
+    for word in product(range(1, n), repeat=k)
+]
+
+
+@pytest.mark.parametrize(
+    "n,word", ORACLE_WORDS, ids=[f"{n}-{''.join(map(str, w))}" for n, w in ORACLE_WORDS]
+)
+def test_induct_isomorphic_to_tensor_quotient(n, word):
+    # 1 (x) m and x_i (x) m go to their classes in the quotient; the map must
+    # be invertible in every degree and commute with every x_j
+    cat = soergel_category(n)
+    *prefix, i = word
+    M = cat.bott_samelson(tuple(prefix))
+    quotient, image = tensor_quotient_induct(cat.ring, i, M)
+    induced = cat.induct(i, M).shift(-1)
+    assert induced.dims == quotient.dims
+    one, xi = cat.ring.one(), cat.ring.variable(i)
+    blocks = {}
+    for d in induced.degrees():
+        cols = [image(one, d, k) for k in range(M.dim_at(d))]
+        cols += [image(xi, d - 2, k) for k in range(M.dim_at(d - 2))]
+        blocks[d] = QMatrix.from_columns(quotient.dim_at(d), cols)
+        assert rank(blocks[d]) == quotient.dim_at(d) == len(cols)
+    ModuleMap(induced, quotient, 0, blocks).check_commutes()
+
+
+def test_induct_cap_bounds_the_induced_module(monkeypatch):
+    cat = SoergelCategory(3)  # builds the ring before the cap is lowered
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "16")
+    # the last step's tensor space C (x) M would have dimension 6 * 8
+    m = cat.bott_samelson((1, 2, 1, 2))
+    assert m.total_dim() == 16
+    with pytest.raises(SizeCapError):
+        cat.induct(1, m)
+
+
+def test_indecomposable_verifies_before_publishing(monkeypatch):
+    cat = SoergelCategory(2)
+    checked = []
+
+    def spy(M, N, degree):
+        if M is N and degree == 0:
+            assert all(v is not M for v in cat._indec.values()), "published before the check"
+            checked.append(M)
+        return hom_graded(M, N, degree)
+
+    monkeypatch.setattr(soergel, "hom_graded", spy)
+    for w in cat.group.elements():
+        cat.indecomposable(w)
+    assert len(checked) == 2
 
 
 def character_oracle(cat, w):
