@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .laurent import LaurentPoly
-from .linalg import QMatrix, SizeCapError, SpanSolver, rref
+from .linalg import QMatrix, SizeCapError, SpanSolver, kernel_basis, rref
 from .multipoly import MultiPoly, divided_difference
 from .weyl import Perm
 
@@ -350,7 +350,6 @@ class CoinvariantRing:
 
     def invariants_basis(self, i: int) -> list[CoinvariantElement]:
         """A graded basis of the s_i-invariant subalgebra, degree ascending."""
-        from .linalg import kernel_basis
         from .weyl import simple_reflection
 
         s = simple_reflection(i, self.n)

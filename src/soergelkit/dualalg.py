@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly
-from .linalg import QMatrix, SpanSolver, kernel_basis, rref, solve
+from .linalg import QMatrix, restrict_to_kernels, rref, solve
 from .soergel import EndoAlgebra, SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
@@ -38,7 +38,7 @@ class _AMod:
     """A graded module over the endomorphism algebra, stored blockwise.
 
     ``blocks`` maps (degree, summand slot) to a dimension; ``act`` maps an
-    algebra basis index to its blockwise matrices.
+    (algebra basis index, source block) pair to its nonzero matrix.
     """
 
     __slots__ = ("alg", "blocks", "act")
@@ -149,9 +149,8 @@ class DualAlgebra:
         for key, items in basis_at.items():
             for p, (ci, rec_idx) in enumerate(items):
                 pos_of[(ci, rec_idx)] = p
-        act: dict[int, dict[tuple[int, int], QMatrix]] = {}
+        act: dict[tuple[int, tuple[int, int]], QMatrix] = {}
         for a_idx, (u, v, g, _) in enumerate(self.endo.basis):
-            per_key: dict[tuple[int, int], QMatrix] = {}
             for key, items in basis_at.items():
                 d, slot = key
                 if slot != u:
@@ -168,9 +167,7 @@ class DualAlgebra:
                         data[row][col] += coeff
                         nonzero = True
                 if nonzero:
-                    per_key[key] = QMatrix(len(tgt_items), len(items), data)
-            if per_key:
-                act[a_idx] = per_key
+                    act[(a_idx, key)] = QMatrix(len(tgt_items), len(items), data)
         descriptors = [
             (ci, rec_idx, pos_of[(ci, rec_idx)]) for key in basis_at for ci, rec_idx in basis_at[key]
         ]
@@ -189,7 +186,7 @@ class DualAlgebra:
                 src_key = (d - g, u)
                 if mod.dim(src_key) == 0:
                     continue
-                blk = mod.act.get(a_idx, {}).get(src_key)
+                blk = mod.act.get((a_idx, src_key))
                 if blk is None:
                     continue
                 for j in range(blk.cols):
@@ -204,43 +201,15 @@ class DualAlgebra:
                 out[key] = free
         return out
 
-    def _kernel_of_cover(self, mod: _AMod, cover_mod: _AMod, cover_map) -> _AMod:
-        """The kernel of a blockwise module map, with restricted action."""
-        kb: dict[tuple[int, int], list[list[Fraction]]] = {}
-        for key in cover_mod.block_keys():
-            mat = cover_map.get(key)
-            if mat is None:
-                mat = QMatrix.zero(mod.dim(key), cover_mod.dim(key))
-            vecs = kernel_basis(mat)
-            if vecs:
-                kb[key] = vecs
-        solvers = {key: SpanSolver(vecs, cover_mod.dim(key)) for key, vecs in kb.items()}
-        blocks = {key: len(vecs) for key, vecs in kb.items()}
-        act: dict[int, dict[tuple[int, int], QMatrix]] = {}
-        for a_idx, (u, v, g, _) in enumerate(self.endo.basis):
-            per_key = {}
-            for key, vecs in kb.items():
-                d, slot = key
-                if slot != u:
-                    continue
-                tgt_key = (d + g, v)
-                blk = cover_mod.act.get(a_idx, {}).get(key)
-                if blk is None:
-                    continue
-                images = [blk.times_vector(vec) for vec in vecs]
-                tgt_vecs = kb.get(tgt_key)
-                if tgt_vecs is None:
-                    if any(any(x for x in img) for img in images):
-                        raise AssertionError("cover kernel is not action-stable")
-                    continue
-                mat = QMatrix.from_columns(
-                    len(tgt_vecs), [solvers[tgt_key].coords(img) for img in images]
-                )
-                if not mat.is_zero():
-                    per_key[key] = mat
-            if per_key:
-                act[a_idx] = per_key
-        return _AMod(self.endo, blocks, act)
+    def _kernel_of_cover(self, cover_mod: _AMod, cover_map) -> _AMod:
+        """The kernel of a blockwise module map, given on every block of
+        ``cover_mod``, with restricted action."""
+        blocks = []
+        for (a_idx, key), blk in cover_mod.act.items():
+            _, v, g, _ = self.endo.basis[a_idx]
+            blocks.append(((a_idx, key), key, (key[0] + g, v), blk))
+        bases, act = restrict_to_kernels(cover_map, blocks)
+        return _AMod(self.endo, {key: len(b.vectors) for key, b in bases.items()}, act)
 
     # -- resolutions -------------------------------------------------------------
 
@@ -257,11 +226,7 @@ class DualAlgebra:
             raise AssertionError("projective cover of a simple has a bad degree-0 block")
         # radical of P_x: all blocks of positive degree (degree 0 is the identity)
         rad_blocks = {key: d for key, d in p0.blocks.items() if key[0] > 0}
-        rad_act = {}
-        for a_idx, per_key in p0.act.items():
-            kept = {key: mat for key, mat in per_key.items() if key[0] > 0}
-            if kept:
-                rad_act[a_idx] = kept
+        rad_act = {label: mat for label, mat in p0.act.items() if label[1][0] > 0}
         current = _AMod(self.endo, rad_blocks, rad_act)
         steps = [[(x, 0)]]
         complete = True
@@ -289,19 +254,16 @@ class DualAlgebra:
                 basis_at.setdefault(key, []).append((ci, rec_idx, pos))
             for key, items in basis_at.items():
                 data = [[Fraction(0)] * cover_mod.dim(key) for _ in range(current.dim(key))]
-                nonzero = False
                 for ci, rec_idx, pos in items:
                     h_key, h_vec = head_vectors[ci]
-                    blk = current.act.get(rec_idx, {}).get(h_key)
+                    blk = current.act.get((rec_idx, h_key))
                     if blk is None:
                         continue
                     img = blk.times_vector(h_vec)
                     for r, val in enumerate(img):
                         if val:
                             data[r][pos] += val
-                            nonzero = True
-                if nonzero or current.dim(key):
-                    cover_map[key] = QMatrix(current.dim(key), cover_mod.dim(key), data)
+                cover_map[key] = QMatrix(current.dim(key), cover_mod.dim(key), data)
             # surjectivity is Nakayama from the head choice, but assert it so
             # a bookkeeping slip cannot silently corrupt the Ext tables
             for key in current.block_keys():
@@ -309,7 +271,7 @@ class DualAlgebra:
                 if mat is None or rref(mat).rank != current.dim(key):
                     raise AssertionError("projective cover failed to surject onto a syzygy")
             steps.append(cover)
-            current = self._kernel_of_cover(current, cover_mod, cover_map)
+            current = self._kernel_of_cover(cover_mod, cover_map)
         resolution = Resolution(x, steps, complete)
         if complete:
             self._resolutions[x] = resolution

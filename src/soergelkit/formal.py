@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gradedmod import hom_degree_range
-from .linalg import QMatrix, SpanSolver, flatten, kernel_basis
+from .linalg import EchelonBasis, QMatrix, flatten, kernel_basis, rank
 from .soergel import SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
@@ -133,7 +133,7 @@ class FormalCategory:
     def __init__(self, cat: SoergelCategory):
         self.cat = cat
         self.n = cat.n
-        self._spaces: dict[tuple, tuple[tuple[QMatrix, ...], SpanSolver | None]] = {}
+        self._spaces: dict[tuple, tuple[tuple[QMatrix, ...], EchelonBasis]] = {}
 
     # -- Hom spaces between generators --------------------------------------
 
@@ -166,23 +166,15 @@ class FormalCategory:
             for d in hom_degree_range(dx, dy):
                 maps.extend(self.cat.hom_basis(src.w, tgt.w, d))
         mats = tuple(m.to_total() for m in maps)
-        solver = None
-        if mats:
-            dim = dy.total_dim() * dx.total_dim()
-            solver = SpanSolver([flatten(m) for m in mats], dim)
-        data = (mats, solver)
+        basis = EchelonBasis([flatten(m) for m in mats], dy.total_dim() * dx.total_dim())
+        data = (mats, basis)
         self._spaces[key] = data
         return data
 
     def entry_coords(self, side: str, src: Gen, tgt: Gen, mat: QMatrix) -> list[Fraction]:
         """Coordinates of an entry in the hom-space basis; raises if the
         entry does not lie in the allowed subspace."""
-        mats, solver = self._space_data(side, src, tgt)
-        if solver is None:
-            if mat.is_zero():
-                return []
-            raise ValueError("nonzero entry in a zero Hom space")
-        return solver.coords(flatten(mat))
+        return self._space_data(side, src, tgt)[1].coords(flatten(mat))
 
     def validate(self, x: FormalComplex) -> None:
         """Check entry membership and that the differential squares to zero."""
@@ -276,8 +268,6 @@ class FormalCategory:
         d_k = self._hom_differential_matrix(x, y, k)
         cycles = len(kernel_basis(d_k)) if d_k.cols else 0
         d_prev = self._hom_differential_matrix(x, y, k - 1)
-        from .linalg import rank
-
         return cycles - (rank(d_prev) if d_prev.cols else 0)
 
     def _hom_layout(self, x: FormalComplex, y: FormalComplex, k: int):

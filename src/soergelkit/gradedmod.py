@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .coinvariant import CoinvariantRing
 from .laurent import LaurentPoly
-from .linalg import QMatrix, SpanSolver, block_matrix, kernel_basis
+from .linalg import QMatrix, block_matrix, kernel_basis, restrict_to_kernels
 from .multipoly import MultiPoly
 
 
@@ -397,35 +397,18 @@ def kernel_module(e: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     """The kernel of a degree-0 endomorphism, with its inclusion map.
 
     The kernel of a map commuting with the actions is a submodule; its
-    action blocks are found by solving against the kernel basis, which is
-    exact and raises if the map was not actually a module map.
+    action blocks are read off the kernel bases, which is exact and raises
+    if the map was not actually a module map.
     """
     if e.degree != 0 or e.source is not e.target:
         raise ValueError("kernel_module expects a degree-0 endomorphism")
     M = e.source
-    basis: dict[int, list[list[Fraction]]] = {}
-    dims = {}
-    for d in M.degrees():
-        vecs = kernel_basis(e.block(d))
-        if vecs:
-            basis[d] = vecs
-            dims[d] = len(vecs)
-    solvers = {d: SpanSolver(vecs, M.dim_at(d)) for d, vecs in basis.items()}
-    actions = {}
-    for i in range(1, M.ring.n + 1):
-        for d, vecs in basis.items():
-            tgt = basis.get(d + 2)
-            act = M.action(i, d)
-            images = [act.times_vector(v) for v in vecs]
-            if tgt is None:
-                if any(any(x for x in img) for img in images):
-                    raise AssertionError("kernel is not action-stable")
-                continue
-            actions[(i, d)] = QMatrix.from_columns(
-                len(tgt), [solvers[d + 2].coords(img) for img in images]
-            )
-    K = GradedModule(M.ring, dims, actions, validate=False)
+    bases, actions = restrict_to_kernels(
+        {d: e.block(d) for d in M.degrees()},
+        (((i, d), d, d + 2, mat) for (i, d), mat in M.actions.items()),
+    )
+    K = GradedModule(M.ring, {d: len(b.vectors) for d, b in bases.items()}, actions, validate=False)
     inclusion = ModuleMap(
-        K, M, 0, {d: QMatrix.from_columns(M.dim_at(d), vecs) for d, vecs in basis.items()}
+        K, M, 0, {d: QMatrix.from_columns(b.dim, b.vectors) for d, b in bases.items()}
     )
     return K, inclusion

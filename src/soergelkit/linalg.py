@@ -5,6 +5,10 @@ Row reduction clears denominators and eliminates with integer arithmetic,
 dividing each row by its content to keep entries small; pivots are
 normalised back to 1 over the rationals at the end.  Results are exact.
 
+Coordinates in a kernel basis are read off its free columns, where each
+vector is 1 and the others are 0, and checked by rebuilding the vector; no
+solve is needed.
+
 Any matrix whose row or column count exceeds the cap from the environment
 variable ``SOERGEL_MAX_DIM`` (default 5000) is refused with
 :class:`SizeCapError` rather than ground through.
@@ -277,8 +281,9 @@ def rank(m: QMatrix) -> int:
 def kernel_basis(m: QMatrix) -> list[list[Fraction]]:
     """A basis of the null space, one vector per free column.
 
-    The basis vector for free column f has a 1 in position f; vectors are
-    returned in ascending free-column order, so the result is deterministic.
+    The vector for free column f is 1 at f and 0 at every other free column
+    (the shape :class:`EchelonBasis` reads); vectors are returned in
+    ascending free-column order, so the result is deterministic.
     """
     res = rref(m)
     pivot_set = set(res.pivots)
@@ -310,11 +315,80 @@ def solve(m: QMatrix, b) -> list[Fraction] | None:
     return x
 
 
+class EchelonBasis:
+    """Vectors each equal to 1 at a position where all the others are 0.
+
+    :func:`kernel_basis` returns such vectors (the positions are its free
+    columns).  Reordering or zero-padding coordinates keeps the shape, so it
+    holds for flattened bases of graded Homs, also summed over degrees.  The
+    positions are found once; a vector's coordinates are its entries there.
+    """
+
+    __slots__ = ("vectors", "dim", "positions", "_support")
+
+    def __init__(self, vectors: list[list[Fraction]], dim: int):
+        if any(len(v) != dim for v in vectors):
+            raise ValueError("basis vector length does not match ambient dimension")
+        used = [sum(1 for v in vectors if v[j]) for j in range(dim)]
+        self.positions = tuple(
+            next((j for j, x in enumerate(v) if x == 1 and used[j] == 1), -1) for v in vectors
+        )
+        if -1 in self.positions:
+            raise ValueError("basis vector has no position where the others vanish")
+        self.vectors = vectors
+        self.dim = dim
+        self._support = [[(j, x) for j, x in enumerate(v) if x] for v in vectors]
+
+    def coords(self, vec: list[Fraction]) -> list[Fraction]:
+        """The entries of ``vec`` at the positions; raises ValueError unless
+        they rebuild ``vec`` exactly, i.e. unless ``vec`` lies in the span."""
+        if len(vec) != self.dim:
+            raise ValueError("vector length does not match ambient dimension")
+        coords = [vec[p] for p in self.positions]
+        rest = list(vec)
+        for c, support in zip(coords, self._support):
+            if c:
+                for j, x in support:
+                    rest[j] -= c * x
+        if any(rest):
+            raise ValueError("vector does not lie in the span")
+        return coords
+
+
+def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
+    """The kernels of keyed matrices, and blocks restricted to them.
+
+    Returns the :class:`EchelonBasis` of every nonzero kernel of ``maps``,
+    by key, and each nonzero block of ``blocks`` = (label, key, target key,
+    matrix) in kernel coordinates, by label.  Raises AssertionError when a
+    block maps a kernel vector outside the target kernel.
+    """
+    bases = {}
+    for key, mat in maps.items():
+        vecs = kernel_basis(mat)
+        if vecs:
+            bases[key] = EchelonBasis(vecs, mat.cols)
+    restricted = {}
+    for label, key, tgt_key, block in blocks:
+        if key not in bases:
+            continue
+        tgt = bases.get(tgt_key) or EchelonBasis([], block.rows)
+        try:
+            cols = [tgt.coords(block.times_vector(v)) for v in bases[key].vectors]
+        except ValueError:
+            raise AssertionError("kernel is not action-stable") from None
+        mat = QMatrix.from_columns(len(tgt.vectors), cols)
+        if not mat.is_zero():
+            restricted[label] = mat
+    return bases, restricted
+
+
 class SpanSolver:
     """Coordinates with respect to a fixed list of linearly independent vectors.
 
-    Precomputes one row reduction so that membership tests and coordinate
-    extraction for many vectors are cheap.
+    Precomputes one row reduction, which changes basis for any independent
+    list; :class:`EchelonBasis` reads coordinates off directly when the list
+    has echelon shape, and tests use this class as its reference.
     """
 
     def __init__(self, vectors: list[list[Fraction]], dim: int):

@@ -36,7 +36,7 @@ from .gradedmod import (
 )
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from .laurent import LaurentPoly
-from .linalg import QMatrix, SizeCapError, SpanSolver, block_matrix, dimension_cap, flatten
+from .linalg import EchelonBasis, QMatrix, SizeCapError, block_matrix, dimension_cap, flatten
 from .linalg import rref  # noqa: F401  benchmarks/test_harness.py traces this binding
 from .weyl import Perm, Word, WeylGroup, format_perm, length, weyl_group
 
@@ -328,15 +328,12 @@ def kernel_module_with_projection(e: ModuleMap):
     along the image."""
     K, inc = kernel_module(e)
     M = e.source
-    solvers = {
-        d: SpanSolver([inc.block(d).col(j) for j in range(K.dim_at(d))], M.dim_at(d))
-        for d in K.degrees()
-    }
     blocks = {}
     for d in K.degrees():
+        basis = EchelonBasis([inc.block(d).col(j) for j in range(K.dim_at(d))], M.dim_at(d))
         comp = QMatrix.identity(M.dim_at(d)) - e.block(d)
         blocks[d] = QMatrix.from_columns(
-            K.dim_at(d), [solvers[d].coords(comp.col(j)) for j in range(comp.cols)]
+            K.dim_at(d), [basis.coords(comp.col(j)) for j in range(comp.cols)]
         )
     proj = ModuleMap(M, K, 0, blocks)
     return K, inc, proj
@@ -366,19 +363,21 @@ class EndoAlgebra:
                     for m in maps:
                         self._block_index.setdefault((a, b), []).append(len(self.basis))
                         self.basis.append((a, b, d, m))
-        self._solvers: dict[tuple[int, int], tuple[list[int], SpanSolver]] = {}
+        # the identity replaces a hom_graded map only when it spans its
+        # degree, so every block basis keeps its echelon shape
+        spaces: dict[tuple[int, int], tuple[list[int], EchelonBasis]] = {}
         for (a, b), idxs in self._block_index.items():
             vecs = [flatten(self.basis[i][3].to_total()) for i in idxs]
             dim = self.modules[b].total_dim() * self.modules[a].total_dim()
-            self._solvers[(a, b)] = (idxs, SpanSolver(vecs, dim))
+            spaces[(a, b)] = (idxs, EchelonBasis(vecs, dim))
         self.table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for i, (a1, b1, _, m1) in enumerate(self.basis):
             for j, (a2, b2, _, m2) in enumerate(self.basis):
                 if a1 != b2:
                     continue
                 comp = m1.compose(m2)
-                idxs, solver = self._solvers[(a2, b1)]
-                coords = solver.coords(flatten(comp.to_total()))
+                idxs, basis = spaces[(a2, b1)]
+                coords = basis.coords(flatten(comp.to_total()))
                 entry = tuple((idxs[t], c) for t, c in enumerate(coords) if c)
                 self.table[(i, j)] = entry
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linalg import QMatrix, kernel_basis, rank
+from .linalg import QMatrix, block_matrix, kernel_basis, rank, solve
 
 
 class Complex:
@@ -101,9 +101,9 @@ class Complex:
             a, b = self.diff(c), other.diff(c)
             if (a.rows + b.rows) == 0 or (a.cols + b.cols) == 0:
                 continue
-            rows = [a.row(r) + [Fraction(0)] * b.cols for r in range(a.rows)]
-            rows += [[Fraction(0)] * a.cols + b.row(r) for r in range(b.rows)]
-            diffs[c] = QMatrix(a.rows + b.rows, a.cols + b.cols, rows)
+            diffs[c] = block_matrix(
+                [[a, QMatrix.zero(a.rows, b.cols)], [QMatrix.zero(b.rows, a.cols), b]]
+            )
         return Complex(dims, diffs, validate=False)
 
     def cohomology_dims(self) -> dict[int, int]:
@@ -213,53 +213,34 @@ def iota_collapse(x: GradedComplex) -> Complex:
 # -- truncations -------------------------------------------------------------
 
 
+def _truncate(x, keep):
+    """Minimise each layer and keep the simples at (c, g) with keep(c, g);
+    an ungraded complex is the layer g = 0, where weight_of(c, 0) == c."""
+    graded = isinstance(x, GradedComplex)
+    parts = {}
+    for g, layer in (x.layers if graded else {0: x}).items():
+        dims = {c: d for c, d in layer.minimize().dims.items() if keep(c, g)}
+        parts[g] = Complex(dims, {}, validate=False)
+    return GradedComplex(parts) if graded else parts[0]
+
+
 def t_truncate_leq(x, m: int):
     """Keep cohomology in positions <= m (computed after minimising)."""
-    if isinstance(x, GradedComplex):
-        return GradedComplex({g: t_truncate_leq(layer, m) for g, layer in x.layers.items()})
-    minimal = x.minimize()
-    return Complex({c: d for c, d in minimal.dims.items() if c <= m}, {}, validate=False)
+    return _truncate(x, lambda c, g: c <= m)
 
 
 def t_truncate_geq(x, m: int):
-    if isinstance(x, GradedComplex):
-        return GradedComplex({g: t_truncate_geq(layer, m) for g, layer in x.layers.items()})
-    minimal = x.minimize()
-    return Complex({c: d for c, d in minimal.dims.items() if c >= m}, {}, validate=False)
+    return _truncate(x, lambda c, g: c >= m)
 
 
 def w_truncate_leq(x, m: int):
     """Keep simples of weight <= m; on ungraded complexes the weight of a
     simple in position c is c, so this agrees with the t-truncation."""
-    if isinstance(x, GradedComplex):
-        return GradedComplex(
-            {
-                g: Complex(
-                    {c: d for c, d in layer.minimize().dims.items() if weight_of(c, g) <= m},
-                    {},
-                    validate=False,
-                )
-                for g, layer in x.layers.items()
-            }
-        )
-    minimal = x.minimize()
-    return Complex({c: d for c, d in minimal.dims.items() if c <= m}, {}, validate=False)
+    return _truncate(x, lambda c, g: weight_of(c, g) <= m)
 
 
 def w_truncate_geq(x, m: int):
-    if isinstance(x, GradedComplex):
-        return GradedComplex(
-            {
-                g: Complex(
-                    {c: d for c, d in layer.minimize().dims.items() if weight_of(c, g) >= m},
-                    {},
-                    validate=False,
-                )
-                for g, layer in x.layers.items()
-            }
-        )
-    minimal = x.minimize()
-    return Complex({c: d for c, d in minimal.dims.items() if c >= m}, {}, validate=False)
+    return _truncate(x, lambda c, g: weight_of(c, g) >= m)
 
 
 # -- homotopy Homs -----------------------------------------------------------
@@ -428,8 +409,6 @@ def random_complex(rng: random.Random, max_pos: int = 3, max_dim: int = 2) -> Co
     changes = {c: _random_unimodular(rng, out.dim_at(c)) for c in out.positions()}
     inverses = {}
     for c, mat in changes.items():
-        from .linalg import solve
-
         cols = []
         for j in range(mat.rows):
             unit = [Fraction(1 if i == j else 0) for i in range(mat.rows)]

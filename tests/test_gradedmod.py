@@ -116,6 +116,15 @@ def test_direct_sum_and_kernel():
     inc.check_commutes()
 
 
+def test_kernel_module_rejects_a_non_module_map():
+    # killing the top degree of D_s but not the bottom one does not commute
+    # with x_1, which maps the bottom degree onto the top one
+    d_s = soergel_category(2).bott_samelson((1,))
+    e = ModuleMap(d_s, d_s, 0, {1: QMatrix.identity(1)})
+    with pytest.raises(AssertionError, match="not action-stable"):
+        kernel_module(e)
+
+
 def test_poly_action_well_defined():
     # two lifts of the same ring element act identically
     m = regular_module(3)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from soergelkit.linalg import (
+    EchelonBasis,
     QMatrix,
     SizeCapError,
     SpanSolver,
@@ -11,6 +12,7 @@ from soergelkit.linalg import (
     flatten,
     kernel_basis,
     rank,
+    restrict_to_kernels,
     rref,
     solve,
 )
@@ -145,6 +147,46 @@ def test_span_solver():
     assert not s.contains([Fraction(1), Fraction(0), Fraction(0)])
     with pytest.raises(ValueError):
         s.coords([Fraction(1), Fraction(0), Fraction(0)])
+
+    # the free-column readout agrees with the solver on the same inputs, on
+    # kernel bases of random matrices, and on a permuted, zero-padded basis
+    rng = random.Random(17)
+    cases = [(vecs, 3)]
+    while len(cases) < 30:
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 8))
+        if kernel_basis(m):
+            cases.append((kernel_basis(m), m.cols))
+    wide, dim = max(cases, key=lambda c: len(c[0]))
+    order = list(range(dim + 3))
+    rng.shuffle(order)
+    cases.append(([[(v + [Fraction(0)] * 3)[j] for j in order] for v in wide], dim + 3))
+    for basis, dim in cases:
+        solver, echelon = SpanSolver(basis, dim), EchelonBasis(basis, dim)
+        for _ in range(5):
+            coeffs = [Fraction(rng.randint(-5, 5)) for _ in basis]
+            vec = [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(dim)]
+            assert echelon.coords(vec) == solver.coords(vec) == coeffs
+        units = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        outside = [u for u in units if not solver.contains(u)]
+        assert outside or len(basis) == dim
+        for u in outside:
+            with pytest.raises(ValueError):
+                echelon.coords(u)
+    for not_echelon in ([[1, 1], [1, 2]], [[2, 0]], [[1, 1], [0, 1]]):
+        with pytest.raises(ValueError):
+            EchelonBasis([[Fraction(x) for x in v] for v in not_echelon], 2)
+
+
+def test_restrict_to_kernels_rejects_images_outside_the_target_kernel():
+    # kernels: span(e2) at key 0, span(e1) at key 1, nothing at key 2
+    maps = {0: QMatrix.from_rows([[1, 0]]), 1: QMatrix.from_rows([[0, 1]]), 2: QMatrix.identity(2)}
+    swap = QMatrix.from_rows([[0, 1], [1, 0]])
+    bases, restricted = restrict_to_kernels(maps, [("swap", 0, 1, swap)])
+    assert sorted(bases) == [0, 1]
+    assert restricted == {"swap": QMatrix.from_rows([[1]])}
+    for tgt_key in (1, 2):
+        with pytest.raises(AssertionError, match="not action-stable"):
+            restrict_to_kernels(maps, [("id", 0, tgt_key, QMatrix.identity(2))])
 
 
 def test_from_columns_keeps_shape():

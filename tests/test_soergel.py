@@ -12,7 +12,7 @@ from soergelkit.gradedmod import (
     hom_ungraded_dim,
 )
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import QMatrix, SizeCapError, rank, rref
+from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, flatten, rank, rref
 from soergelkit.soergel import DecompositionError, SoergelCategory, soergel_category
 from soergelkit.weyl import format_perm, length, parse_perm
 
@@ -354,6 +354,40 @@ def test_endo_algebra_longest_s3():
     cat = soergel_category(3)
     alg = cat.endo_algebra([(parse_perm("321"), 0)])
     assert alg.graded_dims() == {0: 1, 2: 2, 4: 2, 6: 1}
+
+
+def test_endo_algebra_table_matches_span_solver_rank3():
+    cat = soergel_category(3)
+    alg = cat.endo_algebra([(w, 0) for w in sorted(cat.group.elements())])
+    blocks = {}
+    for i, (a, b, _, _) in enumerate(alg.basis):
+        blocks.setdefault((a, b), []).append(i)
+    solvers = {}
+    for key, idxs in blocks.items():
+        vecs = [flatten(alg.basis[i][3].to_total()) for i in idxs]
+        solvers[key] = (idxs, SpanSolver(vecs, len(vecs[0])))
+    assert alg.dim == 77
+    for i, (a1, b1, _, m1) in enumerate(alg.basis):
+        for j, (a2, b2, _, m2) in enumerate(alg.basis):
+            if a1 != b2:
+                assert alg.compose_indices(i, j) == ()
+                continue
+            idxs, solver = solvers[(a2, b1)]
+            coords = solver.coords(flatten(m1.compose(m2).to_total()))
+            expected = tuple((idxs[t], c) for t, c in enumerate(coords) if c)
+            assert alg.compose_indices(i, j) == expected
+
+
+@pytest.mark.parametrize("word", [(1, 2, 1), (1, 2, 1, 2), (2, 1, 1)])
+def test_peel_projection_splits_off_the_idempotent(word):
+    cat = soergel_category(3)
+    m = cat.bott_samelson(word)
+    for x, k in cat.expected_summands(word):
+        idem, complement, inc, proj = cat._try_peel(m, x, k)
+        assert proj.compose(inc) == ModuleMap.identity(complement)
+        assert inc.compose(proj) == ModuleMap.identity(m) - idem
+        m = complement
+    assert m.total_dim() == 0
 
 
 def test_decompose_shifted_sum_generic():
