@@ -131,11 +131,6 @@ class CoinvariantElement:
         ds = self.degrees()
         return ds[0] if len(ds) == 1 else None
 
-    def homogeneous_part(self, d: int) -> "CoinvariantElement":
-        return CoinvariantElement(
-            self.ring, {i: x for i, x in self.coords.items() if self.ring.basis_degree(i) == d}
-        )
-
     def coord_vector(self, d: int) -> list[Fraction]:
         """Coordinates inside the degree-d graded piece, in basis order."""
         idxs = self.ring.degree_basis_indices(d)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly
-from .linalg import QMatrix, restrict_to_kernels, rref, solve
+from .linalg import QMatrix, inverse, restrict_to_kernels, rref
 from .soergel import EndoAlgebra, SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
@@ -119,15 +119,7 @@ class DualAlgebra:
 
     def inverse_cartan(self) -> QMatrix:
         """Exact inverse of the Cartan matrix (independent of resolutions)."""
-        c = self.cartan_matrix()
-        cols = []
-        for j in range(c.rows):
-            unit = [Fraction(1 if i == j else 0) for i in range(c.rows)]
-            x = solve(c, unit)
-            if x is None:
-                raise AssertionError("Cartan matrix is singular")
-            cols.append(x)
-        return QMatrix.from_columns(c.rows, cols)
+        return inverse(self.cartan_matrix())
 
     # -- projective machinery -----------------------------------------------------
 

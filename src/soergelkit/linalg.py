@@ -7,7 +7,8 @@ normalised back to 1 over the rationals at the end.  Results are exact.
 
 Coordinates in a kernel basis are read off its free columns, where each
 vector is 1 and the others are 0, and checked by rebuilding the vector; no
-solve is needed.
+solve is needed.  :func:`inverse` takes one row reduction of ``[m | I]``
+rather than one solve per column.
 
 Any matrix whose row or column count exceeds the cap from the environment
 variable ``SOERGEL_MAX_DIM`` (default 5000) is refused with
@@ -313,6 +314,18 @@ def solve(m: QMatrix, b) -> list[Fraction] | None:
     for k, pc in enumerate(res.pivots):
         x[pc] = res.matrix.data[k][m.cols]
     return x
+
+
+def inverse(m: QMatrix) -> QMatrix:
+    """The inverse of m, from one row reduction of ``[m | I]``; raises
+    ValueError when m is not square or is singular."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError(f"cannot invert a non-square {m.rows}x{m.cols} matrix")
+    res = rref(m.hstack(QMatrix.identity(n)))
+    if res.pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return QMatrix(n, n, [row[n:] for row in res.matrix.data])
 
 
 class EchelonBasis:

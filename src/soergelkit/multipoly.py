@@ -53,10 +53,6 @@ class MultiPoly:
         return cls(n, {(0,) * n: 1})
 
     @classmethod
-    def constant(cls, c, n: int) -> "MultiPoly":
-        return cls(n, {(0,) * n: c})
-
-    @classmethod
     def variable(cls, i: int, n: int) -> "MultiPoly":
         """The variable x_i, 1-based."""
         if not 1 <= i <= n:
@@ -156,12 +152,6 @@ class MultiPoly:
         for _ in range(e):
             out = out * self
         return out
-
-    def total_degree(self) -> int:
-        """Largest total degree of a term, -1 for the zero polynomial."""
-        if not self._t:
-            return -1
-        return max(sum(a) for a in self._t)
 
     def homogeneous_parts(self) -> dict[int, "MultiPoly"]:
         parts: dict[int, dict] = {}

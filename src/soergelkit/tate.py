@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linalg import QMatrix, block_matrix, kernel_basis, rank, solve
+from .linalg import QMatrix, block_matrix, inverse, kernel_basis, rank
 
 
 class Complex:
@@ -213,15 +213,19 @@ def iota_collapse(x: GradedComplex) -> Complex:
 # -- truncations -------------------------------------------------------------
 
 
+def _layers(x) -> dict[int, Complex]:
+    """The layers of x by internal degree; an ungraded complex is the single
+    layer g = 0, where weight_of(c, 0) == c."""
+    return x.layers if isinstance(x, GradedComplex) else {0: x}
+
+
 def _truncate(x, keep):
-    """Minimise each layer and keep the simples at (c, g) with keep(c, g);
-    an ungraded complex is the layer g = 0, where weight_of(c, 0) == c."""
-    graded = isinstance(x, GradedComplex)
+    """Minimise each layer and keep the simples at (c, g) with keep(c, g)."""
     parts = {}
-    for g, layer in (x.layers if graded else {0: x}).items():
+    for g, layer in _layers(x).items():
         dims = {c: d for c, d in layer.minimize().dims.items() if keep(c, g)}
         parts[g] = Complex(dims, {}, validate=False)
-    return GradedComplex(parts) if graded else parts[0]
+    return GradedComplex(parts) if isinstance(x, GradedComplex) else parts[0]
 
 
 def t_truncate_leq(x, m: int):
@@ -246,51 +250,38 @@ def w_truncate_geq(x, m: int):
 # -- homotopy Homs -----------------------------------------------------------
 
 
-def _hom_complex_dim(x: Complex, y: Complex, k: int) -> int:
-    return sum(x.dim_at(c) * y.dim_at(c + k) for c in x.positions())
+def _hom_offsets(x: Complex, y: Complex, j: int) -> tuple[dict[int, int], int]:
+    """Where each block Hom(X_c, Y_{c+j}) starts in Hom^j, and its dimension.
+
+    The blocks follow the positions of x; a map f_c is stored row by row.
+    """
+    offsets = {}
+    pos = 0
+    for c in x.positions():
+        offsets[c] = pos
+        pos += y.dim_at(c + j) * x.dim_at(c)
+    return offsets, pos
 
 
 def _hom_differential(x: Complex, y: Complex, k: int) -> QMatrix:
     """The map Hom^k -> Hom^{k+1}, f -> d_Y f - (-1)^k f d_X, as a matrix."""
-    src_layout = [(c, y.dim_at(c + k), x.dim_at(c)) for c in x.positions() if y.dim_at(c + k)]
-    tgt_layout = [(c, y.dim_at(c + k + 1), x.dim_at(c)) for c in x.positions() if y.dim_at(c + k + 1)]
-    src_index = {}
-    pos = 0
-    for c, rows, cols in src_layout:
-        for r in range(rows):
-            for s in range(cols):
-                src_index[(c, r, s)] = pos
-                pos += 1
-    n_src = pos
-    tgt_index = {}
-    pos = 0
-    for c, rows, cols in tgt_layout:
-        for r in range(rows):
-            for s in range(cols):
-                tgt_index[(c, r, s)] = pos
-                pos += 1
-    n_tgt = pos
+    src, n_src = _hom_offsets(x, y, k)
+    tgt, n_tgt = _hom_offsets(x, y, k + 1)
     data = [[Fraction(0)] * n_src for _ in range(n_tgt)]
     sign = -1 if k % 2 else 1
     for c in x.positions():
-        dy = y.diff(c + k)
-        dx = x.diff(c)
+        dy, dx = y.diff(c + k), x.diff(c)
+        cols, cols_next = x.dim_at(c), x.dim_at(c + 1)
         for r in range(y.dim_at(c + k + 1)):
-            for s in range(x.dim_at(c)):
-                row_idx = tgt_index.get((c, r, s))
-                if row_idx is None:
-                    continue
-                row = data[row_idx]
-                for t in range(y.dim_at(c + k)):
-                    coeff = dy.data[r][t]
+            for s in range(cols):
+                row = data[tgt[c] + r * cols + s]
+                for t, coeff in enumerate(dy.data[r]):
                     if coeff:
-                        row[src_index[(c, t, s)]] += coeff
-                for t in range(x.dim_at(c + 1)):
+                        row[src[c] + t * cols + s] += coeff
+                for t in range(cols_next):
                     coeff = dx.data[t][s]
                     if coeff:
-                        idx = src_index.get((c + 1, r, t))
-                        if idx is not None:
-                            row[idx] -= sign * coeff
+                        row[src[c + 1] + r * cols_next + t] -= sign * coeff
     return QMatrix(n_tgt, n_src, data)
 
 
@@ -335,11 +326,11 @@ def _check_axioms(sample, trunc_leq, trunc_geq, upper_from: int, weight_style: b
     for x in sample:
         lower0 = trunc_leq(x, 0)
         lower1 = trunc_leq(x, 1)
-        if _dims_of(lower0) | _dims_of(lower1) != _dims_of(lower1):
+        if _dims(lower0) | _dims(lower1) != _dims(lower1):
             nesting = False
         upper = trunc_geq(x, upper_from)
         mx = x.minimize()
-        if _merge_dims(lower0, upper) != _dims_of(mx):
+        if _dims(lower0, upper) != _dims(mx):
             decomposition = False
     for x in sample:
         for y in sample:
@@ -361,23 +352,14 @@ def _check_axioms(sample, trunc_leq, trunc_geq, upper_from: int, weight_style: b
     }
 
 
-def _dims_of(x) -> set:
-    if isinstance(x, GradedComplex):
-        return {(c, g, m) for (c, g), m in x.components().items()}
-    return {(c, None, m) for c, m in x.dims.items()}
-
-
-def _merge_dims(a, b) -> set:
-    if isinstance(a, GradedComplex):
-        merged: dict[tuple[int, int], int] = {}
-        for (c, g), m in list(a.components().items()) + list(b.components().items()):
-            merged[(c, g)] = merged.get((c, g), 0) + m
-        return {(c, g, m) for (c, g), m in merged.items()}
-    merged2: dict[int, int] = {}
-    for src in (a, b):
-        for c, m in src.dims.items():
-            merged2[c] = merged2.get(c, 0) + m
-    return {(c, None, m) for c, m in merged2.items()}
+def _dims(*xs) -> set:
+    """The multiset of simples of the sum of xs, as (c, g, multiplicity)."""
+    merged: dict[tuple[int, int], int] = {}
+    for x in xs:
+        for g, layer in _layers(x).items():
+            for c, m in layer.dims.items():
+                merged[(c, g)] = merged.get((c, g), 0) + m
+    return {(c, g, m) for (c, g), m in merged.items()}
 
 
 # -- random generators -------------------------------------------------------
@@ -402,25 +384,21 @@ def random_complex(rng: random.Random, max_pos: int = 3, max_dim: int = 2) -> Co
     """A random complex with honest differentials and known homotopy type:
     simples plus contractible two-term pieces, conjugated by unimodular
     base changes."""
-    out = random_minimized_complex(rng, max_pos, max_dim)
+    dims = dict(random_minimized_complex(rng, max_pos, max_dim).dims)
+    ones: dict[int, set[tuple[int, int]]] = {}
     for _ in range(rng.randint(0, 3)):
         c = rng.randint(-max_pos, max_pos - 1)
-        out = out.direct_sum(Complex({c: 1, c + 1: 1}, {c: QMatrix.identity(1)}, validate=False))
-    changes = {c: _random_unimodular(rng, out.dim_at(c)) for c in out.positions()}
-    inverses = {}
-    for c, mat in changes.items():
-        cols = []
-        for j in range(mat.rows):
-            unit = [Fraction(1 if i == j else 0) for i in range(mat.rows)]
-            cols.append(solve(mat, unit))
-        inverses[c] = QMatrix.from_columns(mat.rows, cols)
+        # the piece is appended after what already sits at c and c + 1
+        ones.setdefault(c, set()).add((dims.get(c + 1, 0), dims.get(c, 0)))
+        dims[c] = dims.get(c, 0) + 1
+        dims[c + 1] = dims.get(c + 1, 0) + 1
+    changes = {c: _random_unimodular(rng, dims[c]) for c in sorted(dims)}
     diffs = {}
-    for c in out.positions():
-        if out.dim_at(c + 1):
-            mat = changes[c + 1] * out.diff(c) * inverses[c]
-            if not mat.is_zero():
-                diffs[c] = mat
-    return Complex(out.dims, diffs)
+    for c, entries in sorted(ones.items()):
+        rows, cols = dims[c + 1], dims[c]
+        d = QMatrix(rows, cols, [[int((r, s) in entries) for s in range(cols)] for r in range(rows)])
+        diffs[c] = changes[c + 1] * d * inverse(changes[c])
+    return Complex(dims, diffs)
 
 
 def random_graded_complex(rng: random.Random, max_g: int = 2, **kw) -> GradedComplex:

@@ -236,8 +236,17 @@ class WeylGroup:
         return words
 
     def a_reduced_word(self, w: Perm) -> Word:
-        """The lexicographically smallest reduced word; canonical choice."""
-        return self.reduced_words(w)[0]
+        """The lexicographically smallest reduced word; canonical choice.
+
+        Greedy: the first letter of a reduced word is a left descent, so
+        strip the smallest one until w is the identity.
+        """
+        word = []
+        while length(w):
+            i = min(left_descents(w))
+            word.append(i)
+            w = mult_left_simple(i, w)
+        return tuple(word)
 
     def poincare_polynomial(self):
         """Length generating function as a map length -> count."""

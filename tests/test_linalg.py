@@ -10,6 +10,7 @@ from soergelkit.linalg import (
     SpanSolver,
     block_matrix,
     flatten,
+    inverse,
     kernel_basis,
     rank,
     restrict_to_kernels,
@@ -110,6 +111,27 @@ def test_solve_random_consistency():
         x = solve(m, b)
         assert x is not None
         assert m.times_vector(x) == b
+
+
+def test_inverse_matches_solve_columns():
+    rng = random.Random(31)
+    for n in range(7):
+        for _ in range(8):
+            m = random_matrix(rng, n, n, -4, 4)
+            if rank(m) < n:
+                continue
+            units = QMatrix.identity(n)
+            cols = [solve(m, units.col(j)) for j in range(n)]
+            inv = inverse(m)
+            assert inv == QMatrix.from_columns(n, cols)
+            assert m * inv == units
+
+
+def test_inverse_rejects_singular_and_non_square():
+    with pytest.raises(ValueError):
+        inverse(QMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError):
+        inverse(QMatrix.zero(2, 3))
 
 
 def test_matmul_and_transpose():

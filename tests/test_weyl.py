@@ -123,6 +123,14 @@ def test_reduced_words_all_evaluate(n=4):
             assert evaluate_word(word, n) == w
 
 
+def test_a_reduced_word_is_the_smallest_reduced_word():
+    # the greedy smallest-left-descent word against the full enumeration
+    for n in range(1, 6):
+        g = WeylGroup(n)
+        for w in g.elements():
+            assert g.a_reduced_word(w) == g.reduced_words(w)[0]
+
+
 def test_demazure_product():
     assert demazure_product((1, 1), 2) == simple_reflection(1, 2)
     assert demazure_product((1, 2, 1, 2), 3) == (2, 1, 0)
