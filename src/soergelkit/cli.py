@@ -443,6 +443,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "cases", 1) < 1:
+            raise ValueError(f"--cases must be at least 1, got {args.cases}")
         if args.command == "selftest":
             result, ok, table = cmd_selftest(args)
             if args.format == "text":

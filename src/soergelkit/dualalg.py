@@ -183,11 +183,7 @@ class DualAlgebra:
                     continue
                 for j in range(blk.cols):
                     image_rows.append(blk.col(j))
-            if image_rows:
-                res = rref(QMatrix.from_rows(image_rows))
-                pivots = set(res.pivots)
-            else:
-                pivots = set()
+            pivots = set(rref(QMatrix(len(image_rows), dim, image_rows)).pivots)
             free = [j for j in range(dim) if j not in pivots]
             if free:
                 out[key] = free

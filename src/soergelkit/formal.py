@@ -266,9 +266,9 @@ class FormalCategory:
         if x.side != y.side:
             raise ValueError("Hom between complexes on different sides")
         d_k = self._hom_differential_matrix(x, y, k)
-        cycles = len(kernel_basis(d_k)) if d_k.cols else 0
+        cycles = len(kernel_basis(d_k))
         d_prev = self._hom_differential_matrix(x, y, k - 1)
-        return cycles - (rank(d_prev) if d_prev.cols else 0)
+        return cycles - rank(d_prev)
 
     def _hom_layout(self, x: FormalComplex, y: FormalComplex, k: int):
         """Coordinates for maps of degree k: one slot per basis element of
@@ -371,13 +371,7 @@ class FormalCategory:
                 coords = [Fraction(rng.randint(-2, 2)) for _ in range(count)]
             else:
                 rows = self._compose_constraint_rows(terms, c, prev, layout, count)
-                if rows:
-                    basis = kernel_basis(QMatrix.from_rows(rows))
-                else:
-                    basis = [
-                        [Fraction(1 if i == j else 0) for j in range(count)]
-                        for i in range(count)
-                    ]
+                basis = kernel_basis(QMatrix(len(rows), count, rows))
                 coords = [Fraction(0)] * count
                 for vec in basis:
                     c_rand = rng.randint(-2, 2)

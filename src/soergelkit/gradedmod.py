@@ -15,12 +15,18 @@ second route rather than summing the graded answer by construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .coinvariant import CoinvariantRing
 from .laurent import LaurentPoly
-from .linalg import QMatrix, block_matrix, kernel_basis, restrict_to_kernels
+from .linalg import (
+    QMatrix,
+    block_matrix,
+    hom_equations,
+    kernel_basis,
+    place_blocks,
+    restrict_to_kernels,
+)
 from .multipoly import MultiPoly
 
 
@@ -73,17 +79,9 @@ class GradedModule:
     def total_action(self, i: int) -> QMatrix:
         n = self.total_dim()
         off = self.total_offsets()
-        data = [[Fraction(0)] * n for _ in range(n)]
-        for d in self.degrees():
-            blk = self.actions.get((i, d))
-            if blk is None or d + 2 not in self.dims:
-                continue
-            r0, c0 = off[d + 2], off[d]
-            for r in range(blk.rows):
-                row = data[r0 + r]
-                for c in range(blk.cols):
-                    row[c0 + c] = blk.data[r][c]
-        return QMatrix(n, n, data)
+        return place_blocks(
+            n, n, ((off[d + 2], off[d], blk) for (j, d), blk in self.actions.items() if j == i)
+        )
 
     # -- constructors ----------------------------------------------------------
 
@@ -261,19 +259,12 @@ class ModuleMap:
 
     def to_total(self) -> QMatrix:
         """The map as a single matrix on totalised bases (degree ascending)."""
-        rows, cols = self.target.total_dim(), self.source.total_dim()
         t_off, s_off = self.target.total_offsets(), self.source.total_offsets()
-        data = [[Fraction(0)] * cols for _ in range(rows)]
-        for d, blk in self.blocks.items():
-            r0 = t_off.get(d + self.degree)
-            c0 = s_off.get(d)
-            if r0 is None or c0 is None:
-                continue
-            for r in range(blk.rows):
-                row = data[r0 + r]
-                for c in range(blk.cols):
-                    row[c0 + c] = blk.data[r][c]
-        return QMatrix(rows, cols, data)
+        return place_blocks(
+            self.target.total_dim(),
+            self.source.total_dim(),
+            ((t_off[d + self.degree], s_off[d], blk) for d, blk in self.blocks.items()),
+        )
 
 
 def trivial_module(ring: CoinvariantRing) -> GradedModule:
@@ -285,59 +276,31 @@ def hom_graded(M: GradedModule, N: GradedModule, degree: int) -> list[ModuleMap]
     """A basis of the degree-``degree`` maps commuting with all actions."""
     if M.ring is not N.ring:
         raise ValueError("Hom between modules over different rings")
-    n = M.ring.n
-    var_index: dict[tuple[int, int, int], int] = {}
-    layout = []
+    offsets = {}
     count = 0
     for a in M.degrees():
-        rows, cols = N.dim_at(a + degree), M.dim_at(a)
-        if rows and cols:
-            for r in range(rows):
-                for c in range(cols):
-                    var_index[(a, r, c)] = count
-                    count += 1
-            layout.append((a, rows, cols))
-    if count == 0:
-        return []
-    eq_rows: list[list[Fraction]] = []
-    for i in range(1, n + 1):
-        for a in M.degrees():
-            out_rows = N.dim_at(a + degree + 2)
-            cols = M.dim_at(a)
-            if out_rows == 0 or cols == 0:
-                continue
-            act_n = N.action(i, a + degree)
-            act_m = M.action(i, a)
-            for r in range(out_rows):
-                for c in range(cols):
-                    row = [Fraction(0)] * count
-                    touched = False
-                    for k in range(N.dim_at(a + degree)):
-                        coeff = act_n.data[r][k]
-                        if coeff:
-                            row[var_index[(a, k, c)]] += coeff
-                            touched = True
-                    for k in range(M.dim_at(a + 2)):
-                        coeff = act_m.data[k][c]
-                        if coeff:
-                            idx = var_index.get((a + 2, r, k))
-                            if idx is not None:
-                                row[idx] -= coeff
-                                touched = True
-                    if touched:
-                        eq_rows.append(row)
-    if eq_rows:
-        vectors = kernel_basis(QMatrix.from_rows(eq_rows))
-    else:
-        vectors = [
-            [Fraction(1 if t == s else 0) for s in range(count)] for t in range(count)
-        ]
+        offsets[a] = count
+        count += N.dim_at(a + degree) * M.dim_at(a)
+    # f_a : M_a -> N_{a+degree} commutes with x_i: x_i f_a - f_{a+2} x_i = 0;
+    # a degree with N_{a+degree+2} = 0 has no equations, so its zero action
+    # blocks are never built
+    system = hom_equations(
+        count,
+        (
+            (N.action(i, a + degree), offsets[a], M.action(i, a), offsets.get(a + 2), 1)
+            for i in range(1, M.ring.n + 1)
+            for a in M.degrees()
+            if N.dim_at(a + degree + 2)
+        ),
+    )
     maps = []
-    for vec in vectors:
+    for vec in kernel_basis(system):
         blocks = {}
-        for a, rows, cols in layout:
-            blk = [[vec[var_index[(a, r, c)]] for c in range(cols)] for r in range(rows)]
-            blocks[a] = QMatrix(rows, cols, blk)
+        for a, off in offsets.items():
+            rows, cols = N.dim_at(a + degree), M.dim_at(a)
+            blocks[a] = QMatrix(
+                rows, cols, [vec[off + r * cols : off + (r + 1) * cols] for r in range(rows)]
+            )
         maps.append(ModuleMap(M, N, degree, blocks))
     return maps
 
@@ -364,42 +327,15 @@ def hom_ungraded_dim(M: GradedModule, N: GradedModule) -> int:
     """
     if M.ring is not N.ring:
         raise ValueError("Hom between modules over different rings")
-    rows_n, cols_m = N.total_dim(), M.total_dim()
-    count = rows_n * cols_m
-    if count == 0:
-        return 0
-    eq_rows = []
-    for i in range(1, M.ring.n + 1):
-        a_n = N.total_action(i)
-        a_m = M.total_action(i)
-        for r in range(rows_n):
-            for c in range(cols_m):
-                row = [Fraction(0)] * count
-                touched = False
-                for k in range(rows_n):
-                    coeff = a_n.data[r][k]
-                    if coeff:
-                        row[k * cols_m + c] += coeff
-                        touched = True
-                for k in range(cols_m):
-                    coeff = a_m.data[k][c]
-                    if coeff:
-                        row[r * cols_m + k] -= coeff
-                        touched = True
-                if touched:
-                    eq_rows.append(row)
-    if not eq_rows:
-        return count
-    return len(kernel_basis(QMatrix.from_rows(eq_rows)))
+    system = hom_equations(
+        N.total_dim() * M.total_dim(),
+        ((N.total_action(i), 0, M.total_action(i), 0, 1) for i in range(1, M.ring.n + 1)),
+    )
+    return len(kernel_basis(system))
 
 
-def kernel_module(e: ModuleMap) -> tuple[GradedModule, ModuleMap]:
-    """The kernel of a degree-0 endomorphism, with its inclusion map.
-
-    The kernel of a map commuting with the actions is a submodule; its
-    action blocks are read off the kernel bases, which is exact and raises
-    if the map was not actually a module map.
-    """
+def _kernel(e: ModuleMap):
+    """The kernel module of e, its inclusion, and its basis in each degree."""
     if e.degree != 0 or e.source is not e.target:
         raise ValueError("kernel_module expects a degree-0 endomorphism")
     M = e.source
@@ -411,4 +347,29 @@ def kernel_module(e: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     inclusion = ModuleMap(
         K, M, 0, {d: QMatrix.from_columns(b.dim, b.vectors) for d, b in bases.items()}
     )
+    return K, inclusion, bases
+
+
+def kernel_module(e: ModuleMap) -> tuple[GradedModule, ModuleMap]:
+    """The kernel of a degree-0 endomorphism, with its inclusion map.
+
+    The kernel of a map commuting with the actions is a submodule; its
+    action blocks are read off the kernel bases, which is exact and raises
+    if the map was not actually a module map.
+    """
+    K, inclusion, _ = _kernel(e)
     return K, inclusion
+
+
+def kernel_module_with_projection(e: ModuleMap) -> tuple[GradedModule, ModuleMap, ModuleMap]:
+    """Kernel of a degree-0 idempotent with inclusion and the projection
+    along the image; the projection reads the coordinates of (1 - e) v off
+    the kernel bases."""
+    K, inclusion, bases = _kernel(e)
+    blocks = {}
+    for d, basis in bases.items():
+        comp = QMatrix.identity(basis.dim) - e.block(d)
+        blocks[d] = QMatrix.from_columns(
+            K.dim_at(d), [basis.coords(comp.col(j)) for j in range(comp.cols)]
+        )
+    return K, inclusion, ModuleMap(e.source, K, 0, blocks)

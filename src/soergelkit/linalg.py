@@ -10,6 +10,14 @@ vector is 1 and the others are 0, and checked by rebuilding the vector; no
 solve is needed.  :func:`inverse` takes one row reduction of ``[m | I]``
 rather than one solve per column.
 
+Two assembly routines build every structured matrix: :func:`place_blocks`
+copies blocks to given offsets (behind :func:`block_matrix` and the
+totalised matrices of graded modules), and :func:`hom_equations` writes
+the equations of f -> A f - s f B on row-major blocks of unknowns, which
+is the one builder behind the graded, ungraded and Tate Hom systems.  It
+leaves out all-zero equations; an empty system is an ordinary 0 x count
+matrix, whose kernel is the unit basis.
+
 Any matrix whose row or column count exceeds the cap from the environment
 variable ``SOERGEL_MAX_DIM`` (default 5000) is refused with
 :class:`SizeCapError` rather than ground through.
@@ -175,6 +183,17 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
+def place_blocks(rows: int, cols: int, blocks) -> QMatrix:
+    """The rows x cols matrix that is zero except for each (r0, c0, block)
+    of ``blocks``, copied with its top-left entry at (r0, c0)."""
+    zero = Fraction(0)
+    data = [[zero] * cols for _ in range(rows)]
+    for r0, c0, blk in blocks:
+        for r, src in enumerate(blk.data):
+            data[r0 + r][c0 : c0 + blk.cols] = src
+    return QMatrix(rows, cols, data)
+
+
 def block_matrix(blocks) -> QMatrix:
     """Assemble a matrix from a list of block rows.
 
@@ -182,14 +201,56 @@ def block_matrix(blocks) -> QMatrix:
     must have the same column widths.
     """
     widths = [b.cols for b in blocks[0]] if blocks else []
-    data = []
+    placed = []
+    r0 = 0
     for block_row in blocks:
         height = block_row[0].rows
         if [b.cols for b in block_row] != widths or any(b.rows != height for b in block_row):
             raise ValueError("blocks do not tile a matrix")
-        for r in range(height):
-            data.append([x for b in block_row for x in b.data[r]])
-    return QMatrix(len(data), sum(widths), data)
+        c0 = 0
+        for b in block_row:
+            placed.append((r0, c0, b))
+            c0 += b.cols
+        r0 += height
+    return place_blocks(r0, sum(widths), placed)
+
+
+def hom_equations(count: int, blocks) -> QMatrix:
+    """The linear system of f -> A f - s f B, as a matrix with ``count``
+    columns, one per unknown.
+
+    The unknowns form blocks, each stored row by row at an offset.  Every
+    (a, left, b, right, s) in ``blocks`` gives the a.rows x b.cols entries
+    of A F - s G B, where F is the a.cols x b.cols block at offset ``left``
+    and G the a.rows x b.rows block at offset ``right``; an offset of None
+    drops its term.  Equations that come out all zero are left out.
+    """
+    zero = Fraction(0)
+    rows = []
+    for a, left, b, right, s in blocks:
+        p, t, u = a.rows, b.rows, b.cols
+        a_terms = [
+            [(left + k * u, x) for k, x in enumerate(row) if x] if left is not None else []
+            for row in a.data
+        ]
+        b_terms = [
+            [(right + k, -s * b.data[k][c]) for k in range(t) if b.data[k][c]]
+            if right is not None
+            else []
+            for c in range(u)
+        ]
+        for r in range(p):
+            for c in range(u):
+                if not (a_terms[r] or b_terms[c]):
+                    continue
+                row = [zero] * count
+                for j, x in a_terms[r]:
+                    row[j + c] += x
+                for j, x in b_terms[c]:
+                    row[j + r * t] += x
+                if any(row):
+                    rows.append(row)
+    return QMatrix(len(rows), count, rows)
 
 
 def flatten(m: QMatrix) -> list[Fraction]:

@@ -31,7 +31,7 @@ from .gradedmod import (
     ModuleMap,
     hom_degree_range,
     hom_graded,
-    kernel_module,
+    kernel_module_with_projection,
     trivial_module,
 )
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
@@ -202,6 +202,20 @@ class SoergelCategory:
                     return idem, complement, inc, proj
         return None
 
+    def _peel_expected(self, M: GradedModule, expected, context: str = ""):
+        """Split each predicted (x, k) off what is left of M, in order,
+        yielding (x, k, split); raises DecompositionError at the first one
+        that cannot be split off."""
+        cur = M
+        for x, k in expected:
+            res = self._try_peel(cur, x, k)
+            if res is None:
+                raise DecompositionError(
+                    f"predicted summand (D[{format_perm(x)}], {k}) could not be split off{context}"
+                )
+            yield x, k, res
+            cur = res[1]
+
     def decompose(self, M: GradedModule, expected=None) -> Decomposition:
         """Peel M into shifted indecomposables.
 
@@ -226,12 +240,7 @@ class SoergelCategory:
             cur = complement
 
         if expected is not None:
-            for x, k in expected:
-                res = self._try_peel(cur, x, k)
-                if res is None:
-                    raise DecompositionError(
-                        f"predicted summand (D[{format_perm(x)}], {k}) could not be split off"
-                    )
+            for x, k, res in self._peel_expected(M, expected):
                 record(x, k, *res)
         else:
             while cur.total_dim():
@@ -280,16 +289,11 @@ class SoergelCategory:
                 )
             rest = list(expected)
             rest.remove((w, 0))
-            cur = bs
-            for x, k in rest:
-                res = self._try_peel(cur, x, k)
-                if res is None:
-                    raise DecompositionError(
-                        f"predicted summand (D[{format_perm(x)}], {k}) could not be split off "
-                        f"while extracting D[{format_perm(w)}]"
-                    )
-                cur = res[1]
-            module = cur
+            module = bs
+            for _, _, res in self._peel_expected(
+                bs, rest, f" while extracting D[{format_perm(w)}]"
+            ):
+                module = res[1]
             if not module.character().is_symmetric():
                 raise DecompositionError(
                     f"D[{format_perm(w)}] came out with a non-self-dual character"
@@ -321,22 +325,6 @@ def _candidate_shifts(dx_char: LaurentPoly, char: LaurentPoly):
         shifted = dx_char.shift(-k)
         if all(shifted.coeff(e) <= char.coeff(e) for e, _ in shifted.items()):
             yield k
-
-
-def kernel_module_with_projection(e: ModuleMap):
-    """Kernel of a degree-0 idempotent with inclusion and the projection
-    along the image."""
-    K, inc = kernel_module(e)
-    M = e.source
-    blocks = {}
-    for d in K.degrees():
-        basis = EchelonBasis([inc.block(d).col(j) for j in range(K.dim_at(d))], M.dim_at(d))
-        comp = QMatrix.identity(M.dim_at(d)) - e.block(d)
-        blocks[d] = QMatrix.from_columns(
-            K.dim_at(d), [basis.coords(comp.col(j)) for j in range(comp.cols)]
-        )
-    proj = ModuleMap(M, K, 0, blocks)
-    return K, inc, proj
 
 
 class EndoAlgebra:

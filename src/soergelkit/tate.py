@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linalg import QMatrix, block_matrix, inverse, kernel_basis, rank
+from .linalg import QMatrix, block_matrix, hom_equations, inverse, kernel_basis, rank
 
 
 class Complex:
@@ -250,39 +250,23 @@ def w_truncate_geq(x, m: int):
 # -- homotopy Homs -----------------------------------------------------------
 
 
-def _hom_offsets(x: Complex, y: Complex, j: int) -> tuple[dict[int, int], int]:
-    """Where each block Hom(X_c, Y_{c+j}) starts in Hom^j, and its dimension.
+def _hom_differential(x: Complex, y: Complex, k: int) -> QMatrix:
+    """The map Hom^k -> Hom^{k+1}, f -> d_Y f - (-1)^k f d_X, as the
+    matrix of its nonzero equations (same kernel and rank as the map).
 
-    The blocks follow the positions of x; a map f_c is stored row by row.
+    Its columns are the entries of the blocks f_c : X_c -> Y_{c+k}, in the
+    order of the positions of x, each block row by row.
     """
     offsets = {}
-    pos = 0
+    count = 0
     for c in x.positions():
-        offsets[c] = pos
-        pos += y.dim_at(c + j) * x.dim_at(c)
-    return offsets, pos
-
-
-def _hom_differential(x: Complex, y: Complex, k: int) -> QMatrix:
-    """The map Hom^k -> Hom^{k+1}, f -> d_Y f - (-1)^k f d_X, as a matrix."""
-    src, n_src = _hom_offsets(x, y, k)
-    tgt, n_tgt = _hom_offsets(x, y, k + 1)
-    data = [[Fraction(0)] * n_src for _ in range(n_tgt)]
+        offsets[c] = count
+        count += y.dim_at(c + k) * x.dim_at(c)
     sign = -1 if k % 2 else 1
-    for c in x.positions():
-        dy, dx = y.diff(c + k), x.diff(c)
-        cols, cols_next = x.dim_at(c), x.dim_at(c + 1)
-        for r in range(y.dim_at(c + k + 1)):
-            for s in range(cols):
-                row = data[tgt[c] + r * cols + s]
-                for t, coeff in enumerate(dy.data[r]):
-                    if coeff:
-                        row[src[c] + t * cols + s] += coeff
-                for t in range(cols_next):
-                    coeff = dx.data[t][s]
-                    if coeff:
-                        row[src[c + 1] + r * cols_next + t] -= sign * coeff
-    return QMatrix(n_tgt, n_src, data)
+    return hom_equations(
+        count,
+        ((y.diff(c + k), offsets[c], x.diff(c), offsets.get(c + 1), sign) for c in x.positions()),
+    )
 
 
 def hom_homotopy(x, y, k: int = 0) -> int:

@@ -106,6 +106,22 @@ def test_usage_errors_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["koszul-square", "--rank", "2", "--cases", "-3"],
+        ["tate", "--demo", "--cases", "-2"],
+        ["tate", "--demo", "--cases", "0"],
+    ],
+)
+def test_cases_below_one_exit_two(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--cases" in err
+
+
 def test_size_cap_refusal_exits_two(monkeypatch):
     # a word no other test computes, so the cap is hit before any cache
     monkeypatch.setenv("SOERGEL_MAX_DIM", "10")

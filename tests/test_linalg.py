@@ -10,8 +10,10 @@ from soergelkit.linalg import (
     SpanSolver,
     block_matrix,
     flatten,
+    hom_equations,
     inverse,
     kernel_basis,
+    place_blocks,
     rank,
     restrict_to_kernels,
     rref,
@@ -226,8 +228,83 @@ def test_block_matrix_tiles_blocks():
     b = QMatrix.from_rows([[3], [4]])
     m = block_matrix([[a, QMatrix.zero(1, 1)], [QMatrix.zero(2, 2), b]])
     assert m == QMatrix.from_rows([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    assert place_blocks(3, 3, [(1, 2, b), (0, 0, a)]) == m
     # a block row of height zero still fixes the column widths
     m = block_matrix([[QMatrix.zero(0, 2), QMatrix.zero(0, 1)], [a, QMatrix.zero(1, 1)]])
     assert (m.rows, m.cols) == (1, 3)
     with pytest.raises(ValueError):
         block_matrix([[a, b]])
+
+
+def _kron(x, y):
+    """Kronecker product of two lists of rows, with the column counts given
+    explicitly so that empty shapes keep their width."""
+    (xs, xc), (ys, yc) = (x[0], x[1]), (y[0], y[1])
+    return [
+        [xs[i][j] * ys[k][l] for j in range(xc) for l in range(yc)]
+        for i in range(len(xs))
+        for k in range(len(ys))
+    ]
+
+
+def _kron_system(count, blocks):
+    """The rows of (A (x) I) on F minus s (I (x) B^T) on G, block by block,
+    for row-major unknowns; all-zero rows dropped."""
+    out = []
+    for a, left, b, right, s in blocks:
+        p, q, t, u = a.rows, a.cols, b.rows, b.cols
+        eqs = [[Fraction(0)] * count for _ in range(p * u)]
+        ident_u = [[int(i == j) for j in range(u)] for i in range(u)]
+        ident_p = [[int(i == j) for j in range(p)] for i in range(p)]
+        b_t = [b.col(c) for c in range(u)]
+        if left is not None:
+            for i, row in enumerate(_kron((a.data, q), (ident_u, u))):
+                for j, x in enumerate(row):
+                    eqs[i][left + j] += x
+        if right is not None:
+            for i, row in enumerate(_kron((ident_p, p), (b_t, t))):
+                for j, x in enumerate(row):
+                    eqs[i][right + j] -= s * x
+        out.extend(row for row in eqs if any(row))
+    return out
+
+
+def _sparse_matrix(rng, rows, cols):
+    density = rng.choice([0.0, 0.3, 1.0])
+    return QMatrix(
+        rows,
+        cols,
+        [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)],
+    )
+
+
+def test_hom_equations_match_kronecker_formula():
+    rng = random.Random(2024)
+    for _ in range(200):
+        blocks = []
+        count = rng.randint(0, 12)
+        for _ in range(rng.randint(0, 3)):
+            p, q, t, u = (rng.randint(0, 3) for _ in range(4))
+            left = None if rng.random() < 0.2 or q * u > count else rng.randint(0, count - q * u)
+            right = None if rng.random() < 0.2 or p * t > count else rng.randint(0, count - p * t)
+            s = rng.choice([1, -1, 2])
+            blocks.append((_sparse_matrix(rng, p, q), left, _sparse_matrix(rng, t, u), right, s))
+        system = hom_equations(count, blocks)
+        assert system == QMatrix(len(_kron_system(count, blocks)), count, _kron_system(count, blocks))
+        assert all(any(row) for row in system.data)
+
+
+def test_hom_equations_edge_shapes():
+    # no blocks: no equations, and the kernel is the unit basis in order
+    empty = hom_equations(3, [])
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert kernel_basis(empty) == [[int(i == j) for j in range(3)] for i in range(3)]
+    # A F - F A on one 2x2 block: the equations of the identity cancel out
+    ident = QMatrix.identity(2)
+    assert hom_equations(4, [(ident, 0, ident, 0, 1)]).rows == 0
+    # both offsets None drop every term
+    assert hom_equations(4, [(ident, None, ident, None, 1)]).rows == 0
+    # a zero A leaves only -s G B; empty blocks give no equations
+    b = QMatrix.from_rows([[1, 2]])
+    system = hom_equations(2, [(QMatrix.zero(1, 0), 0, b, 1, -1), (QMatrix.zero(0, 3), 0, b, 0, 1)])
+    assert system == QMatrix.from_rows([[0, 1], [0, 2]])
