@@ -5,8 +5,11 @@ elementary symmetric polynomials e_1 .. e_n, graded with deg(x_i) = 2.  Its
 dimension is n! and the staircase monomials x^a with a_i <= n - i descend
 to a basis.  Reduction to the staircase basis is done degree by degree with
 exact row reduction of the ideal slice against all monomials of that
-degree; no Groebner machinery is involved, and the known staircase count
-per degree is asserted while building, so a wrong reduction fails loudly.
+degree; no Groebner machinery is involved.  The monomial columns are in
+lex order with x_n largest, whose standard monomials are the staircase, so
+the free columns of each reduced slice are asserted to be exactly the
+staircase monomials, in order, and a polynomial's residual at the free
+columns is its staircase coordinate vector.
 
 The ring carries the permutation action of S_n and the divided-difference
 (Demazure) operators for adjacent transpositions, which descend to the
@@ -20,40 +23,81 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .laurent import LaurentPoly
-from .linalg import QMatrix, SizeCapError, SpanSolver, kernel_basis, rref
+from .linalg import QMatrix, SizeCapError, kernel_basis, rref
 from .multipoly import MultiPoly, divided_difference
-from .weyl import Perm
+from .weyl import Perm, simple_reflection
 
-DEFAULT_RANK_CAP = 5
+RANK_CAP = 5
 
 
 def _monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of total degree d, in a fixed descending order."""
+    """All exponent vectors of total degree d, descending lex with x_n largest."""
     out = []
     for combo in combinations_with_replacement(range(n), d):
         e = [0] * n
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return sorted(set(out), reverse=True)
+    return sorted(out, key=lambda a: a[::-1], reverse=True)
 
 
-class _DegreeData:
-    """Reduction data for one polynomial degree."""
+class _IdealSlice:
+    """The row-reduced degree-d slice of the ideal, with its free columns."""
 
-    __slots__ = ("monos", "index", "reduced_rows", "pivots", "free_cols", "stair", "stair_solver")
+    __slots__ = ("index", "reduced_rows", "pivots", "free_cols", "staircase")
 
-    def __init__(self, monos, index, reduced_rows, pivots, free_cols, stair, stair_solver):
-        self.monos = monos
+    def __init__(self, index, reduced_rows, pivots, free_cols, staircase):
         self.index = index
         self.reduced_rows = reduced_rows
         self.pivots = pivots
         self.free_cols = free_cols
-        self.stair = stair
-        self.stair_solver = stair_solver
+        self.staircase = staircase
+
+    def residual(self, part: MultiPoly) -> list[Fraction]:
+        """Entries at the free columns of a degree-d polynomial reduced by
+        the slice: its coordinates on ``staircase``."""
+        v = [Fraction(0)] * len(self.index)
+        for a, x in part.terms():
+            v[self.index[a]] = x
+        for row, pc in zip(self.reduced_rows, self.pivots):
+            x = v[pc]
+            if x:
+                for j in range(pc, len(v)):
+                    if row[j]:
+                        v[j] -= x * row[j]
+        return [v[j] for j in self.free_cols]
+
+
+def ideal_slice(n: int, d: int) -> _IdealSlice:
+    """Row-reduce the degree-d part of the ideal (e_1 .. e_n) in n variables.
+
+    Columns are the monomials of degree d in :func:`_monomials_of_degree`
+    order, so the pivots are the leading monomials of the slice for lex
+    order with x_n largest.  The initial ideal in that order is
+    (x_n, x_{n-1}^2, .., x_1^n), so the free columns are exactly the
+    staircase monomials of degree d; this is asserted, in column order.
+    """
+    monos = _monomials_of_degree(n, d)
+    index = {a: j for j, a in enumerate(monos)}
+    rows = []
+    for k in range(1, min(n, d) + 1):
+        ek = MultiPoly.elementary(k, n)
+        for m in _monomials_of_degree(n, d - k):
+            row = [Fraction(0)] * len(monos)
+            for a, x in (MultiPoly.monomial(m) * ek).terms():
+                row[index[a]] = x
+            rows.append(row)
+    res = rref(QMatrix(len(rows), len(monos), rows))
+    pivots = set(res.pivots)
+    free_cols = [j for j in range(len(monos)) if j not in pivots]
+    staircase = [monos[j] for j in free_cols]
+    if staircase != [a for a in monos if all(e < n - i for i, e in enumerate(a))]:
+        raise AssertionError(f"free columns of the ideal slice at degree {d} are not the staircase")
+    reduced_rows = [res.matrix.row(k) for k in range(res.rank)]
+    return _IdealSlice(index, reduced_rows, res.pivots, free_cols, staircase)
 
 
 class CoinvariantElement:
@@ -146,16 +190,16 @@ class CoinvariantElement:
 class CoinvariantRing:
     """The coinvariant algebra for S_n, with reduction and operator data."""
 
-    def __init__(self, n: int, cap: int = DEFAULT_RANK_CAP):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("rank must be at least 1")
-        if n > cap:
-            raise SizeCapError(f"rank {n} exceeds the configured cap {cap}")
+        if n > RANK_CAP:
+            raise SizeCapError(f"rank {n} exceeds the configured cap {RANK_CAP}")
         self.n = n
         self.top_poly_degree = n * (n - 1) // 2
         self.basis: tuple[tuple[int, ...], ...] = tuple(
             sorted(
-                self._staircase_monomials(),
+                product(*(range(n - i) for i in range(n))),
                 key=lambda a: (sum(a), tuple(-e for e in a)),
             )
         )
@@ -164,78 +208,9 @@ class CoinvariantRing:
         for i, a in enumerate(self.basis):
             self._by_degree.setdefault(2 * sum(a), ())
             self._by_degree[2 * sum(a)] += (i,)
-        self._degree_data: dict[int, _DegreeData] = {}
-        for d in range(self.top_poly_degree + 1):
-            self._degree_data[d] = self._build_degree(d)
-        if sum(len(v) for v in self._by_degree.values()) != self.dim:
-            raise AssertionError("staircase basis bookkeeping is inconsistent")
+        self._slices = [ideal_slice(n, d) for d in range(self.top_poly_degree + 1)]
         self._var_mult: dict[tuple[int, int], QMatrix] = {}
         self._act_matrices: dict[tuple[Perm, int], QMatrix] = {}
-
-    # -- construction ------------------------------------------------------
-
-    def _staircase_monomials(self):
-        # exponent of x_i ranges over 0 .. n - i (1-based i)
-        def rec(i):
-            if i > self.n:
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for e in range(self.n - i + 1):
-                    yield (e,) + rest
-
-        return [tuple(a) for a in rec(1)]
-
-    def _build_degree(self, d: int) -> _DegreeData:
-        monos = _monomials_of_degree(self.n, d)
-        index = {a: j for j, a in enumerate(monos)}
-        rows = []
-        for k in range(1, self.n + 1):
-            if d - k < 0:
-                continue
-            ek = MultiPoly.elementary(k, self.n)
-            for m in _monomials_of_degree(self.n, d - k):
-                prod = MultiPoly.monomial(m) * ek
-                row = [Fraction(0)] * len(monos)
-                for a, x in prod.terms():
-                    row[index[a]] = x
-                rows.append(row)
-        stair = [a for a in monos if all(a[i] <= self.n - 1 - i for i in range(self.n))]
-        stair_count = len(stair)
-        if rows:
-            res = rref(QMatrix.from_rows(rows))
-            reduced_rows = [res.matrix.row(k) for k in range(res.rank)]
-            pivots = res.pivots
-        else:
-            reduced_rows = []
-            pivots = ()
-        if len(monos) - len(pivots) != stair_count:
-            raise AssertionError(
-                f"ideal slice at degree {d} has corank {len(monos) - len(pivots)}, "
-                f"expected the staircase count {stair_count}"
-            )
-        free_cols = [j for j in range(len(monos)) if j not in set(pivots)]
-        # residuals of the staircase monomials give the change of basis to
-        # staircase coordinates; they must be independent
-        stair_residuals = []
-        for a in stair:
-            vec = [Fraction(0)] * len(monos)
-            vec[index[a]] = Fraction(1)
-            stair_residuals.append(self._residual(vec, reduced_rows, pivots, free_cols))
-        solver = SpanSolver(stair_residuals, len(free_cols)) if stair_count else None
-        return _DegreeData(monos, index, reduced_rows, pivots, free_cols, stair, solver)
-
-    @staticmethod
-    def _residual(vec, reduced_rows, pivots, free_cols):
-        v = list(vec)
-        for r, pc in enumerate(pivots):
-            x = v[pc]
-            if x:
-                row = reduced_rows[r]
-                for j in range(pc, len(v)):
-                    if row[j]:
-                        v[j] -= x * row[j]
-        return [v[j] for j in free_cols]
 
     # -- basic data ----------------------------------------------------------
 
@@ -285,16 +260,9 @@ class CoinvariantRing:
         for d, part in p.homogeneous_parts().items():
             if d > self.top_poly_degree:
                 continue
-            data = self._degree_data[d]
-            vec = [Fraction(0)] * len(data.monos)
-            for a, x in part.terms():
-                vec[data.index[a]] = x
-            if data.stair_solver is None:
-                continue
-            res = self._residual(vec, data.reduced_rows, data.pivots, data.free_cols)
-            for a, c in zip(data.stair, data.stair_solver.coords(res)):
-                if c:
-                    coords[self.basis_index[a]] = coords.get(self.basis_index[a], Fraction(0)) + c
+            data = self._slices[d]
+            for a, c in zip(data.staircase, data.residual(part)):
+                coords[self.basis_index[a]] = c
         return CoinvariantElement(self, coords)
 
     # -- structure maps --------------------------------------------------------
@@ -345,8 +313,6 @@ class CoinvariantRing:
 
     def invariants_basis(self, i: int) -> list[CoinvariantElement]:
         """A graded basis of the s_i-invariant subalgebra, degree ascending."""
-        from .weyl import simple_reflection
-
         s = simple_reflection(i, self.n)
         out = []
         for d in self.degrees():
@@ -386,8 +352,6 @@ class CoinvariantRing:
         b is the divided difference of c and a the remainder; both
         components are asserted invariant and the reconstruction exact.
         """
-        from .weyl import simple_reflection
-
         b = self.demazure(i, c)
         a = c - self.variable(i) * b
         s = simple_reflection(i, self.n)

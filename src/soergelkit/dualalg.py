@@ -123,22 +123,21 @@ class DualAlgebra:
 
     # -- projective machinery -----------------------------------------------------
 
-    def _projective_sum(self, cover) -> tuple[_AMod, list[tuple[int, int, int]]]:
+    def _projective_sum(self, cover) -> tuple[_AMod, dict[tuple[int, int], list[tuple[int, int]]]]:
         """The direct sum of P_w shifted so generators sit at given degrees.
 
-        Returns the module together with its ordered basis, a list of
-        (cover index, record index, block position) descriptors.
+        Returns the module together with its ordered basis per block: for
+        each block key (degree, slot), the (cover index, record index) pairs
+        in block position order.
         """
-        blocks: dict[tuple[int, int], int] = {}
         basis_at: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for ci, (w, d0) in enumerate(cover):
             for rec_idx in self._out_of[self.slot[w]]:
                 _, b, d, _ = self.endo.basis[rec_idx]
-                key = (d + d0, b)
-                basis_at.setdefault(key, []).append((ci, rec_idx))
-                blocks[key] = blocks.get(key, 0) + 1
+                basis_at.setdefault((d + d0, b), []).append((ci, rec_idx))
+        blocks = {key: len(items) for key, items in basis_at.items()}
         pos_of: dict[tuple[int, int], int] = {}
-        for key, items in basis_at.items():
+        for items in basis_at.values():
             for p, (ci, rec_idx) in enumerate(items):
                 pos_of[(ci, rec_idx)] = p
         act: dict[tuple[int, tuple[int, int]], QMatrix] = {}
@@ -160,10 +159,7 @@ class DualAlgebra:
                         nonzero = True
                 if nonzero:
                     act[(a_idx, key)] = QMatrix(len(tgt_items), len(items), data)
-        descriptors = [
-            (ci, rec_idx, pos_of[(ci, rec_idx)]) for key in basis_at for ci, rec_idx in basis_at[key]
-        ]
-        return _AMod(self.endo, blocks, act), descriptors
+        return _AMod(self.endo, blocks, act), basis_at
 
     def _radical_complement(self, mod: _AMod) -> dict[tuple[int, int], list[int]]:
         """Free coordinates of each block modulo the radical image."""
@@ -232,17 +228,12 @@ class DualAlgebra:
                     vec = [Fraction(0)] * current.dim(key)
                     vec[j] = Fraction(1)
                     head_vectors.append((key, vec))
-            cover_mod, descriptors = self._projective_sum(cover)
+            cover_mod, basis_at = self._projective_sum(cover)
             # the cover map sends the basis record (ci, rec) to rec . h_ci
             cover_map: dict[tuple[int, int], QMatrix] = {}
-            basis_at: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-            for ci, rec_idx, pos in descriptors:
-                _, b, d, _ = self.endo.basis[rec_idx]
-                key = (d + cover[ci][1], b)
-                basis_at.setdefault(key, []).append((ci, rec_idx, pos))
             for key, items in basis_at.items():
                 data = [[Fraction(0)] * cover_mod.dim(key) for _ in range(current.dim(key))]
-                for ci, rec_idx, pos in items:
+                for pos, (ci, rec_idx) in enumerate(items):
                     h_key, h_vec = head_vectors[ci]
                     blk = current.act.get((rec_idx, h_key))
                     if blk is None:

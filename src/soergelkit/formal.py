@@ -281,7 +281,7 @@ class FormalCategory:
                     dim = self.hom_space_dim(x.side, gs, gt)
                     if dim:
                         layout.append((c, s, t, count, dim))
-                        count += 1 * dim
+                        count += dim
         return layout, count
 
     def _hom_differential_matrix(self, x: FormalComplex, y: FormalComplex, k: int) -> QMatrix:

@@ -8,7 +8,9 @@ normalised back to 1 over the rationals at the end.  Results are exact.
 Coordinates in a kernel basis are read off its free columns, where each
 vector is 1 and the others are 0, and checked by rebuilding the vector; no
 solve is needed.  :func:`inverse` takes one row reduction of ``[m | I]``
-rather than one solve per column.
+rather than one solve per column.  :class:`SpanSolver`, which changes basis
+for any independent list, has no caller in the library: it is the
+reference route that tests check the free-column readouts against.
 
 Two assembly routines build every structured matrix: :func:`place_blocks`
 copies blocks to given offsets (behind :func:`block_matrix` and the
@@ -461,8 +463,9 @@ class SpanSolver:
     """Coordinates with respect to a fixed list of linearly independent vectors.
 
     Precomputes one row reduction, which changes basis for any independent
-    list; :class:`EchelonBasis` reads coordinates off directly when the list
-    has echelon shape, and tests use this class as its reference.
+    list.  It is the reference route for tests only: the library reads
+    coordinates off free columns instead, through :class:`EchelonBasis` or
+    the staircase columns of the coinvariant ideal slices.
     """
 
     def __init__(self, vectors: list[list[Fraction]], dim: int):

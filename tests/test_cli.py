@@ -129,6 +129,12 @@ def test_size_cap_refusal_exits_two(monkeypatch):
     assert code == 2
 
 
+def test_coinvariant_rank_cap_exits_two(capsys):
+    code, out = run_cli(["coinv", "--rank", "6"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "refused: rank 6 exceeds the configured cap 5\n"
+
+
 def test_verification_failure_exits_one(monkeypatch):
     def fake_handler(args):
         return {"ok": False}, False, None

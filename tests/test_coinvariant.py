@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from soergelkit.coinvariant import coinvariant_ring
+from soergelkit import coinvariant
+from soergelkit.coinvariant import CoinvariantRing, _monomials_of_degree, coinvariant_ring, ideal_slice
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import SizeCapError
+from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, rref
 from soergelkit.multipoly import MultiPoly
-from soergelkit.weyl import simple_reflection
+from soergelkit.weyl import length, simple_reflection, weyl_group
 
 
 def random_element(rng, ring, homogeneous=None):
@@ -231,3 +234,103 @@ def test_element_str():
         Fraction(1, 2)
     )
     assert str(e) == "3*x1*x2 - 1/2*x1"
+
+
+def exponents(n, d):
+    out = []
+    for combo in combinations_with_replacement(range(n), d):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return out
+
+
+def staircase(a):
+    return all(e <= len(a) - 1 - i for i, e in enumerate(a))
+
+
+def reference_slice(n, d):
+    """Staircase coordinates in degree d by a change of basis: columns in
+    descending lex order with x_1 largest, whose free columns are not the
+    staircase, then the residuals of the staircase monomials as a basis of
+    the free-column space."""
+    monos = sorted(exponents(n, d), reverse=True)
+    index = {a: j for j, a in enumerate(monos)}
+    rows = []
+    for k in range(1, min(n, d) + 1):
+        for m in exponents(n, d - k):
+            row = [Fraction(0)] * len(monos)
+            for a, x in (MultiPoly.monomial(m) * MultiPoly.elementary(k, n)).terms():
+                row[index[a]] = x
+            rows.append(row)
+    res = rref(QMatrix(len(rows), len(monos), rows))
+    free = [j for j in range(len(monos)) if j not in res.pivots]
+
+    def residual(vec):
+        v = list(vec)
+        for row, pc in zip(res.matrix.data, res.pivots):
+            if v[pc]:
+                v = [vj - v[pc] * rj for vj, rj in zip(v, row)]
+        return [v[j] for j in free]
+
+    stair = [a for a in monos if staircase(a)]
+    assert len(stair) == len(free)
+    units = [[Fraction(int(j == index[a])) for j in range(len(monos))] for a in stair]
+    solver = SpanSolver([residual(u) for u in units], len(free))
+
+    def coords(part):
+        vec = [Fraction(0)] * len(monos)
+        for a, x in part.terms():
+            vec[index[a]] = x
+        return dict(zip(stair, solver.coords(residual(vec))))
+
+    return coords
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_normal_form_matches_change_of_basis_reference(n):
+    ring = coinvariant_ring(n)
+    slices = {d: reference_slice(n, d) for d in range(ring.top_poly_degree + 2)}
+
+    def reference(p):
+        out = {}
+        for d, part in p.homogeneous_parts().items():
+            for a, c in slices[d](part).items():
+                if c:
+                    out[ring.basis_index[a]] = c
+        return out
+
+    for d in slices:
+        for a in exponents(n, d):
+            p = MultiPoly.monomial(a)
+            assert ring.normal_form(p).coords == reference(p), a
+    rng = random.Random(60 + n)
+    for _ in range(50):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            d = rng.randint(0, ring.top_poly_degree + 1)
+            terms[rng.choice(exponents(n, d))] = rng.randint(-5, 5)
+        p = MultiPoly(n, terms)
+        assert ring.normal_form(p).coords == reference(p), terms
+
+
+def test_rank5_slice_free_columns_are_the_staircase():
+    # the graded dimensions of the coinvariant algebra count permutations by length
+    lengths = Counter(length(w) for w in weyl_group(5).elements())
+    for d in range(8):
+        monos = _monomials_of_degree(5, d)
+        data = ideal_slice(5, d)
+        free = [monos[j] for j in data.free_cols]
+        assert free == [a for a in monos if staircase(a)] == data.staircase
+        assert len(free) == lengths[d]
+
+
+def test_ring_build_rejects_free_columns_off_the_staircase(monkeypatch):
+    # descending lex with x_1 largest makes a_i <= i - 1 the free columns
+    def old_order(n, d):
+        return sorted(exponents(n, d), reverse=True)
+
+    monkeypatch.setattr(coinvariant, "_monomials_of_degree", old_order)
+    with pytest.raises(AssertionError, match="not the staircase"):
+        CoinvariantRing(3)
