@@ -1,9 +1,14 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are small (a few thousand rows at most), so everything is dense.
-Row reduction clears denominators and eliminates with integer arithmetic,
-dividing each row by its content to keep entries small; pivots are
-normalised back to 1 over the rationals at the end.  Results are exact.
+:class:`QMatrix` is a dense matrix of ``Fraction`` entries (a few thousand
+rows at most), and every routine takes and returns it.  Row reduction works
+on sparse integer rows behind that API: the matrices it meets are mostly
+zero and nearly always integral, so :func:`rref` clears each row's
+denominators once into a {column: int} dict and eliminates fraction-free
+(Bareiss 1968), dividing every reduced row by its content to keep entries
+small; pivots are normalised back to 1 over the rationals at the end.
+Results are exact, and since the reduced row echelon form is unique they do
+not depend on the pivot rows chosen.
 
 Coordinates in a kernel basis are read off its free columns, where each
 vector is 1 and the others are 0, and checked by rebuilding the vector; no
@@ -22,7 +27,8 @@ matrix, whose kernel is the unit basis.
 
 Any matrix whose row or column count exceeds the cap from the environment
 variable ``SOERGEL_MAX_DIM`` (default 5000) is refused with
-:class:`SizeCapError` rather than ground through.
+:class:`SizeCapError` rather than ground through; :func:`rref` checks it on
+entry, before it allocates anything.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class QMatrix:
             raise ValueError(f"data does not match shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.data = [[_frac(x) for x in r] for r in data]
+        self.data = [[x if type(x) is Fraction else _frac(x) for x in r] for r in data]
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
@@ -267,75 +273,73 @@ class RrefResult:
     rank: int
 
 
-def _int_rows(m: QMatrix) -> list[list[int]]:
-    rows = []
-    for r in m.data:
-        den = 1
-        for x in r:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([x.numerator * (den // x.denominator) for x in r])
-    return rows
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by its content, the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _row_content(row: list[int]) -> int:
-    g = 0
-    for x in row:
-        if x:
-            g = math.gcd(g, x)
-            if g == 1:
-                break
-    return g
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive integer combination of ``row`` and ``prow`` that is zero
+    at column c, where ``prow`` is nonzero; ``row`` itself may be reused."""
+    a, b = prow[c], row[c]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = row if a == 1 else {j: x * a for j, x in row.items()}
+    for j, x in prow.items():
+        v = out.get(j, 0) - b * x
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out) if out else out
 
 
 def rref(m: QMatrix) -> RrefResult:
-    """Reduced row echelon form with pivot columns and rank."""
+    """Reduced row echelon form with pivot columns and rank.
+
+    Fraction-free on sparse integer rows: each nonzero row has its
+    denominators cleared once into a {column: int} dict, rows are reduced by
+    their leading column, and every reduced row is divided by its content.
+    The pivot rows are then back-substituted, last pivot first, and divided
+    by their pivot entry over the rationals.  The reduced row echelon form is
+    unique, so the choice of pivot rows does not show in the result.
+    """
     _check_cap(m.rows, m.cols)
     n_rows, n_cols = m.rows, m.cols
-    rows = _int_rows(m)
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(n_cols):
-        if pr == n_rows:
-            break
-        best = -1
-        best_abs = 0
-        for i in range(pr, n_rows):
-            a = rows[i][pc]
-            if a:
-                aa = abs(a)
-                if best == -1 or aa < best_abs:
-                    best, best_abs = i, aa
-                    if aa == 1:
-                        break
-        if best == -1:
+    by_lead: dict[int, list[dict[int, int]]] = {}
+    for r in m.data:
+        nonzero = [(j, x) for j, x in enumerate(r) if x]
+        if nonzero:
+            den = math.lcm(*(x.denominator for _, x in nonzero))
+            row = {j: x.numerator * (den // x.denominator) for j, x in nonzero}
+            by_lead.setdefault(nonzero[0][0], []).append(_primitive(row))
+    pivot_rows: list[tuple[int, dict[int, int]]] = []
+    for c in range(n_cols):
+        bucket = by_lead.pop(c, None)
+        if bucket is None:
             continue
-        rows[pr], rows[best] = rows[best], rows[pr]
-        row_p = rows[pr]
-        piv = row_p[pc]
-        for i in range(n_rows):
-            if i == pr:
-                continue
-            row_i = rows[i]
-            b = row_i[pc]
-            if not b:
-                continue
-            g = math.gcd(piv, b)
-            pm, bm = piv // g, b // g
-            for j in range(n_cols):
-                row_i[j] = row_i[j] * pm - row_p[j] * bm
-            c = _row_content(row_i)
-            if c > 1:
-                for j in range(n_cols):
-                    row_i[j] //= c
-        pivots.append(pc)
-        pr += 1
-    out_rows: list[list[Fraction]] = []
-    for k, pc in enumerate(pivots):
-        piv = rows[k][pc]
-        out_rows.append([Fraction(x, piv) for x in rows[k]])
-    for _ in range(n_rows - len(pivots)):
-        out_rows.append([Fraction(0)] * n_cols)
-    return RrefResult(QMatrix(n_rows, n_cols, out_rows), tuple(pivots), len(pivots))
+        prow = min(bucket, key=lambda row: (len(row), abs(row[c])))
+        for row in bucket:
+            if row is not prow:
+                row = _eliminate(row, prow, c)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+        pivot_rows.append((c, prow))
+    for k in range(len(pivot_rows) - 1, 0, -1):
+        c, prow = pivot_rows[k]
+        for i in range(k):
+            ci, row = pivot_rows[i]
+            if c in row:
+                pivot_rows[i] = (ci, _eliminate(row, prow, c))
+    zero = Fraction(0)
+    out_rows = [[zero] * n_cols for _ in range(n_rows)]
+    for out, (c, row) in zip(out_rows, pivot_rows):
+        piv = row[c]
+        for j, x in row.items():
+            out[j] = Fraction(x, piv)
+    pivots = tuple(c for c, _ in pivot_rows)
+    return RrefResult(QMatrix(n_rows, n_cols, out_rows), pivots, len(pivots))
 
 
 def rank(m: QMatrix) -> int:

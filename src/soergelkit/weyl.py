@@ -27,7 +27,7 @@ from .linalg import SizeCapError
 Perm = tuple[int, ...]
 Word = tuple[int, ...]
 
-DEFAULT_RANK_CAP = 5
+RANK_CAP = 5
 
 
 def identity_perm(n: int) -> Perm:
@@ -150,16 +150,17 @@ def parse_word(s: str, n: int | None = None) -> Word:
 class WeylGroup:
     """The symmetric group S_n with cached combinatorial structure."""
 
-    def __init__(self, n: int, cap: int = DEFAULT_RANK_CAP):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("rank must be at least 1")
-        if n > cap:
-            raise SizeCapError(f"rank {n} exceeds the configured cap {cap} ({n}! elements)")
+        if n > RANK_CAP:
+            raise SizeCapError(f"rank {n} exceeds the configured cap {RANK_CAP} ({n}! elements)")
         self.n = n
         self.identity = identity_perm(n)
         self._elements: tuple[Perm, ...] | None = None
         self._bruhat: dict[tuple[Perm, Perm], bool] = {}
         self._reduced: dict[Perm, tuple[Word, ...]] = {}
+        self._a_word: dict[Perm, Word] = {}
 
     def simple(self, i: int) -> Perm:
         return simple_reflection(i, self.n)
@@ -241,12 +242,17 @@ class WeylGroup:
         Greedy: the first letter of a reduced word is a left descent, so
         strip the smallest one until w is the identity.
         """
-        word = []
-        while length(w):
-            i = min(left_descents(w))
-            word.append(i)
-            w = mult_left_simple(i, w)
-        return tuple(word)
+        cached = self._a_word.get(w)
+        if cached is not None:
+            return cached
+        letters = []
+        u = w
+        while length(u):
+            i = min(left_descents(u))
+            letters.append(i)
+            u = mult_left_simple(i, u)
+        word = self._a_word[w] = tuple(letters)
+        return word
 
     def poincare_polynomial(self):
         """Length generating function as a map length -> count."""

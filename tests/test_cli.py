@@ -122,11 +122,20 @@ def test_cases_below_one_exit_two(argv, capsys):
     assert err.count("\n") == 1 and "--cases" in err
 
 
-def test_size_cap_refusal_exits_two(monkeypatch):
+def test_size_cap_refusal_exits_two(monkeypatch, capsys):
     # a word no other test computes, so the cap is hit before any cache
     monkeypatch.setenv("SOERGEL_MAX_DIM", "10")
     code, _ = run_cli(["bs", "--rank", "4", "--word", "3,2,1,2,3"])
     assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    # with cold caches the ring build comes first, and rref refuses its first
+    # ideal slice over the cap at entry, before reducing it
+    proc = fresh_process("coinv --rank 3", 0, {"SOERGEL_MAX_DIM": "6"})
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (
+        b"refused: matrix of size 10x10 exceeds the dimension cap 6 "
+        b"(raise SOERGEL_MAX_DIM to override)\n"
+    )
 
 
 def test_coinvariant_rank_cap_exits_two(capsys):
@@ -202,18 +211,25 @@ GOLDEN = {
 }
 
 
-def run_fresh(command, hash_seed):
-    """Stdout of the CLI in a new interpreter, with no cap override."""
+def fresh_process(command, hash_seed, settings=None):
+    """The finished CLI process in a new interpreter, whose only ``SOERGEL_``
+    variables are the given ``settings``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("SOERGEL_")}
+    env.update(settings or {})
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONHASHSEED"] = str(hash_seed)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import sys; from soergelkit.cli import main; sys.exit(main())"]
         + command.split(),
         capture_output=True,
         env=env,
         timeout=300,
     )
+
+
+def run_fresh(command, hash_seed):
+    """Stdout of the CLI in a new interpreter, with no cap override."""
+    proc = fresh_process(command, hash_seed)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 

@@ -1,11 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from soergelkit import linalg
+from soergelkit.gradedmod import graded_hom_poly, hom_ungraded_dim
 from soergelkit.linalg import (
     EchelonBasis,
     QMatrix,
+    RrefResult,
     SizeCapError,
     SpanSolver,
     block_matrix,
@@ -19,10 +23,107 @@ from soergelkit.linalg import (
     rref,
     solve,
 )
+from soergelkit.soergel import soergel_category
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return QMatrix(rows, cols, [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def dense_rref(m):
+    """Reference route for :func:`rref`: dense integer rows, one column at a
+    time with the smallest nonzero entry as pivot, eliminating above and
+    below at once and dividing each changed row by its content."""
+    n_rows, n_cols = m.rows, m.cols
+    rows = []
+    for r in m.data:
+        den = math.lcm(*(x.denominator for x in r))
+        rows.append([x.numerator * (den // x.denominator) for x in r])
+    pivots = []
+    pr = 0
+    for pc in range(n_cols):
+        if pr == n_rows:
+            break
+        candidates = [i for i in range(pr, n_rows) if rows[i][pc]]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: abs(rows[i][pc]))
+        rows[pr], rows[best] = rows[best], rows[pr]
+        row_p = rows[pr]
+        piv = row_p[pc]
+        for i in range(n_rows):
+            b = rows[i][pc]
+            if i == pr or not b:
+                continue
+            g = math.gcd(piv, b)
+            row_i = [x * (piv // g) - y * (b // g) for x, y in zip(rows[i], row_p)]
+            c = math.gcd(*row_i)
+            rows[i] = [x // c for x in row_i] if c > 1 else row_i
+        pivots.append(pc)
+        pr += 1
+    out = [[Fraction(x, rows[k][pc]) for x in rows[k]] for k, pc in enumerate(pivots)]
+    out += [[Fraction(0)] * n_cols for _ in range(n_rows - len(pivots))]
+    return RrefResult(QMatrix(n_rows, n_cols, out), tuple(pivots), len(pivots))
+
+
+def _oracle_matrix(rng):
+    """A seeded matrix of shape 0..8 x 0..8 with zero rows and columns,
+    dependent rows, and small, rational or large entries."""
+    rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+    kind = rng.choice(["small", "rational", "large", "mixed"])
+    density = rng.choice([0.15, 0.4, 1.0])
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if kind == "small" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-3, 3)
+        if kind == "rational" or kind == "mixed":
+            return Fraction(rng.randint(-20, 20), rng.randint(1, 15))
+        return rng.randint(-(10**25), 10**25)
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.5:
+        # a row equal to a combination of two others
+        i, j, k = (rng.randrange(rows) for _ in range(3))
+        a, b = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4)
+        data[k] = [a * x + b * y for x, y in zip(data[i], data[j])]
+    if rows and rng.random() < 0.3:
+        data[rng.randrange(rows)] = [0] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in data:
+            row[j] = 0
+    return QMatrix(rows, cols, data)
+
+
+def test_rref_matches_dense_reference():
+    rng = random.Random(2026)
+    shapes = set()
+    for _ in range(2400):
+        m = _oracle_matrix(rng)
+        shapes.add((m.rows, m.cols))
+        assert rref(m) == dense_rref(m)
+    assert {(0, 5), (5, 0), (0, 0), (8, 8)} <= shapes
+
+
+def test_rref_matches_dense_reference_on_rank3_hom_systems(monkeypatch):
+    cat = soergel_category(3)
+    modules = [cat.indecomposable(w) for w in cat.group.elements()]
+    seen = []
+
+    def checked_rref(m):
+        res = rref(m)
+        assert res == dense_rref(m)
+        seen.append(m.rows * m.cols)
+        return res
+
+    monkeypatch.setattr(linalg, "rref", checked_rref)
+    for dx in modules:
+        for dy in modules:
+            graded_hom_poly(dx, dy)
+            hom_ungraded_dim(dx, dy)
+    assert len(seen) > 36 and max(seen) > 0
 
 
 def test_rref_identity():

@@ -281,6 +281,23 @@ def test_hecke_class_matches_product_s4_curated():
         assert h == cat.hecke.product_bs(word)
 
 
+def test_rank5_frontier():
+    # builds the rank-5 ring (120-dimensional) once for both checks
+    cat = soergel_category(5)
+    vvinv = LaurentPoly({1: 1, -1: 1})
+    m = cat.bott_samelson((1, 2, 1, 3, 2, 1, 4))
+    assert m.total_dim() == 128
+    assert m.character() == vvinv**7
+    word = (1, 2, 1, 3, 2)
+    expected = cat.expected_summands(word)
+    dec = cat.decompose(cat.bott_samelson(word), expected=expected)
+    assert dec.multiset() == tuple(sorted(expected, key=lambda t: (length(t[0]), t[0], t[1])))
+    total = LaurentPoly.zero()
+    for x, k in dec.summands:
+        total = total + character_oracle(cat, x).shift(-k)
+    assert total == vvinv**5
+
+
 def test_end_degree_zero_is_scalar():
     for n in (2, 3):
         cat = soergel_category(n)

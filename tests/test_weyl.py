@@ -152,7 +152,6 @@ def test_all_elements_counts():
 def test_rank_cap():
     with pytest.raises(SizeCapError):
         WeylGroup(6)
-    WeylGroup(6, cap=6)  # explicit override allowed
 
 
 def test_descents():
