@@ -33,6 +33,9 @@ from .linalg import QMatrix, inverse, restrict_to_kernels, rref
 from .soergel import EndoAlgebra, SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
+#: resolutions stop, incomplete, after this many steps
+MAX_RESOLUTION_LENGTH = 32
+
 
 class _AMod:
     """A graded module over the endomorphism algebra, stored blockwise.
@@ -63,7 +66,7 @@ class Resolution:
 
     ``steps[k]`` lists (summand element, generator degree) pairs; step 0 is
     the projective cover of the simple.  ``complete`` is False when the
-    computation stopped at the length bound with a nonzero syzygy left.
+    computation stopped at MAX_RESOLUTION_LENGTH with a nonzero syzygy left.
     """
 
     __slots__ = ("simple", "steps", "complete")
@@ -80,10 +83,9 @@ class Resolution:
 class DualAlgebra:
     """Endomorphism algebra of the sum of all D_w at a fixed rank."""
 
-    def __init__(self, n: int, max_resolution_length: int = 32):
+    def __init__(self, n: int):
         self.cat: SoergelCategory = soergel_category(n)
         self.n = n
-        self.max_resolution_length = max_resolution_length
         self.summands: list[Perm] = sorted(self.cat.group.elements(), key=lambda w: (length(w), w))
         self.slot = {w: i for i, w in enumerate(self.summands)}
         self.endo: EndoAlgebra = self.cat.endo_algebra([(w, 0) for w in self.summands])
@@ -197,13 +199,12 @@ class DualAlgebra:
 
     # -- resolutions -------------------------------------------------------------
 
-    def projective_resolution(self, x: Perm, max_len: int | None = None) -> Resolution:
-        """Minimal graded projective resolution of the simple at x."""
+    def projective_resolution(self, x: Perm) -> Resolution:
+        """Minimal graded projective resolution of the simple at x, stopped
+        after MAX_RESOLUTION_LENGTH steps; only complete ones are cached."""
         cached = self._resolutions.get(x)
-        if cached is not None and (cached.complete or max_len is not None):
+        if cached is not None:
             return cached
-        if max_len is None:
-            max_len = self.max_resolution_length
         slot_x = self.slot[x]
         p0, _ = self._projective_sum([(x, 0)])
         if p0.dim((0, slot_x)) != 1:
@@ -215,7 +216,7 @@ class DualAlgebra:
         steps = [[(x, 0)]]
         complete = True
         while current.total_dim():
-            if len(steps) > max_len:
+            if len(steps) > MAX_RESOLUTION_LENGTH:
                 complete = False
                 break
             heads = self._radical_complement(current)
@@ -268,7 +269,8 @@ class DualAlgebra:
         if k >= len(res.steps):
             if not res.complete:
                 raise RuntimeError(
-                    f"resolution of {format_perm(x)} is incomplete; raise max_resolution_length"
+                    f"resolution of {format_perm(x)} is incomplete after "
+                    f"MAX_RESOLUTION_LENGTH = {MAX_RESOLUTION_LENGTH} steps"
                 )
             return 0, {}
         graded: dict[int, int] = {}

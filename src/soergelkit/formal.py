@@ -16,6 +16,14 @@ side decides which subspace of maps an entry may come from:
   count and the commuting square to hold at the same time.
 * K and PERV between x and y: all module maps.
 
+Both linear systems on formal complexes, the Hom complex behind
+hom_homotopy and the squaring-to-zero constraint behind random_complex,
+have Hom-space coordinates as unknowns.  Their blocks are composition
+matrices: the coordinates of a fixed entry composed with every basis map
+of one Hom space, read in the Hom space of the composite through its
+echelon basis, and placed at the offsets of the two slots.  Centred
+degrees add under composition, so every composite lies in that space.
+
 The graded-to-ungraded functor drops twist labels and reinterprets each
 entry inside the full Hom space; the duality functor is a relabelling that
 keeps all data and changes only the side tag (and hence how positions and
@@ -31,12 +39,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gradedmod import hom_degree_range
-from .linalg import EchelonBasis, QMatrix, flatten, kernel_basis, rank
+from .linalg import EchelonBasis, QMatrix, flatten, kernel_basis, place_blocks, rank
 from .soergel import SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
 SIDES = ("MIX", "K", "PERV_GR", "PERV")
 TWISTED = {"MIX": True, "K": False, "PERV_GR": True, "PERV": False}
+#: random_complex draws twist labels from -TWIST_RANGE..TWIST_RANGE
+TWIST_RANGE = 2
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,9 @@ class FormalComplex:
 
     ``terms`` maps positions to generator tuples; ``diffs`` maps position c
     to a matrix of entries (rows indexed by the generators at c+1, columns
-    by those at c), each entry a total-space matrix or None for zero.
+    by those at c), each entry a nonzero total-space matrix or None for
+    zero.  Zero matrices passed in are stored as None, and positions whose
+    entries are all zero are left out, so equal complexes have equal fields.
     """
 
     __slots__ = ("side", "terms", "diffs")
@@ -80,8 +92,9 @@ class FormalComplex:
             tgt = self.terms.get(c + 1, ())
             if len(entries) != len(tgt) or any(len(row) != len(src) for row in entries):
                 raise ValueError(f"differential at position {c} has wrong block shape")
-            if any(e is not None for row in entries for e in row):
-                self.diffs[c] = [list(row) for row in entries]
+            rows = [[None if e is None or e.is_zero() else e for e in row] for row in entries]
+            if any(e is not None for row in rows for e in row):
+                self.diffs[c] = rows
 
     def positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.terms))
@@ -98,23 +111,7 @@ class FormalComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalComplex):
             return NotImplemented
-        if self.side != other.side or self.terms != other.terms:
-            return False
-        for c in set(self.diffs) | set(other.diffs):
-            src = self.terms.get(c, ())
-            tgt = self.terms.get(c + 1, ())
-            for t in range(len(tgt)):
-                for s in range(len(src)):
-                    a = self.entry(c, t, s)
-                    b = other.entry(c, t, s)
-                    if (a is None) != (b is None):
-                        az = a is None or a.is_zero()
-                        bz = b is None or b.is_zero()
-                        if az != bz:
-                            return False
-                    elif a is not None and a != b:
-                        return False
-        return True
+        return (self.side, self.terms, self.diffs) == (other.side, other.terms, other.diffs)
 
     def __hash__(self):
         raise TypeError("FormalComplex is unhashable")
@@ -125,6 +122,18 @@ class FormalComplex:
             labels = "+".join(g.label() for g in self.generators(c))
             parts.append(f"{c}:[{labels}]")
         return f"FormalComplex<{self.side}>({' '.join(parts)})"
+
+
+def _relabel(x: FormalComplex, start: str, side: str, name: str) -> FormalComplex:
+    """x with the side tag ``side``, and without twist labels when ``side``
+    is untwisted; the entries are kept.  Raises ValueError unless x is on
+    the ``start`` side."""
+    if x.side != start:
+        raise ValueError(f"{name} starts on the {start} side")
+    terms = x.terms
+    if TWISTED[start] and not TWISTED[side]:
+        terms = {c: tuple(Gen(g.w) for g in gens) for c, gens in terms.items()}
+    return FormalComplex(side, terms, x.diffs)
 
 
 class FormalCategory:
@@ -171,21 +180,36 @@ class FormalCategory:
         self._spaces[key] = data
         return data
 
-    def entry_coords(self, side: str, src: Gen, tgt: Gen, mat: QMatrix) -> list[Fraction]:
-        """Coordinates of an entry in the hom-space basis; raises if the
-        entry does not lie in the allowed subspace."""
-        return self._space_data(side, src, tgt)[1].coords(flatten(mat))
+    def _coords(self, side: str, src: Gen, tgt: Gen, maps) -> QMatrix:
+        """Coordinates of total-space matrices in the basis of
+        ``hom_space(side, src, tgt)``, one column per matrix; raises
+        ValueError for a matrix outside that space."""
+        mats, basis = self._space_data(side, src, tgt)
+        return QMatrix.from_columns(len(mats), [basis.coords(flatten(m)) for m in maps])
+
+    def _layout(self, side: str, slots) -> tuple[dict, int]:
+        """Offsets of Hom-space coordinates laid out one slot after another:
+        ``slots`` yields (key, source generator, target generator), and each
+        key whose Hom space is nonzero gets the offset of its first
+        coordinate.  Returns the offsets by key and the coordinate count."""
+        offsets = {}
+        count = 0
+        for key, src, tgt in slots:
+            dim = self.hom_space_dim(side, src, tgt)
+            if dim:
+                offsets[key] = count
+                count += dim
+        return offsets, count
 
     def validate(self, x: FormalComplex) -> None:
         """Check entry membership and that the differential squares to zero."""
-        for c in x.positions():
+        for c, rows in x.diffs.items():
             src = x.generators(c)
             tgt = x.generators(c + 1)
-            for t in range(len(tgt)):
-                for s in range(len(src)):
-                    e = x.entry(c, t, s)
+            for t, row in enumerate(rows):
+                for s, e in enumerate(row):
                     if e is not None:
-                        self.entry_coords(x.side, src[s], tgt[t], e)
+                        self._coords(x.side, src[s], tgt[t], [e])
         if not self.dsquare_check(x):
             raise AssertionError("formal differential does not square to zero")
 
@@ -214,35 +238,19 @@ class FormalCategory:
 
     def gkos(self, x: FormalComplex) -> FormalComplex:
         """Graded duality: identical data, reinterpreted side tag."""
-        if x.side != "MIX":
-            raise ValueError("graded duality starts on the MIX side")
-        return FormalComplex("PERV_GR", x.terms, x.diffs)
+        return _relabel(x, "MIX", "PERV_GR", "graded duality")
 
     def kos_formal(self, x: FormalComplex) -> FormalComplex:
         """Ungraded duality: identical data between the untwisted sides."""
-        if x.side != "K":
-            raise ValueError("ungraded duality starts on the K side")
-        return FormalComplex("PERV", x.terms, x.diffs)
+        return _relabel(x, "K", "PERV", "ungraded duality")
 
     def iota_formal(self, x: FormalComplex) -> FormalComplex:
         """Drop twist labels; entries embed into the full Hom spaces."""
-        if x.side != "MIX":
-            raise ValueError("the grading collapse starts on the MIX side")
-        return FormalComplex(
-            "K",
-            {c: tuple(Gen(g.w) for g in gens) for c, gens in x.terms.items()},
-            x.diffs,
-        )
+        return _relabel(x, "MIX", "K", "the grading collapse")
 
     def v_formal(self, x: FormalComplex) -> FormalComplex:
         """Forget the grading on the dual side."""
-        if x.side != "PERV_GR":
-            raise ValueError("the grading forgetting starts on the PERV_GR side")
-        return FormalComplex(
-            "PERV",
-            {c: tuple(Gen(g.w) for g in gens) for c, gens in x.terms.items()},
-            x.diffs,
-        )
+        return _relabel(x, "PERV_GR", "PERV", "the grading forgetting")
 
     def square_check(self, x: FormalComplex) -> bool:
         """Both ways around the square give the same labelled complex."""
@@ -266,64 +274,51 @@ class FormalCategory:
         if x.side != y.side:
             raise ValueError("Hom between complexes on different sides")
         d_k = self._hom_differential_matrix(x, y, k)
-        cycles = len(kernel_basis(d_k))
         d_prev = self._hom_differential_matrix(x, y, k - 1)
-        return cycles - rank(d_prev)
+        return d_k.cols - rank(d_k) - rank(d_prev)
 
-    def _hom_layout(self, x: FormalComplex, y: FormalComplex, k: int):
-        """Coordinates for maps of degree k: one slot per basis element of
-        each (source generator, target generator) Hom space."""
-        layout = []
-        count = 0
-        for c in x.positions():
-            for s, gs in enumerate(x.generators(c)):
-                for t, gt in enumerate(y.generators(c + k)):
-                    dim = self.hom_space_dim(x.side, gs, gt)
-                    if dim:
-                        layout.append((c, s, t, count, dim))
-                        count += dim
-        return layout, count
+    def _hom_layout(self, x: FormalComplex, y: FormalComplex, k: int) -> tuple[dict, int]:
+        """Coordinates for maps of degree k: one slot per (position c, source
+        generator s, target generator t) with a nonzero Hom space."""
+        return self._layout(
+            x.side,
+            (
+                ((c, s, t), gs, gt)
+                for c in x.positions()
+                for s, gs in enumerate(x.generators(c))
+                for t, gt in enumerate(y.generators(c + k))
+            ),
+        )
 
     def _hom_differential_matrix(self, x: FormalComplex, y: FormalComplex, k: int) -> QMatrix:
         """Matrix of f -> d_Y f - (-1)^k f d_X from degree-k to degree-(k+1)
-        maps, in hom-space coordinates on both sides."""
+        maps, in Hom-space coordinates on both sides.
+
+        Slot (c, s, t) feeds (c, s, t2) through the entries of d_Y out of t
+        and (c - 1, s2, t) through the entries of d_X into s; the two kinds
+        of target differ in position, so no two blocks overlap.
+        """
         src_layout, n_src = self._hom_layout(x, y, k)
         tgt_layout, n_tgt = self._hom_layout(x, y, k + 1)
-        tgt_pos = {(c, s, t): (off, dim) for c, s, t, off, dim in tgt_layout}
         sign = -1 if k % 2 else 1
-        columns: list[list[Fraction]] = []
-        for c, s, t, off, dim in src_layout:
+        blocks = []
+        for (c, s, t), col in src_layout.items():
             gs = x.generators(c)[s]
             gt = y.generators(c + k)[t]
             basis = self.hom_space(x.side, gs, gt)
-            for b in basis:
-                col = [Fraction(0)] * n_tgt
-                # d_Y composed with the basis map: lands at (c, s, t')
-                for t2, gt2 in enumerate(y.generators(c + k + 1)):
-                    e = y.entry(c + k, t2, t)
-                    if e is None:
-                        continue
-                    slot = tgt_pos.get((c, s, t2))
-                    if slot is None:
-                        continue
-                    coords = self.entry_coords(x.side, gs, gt2, e * b)
-                    off2, _ = slot
-                    for idx, val in enumerate(coords):
-                        col[off2 + idx] += val
-                # the basis map composed with d_X: lands at (c - 1, s', t'')
-                for s2, gs2 in enumerate(x.generators(c - 1)):
-                    e = x.entry(c - 1, s, s2)
-                    if e is None:
-                        continue
-                    slot = tgt_pos.get((c - 1, s2, t))
-                    if slot is None:
-                        continue
-                    coords = self.entry_coords(x.side, gs2, gt, b * e)
-                    off2, _ = slot
-                    for idx, val in enumerate(coords):
-                        col[off2 + idx] -= sign * val
-                columns.append(col)
-        return QMatrix.from_columns(n_tgt, columns)
+            for t2, gt2 in enumerate(y.generators(c + k + 1)):
+                e = y.entry(c + k, t2, t)
+                row = tgt_layout.get((c, s, t2))
+                if e is not None and row is not None:
+                    comp = self._coords(x.side, gs, gt2, [e * b for b in basis])
+                    blocks.append((row, col, comp))
+            for s2, gs2 in enumerate(x.generators(c - 1)):
+                e = x.entry(c - 1, s, s2)
+                row = tgt_layout.get((c - 1, s2, t))
+                if e is not None and row is not None:
+                    comp = self._coords(x.side, gs2, gt, [b * e for b in basis])
+                    blocks.append((row, col, comp.scale(-sign)))
+        return place_blocks(n_tgt, n_src, blocks)
 
     # -- corpus generation ----------------------------------------------------
 
@@ -331,108 +326,72 @@ class FormalCategory:
         return FormalComplex(side, {c: tuple(gens)})
 
     def random_complex(
-        self,
-        rng: random.Random,
-        max_positions: int = 4,
-        max_gens: int = 3,
-        twist_range: int = 2,
+        self, rng: random.Random, max_positions: int = 4, max_gens: int = 3
     ) -> FormalComplex:
         """A seeded random MIX complex with a valid differential.
 
-        Entries at each step are drawn from the exact solution space of the
-        squaring-to-zero constraint against the previous differential.
+        Each differential is a random combination of the kernel basis of the
+        squaring-to-zero constraint against the previous one, in Hom-space
+        coordinates; twist labels are drawn from -TWIST_RANGE..TWIST_RANGE.
         """
         n_pos = rng.randint(1, max_positions)
         terms = {}
         els = self.cat.group.elements()
         for c in range(n_pos):
             gens = tuple(
-                Gen(rng.choice(els), rng.randint(-twist_range, twist_range))
+                Gen(rng.choice(els), rng.randint(-TWIST_RANGE, TWIST_RANGE))
                 for _ in range(rng.randint(1, max_gens))
             )
             terms[c] = gens
         diffs = {}
-        prev = None
         for c in range(n_pos - 1):
             src = terms[c]
             tgt = terms[c + 1]
-            layout = []
-            count = 0
-            for t, gt in enumerate(tgt):
-                for s, gs in enumerate(src):
-                    dim = self.hom_space_dim("MIX", gs, gt)
-                    if dim:
-                        layout.append((t, s, count, dim))
-                        count += dim
-            if count == 0:
-                prev = None
-                continue
-            if prev is None:
-                coords = [Fraction(rng.randint(-2, 2)) for _ in range(count)]
-            else:
-                rows = self._compose_constraint_rows(terms, c, prev, layout, count)
-                basis = kernel_basis(QMatrix(len(rows), count, rows))
-                coords = [Fraction(0)] * count
-                for vec in basis:
-                    c_rand = rng.randint(-2, 2)
-                    if c_rand:
-                        coords = [a + c_rand * b for a, b in zip(coords, vec)]
+            layout, count = self._step_layout(src, tgt)
+            constraint = self._compose_constraint(
+                terms.get(c - 1, ()), src, tgt, diffs.get(c - 1), layout, count
+            )
+            coords = [Fraction(0)] * count
+            for vec in kernel_basis(constraint):
+                c_rand = rng.randint(-2, 2)
+                if c_rand:
+                    coords = [a + c_rand * b for a, b in zip(coords, vec)]
             entries = [[None] * len(src) for _ in range(len(tgt))]
-            for t, s, off, dim in layout:
-                basis_maps = self.hom_space("MIX", src[s], tgt[t])
-                total = None
-                for idx in range(dim):
-                    val = coords[off + idx]
+            for (t, s), off in layout.items():
+                for b, val in zip(self.hom_space("MIX", src[s], tgt[t]), coords[off:]):
                     if val:
-                        piece = basis_maps[idx].scale(val)
-                        total = piece if total is None else total + piece
-                if total is not None and not total.is_zero():
-                    entries[t][s] = total
-            if any(e is not None for row in entries for e in row):
-                diffs[c] = entries
-                prev = (c, entries)
-            else:
-                prev = None
+                        piece = b.scale(val)
+                        entries[t][s] = piece if entries[t][s] is None else entries[t][s] + piece
+            diffs[c] = entries
         x = FormalComplex("MIX", terms, diffs)
         if not self.dsquare_check(x):
             raise AssertionError("random corpus generator produced a bad differential")
         return x
 
-    def _compose_constraint_rows(self, terms, c, prev, layout, count):
-        """Linear constraints expressing that the next differential kills
-        the image of the previous one."""
-        prev_c, prev_entries = prev
-        if prev_c != c - 1:
-            return []
-        src_prev = terms[c - 1]
-        mid = terms[c]
-        tgt = terms[c + 1]
-        rows = []
-        for t, gt in enumerate(tgt):
-            for s0, gs0 in enumerate(src_prev):
-                dx = self.cat.indecomposable(gs0.w)
-                dy = self.cat.indecomposable(gt.w)
-                n_entries = dy.total_dim() * dx.total_dim()
-                block_rows = [[Fraction(0)] * count for _ in range(n_entries)]
-                touched = False
-                for t_mid, g_mid in enumerate(mid):
-                    e_prev = prev_entries[t_mid][s0]
-                    if e_prev is None:
-                        continue
-                    for (t2, s2, off, dim) in layout:
-                        if t2 != t or s2 != t_mid:
-                            continue
-                        basis_maps = self.hom_space("MIX", g_mid, gt)
-                        for idx in range(dim):
-                            prod = basis_maps[idx] * e_prev
-                            flat = flatten(prod)
-                            for r, val in enumerate(flat):
-                                if val:
-                                    block_rows[r][off + idx] += val
-                                    touched = True
-                if touched:
-                    rows.extend(row for row in block_rows if any(row))
-        return rows
+    def _step_layout(self, src, tgt) -> tuple[dict, int]:
+        """Coordinates for MIX maps from the generators src to tgt: one slot
+        per (target index, source index), target-major."""
+        return self._layout(
+            "MIX", (((t, s), gs, gt) for t, gt in enumerate(tgt) for s, gs in enumerate(src))
+        )
+
+    def _compose_constraint(self, src, mid, tgt, prev, layout, count) -> QMatrix:
+        """The equations d d_prev = 0 on the coordinates of d : mid -> tgt,
+        laid out by ``layout``, where d_prev : src -> mid has the entries
+        ``prev`` (not read when src is empty).  They are read in the
+        coordinates of the MIX spaces from src to tgt, one block per entry
+        of d_prev and slot of d."""
+        rows, n_rows = self._step_layout(src, tgt)
+        blocks = []
+        for (t, s), col in layout.items():
+            basis = self.hom_space("MIX", mid[s], tgt[t])
+            for s0, gs0 in enumerate(src):
+                e = prev[s][s0]
+                row = rows.get((t, s0))
+                if e is not None and row is not None:
+                    comp = self._coords("MIX", gs0, tgt[t], [b * e for b in basis])
+                    blocks.append((row, col, comp))
+        return place_blocks(n_rows, count, blocks)
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_DIMENSION_CAP = 5000
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class SizeCapError(RuntimeError):
@@ -95,11 +97,11 @@ class QMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_rows(cls, data) -> "QMatrix":
@@ -172,13 +174,13 @@ class QMatrix:
         ot = other.transpose().data
         out = []
         for r in self.data:
-            out.append([sum(a * b for a, b in zip(r, c) if a and b) for c in ot])
+            out.append([sum((a * b for a, b in zip(r, c) if a and b), _ZERO) for c in ot])
         return QMatrix(self.rows, other.cols, out)
 
     def times_vector(self, vec) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return [sum((a * b for a, b in zip(r, vec) if a and b), Fraction(0)) for r in self.data]
+        return [sum((a * b for a, b in zip(r, vec) if a and b), _ZERO) for r in self.data]
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows:
@@ -194,8 +196,7 @@ class QMatrix:
 def place_blocks(rows: int, cols: int, blocks) -> QMatrix:
     """The rows x cols matrix that is zero except for each (r0, c0, block)
     of ``blocks``, copied with its top-left entry at (r0, c0)."""
-    zero = Fraction(0)
-    data = [[zero] * cols for _ in range(rows)]
+    data = [[_ZERO] * cols for _ in range(rows)]
     for r0, c0, blk in blocks:
         for r, src in enumerate(blk.data):
             data[r0 + r][c0 : c0 + blk.cols] = src
@@ -233,7 +234,6 @@ def hom_equations(count: int, blocks) -> QMatrix:
     and G the a.rows x b.rows block at offset ``right``; an offset of None
     drops its term.  Equations that come out all zero are left out.
     """
-    zero = Fraction(0)
     rows = []
     for a, left, b, right, s in blocks:
         p, t, u = a.rows, b.rows, b.cols
@@ -251,7 +251,7 @@ def hom_equations(count: int, blocks) -> QMatrix:
             for c in range(u):
                 if not (a_terms[r] or b_terms[c]):
                     continue
-                row = [zero] * count
+                row = [_ZERO] * count
                 for j, x in a_terms[r]:
                     row[j + c] += x
                 for j, x in b_terms[c]:
@@ -332,8 +332,7 @@ def rref(m: QMatrix) -> RrefResult:
             ci, row = pivot_rows[i]
             if c in row:
                 pivot_rows[i] = (ci, _eliminate(row, prow, c))
-    zero = Fraction(0)
-    out_rows = [[zero] * n_cols for _ in range(n_rows)]
+    out_rows = [[_ZERO] * n_cols for _ in range(n_rows)]
     for out, (c, row) in zip(out_rows, pivot_rows):
         piv = row[c]
         for j, x in row.items():
@@ -358,8 +357,8 @@ def kernel_basis(m: QMatrix) -> list[list[Fraction]]:
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * m.cols
-        vec[f] = Fraction(1)
+        vec = [_ZERO] * m.cols
+        vec[f] = _ONE
         for k, pc in enumerate(res.pivots):
             vec[pc] = -res.matrix.data[k][f]
         basis.append(vec)
@@ -377,7 +376,7 @@ def solve(m: QMatrix, b) -> list[Fraction] | None:
     res = rref(aug)
     if res.pivots and res.pivots[-1] == m.cols:
         return None
-    x = [Fraction(0)] * m.cols
+    x = [_ZERO] * m.cols
     for k, pc in enumerate(res.pivots):
         x[pc] = res.matrix.data[k][m.cols]
     return x

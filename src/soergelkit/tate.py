@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linalg import QMatrix, block_matrix, hom_equations, inverse, kernel_basis, rank
+from .linalg import QMatrix, block_matrix, hom_equations, inverse, rank
 
 
 class Complex:
@@ -279,9 +279,8 @@ def hom_homotopy(x, y, k: int = 0) -> int:
     if isinstance(x, GradedComplex) or isinstance(y, GradedComplex):
         raise TypeError("cannot mix graded and ungraded complexes in Hom")
     d_k = _hom_differential(x, y, k)
-    cycles = len(kernel_basis(d_k))
     d_prev = _hom_differential(x, y, k - 1)
-    return cycles - rank(d_prev)
+    return d_k.cols - rank(d_k) - rank(d_prev)
 
 
 # -- axiom checkers ----------------------------------------------------------

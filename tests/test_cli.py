@@ -138,6 +138,14 @@ def test_size_cap_refusal_exits_two(monkeypatch, capsys):
     )
 
 
+def test_induced_module_cap_refusal_exits_two():
+    # in a new interpreter nothing before the fifth induction step exceeds
+    # 16, so the refusal is always the induced-module cap (2^5 = 32)
+    proc = fresh_process("bs --rank 3 --word 1,2,1,2,1", 0, {"SOERGEL_MAX_DIM": "16"})
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"refused: induced module of dimension 32 exceeds the cap 16\n"
+
+
 def test_coinvariant_rank_cap_exits_two(capsys):
     code, out = run_cli(["coinv", "--rank", "6"])
     assert (code, out) == (2, "")
