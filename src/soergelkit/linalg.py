@@ -10,6 +10,17 @@ small; pivots are normalised back to 1 over the rationals at the end.
 Results are exact, and since the reduced row echelon form is unique they do
 not depend on the pivot rows chosen.
 
+Every routine works only on nonzeros where it can.  A product lists the
+nonzeros of each row of the right factor once and adds ``a * b`` over that
+list for each nonzero ``a`` of a left row into a per-row accumulator; no
+entry starts as a sum with zero, and :meth:`QMatrix.times_vector` does the
+same with the nonzeros of the vector.  An entry is tested for zero by identity
+with the shared ``Fraction(0)`` first, and by its truth value only when it
+is another object; that is exact, because a zero that is not the shared
+constant still fails the truth test.  Products, Hom rows, row reductions
+and kernel vectors write every zero as the shared constant, and negation
+and scaling keep it, so the identity test settles most entries.
+
 Coordinates in a kernel basis are read off its free columns, where each
 vector is 1 and the others are 0, and checked by rebuilding the vector; no
 solve is needed.  :func:`inverse` takes one row reduction of ``[m | I]``
@@ -22,8 +33,10 @@ copies blocks to given offsets (behind :func:`block_matrix` and the
 totalised matrices of graded modules), and :func:`hom_equations` writes
 the equations of f -> A f - s f B on row-major blocks of unknowns, which
 is the one builder behind the graded, ungraded and Tate Hom systems.  It
-leaves out all-zero equations; an empty system is an ordinary 0 x count
-matrix, whose kernel is the unit basis.
+collects each equation's terms in a {column: entry} dict and writes a dense
+row only when some entry is nonzero, so equations that cancel are left out;
+an empty system is an ordinary 0 x count matrix, whose kernel is the unit
+basis.
 
 Any matrix whose row or column count exceeds the cap from the environment
 variable ``SOERGEL_MAX_DIM`` (default 5000) is refused with
@@ -142,7 +155,7 @@ class QMatrix:
         raise TypeError("QMatrix is unhashable")
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return all(x is _ZERO or not x for r in self.data for x in r)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -150,18 +163,21 @@ class QMatrix:
         return QMatrix(
             self.rows,
             self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [
+                [b if a is _ZERO or not a else a if b is _ZERO or not b else a + b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.data, other.data)
+            ],
         )
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [[-x for x in r] for r in self.data])
+        return QMatrix(self.rows, self.cols, [[x if x is _ZERO else -x for x in r] for r in self.data])
 
     def scale(self, c) -> "QMatrix":
         c = _frac(c)
-        return QMatrix(self.rows, self.cols, [[c * x for x in r] for r in self.data])
+        return QMatrix(self.rows, self.cols, [[x if x is _ZERO else c * x for x in r] for r in self.data])
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if not isinstance(other, QMatrix):
@@ -171,16 +187,34 @@ class QMatrix:
                 f"shape mismatch in matrix product: {self.rows}x{self.cols} times "
                 f"{other.rows}x{other.cols}"
             )
-        ot = other.transpose().data
+        right = [[(j, b) for j, b in enumerate(r) if b is not _ZERO and b] for r in other.data]
         out = []
         for r in self.data:
-            out.append([sum((a * b for a, b in zip(r, c) if a and b), _ZERO) for c in ot])
+            acc: dict[int, Fraction] = {}
+            for a, terms in zip(r, right):
+                if terms and a is not _ZERO and a:
+                    for j, b in terms:
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            row = [_ZERO] * other.cols
+            for j, x in acc.items():
+                if x:
+                    row[j] = x
+            out.append(row)
         return QMatrix(self.rows, other.cols, out)
 
     def times_vector(self, vec) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return [sum((a * b for a, b in zip(r, vec) if a and b), _ZERO) for r in self.data]
+        terms = [(k, x) for k, x in enumerate(vec) if x is not _ZERO and x]
+        out = []
+        for r in self.data:
+            acc = _ZERO
+            for k, x in terms:
+                a = r[k]
+                if a is not _ZERO and a:
+                    acc = a * x if acc is _ZERO else acc + a * x
+            out.append(acc or _ZERO)
+        return out
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows:
@@ -238,25 +272,30 @@ def hom_equations(count: int, blocks) -> QMatrix:
     for a, left, b, right, s in blocks:
         p, t, u = a.rows, b.rows, b.cols
         a_terms = [
-            [(left + k * u, x) for k, x in enumerate(row) if x] if left is not None else []
+            [(left + k * u, x) for k, x in enumerate(row) if x is not _ZERO and x]
+            if left is not None
+            else []
             for row in a.data
         ]
         b_terms = [
-            [(right + k, -s * b.data[k][c]) for k in range(t) if b.data[k][c]]
+            [(right + k, -s * x) for k, x in enumerate(b.col(c)) if x is not _ZERO and x]
             if right is not None
             else []
             for c in range(u)
         ]
-        for r in range(p):
-            for c in range(u):
-                if not (a_terms[r] or b_terms[c]):
+        for r, a_row in enumerate(a_terms):
+            for c, b_col in enumerate(b_terms):
+                if not (a_row or b_col):
                     continue
-                row = [_ZERO] * count
-                for j, x in a_terms[r]:
-                    row[j + c] += x
-                for j, x in b_terms[c]:
-                    row[j + r * t] += x
-                if any(row):
+                terms = {j + c: x for j, x in a_row}
+                for j, x in b_col:
+                    j += r * t
+                    terms[j] = terms[j] + x if j in terms else x
+                nonzero = [(j, x) for j, x in terms.items() if x]
+                if nonzero:
+                    row = [_ZERO] * count
+                    for j, x in nonzero:
+                        row[j] = x
                     rows.append(row)
     return QMatrix(len(rows), count, rows)
 
@@ -309,7 +348,7 @@ def rref(m: QMatrix) -> RrefResult:
     n_rows, n_cols = m.rows, m.cols
     by_lead: dict[int, list[dict[int, int]]] = {}
     for r in m.data:
-        nonzero = [(j, x) for j, x in enumerate(r) if x]
+        nonzero = [(j, x) for j, x in enumerate(r) if x is not _ZERO and x]
         if nonzero:
             den = math.lcm(*(x.denominator for _, x in nonzero))
             row = {j: x.numerator * (den // x.denominator) for j, x in nonzero}
@@ -360,7 +399,9 @@ def kernel_basis(m: QMatrix) -> list[list[Fraction]]:
         vec = [_ZERO] * m.cols
         vec[f] = _ONE
         for k, pc in enumerate(res.pivots):
-            vec[pc] = -res.matrix.data[k][f]
+            x = res.matrix.data[k][f]
+            if x is not _ZERO:
+                vec[pc] = -x
         basis.append(vec)
     return basis
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linalg import QMatrix, block_matrix, hom_equations, inverse, rank
+from .linalg import _ONE, _ZERO, QMatrix, block_matrix, hom_equations, inverse, rank
 
 
 class Complex:
@@ -348,9 +348,14 @@ def _dims(*xs) -> set:
 # -- random generators -------------------------------------------------------
 
 
+def _random_sign_or_zero(rng: random.Random) -> Fraction:
+    d = rng.randint(-1, 1)
+    return Fraction(d) if d else _ZERO
+
+
 def _random_unimodular(rng: random.Random, n: int) -> QMatrix:
-    lower = [[Fraction(1 if i == j else rng.randint(-1, 1) if i > j else 0) for j in range(n)] for i in range(n)]
-    upper = [[Fraction(1 if i == j else rng.randint(-1, 1) if i < j else 0) for j in range(n)] for i in range(n)]
+    lower = [[_ONE if i == j else _random_sign_or_zero(rng) if i > j else _ZERO for j in range(n)] for i in range(n)]
+    upper = [[_ONE if i == j else _random_sign_or_zero(rng) if i < j else _ZERO for j in range(n)] for i in range(n)]
     return QMatrix(n, n, lower) * QMatrix(n, n, upper)
 
 

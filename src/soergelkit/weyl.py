@@ -55,8 +55,12 @@ def inverse(w: Perm) -> Perm:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def length(w: Perm) -> int:
     """Coxeter length, the number of inversions.
+
+    Memoised per element; the groups up to ``RANK_CAP`` have 153 elements in
+    all, so the table stays small.
 
     >>> length((2, 1, 0))
     3

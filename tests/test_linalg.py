@@ -66,10 +66,30 @@ def dense_rref(m):
     return RrefResult(QMatrix(n_rows, n_cols, out), tuple(pivots), len(pivots))
 
 
-def _oracle_matrix(rng):
-    """A seeded matrix of shape 0..8 x 0..8 with zero rows and columns,
-    dependent rows, and small, rational or large entries."""
-    rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+def dense_matmul(a, b):
+    """Reference route for ``QMatrix.__mul__``: every entry is a dense sum
+    over a row of ``a`` and a column of ``b``, skipping zero pairs."""
+    cols = b.transpose().data
+    return QMatrix(
+        a.rows, b.cols, [[sum((x * y for x, y in zip(r, c) if x and y), Fraction(0)) for c in cols] for r in a.data]
+    )
+
+
+def _shared_zeros(m):
+    """m with every zero entry the ``Fraction(0)`` that :mod:`linalg` shares."""
+    return QMatrix(m.rows, m.cols, [[x or linalg._ZERO for x in r] for r in m.data])
+
+
+def _fresh_zeros(m):
+    """m with every zero entry a new ``Fraction(0)`` object."""
+    return QMatrix(m.rows, m.cols, [[x or Fraction(0) for x in r] for r in m.data])
+
+
+def _oracle_matrix(rng, rows=None, cols=None):
+    """A seeded matrix of shape 0..8 x 0..8 (or the given shape) with zero
+    rows and columns, dependent rows, and small, rational or large entries."""
+    if rows is None:
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
     kind = rng.choice(["small", "rational", "large", "mixed"])
     density = rng.choice([0.15, 0.4, 1.0])
 
@@ -235,6 +255,73 @@ def test_inverse_rejects_singular_and_non_square():
         inverse(QMatrix.from_rows([[1, 2], [2, 4]]))
     with pytest.raises(ValueError):
         inverse(QMatrix.zero(2, 3))
+
+
+def test_matmul_matches_dense_reference():
+    rng = random.Random(2027)
+    shapes = set()
+    cancelled = 0
+    for _ in range(800):
+        a = _oracle_matrix(rng)
+        if rng.random() < 0.3:
+            # columns in the kernel of a: every entry of a * b cancels to zero
+            b = QMatrix.from_columns(a.cols, kernel_basis(a))
+        else:
+            b = _oracle_matrix(rng, a.cols, rng.randint(0, 8))
+        shapes.add((a.rows, a.cols, b.cols))
+        product = dense_matmul(a, b)
+        if product.is_zero() and not (a.is_zero() or b.is_zero()):
+            cancelled += 1
+        for left in (_shared_zeros(a), _fresh_zeros(a)):
+            for right in (_shared_zeros(b), _fresh_zeros(b)):
+                assert left * right == product
+                assert all(type(x) is Fraction for r in (left * right).data for x in r)
+                for j in range(right.cols):
+                    vec = right.col(j)
+                    assert left.times_vector(vec) == product.col(j)
+        c = _oracle_matrix(rng, a.rows, a.cols)
+        total = QMatrix(a.rows, a.cols, [[x + y for x, y in zip(r, s)] for r, s in zip(a.data, c.data)])
+        for left in (_shared_zeros(a), _fresh_zeros(a)):
+            assert left + _shared_zeros(c) == total and left + _fresh_zeros(c) == total
+            assert left.is_zero() == all(x == 0 for r in a.data for x in r)
+            assert (left - left).is_zero() and _fresh_zeros(left - left).is_zero()
+        for m in (product, total):
+            expected = all(x == 0 for r in m.data for x in r)
+            assert _shared_zeros(m).is_zero() == _fresh_zeros(m).is_zero() == expected
+    assert any(r == 0 < k for r, k, _ in shapes) and any(r > 0 == k for r, k, _ in shapes)
+    assert any(c == 0 < k for _, k, c in shapes) and any(min(shape) >= 7 for shape in shapes)
+    assert cancelled > 50
+
+
+def test_fresh_zero_objects_give_identical_results():
+    assert Fraction(0) is not Fraction(0)
+    rng = random.Random(2028)
+    for _ in range(600):
+        m = _oracle_matrix(rng)
+        shared, fresh = _shared_zeros(m), _fresh_zeros(m)
+        assert not any(x is linalg._ZERO for r in fresh.data for x in r)
+        assert rref(fresh) == rref(shared)
+        assert kernel_basis(fresh) == kernel_basis(shared)
+    for _ in range(200):
+        blocks, fresh_blocks = [], []
+        count = rng.randint(0, 12)
+        for _ in range(rng.randint(0, 3)):
+            p, q, t, u = (rng.randint(0, 3) for _ in range(4))
+            left = None if q * u > count else rng.randint(0, count - q * u)
+            right = None if p * t > count else rng.randint(0, count - p * t)
+            a, b = _sparse_matrix(rng, p, q), _sparse_matrix(rng, t, u)
+            blocks.append((_shared_zeros(a), left, _shared_zeros(b), right, 1))
+            fresh_blocks.append((_fresh_zeros(a), left, _fresh_zeros(b), right, 1))
+        assert hom_equations(count, fresh_blocks) == hom_equations(count, blocks)
+    # A F - F B on one 2x2 block with diagonal A and B is (A_rr - B_cc) f_rc:
+    # the A-term and B-term of the equation at (0, 0) cancel, and it is left out
+    a = QMatrix(2, 2, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(5)]])
+    b = QMatrix(2, 2, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]])
+    expected = QMatrix.from_rows([[0, -1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 2]])
+    assert hom_equations(4, [(_shared_zeros(a), 0, _shared_zeros(b), 0, 1)]) == expected
+    assert hom_equations(4, [(_fresh_zeros(a), 0, _fresh_zeros(b), 0, 1)]) == expected
+    x = QMatrix.from_rows([[Fraction(7, 3)]])
+    assert hom_equations(1, [(x, 0, x, 0, 1)]) == QMatrix.zero(0, 1)
 
 
 def test_matmul_and_transpose():
