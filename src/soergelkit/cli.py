@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="restrict to the single element of this word")
 
     p = add("tate", "toy Tate category witnesses and axiom checks")
-    p.add_argument("--demo", action="store_true", help="run the fixed battery")
+    p.add_argument("--demo", action="store_true", required=True, help="run the fixed battery")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cases", type=int, default=100)
 
@@ -188,14 +188,6 @@ def cmd_kl(args) -> tuple[dict, bool, tuple | None]:
     return result, True, (["x", "poly"], rows)
 
 
-def _decomposition_payload(cat, word):
-    expected = cat.expected_summands(word)
-    module = cat.bott_samelson(word)
-    dec = cat.decompose(module, expected=expected)
-    summands = [{"w": format_perm(w), "shift": k} for w, k in dec.multiset()]
-    return module, dec, summands
-
-
 def cmd_bs(args, force_decompose=False) -> tuple[dict, bool, tuple | None]:
     from .soergel import soergel_category
 
@@ -212,7 +204,8 @@ def cmd_bs(args, force_decompose=False) -> tuple[dict, bool, tuple | None]:
     }
     table = None
     if decompose:
-        _, dec, summands = _decomposition_payload(cat, word)
+        dec = cat.decompose(module, expected=cat.expected_summands(word))
+        summands = [{"w": format_perm(w), "shift": k} for w, k in dec.multiset()]
         result["summands"] = summands
         table = (["w", "shift"], summands)
     return result, True, table

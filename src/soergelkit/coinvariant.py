@@ -45,7 +45,8 @@ def _monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 class _IdealSlice:
-    """The row-reduced degree-d slice of the ideal, with its free columns."""
+    """The row-reduced degree-d slice of the ideal, with its free columns;
+    each reduced row is kept as its (column, entry) nonzeros."""
 
     __slots__ = ("index", "reduced_rows", "pivots", "free_cols", "staircase")
 
@@ -65,9 +66,8 @@ class _IdealSlice:
         for row, pc in zip(self.reduced_rows, self.pivots):
             x = v[pc]
             if x:
-                for j in range(pc, len(v)):
-                    if row[j]:
-                        v[j] -= x * row[j]
+                for j, r in row:
+                    v[j] -= x * r
         return [v[j] for j in self.free_cols]
 
 
@@ -96,7 +96,7 @@ def ideal_slice(n: int, d: int) -> _IdealSlice:
     staircase = [monos[j] for j in free_cols]
     if staircase != [a for a in monos if all(e < n - i for i, e in enumerate(a))]:
         raise AssertionError(f"free columns of the ideal slice at degree {d} are not the staircase")
-    reduced_rows = [res.matrix.row(k) for k in range(res.rank)]
+    reduced_rows = [[(j, x) for j, x in enumerate(res.matrix.row(k)) if x] for k in range(res.rank)]
     return _IdealSlice(index, reduced_rows, res.pivots, free_cols, staircase)
 
 
@@ -327,9 +327,11 @@ class CoinvariantRing:
 
         These are the variables other than x_i, x_{i+1} together with
         x_i + x_{i+1} and x_i x_{i+1}; their positive-degree span generates
-        the positive part of the invariant subalgebra, which is all a
-        presentation of C (x)_{C^s} M by tensor relations needs.
-        Generators that die in the quotient are dropped.
+        the positive part of the invariant subalgebra.  Induction does not
+        use them (it works from the free basis {1, x_i}); only the
+        tensor-quotient reference route in the tests builds C (x)_{C^s} M
+        from relations on them.  Generators that die in the quotient are
+        dropped.
         """
         polys = []
         for j in range(1, self.n + 1):

@@ -89,14 +89,14 @@ class DualAlgebra:
         self.summands: list[Perm] = sorted(self.cat.group.elements(), key=lambda w: (length(w), w))
         self.slot = {w: i for i, w in enumerate(self.summands)}
         self.endo: EndoAlgebra = self.cat.endo_algebra([(w, 0) for w in self.summands])
-        for a, b, d, m in self.endo.basis:
+        for a, b, d, _ in self.endo.basis:
             if d < 0:
                 raise AssertionError("endomorphism algebra has negative-degree maps")
             if d == 0 and a != b:
                 raise AssertionError("degree-0 maps between distinct summands break semisimplicity")
         # records out of each slot, grouped for projective construction
         self._out_of: dict[int, list[int]] = {}
-        for idx, (a, b, d, m) in enumerate(self.endo.basis):
+        for idx, (a, _, _, _) in enumerate(self.endo.basis):
             self._out_of.setdefault(a, []).append(idx)
         self._resolutions: dict[Perm, Resolution] = {}
 
@@ -165,24 +165,16 @@ class DualAlgebra:
 
     def _radical_complement(self, mod: _AMod) -> dict[tuple[int, int], list[int]]:
         """Free coordinates of each block modulo the radical image."""
+        images: dict[tuple[int, int], list[list[Fraction]]] = {}
+        for (a_idx, (d, _)), blk in mod.act.items():
+            _, v, g, _ = self.endo.basis[a_idx]
+            if g > 0:
+                images.setdefault((d + g, v), []).extend(blk.col(j) for j in range(blk.cols))
         out: dict[tuple[int, int], list[int]] = {}
         for key in mod.block_keys():
-            d, slot = key
-            dim = mod.dim(key)
-            image_rows: list[list[Fraction]] = []
-            for a_idx, (u, v, g, _) in enumerate(self.endo.basis):
-                if g <= 0 or v != slot:
-                    continue
-                src_key = (d - g, u)
-                if mod.dim(src_key) == 0:
-                    continue
-                blk = mod.act.get((a_idx, src_key))
-                if blk is None:
-                    continue
-                for j in range(blk.cols):
-                    image_rows.append(blk.col(j))
-            pivots = set(rref(QMatrix(len(image_rows), dim, image_rows)).pivots)
-            free = [j for j in range(dim) if j not in pivots]
+            rows = images.get(key, [])
+            pivots = set(rref(QMatrix(len(rows), mod.dim(key), rows)).pivots)
+            free = [j for j in range(mod.dim(key)) if j not in pivots]
             if free:
                 out[key] = free
         return out
@@ -220,30 +212,20 @@ class DualAlgebra:
                 complete = False
                 break
             heads = self._radical_complement(current)
-            cover = []
-            head_vectors = []
-            for key in sorted(heads):
-                d, slot = key
-                for j in heads[key]:
-                    cover.append((self.summands[slot], d))
-                    vec = [Fraction(0)] * current.dim(key)
-                    vec[j] = Fraction(1)
-                    head_vectors.append((key, vec))
+            head_coords = [(key, j) for key in sorted(heads) for j in heads[key]]
+            cover = [(self.summands[slot], d) for (d, slot), _ in head_coords]
             cover_mod, basis_at = self._projective_sum(cover)
-            # the cover map sends the basis record (ci, rec) to rec . h_ci
+            # the cover map sends the basis record (ci, rec) to rec . h_ci, the
+            # column of rec's action at the coordinate of the head h_ci
             cover_map: dict[tuple[int, int], QMatrix] = {}
             for key, items in basis_at.items():
-                data = [[Fraction(0)] * cover_mod.dim(key) for _ in range(current.dim(key))]
-                for pos, (ci, rec_idx) in enumerate(items):
-                    h_key, h_vec = head_vectors[ci]
+                zero = [Fraction(0)] * current.dim(key)
+                columns = []
+                for ci, rec_idx in items:
+                    h_key, j = head_coords[ci]
                     blk = current.act.get((rec_idx, h_key))
-                    if blk is None:
-                        continue
-                    img = blk.times_vector(h_vec)
-                    for r, val in enumerate(img):
-                        if val:
-                            data[r][pos] += val
-                cover_map[key] = QMatrix(current.dim(key), cover_mod.dim(key), data)
+                    columns.append(zero if blk is None else blk.col(j))
+                cover_map[key] = QMatrix.from_columns(current.dim(key), columns)
             # surjectivity is Nakayama from the head choice, but assert it so
             # a bookkeeping slip cannot silently corrupt the Ext tables
             for key in current.block_keys():

@@ -16,6 +16,13 @@ side decides which subspace of maps an entry may come from:
   count and the commuting square to hold at the same time.
 * K and PERV between x and y: all module maps.
 
+The Hom spaces themselves live in :class:`SoergelCategory`:
+``hom_space(x, y, degree)`` keeps, once per rank, the total-space
+matrices of the cached ``hom_basis`` maps with the echelon basis of their
+flattenings, and the endomorphism algebras read their coordinates from the
+same store.  Twisted sides ask for the centred degree, untwisted sides for
+every degree at once.
+
 Both linear systems on formal complexes, the Hom complex behind
 hom_homotopy and the squaring-to-zero constraint behind random_complex,
 have Hom-space coordinates as unknowns.  Their blocks are composition
@@ -38,8 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .gradedmod import hom_degree_range
-from .linalg import EchelonBasis, QMatrix, flatten, kernel_basis, place_blocks, rank
+from .linalg import QMatrix, flatten, kernel_basis, place_blocks, rank
 from .soergel import SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
@@ -142,7 +148,6 @@ class FormalCategory:
     def __init__(self, cat: SoergelCategory):
         self.cat = cat
         self.n = cat.n
-        self._spaces: dict[tuple, tuple[tuple[QMatrix, ...], EchelonBasis]] = {}
 
     # -- Hom spaces between generators --------------------------------------
 
@@ -158,27 +163,8 @@ class FormalCategory:
         return len(self.hom_space(side, src, tgt))
 
     def _space_data(self, side: str, src: Gen, tgt: Gen):
-        if TWISTED[side]:
-            degree = self._centred_degree(src.w, src.twist, tgt.w, tgt.twist)
-            key = ("tw", src.w, tgt.w, degree)
-        else:
-            key = ("untw", src.w, tgt.w)
-        cached = self._spaces.get(key)
-        if cached is not None:
-            return cached
-        dx = self.cat.indecomposable(src.w)
-        dy = self.cat.indecomposable(tgt.w)
-        if TWISTED[side]:
-            maps = self.cat.hom_basis(src.w, tgt.w, key[3])
-        else:
-            maps = []
-            for d in hom_degree_range(dx, dy):
-                maps.extend(self.cat.hom_basis(src.w, tgt.w, d))
-        mats = tuple(m.to_total() for m in maps)
-        basis = EchelonBasis([flatten(m) for m in mats], dy.total_dim() * dx.total_dim())
-        data = (mats, basis)
-        self._spaces[key] = data
-        return data
+        degree = self._centred_degree(src.w, src.twist, tgt.w, tgt.twist) if TWISTED[side] else None
+        return self.cat.hom_space(src.w, tgt.w, degree)
 
     def _coords(self, side: str, src: Gen, tgt: Gen, maps) -> QMatrix:
         """Coordinates of total-space matrices in the basis of

@@ -270,7 +270,7 @@ def hom_equations(count: int, blocks) -> QMatrix:
     """
     rows = []
     for a, left, b, right, s in blocks:
-        p, t, u = a.rows, b.rows, b.cols
+        t, u = b.rows, b.cols
         a_terms = [
             [(left + k * u, x) for k, x in enumerate(row) if x is not _ZERO and x]
             if left is not None

@@ -88,6 +88,7 @@ class SoergelCategory:
         self._bs: dict[Word, GradedModule] = {}
         self._indec: dict[Perm, GradedModule] = {}
         self._hom: dict[tuple[Perm, Perm, int], tuple[ModuleMap, ...]] = {}
+        self._spaces: dict[tuple, tuple[tuple[QMatrix, ...], EchelonBasis]] = {}
 
     # -- induction ----------------------------------------------------------
 
@@ -160,6 +161,20 @@ class SoergelCategory:
             self._hom[key] = cached
         return cached
 
+    def hom_space(self, x: Perm, y: Perm, degree: int | None = None):
+        """The cached ``hom_basis`` maps D_x -> D_y of the given degree (of
+        every degree when None) as total-space matrices, with the
+        EchelonBasis of their flattenings; cached per rank."""
+        key = (x, y, degree)
+        cached = self._spaces.get(key)
+        if cached is None:
+            dx, dy = self.indecomposable(x), self.indecomposable(y)
+            degrees = [d for d in hom_degree_range(dx, dy) if degree in (None, d)]
+            mats = tuple(m.to_total() for d in degrees for m in self.hom_basis(x, y, d))
+            cached = (mats, EchelonBasis([flatten(m) for m in mats], dy.total_dim() * dx.total_dim()))
+            self._spaces[key] = cached
+        return cached
+
     def hom_poly(self, x: Perm, y: Perm) -> LaurentPoly:
         """Graded dimension of Hom(D_x, D_y)."""
         dx, dy = self.indecomposable(x), self.indecomposable(y)
@@ -216,6 +231,27 @@ class SoergelCategory:
             yield x, k, res
             cur = res[1]
 
+    def _peel_search(self, M: GradedModule):
+        """Split off what is left of M, one (x, k) at a time: the first whose
+        shifted character fits under the remaining one, longest x first,
+        yielding (x, k, split); raises DecompositionError when no candidate
+        splits off."""
+        order = sorted(self.group.elements(), key=lambda w: (-length(w), w))
+        cur = M
+        while cur.total_dim():
+            char = cur.character()
+            fits = (
+                (x, k) for x in order for k in _candidate_shifts(self.indecomposable(x).character(), char)
+            )
+            for x, k in fits:
+                res = self._try_peel(cur, x, k)
+                if res is not None:
+                    break
+            else:
+                raise DecompositionError("module is not a direct sum of shifted indecomposables")
+            yield x, k, res
+            cur = res[1]
+
     def decompose(self, M: GradedModule, expected=None) -> Decomposition:
         """Peel M into shifted indecomposables.
 
@@ -224,42 +260,16 @@ class SoergelCategory:
         containment over all indecomposables of the rank.  Failure to
         realise a splitting raises :class:`DecompositionError`.
         """
+        steps = self._peel_search(M) if expected is None else self._peel_expected(M, expected)
         summands: list[tuple[Perm, int]] = []
         idempotents: list[ModuleMap] = []
         cur = M
-        inc_chain = ModuleMap.identity(M)
-        proj_chain = ModuleMap.identity(M)
-
-        def record(x, k, idem_local, complement, inc, proj):
-            nonlocal cur, inc_chain, proj_chain
-            idem_global = inc_chain.compose(idem_local).compose(proj_chain)
+        inc_chain = proj_chain = ModuleMap.identity(M)
+        for x, k, (idem, cur, inc, proj) in steps:
             summands.append((x, k))
-            idempotents.append(idem_global)
+            idempotents.append(inc_chain.compose(idem).compose(proj_chain))
             inc_chain = inc_chain.compose(inc)
             proj_chain = proj.compose(proj_chain)
-            cur = complement
-
-        if expected is not None:
-            for x, k, res in self._peel_expected(M, expected):
-                record(x, k, *res)
-        else:
-            while cur.total_dim():
-                progressed = False
-                for x in sorted(self.group.elements(), key=lambda w: (-length(w), w)):
-                    dx_char = self.indecomposable(x).character()
-                    char = cur.character()
-                    for k in _candidate_shifts(dx_char, char):
-                        res = self._try_peel(cur, x, k)
-                        if res is not None:
-                            record(x, k, *res)
-                            progressed = True
-                            break
-                    if progressed:
-                        break
-                if not progressed:
-                    raise DecompositionError(
-                        "module is not a direct sum of shifted indecomposables"
-                    )
         if cur.total_dim():
             raise DecompositionError(
                 f"peel left a remainder of dimension {cur.total_dim()}"
@@ -298,11 +308,13 @@ class SoergelCategory:
                 raise DecompositionError(
                     f"D[{format_perm(w)}] came out with a non-self-dual character"
                 )
-        if len(hom_graded(module, module, 0)) != 1:
+        endo = tuple(hom_graded(module, module, 0))
+        if len(endo) != 1:
             raise DecompositionError(
                 f"degree-0 endomorphisms of D[{format_perm(w)}] are not scalars"
             )
         self._indec[w] = module
+        self._hom[(w, w, 0)] = endo
         return module
 
     def hecke_class(self, M: GradedModule, expected=None) -> HeckeElement:
@@ -342,32 +354,24 @@ class EndoAlgebra:
         self.modules = [cat.indecomposable(w).shift(k) for w, k in self.summands]
         self.basis: list[tuple[int, int, int, ModuleMap]] = []
         self._block_index: dict[tuple[int, int], list[int]] = {}
-        for a, ma in enumerate(self.modules):
-            for b, mb in enumerate(self.modules):
+        # a degree-d map between the shifted modules is a degree d + k_b - k_a
+        # map D_a -> D_b with its blocks moved down by k_a
+        for a, ((wa, ka), ma) in enumerate(zip(self.summands, self.modules)):
+            for b, ((wb, kb), mb) in enumerate(zip(self.summands, self.modules)):
                 for d in hom_degree_range(ma, mb):
-                    maps = hom_graded(ma, mb, d)
-                    if (a, b, d) == (a, a, 0) and len(maps) == 1:
-                        maps = [ModuleMap.identity(ma)]
-                    for m in maps:
+                    for m in cat.hom_basis(wa, wb, d + kb - ka):
+                        blocks = {e - ka: blk for e, blk in m.blocks.items()}
                         self._block_index.setdefault((a, b), []).append(len(self.basis))
-                        self.basis.append((a, b, d, m))
-        # the identity replaces a hom_graded map only when it spans its
-        # degree, so every block basis keeps its echelon shape
-        spaces: dict[tuple[int, int], tuple[list[int], EchelonBasis]] = {}
-        for (a, b), idxs in self._block_index.items():
-            vecs = [flatten(self.basis[i][3].to_total()) for i in idxs]
-            dim = self.modules[b].total_dim() * self.modules[a].total_dim()
-            spaces[(a, b)] = (idxs, EchelonBasis(vecs, dim))
+                        self.basis.append((a, b, d, ModuleMap(ma, mb, d, blocks)))
         self.table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for i, (a1, b1, _, m1) in enumerate(self.basis):
             for j, (a2, b2, _, m2) in enumerate(self.basis):
                 if a1 != b2:
                     continue
-                comp = m1.compose(m2)
-                idxs, basis = spaces[(a2, b1)]
-                coords = basis.coords(flatten(comp.to_total()))
-                entry = tuple((idxs[t], c) for t, c in enumerate(coords) if c)
-                self.table[(i, j)] = entry
+                space = cat.hom_space(self.summands[a2][0], self.summands[b1][0])[1]
+                coords = space.coords(flatten(m1.compose(m2).to_total()))
+                idxs = self._block_index[(a2, b1)]
+                self.table[(i, j)] = tuple((idxs[t], c) for t, c in enumerate(coords) if c)
 
     @property
     def dim(self) -> int:

@@ -292,16 +292,16 @@ def check_t_axioms(sample) -> dict:
     Checks nesting of the aisles, Hom-vanishing from the lower to the upper
     part, and that every object splits as lower part plus upper part.
     """
-    return _check_axioms(sample, t_truncate_leq, t_truncate_geq, upper_from=1)
+    return _check_axioms(sample, t_truncate_leq, t_truncate_geq)
 
 
 def check_w_axioms(sample) -> dict:
     """Same battery for the weight-style truncations (orthogonality runs
     from the upper part to the strictly lower part)."""
-    return _check_axioms(sample, w_truncate_leq, w_truncate_geq, upper_from=1, weight_style=True)
+    return _check_axioms(sample, w_truncate_leq, w_truncate_geq, weight_style=True)
 
 
-def _check_axioms(sample, trunc_leq, trunc_geq, upper_from: int, weight_style: bool = False) -> dict:
+def _check_axioms(sample, trunc_leq, trunc_geq, weight_style: bool = False) -> dict:
     sample = list(sample)
     nesting = True
     orthogonality = True
@@ -311,7 +311,7 @@ def _check_axioms(sample, trunc_leq, trunc_geq, upper_from: int, weight_style: b
         lower1 = trunc_leq(x, 1)
         if _dims(lower0) | _dims(lower1) != _dims(lower1):
             nesting = False
-        upper = trunc_geq(x, upper_from)
+        upper = trunc_geq(x, 1)
         mx = x.minimize()
         if _dims(lower0, upper) != _dims(mx):
             decomposition = False
@@ -384,7 +384,8 @@ def random_complex(rng: random.Random, max_pos: int = 3, max_dim: int = 2) -> Co
     diffs = {}
     for c, entries in sorted(ones.items()):
         rows, cols = dims[c + 1], dims[c]
-        d = QMatrix(rows, cols, [[int((r, s) in entries) for s in range(cols)] for r in range(rows)])
+        cells = [[_ONE if (r, s) in entries else _ZERO for s in range(cols)] for r in range(rows)]
+        d = QMatrix(rows, cols, cells)
         diffs[c] = changes[c + 1] * d * inverse(changes[c])
     return Complex(dims, diffs)
 

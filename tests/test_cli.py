@@ -251,3 +251,10 @@ def test_fresh_processes_agree_across_hash_seeds():
     command = "decompose --rank 4 --word 1,2,3,2,1"
     assert run_fresh(command, 1) == run_fresh(command, 2)
 
+
+
+def test_tate_without_demo_exits_two(capsys):
+    code, out = run_cli(["tate", "--seed", "3", "--cases", "10"])
+    assert code == 2
+    assert out == ""
+    assert "--demo" in capsys.readouterr().err

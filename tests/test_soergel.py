@@ -4,16 +4,18 @@ from itertools import product
 import pytest
 
 from soergelkit import soergel
+from soergelkit.formal import FormalCategory, Gen
 from soergelkit.gradedmod import (
     GradedModule,
     ModuleMap,
     graded_hom_poly,
+    hom_degree_range,
     hom_graded,
     hom_ungraded_dim,
 )
 from soergelkit.laurent import LaurentPoly
 from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, flatten, rank, rref
-from soergelkit.soergel import DecompositionError, SoergelCategory, soergel_category
+from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory, soergel_category
 from soergelkit.weyl import format_perm, length, parse_perm
 
 
@@ -393,6 +395,69 @@ def test_endo_algebra_table_matches_span_solver_rank3():
             coords = solver.coords(flatten(m1.compose(m2).to_total()))
             expected = tuple((idxs[t], c) for t, c in enumerate(coords) if c)
             assert alg.compose_indices(i, j) == expected
+
+
+def test_endo_algebra_with_shifts_matches_direct_solves_rank3():
+    # reference: hom_graded on the shifted modules themselves, and SpanSolver
+    # coordinates of every composite in those bases
+    cat = soergel_category(3)
+    w0, s1, e = parse_perm("321"), parse_perm("213"), parse_perm("123")
+    alg = cat.endo_algebra([(w0, 0), (s1, -1), (s1, 1), (e, 2)])
+    basis = [
+        (a, b, d, m)
+        for a, ma in enumerate(alg.modules)
+        for b, mb in enumerate(alg.modules)
+        for d in hom_degree_range(ma, mb)
+        for m in hom_graded(ma, mb, d)
+    ]
+    assert alg.basis == basis
+    blocks = {}
+    for i, (a, b, _, _) in enumerate(basis):
+        blocks.setdefault((a, b), []).append(i)
+    solvers = {}
+    for key, idxs in blocks.items():
+        vecs = [flatten(basis[i][3].to_total()) for i in idxs]
+        solvers[key] = (idxs, SpanSolver(vecs, len(vecs[0])))
+    for i, (a1, b1, _, m1) in enumerate(basis):
+        for j, (a2, b2, _, m2) in enumerate(basis):
+            if a1 != b2:
+                assert alg.compose_indices(i, j) == ()
+                continue
+            idxs, solver = solvers[(a2, b1)]
+            coords = solver.coords(flatten(m1.compose(m2).to_total()))
+            assert alg.compose_indices(i, j) == tuple((idxs[t], c) for t, c in enumerate(coords) if c)
+
+
+def test_endo_algebra_and_formal_spaces_solve_no_hom_system_twice(monkeypatch):
+    cat = SoergelCategory(3)
+    els = sorted(cat.group.elements())
+    for x in els:
+        for y in els:
+            cat.hom_poly(x, y)
+    calls = []
+    original = soergel.hom_graded
+    monkeypatch.setattr(soergel, "hom_graded", lambda *args: calls.append(args) or original(*args))
+    w0, s1, e = parse_perm("321"), parse_perm("213"), parse_perm("123")
+    alg = EndoAlgebra(cat, [(w0, 0), (s1, -1), (s1, 1), (e, 2), (s1, 1)])
+    assert alg.dim > 0
+    fc = FormalCategory(cat)
+    for x in els:
+        for y in els:
+            fc.hom_space("K", Gen(x), Gen(y))
+            for t in range(-4, 5):
+                fc.hom_space("MIX", Gen(x, 0), Gen(y, t))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_degree_zero_endomorphisms_are_the_identity(n):
+    # the one kernel vector of End^0(D_w) is 1 at its free column, so the
+    # basis EndoAlgebra reads is the identity itself
+    cat = soergel_category(n)
+    for w in cat.group.elements():
+        for k in (-2, 0, 3):
+            d = cat.indecomposable(w).shift(k)
+            assert hom_graded(d, d, 0) == [ModuleMap.identity(d)]
 
 
 @pytest.mark.parametrize("word", [(1, 2, 1), (1, 2, 1, 2), (2, 1, 1)])
