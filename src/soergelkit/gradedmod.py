@@ -237,16 +237,17 @@ class ModuleMap:
         )
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
+        """self after other; only degrees where both maps have a block are
+        multiplied, and the constructor drops products that vanish."""
         if other.target is not self.source:
             raise ValueError("maps are not composable")
-        deg = self.degree + other.degree
         blocks = {}
         for d in other.source.degrees():
-            mat = self.block(d + other.degree) * other.block(d)
-            if not mat.is_zero():
-                blocks[d] = mat
-        return ModuleMap(other.source, self.target, deg, blocks)
+            inner = other.blocks.get(d)
+            outer = self.blocks.get(d + other.degree)
+            if inner is not None and outer is not None:
+                blocks[d] = outer * inner
+        return ModuleMap(other.source, self.target, self.degree + other.degree, blocks)
 
     def check_commutes(self) -> None:
         """Assert the map commutes with every variable action."""
@@ -273,7 +274,14 @@ def trivial_module(ring: CoinvariantRing) -> GradedModule:
 
 
 def hom_graded(M: GradedModule, N: GradedModule, degree: int) -> list[ModuleMap]:
-    """A basis of the degree-``degree`` maps commuting with all actions."""
+    """A basis of the degree-``degree`` maps commuting with all actions.
+
+    Only x_1 .. x_{n-1} give equations.  M and N must be modules, i.e.
+    validated or derived from validated modules, as every module the
+    library builds is: e_1 acts by 0 on both, so x_n = -(x_1 + .. +
+    x_{n-1}) on both sides and a map commuting with the others commutes
+    with x_n.
+    """
     if M.ring is not N.ring:
         raise ValueError("Hom between modules over different rings")
     offsets = {}
@@ -282,15 +290,15 @@ def hom_graded(M: GradedModule, N: GradedModule, degree: int) -> list[ModuleMap]
         offsets[a] = count
         count += N.dim_at(a + degree) * M.dim_at(a)
     # f_a : M_a -> N_{a+degree} commutes with x_i: x_i f_a - f_{a+2} x_i = 0;
-    # a degree with N_{a+degree+2} = 0 has no equations, so its zero action
-    # blocks are never built
+    # a degree with N_{a+degree+2} = 0, or where x_i acts by 0 on both sides,
+    # has no equations, so its zero action blocks are never built
     system = hom_equations(
         count,
         (
             (N.action(i, a + degree), offsets[a], M.action(i, a), offsets.get(a + 2), 1)
-            for i in range(1, M.ring.n + 1)
+            for i in range(1, M.ring.n)
             for a in M.degrees()
-            if N.dim_at(a + degree + 2)
+            if N.dim_at(a + degree + 2) and ((i, a + degree) in N.actions or (i, a) in M.actions)
         ),
     )
     maps = []
@@ -323,13 +331,15 @@ def hom_ungraded_dim(M: GradedModule, N: GradedModule) -> int:
     """Dimension of all module maps with no degree restriction.
 
     Solved on totalised bases as an independent route; the graded count
-    must agree with this by the degrading principle.
+    must agree with this by the degrading principle.  As in
+    :func:`hom_graded`, M and N must be modules, and the x_n equations,
+    which follow from the others, are left out.
     """
     if M.ring is not N.ring:
         raise ValueError("Hom between modules over different rings")
     system = hom_equations(
         N.total_dim() * M.total_dim(),
-        ((N.total_action(i), 0, M.total_action(i), 0, 1) for i in range(1, M.ring.n + 1)),
+        ((N.total_action(i), 0, M.total_action(i), 0, 1) for i in range(1, M.ring.n)),
     )
     return len(kernel_basis(system))
 

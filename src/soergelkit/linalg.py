@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
 :class:`QMatrix` is a dense matrix of ``Fraction`` entries (a few thousand
-rows at most), and every routine takes and returns it.  Row reduction works
-on sparse integer rows behind that API: the matrices it meets are mostly
-zero and nearly always integral, so :func:`rref` clears each row's
-denominators once into a {column: int} dict and eliminates fraction-free
-(Bareiss 1968), dividing every reduced row by its content to keep entries
-small; pivots are normalised back to 1 over the rationals at the end.
-Results are exact, and since the reduced row echelon form is unique they do
-not depend on the pivot rows chosen.
+rows at most), and every routine but the Hom-system builder takes and
+returns it.  Row reduction works on sparse integer rows behind that API:
+the matrices it meets are mostly zero and nearly always integral, so
+:func:`rref` clears each row's denominators once into a {column: int} dict
+and eliminates fraction-free (Bareiss 1968), dividing every reduced row by
+its content to keep entries small; pivots are normalised back to 1 over the
+rationals at the end.  Results are exact, and since the reduced row echelon
+form is unique they do not depend on the pivot rows chosen.
 
 Every routine works only on nonzeros where it can.  A product lists the
 nonzeros of each row of the right factor once and adds ``a * b`` over that
@@ -17,8 +17,8 @@ entry starts as a sum with zero, and :meth:`QMatrix.times_vector` does the
 same with the nonzeros of the vector.  An entry is tested for zero by identity
 with the shared ``Fraction(0)`` first, and by its truth value only when it
 is another object; that is exact, because a zero that is not the shared
-constant still fails the truth test.  Products, Hom rows, row reductions
-and kernel vectors write every zero as the shared constant, and negation
+constant still fails the truth test.  Products, row reductions and
+kernel vectors write every zero as the shared constant, and negation
 and scaling keep it, so the identity test settles most entries.
 
 Coordinates in a kernel basis are read off its free columns, where each
@@ -33,15 +33,21 @@ copies blocks to given offsets (behind :func:`block_matrix` and the
 totalised matrices of graded modules), and :func:`hom_equations` writes
 the equations of f -> A f - s f B on row-major blocks of unknowns, which
 is the one builder behind the graded, ungraded and Tate Hom systems.  It
-collects each equation's terms in a {column: entry} dict and writes a dense
-row only when some entry is nonzero, so equations that cancel are left out;
-an empty system is an ordinary 0 x count matrix, whose kernel is the unit
-basis.
+never builds a dense row: it clears the denominators of each block pair
+once, collects each equation's terms in a {column: int} dict, and keeps an
+equation only when some term survives, as a primitive integer row of a
+:class:`SparseSystem`.  :func:`kernel_basis` and :func:`rank` take such a
+system as well as a :class:`QMatrix` and read its pivot rows directly, so
+a Hom system goes from its equations to its kernel or rank without a dense
+matrix or a dense reduced form; an empty system has the unit basis as its
+kernel.  One private elimination core serves both inputs.
 
-Any matrix whose row or column count exceeds the cap from the environment
-variable ``SOERGEL_MAX_DIM`` (default 5000) is refused with
-:class:`SizeCapError` rather than ground through; :func:`rref` checks it on
-entry, before it allocates anything.
+The environment variable ``SOERGEL_MAX_DIM`` (default 5000) caps the rows
+and the columns of every system, and a system over it is refused with
+:class:`SizeCapError` rather than ground through.  :func:`rref` and
+:func:`rank` check a :class:`QMatrix` on entry, before they allocate
+anything; :func:`hom_equations` checks the unknowns before it builds any
+row, and the equations as it emits them.
 """
 
 from __future__ import annotations
@@ -73,13 +79,14 @@ def dimension_cap() -> int:
     return cap
 
 
+def _cap_refusal(what: str, cap: int) -> SizeCapError:
+    return SizeCapError(f"{what} exceeds the dimension cap {cap} (raise SOERGEL_MAX_DIM to override)")
+
+
 def _check_cap(rows: int, cols: int) -> None:
     cap = dimension_cap()
     if rows > cap or cols > cap:
-        raise SizeCapError(
-            f"matrix of size {rows}x{cols} exceeds the dimension cap {cap} "
-            "(raise SOERGEL_MAX_DIM to override)"
-        )
+        raise _cap_refusal(f"matrix of size {rows}x{cols}", cap)
 
 
 def _frac(x) -> Fraction:
@@ -258,46 +265,63 @@ def block_matrix(blocks) -> QMatrix:
     return place_blocks(r0, sum(widths), placed)
 
 
-def hom_equations(count: int, blocks) -> QMatrix:
-    """The linear system of f -> A f - s f B, as a matrix with ``count``
-    columns, one per unknown.
+@dataclass(frozen=True)
+class SparseSystem:
+    """A homogeneous linear system in ``cols`` unknowns, one primitive
+    integer row {column: coefficient} per equation, none of them empty."""
+
+    cols: int
+    equations: list[dict[int, int]]
+
+
+def hom_equations(count: int, blocks) -> SparseSystem:
+    """The linear system of f -> A f - s f B in ``count`` unknowns.
 
     The unknowns form blocks, each stored row by row at an offset.  Every
-    (a, left, b, right, s) in ``blocks`` gives the a.rows x b.cols entries
-    of A F - s G B, where F is the a.cols x b.cols block at offset ``left``
-    and G the a.rows x b.rows block at offset ``right``; an offset of None
-    drops its term.  Equations that come out all zero are left out.
+    (a, left, b, right, s) in ``blocks`` gives the a.rows x b.cols
+    equations of A F - s G B, where F is the a.cols x b.cols block at
+    offset ``left``, G the a.rows x b.rows block at offset ``right`` and s
+    an integer; an offset of None drops its term.  The denominators of A
+    and B are cleared once per term, each equation is kept as a primitive
+    integer row, and equations that come out all zero are left out.
     """
+    cap = dimension_cap()
+    if count > cap:
+        raise _cap_refusal(f"Hom system in {count} unknowns", cap)
     rows = []
     for a, left, b, right, s in blocks:
         t, u = b.rows, b.cols
-        a_terms = [
-            [(left + k * u, x) for k, x in enumerate(row) if x is not _ZERO and x]
+        a_terms = (
+            [[(k * u, x) for k, x in enumerate(row) if x is not _ZERO and x] for row in a.data]
             if left is not None
-            else []
-            for row in a.data
-        ]
-        b_terms = [
-            [(right + k, -s * x) for k, x in enumerate(b.col(c)) if x is not _ZERO and x]
+            else [[]] * a.rows
+        )
+        b_terms = (
+            [[(k, x) for k, x in enumerate(b.col(c)) if x is not _ZERO and x] for c in range(u)]
             if right is not None
-            else []
-            for c in range(u)
-        ]
+            else [[]] * u
+        )
+        den = math.lcm(*(x.denominator for terms in (*a_terms, *b_terms) for _, x in terms))
+        a_terms = [[(left + j, x.numerator * (den // x.denominator)) for j, x in row] for row in a_terms]
+        b_terms = [[(right + j, -s * x.numerator * (den // x.denominator)) for j, x in col] for col in b_terms]
         for r, a_row in enumerate(a_terms):
             for c, b_col in enumerate(b_terms):
                 if not (a_row or b_col):
                     continue
-                terms = {j + c: x for j, x in a_row}
+                row = {j + c: x for j, x in a_row}
                 for j, x in b_col:
                     j += r * t
-                    terms[j] = terms[j] + x if j in terms else x
-                nonzero = [(j, x) for j, x in terms.items() if x]
-                if nonzero:
-                    row = [_ZERO] * count
-                    for j, x in nonzero:
-                        row[j] = x
-                    rows.append(row)
-    return QMatrix(len(rows), count, rows)
+                    if j in row:
+                        x += row[j]
+                        if not x:
+                            del row[j]
+                            continue
+                    row[j] = x
+                if row:
+                    rows.append(_primitive(row))
+                    if len(rows) > cap:
+                        raise _cap_refusal(f"Hom system with over {cap} equations", cap)
+    return SparseSystem(count, rows)
 
 
 def flatten(m: QMatrix) -> list[Fraction]:
@@ -334,25 +358,33 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
     return _primitive(out) if out else out
 
 
-def rref(m: QMatrix) -> RrefResult:
-    """Reduced row echelon form with pivot columns and rank.
-
-    Fraction-free on sparse integer rows: each nonzero row has its
-    denominators cleared once into a {column: int} dict, rows are reduced by
-    their leading column, and every reduced row is divided by its content.
-    The pivot rows are then back-substituted, last pivot first, and divided
-    by their pivot entry over the rationals.  The reduced row echelon form is
-    unique, so the choice of pivot rows does not show in the result.
-    """
-    _check_cap(m.rows, m.cols)
-    n_rows, n_cols = m.rows, m.cols
-    by_lead: dict[int, list[dict[int, int]]] = {}
+def _integer_rows(m: QMatrix) -> list[dict[int, int]]:
+    """The nonzero rows of m with their denominators cleared, as primitive
+    {column: int} dicts."""
+    rows = []
     for r in m.data:
         nonzero = [(j, x) for j, x in enumerate(r) if x is not _ZERO and x]
         if nonzero:
             den = math.lcm(*(x.denominator for _, x in nonzero))
-            row = {j: x.numerator * (den // x.denominator) for j, x in nonzero}
-            by_lead.setdefault(nonzero[0][0], []).append(_primitive(row))
+            rows.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in nonzero}))
+    return rows
+
+
+def _echelon(rows: list[dict[int, int]], n_cols: int, reduce: bool) -> list[tuple[int, dict[int, int]]]:
+    """The pivot rows (column, row) of the row space of ``rows``, nonzero
+    primitive integer rows that are reused and changed.
+
+    Rows are reduced fraction-free by their leading column, the pivot row of
+    a column being the one with fewest nonzeros, then smallest pivot, and
+    every reduced row is divided by its content.  With ``reduce`` the pivot
+    rows are then back-substituted, last pivot first, so that each is zero at
+    every other pivot column: divided by its pivot entry, the k-th is row k
+    of the reduced row echelon form, which is unique, so the choice of pivot
+    rows does not show in it.
+    """
+    by_lead: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        by_lead.setdefault(min(row), []).append(row)
     pivot_rows: list[tuple[int, dict[int, int]]] = []
     for c in range(n_cols):
         bucket = by_lead.pop(c, None)
@@ -365,12 +397,26 @@ def rref(m: QMatrix) -> RrefResult:
                 if row:
                     by_lead.setdefault(min(row), []).append(row)
         pivot_rows.append((c, prow))
-    for k in range(len(pivot_rows) - 1, 0, -1):
-        c, prow = pivot_rows[k]
-        for i in range(k):
-            ci, row = pivot_rows[i]
-            if c in row:
-                pivot_rows[i] = (ci, _eliminate(row, prow, c))
+    if reduce:
+        for k in range(len(pivot_rows) - 1, 0, -1):
+            c, prow = pivot_rows[k]
+            for i in range(k):
+                ci, row = pivot_rows[i]
+                if c in row:
+                    pivot_rows[i] = (ci, _eliminate(row, prow, c))
+    return pivot_rows
+
+
+def rref(m: QMatrix) -> RrefResult:
+    """Reduced row echelon form with pivot columns and rank.
+
+    Fraction-free on sparse integer rows: each nonzero row has its
+    denominators cleared once into a {column: int} dict, and the reduced
+    pivot rows are divided by their pivot entry over the rationals.
+    """
+    _check_cap(m.rows, m.cols)
+    n_rows, n_cols = m.rows, m.cols
+    pivot_rows = _echelon(_integer_rows(m), n_cols, reduce=True)
     out_rows = [[_ZERO] * n_cols for _ in range(n_rows)]
     for out, (c, row) in zip(out_rows, pivot_rows):
         piv = row[c]
@@ -380,17 +426,41 @@ def rref(m: QMatrix) -> RrefResult:
     return RrefResult(QMatrix(n_rows, n_cols, out_rows), pivots, len(pivots))
 
 
-def rank(m: QMatrix) -> int:
-    return rref(m).rank
+def _system_rows(m: QMatrix | SparseSystem) -> list[dict[int, int]]:
+    """Integer rows of a matrix or system, which the elimination may change."""
+    if isinstance(m, SparseSystem):
+        return [dict(row) for row in m.equations]
+    _check_cap(m.rows, m.cols)
+    return _integer_rows(m)
 
 
-def kernel_basis(m: QMatrix) -> list[list[Fraction]]:
+def rank(m: QMatrix | SparseSystem) -> int:
+    """The rank, from the pivot rows without back-substitution."""
+    return len(_echelon(_system_rows(m), m.cols, reduce=False))
+
+
+def kernel_basis(m: QMatrix | SparseSystem) -> list[list[Fraction]]:
     """A basis of the null space, one vector per free column.
 
     The vector for free column f is 1 at f and 0 at every other free column
     (the shape :class:`EchelonBasis` reads); vectors are returned in
-    ascending free-column order, so the result is deterministic.
+    ascending free-column order, so the result is deterministic.  A matrix
+    goes through :func:`rref`; a :class:`SparseSystem` is read off its
+    reduced integer pivot rows, whose entries off the pivot all lie in free
+    columns.
     """
+    if isinstance(m, SparseSystem):
+        pivot_rows = _echelon(_system_rows(m), m.cols, reduce=True)
+        pivot_set = {c for c, _ in pivot_rows}
+        basis = {f: [_ZERO] * m.cols for f in range(m.cols) if f not in pivot_set}
+        for f, vec in basis.items():
+            vec[f] = _ONE
+        for c, row in pivot_rows:
+            piv = row[c]
+            for j, x in row.items():
+                if j != c:
+                    basis[j][c] = Fraction(-x, piv)
+        return list(basis.values())
     res = rref(m)
     pivot_set = set(res.pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linalg import _ONE, _ZERO, QMatrix, block_matrix, hom_equations, inverse, rank
+from .linalg import _ONE, _ZERO, QMatrix, SparseSystem, block_matrix, hom_equations, inverse, rank
 
 
 class Complex:
@@ -250,11 +250,11 @@ def w_truncate_geq(x, m: int):
 # -- homotopy Homs -----------------------------------------------------------
 
 
-def _hom_differential(x: Complex, y: Complex, k: int) -> QMatrix:
+def _hom_differential(x: Complex, y: Complex, k: int) -> SparseSystem:
     """The map Hom^k -> Hom^{k+1}, f -> d_Y f - (-1)^k f d_X, as the
-    matrix of its nonzero equations (same kernel and rank as the map).
+    sparse system of its nonzero equations (same kernel and rank as the map).
 
-    Its columns are the entries of the blocks f_c : X_c -> Y_{c+k}, in the
+    Its unknowns are the entries of the blocks f_c : X_c -> Y_{c+k}, in the
     order of the positions of x, each block row by row.
     """
     offsets = {}

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from soergelkit.coinvariant import coinvariant_ring
@@ -5,13 +7,14 @@ from soergelkit.gradedmod import (
     GradedModule,
     ModuleMap,
     graded_hom_poly,
+    hom_degree_range,
     hom_graded,
     hom_ungraded_dim,
     kernel_module,
     trivial_module,
 )
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import QMatrix
+from soergelkit.linalg import QMatrix, SizeCapError, flatten, hom_equations, kernel_basis
 from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import soergel_category
 
@@ -155,3 +158,79 @@ def test_induct_doubles_dimension_s3():
         assert m2.total_dim() == 2 * m.total_dim()
         m = m2
     assert m.dims == {-3: 1, -1: 3, 1: 3, 3: 1}
+
+
+def _graded_system(M, N, degree, variables):
+    """The system of :func:`hom_graded` on the equations of ``variables``."""
+    offsets, count = {}, 0
+    for a in M.degrees():
+        offsets[a] = count
+        count += N.dim_at(a + degree) * M.dim_at(a)
+    return hom_equations(
+        count,
+        (
+            (N.action(i, a + degree), offsets[a], M.action(i, a), offsets.get(a + 2), 1)
+            for i in variables
+            for a in M.degrees()
+            if N.dim_at(a + degree + 2)
+        ),
+    )
+
+
+def _ungraded_system(M, N, variables):
+    """The system of :func:`hom_ungraded_dim` on the equations of ``variables``."""
+    return hom_equations(
+        N.total_dim() * M.total_dim(),
+        ((N.total_action(i), 0, M.total_action(i), 0, 1) for i in variables),
+    )
+
+
+def _check_x_n_equations_are_redundant(M, N, stats):
+    n = M.ring.n
+    every, without_x_n = range(1, n + 1), range(1, n)
+    for d in hom_degree_range(M, N):
+        full = _graded_system(M, N, d, every)
+        basis = kernel_basis(full)
+        assert kernel_basis(_graded_system(M, N, d, without_x_n)) == basis
+        maps = hom_graded(M, N, d)
+        assert [[x for a in M.degrees() for x in flatten(f.block(a))] for f in maps] == basis
+        stats["dropped"] += len(full.equations) - len(_graded_system(M, N, d, without_x_n).equations)
+        stats["nonempty"] += bool(basis)
+    full = _ungraded_system(M, N, every)
+    basis = kernel_basis(full)
+    assert kernel_basis(_ungraded_system(M, N, without_x_n)) == basis
+    assert hom_ungraded_dim(M, N) == len(basis)
+
+
+def test_x_n_equations_are_redundant_on_rank_3():
+    cat = soergel_category(3)
+    modules = [cat.indecomposable(w) for w in cat.group.elements()]
+    stats = {"dropped": 0, "nonempty": 0}
+    for M in modules:
+        for N in modules:
+            _check_x_n_equations_are_redundant(M, N, stats)
+    assert stats["dropped"] > 0 and stats["nonempty"] > 36
+
+
+def test_x_n_equations_are_redundant_on_a_rank_4_sample():
+    cat = soergel_category(4)
+    elements = sorted(cat.group.elements())
+    rng = random.Random(4)
+    stats = {"dropped": 0, "nonempty": 0}
+    for _ in range(12):
+        x, y = rng.choice(elements), rng.choice(elements)
+        _check_x_n_equations_are_redundant(cat.indecomposable(x), cat.indecomposable(y), stats)
+    assert stats["dropped"] > 0 and stats["nonempty"] > 0
+
+
+def test_hom_graded_refuses_over_the_cap(monkeypatch):
+    m = regular_module(3)  # the ring is built before the cap is lowered
+    # End^0 of the regular module has 1 + 4 + 4 + 1 unknowns
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "9")
+    with pytest.raises(SizeCapError, match="Hom system in 10 unknowns"):
+        hom_graded(m, m, 0)
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "10")
+    with pytest.raises(SizeCapError, match="Hom system with over 10 equations"):
+        hom_graded(m, m, 0)
+    monkeypatch.delenv("SOERGEL_MAX_DIM")
+    assert len(hom_graded(m, m, 0)) == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from soergelkit import linalg
+from soergelkit import gradedmod, linalg
 from soergelkit.gradedmod import graded_hom_poly, hom_ungraded_dim
 from soergelkit.linalg import (
     EchelonBasis,
@@ -12,6 +12,7 @@ from soergelkit.linalg import (
     RrefResult,
     SizeCapError,
     SpanSolver,
+    SparseSystem,
     block_matrix,
     flatten,
     hom_equations,
@@ -75,6 +76,43 @@ def dense_matmul(a, b):
     )
 
 
+def dense_kernel(m):
+    """Reference route for :func:`kernel_basis`: one vector per free column
+    of :func:`dense_rref`, read off its pivot rows."""
+    res = dense_rref(m)
+    basis = []
+    for f in range(m.cols):
+        if f in res.pivots:
+            continue
+        vec = [Fraction(0)] * m.cols
+        vec[f] = Fraction(1)
+        for k, pc in enumerate(res.pivots):
+            vec[pc] = -res.matrix.data[k][f]
+        basis.append(vec)
+    return basis
+
+
+def densify(system):
+    """The equations of a :class:`SparseSystem` as the rows of a QMatrix."""
+    return QMatrix(
+        len(system.equations),
+        system.cols,
+        [[row.get(j, 0) for j in range(system.cols)] for row in system.equations],
+    )
+
+
+def primitive_rows(rows):
+    """Each rational row as its primitive integer multiple with positive
+    scale: denominators cleared, then divided by the gcd of the entries."""
+    out = []
+    for r in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in r))
+        ints = [int(x * den) for x in r]
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints])
+    return out
+
+
 def _shared_zeros(m):
     """m with every zero entry the ``Fraction(0)`` that :mod:`linalg` shares."""
     return QMatrix(m.rows, m.cols, [[x or linalg._ZERO for x in r] for r in m.data])
@@ -128,17 +166,22 @@ def test_rref_matches_dense_reference():
 
 
 def test_rref_matches_dense_reference_on_rank3_hom_systems(monkeypatch):
+    # every graded and ungraded Hom system between rank-3 D_w: the sparse
+    # kernel and rank against the dense reference on the densified system
     cat = soergel_category(3)
     modules = [cat.indecomposable(w) for w in cat.group.elements()]
     seen = []
 
-    def checked_rref(m):
-        res = rref(m)
-        assert res == dense_rref(m)
-        seen.append(m.rows * m.cols)
-        return res
+    def checked_kernel_basis(system):
+        assert isinstance(system, SparseSystem)
+        dense = densify(system)
+        basis = kernel_basis(system)
+        assert basis == dense_kernel(dense)
+        assert rank(system) == dense_rref(dense).rank == system.cols - len(basis)
+        seen.append(len(system.equations) * system.cols)
+        return basis
 
-    monkeypatch.setattr(linalg, "rref", checked_rref)
+    monkeypatch.setattr(gradedmod, "kernel_basis", checked_kernel_basis)
     for dx in modules:
         for dy in modules:
             graded_hom_poly(dx, dy)
@@ -314,14 +357,15 @@ def test_fresh_zero_objects_give_identical_results():
             fresh_blocks.append((_fresh_zeros(a), left, _fresh_zeros(b), right, 1))
         assert hom_equations(count, fresh_blocks) == hom_equations(count, blocks)
     # A F - F B on one 2x2 block with diagonal A and B is (A_rr - B_cc) f_rc:
-    # the A-term and B-term of the equation at (0, 0) cancel, and it is left out
+    # the A-term and B-term of the equation at (0, 0) cancel, and it is left
+    # out; the others are the primitive rows -f_01, f_10 and f_11
     a = QMatrix(2, 2, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(5)]])
     b = QMatrix(2, 2, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]])
-    expected = QMatrix.from_rows([[0, -1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 2]])
-    assert hom_equations(4, [(_shared_zeros(a), 0, _shared_zeros(b), 0, 1)]) == expected
-    assert hom_equations(4, [(_fresh_zeros(a), 0, _fresh_zeros(b), 0, 1)]) == expected
+    expected = QMatrix.from_rows([[0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert densify(hom_equations(4, [(_shared_zeros(a), 0, _shared_zeros(b), 0, 1)])) == expected
+    assert densify(hom_equations(4, [(_fresh_zeros(a), 0, _fresh_zeros(b), 0, 1)])) == expected
     x = QMatrix.from_rows([[Fraction(7, 3)]])
-    assert hom_equations(1, [(x, 0, x, 0, 1)]) == QMatrix.zero(0, 1)
+    assert hom_equations(1, [(x, 0, x, 0, 1)]) == SparseSystem(1, [])
 
 
 def test_matmul_and_transpose():
@@ -350,6 +394,29 @@ def test_size_cap(monkeypatch):
     monkeypatch.setenv("SOERGEL_MAX_DIM", "bogus")
     with pytest.raises(SizeCapError):
         rref(QMatrix.zero(1, 1))
+
+
+def test_hom_equations_cap(monkeypatch):
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "4")
+    ident = QMatrix.identity(2)
+    read = []
+
+    def blocks(n):
+        # each block gives the 4 equations f_rc = 0 of F -> I F
+        for _ in range(n):
+            read.append(1)
+            yield (ident, 0, ident, None, 1)
+
+    # the unknowns are checked before any block is read
+    with pytest.raises(SizeCapError, match="Hom system in 5 unknowns exceeds the dimension cap 4"):
+        hom_equations(5, blocks(3))
+    assert read == []
+    assert len(hom_equations(4, blocks(1)).equations) == 4
+    # the fifth equation is refused as it is emitted, before the third block
+    read.clear()
+    with pytest.raises(SizeCapError, match="Hom system with over 4 equations exceeds the dimension cap 4"):
+        hom_equations(4, blocks(3))
+    assert len(read) == 2
 
 
 def test_span_solver():
@@ -476,23 +543,33 @@ def test_hom_equations_match_kronecker_formula():
             left = None if rng.random() < 0.2 or q * u > count else rng.randint(0, count - q * u)
             right = None if rng.random() < 0.2 or p * t > count else rng.randint(0, count - p * t)
             s = rng.choice([1, -1, 2])
-            blocks.append((_sparse_matrix(rng, p, q), left, _sparse_matrix(rng, t, u), right, s))
+            a, b = _sparse_matrix(rng, p, q), _sparse_matrix(rng, t, u)
+            if rng.random() < 0.3:
+                a = a.scale(Fraction(1, rng.randint(2, 5)))
+            if rng.random() < 0.3:
+                b = b.scale(Fraction(rng.randint(1, 4), rng.randint(2, 5)))
+            blocks.append((a, left, b, right, s))
         system = hom_equations(count, blocks)
-        assert system == QMatrix(len(_kron_system(count, blocks)), count, _kron_system(count, blocks))
-        assert all(any(row) for row in system.data)
+        expected = primitive_rows(_kron_system(count, blocks))
+        assert densify(system) == QMatrix(len(expected), count, expected)
+        for row in system.equations:
+            assert row and all(type(x) is int and x for x in row.values())
+            assert math.gcd(*row.values()) == 1
 
 
 def test_hom_equations_edge_shapes():
     # no blocks: no equations, and the kernel is the unit basis in order
     empty = hom_equations(3, [])
-    assert (empty.rows, empty.cols) == (0, 3)
+    assert empty == SparseSystem(3, [])
     assert kernel_basis(empty) == [[int(i == j) for j in range(3)] for i in range(3)]
+    assert rank(empty) == 0
     # A F - F A on one 2x2 block: the equations of the identity cancel out
     ident = QMatrix.identity(2)
-    assert hom_equations(4, [(ident, 0, ident, 0, 1)]).rows == 0
+    assert hom_equations(4, [(ident, 0, ident, 0, 1)]).equations == []
     # both offsets None drop every term
-    assert hom_equations(4, [(ident, None, ident, None, 1)]).rows == 0
-    # a zero A leaves only -s G B; empty blocks give no equations
+    assert hom_equations(4, [(ident, None, ident, None, 1)]).equations == []
+    # a zero A leaves only -s G B, each equation divided by its content;
+    # empty blocks give no equations
     b = QMatrix.from_rows([[1, 2]])
     system = hom_equations(2, [(QMatrix.zero(1, 0), 0, b, 1, -1), (QMatrix.zero(0, 3), 0, b, 0, 1)])
-    assert system == QMatrix.from_rows([[0, 1], [0, 2]])
+    assert densify(system) == QMatrix.from_rows([[0, 1], [0, 1]])
