@@ -278,88 +278,18 @@ def cmd_endo(args) -> tuple[dict, bool, tuple | None]:
 def cmd_tate(args) -> tuple[dict, bool, tuple | None]:
     import random as _random
 
-    from .tate import (
-        check_t_axioms,
-        check_w_axioms,
-        iota_collapse,
-        random_complex,
-        random_graded_complex,
-        simple,
-        t_truncate_geq,
-        t_truncate_leq,
-        w_truncate_geq,
-        w_truncate_leq,
-        weight_of,
-    )
+    from .selftest import tate_battery
 
-    rng = _random.Random(args.seed)
-    witness = simple(-2, -1)
-    collapsed = iota_collapse(witness)
-    witnesses = {
-        "weight_of_twisted_shifted_unit": weight_of(-2, -1),
-        "t_degree_before_collapse": -2,
-        "t_degree_after_collapse": 0,
-        "collapse_breaks_t": t_truncate_leq(collapsed, -1).total_dim() == 0,
-        "collapse_preserves_weight": weight_of(-2, -1) == 0
-        and list(collapsed.dims) == [0],
-    }
-    weight_failures = 0
-    weight_cases = 0
-    for _ in range(args.cases):
-        g = random_graded_complex(rng, max_g=2, max_pos=2).minimize()
-        weights = [weight_of(c, gg) for (c, gg) in g.components()]
-        if not weights:
-            continue
-        positions = list(iota_collapse(g).minimize().dims)
-        if (max(weights) <= 0) != (max(positions) <= 0) or (min(weights) >= 0) != (
-            min(positions) >= 0
-        ):
-            weight_failures += 1
-        weight_cases += 1
-    witnesses["weight_exactness_cases"] = weight_cases
-    witnesses["weight_exactness_failures"] = weight_failures
-    trunc_failures = 0
-    for _ in range(args.cases):
-        c = random_complex(rng, max_pos=3).minimize()
-        for m in (-2, -1, 0, 1, 2):
-            if t_truncate_leq(c, m) != w_truncate_leq(c, m) or t_truncate_geq(
-                c, m
-            ) != w_truncate_geq(c, m):
-                trunc_failures += 1
-    sample = [random_graded_complex(rng, max_g=1, max_pos=2) for _ in range(5)]
-    t_report = check_t_axioms(sample)
-    w_report = check_w_axioms(sample)
-    ok = (
-        witnesses["collapse_breaks_t"]
-        and witnesses["collapse_preserves_weight"]
-        and weight_failures == 0
-        and trunc_failures == 0
-        and t_report["all_pass"]
-        and w_report["all_pass"]
-    )
-    result = {
-        "seed": args.seed,
-        "witnesses": witnesses,
-        "truncation_cases": args.cases,
-        "truncation_failures": trunc_failures,
-        "t_axioms": t_report,
-        "w_axioms": w_report,
-    }
-    return result, ok, None
+    report, ok = tate_battery(_random.Random(args.seed), args.cases, args.cases)
+    return {"seed": args.seed, **report}, ok, None
 
 
 def cmd_koszul_square(args) -> tuple[dict, bool, tuple | None]:
     import random as _random
 
-    from .formal import formal_category
+    from .selftest import square_failures
 
-    fc = formal_category(args.rank)
-    rng = _random.Random(args.seed)
-    failures = 0
-    for _ in range(args.cases):
-        x = fc.random_complex(rng)
-        if not (fc.dsquare_check(x) and fc.square_check(x)):
-            failures += 1
+    failures = square_failures(args.rank, _random.Random(args.seed), args.cases)
     result = {
         "rank": args.rank,
         "seed": args.seed,
@@ -438,18 +368,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "cases", 1) < 1:
             raise ValueError(f"--cases must be at least 1, got {args.cases}")
-        if args.command == "selftest":
-            result, ok, table = cmd_selftest(args)
-            if args.format == "text":
-                lines = [
-                    f"[{row['number']:>2}] {row['status']}  {row['name']}"
-                    for row in table[1]
-                ]
-                lines.append(f"passed {result['passed']} of {result['total']} criteria")
-                sys.stdout.write("\n".join(lines) + "\n")
-            else:
-                sys.stdout.write(emit(result, args.format, table))
-            return 0 if ok else 1
+        if args.command == "selftest" and args.format == "text":
+            from .selftest import run_battery
+
+            results = run_battery(args.seed)
+            passed = sum(r.passed for r in results)
+            lines = [r.line() for r in results]
+            lines.append(f"passed {passed} of {len(results)} criteria")
+            sys.stdout.write("\n".join(lines) + "\n")
+            return 0 if passed == len(results) else 1
         handler = HANDLERS[args.command]
         result, ok, table = handler(args)
         sys.stdout.write(emit(result, args.format, table))

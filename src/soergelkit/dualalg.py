@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly
-from .linalg import QMatrix, inverse, restrict_to_kernels, rref
+from .linalg import QMatrix, inverse, rank, restrict_to_kernels, rref
 from .soergel import EndoAlgebra, SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
@@ -143,13 +143,11 @@ class DualAlgebra:
             for p, (ci, rec_idx) in enumerate(items):
                 pos_of[(ci, rec_idx)] = p
         act: dict[tuple[int, tuple[int, int]], QMatrix] = {}
-        for a_idx, (u, v, g, _) in enumerate(self.endo.basis):
-            for key, items in basis_at.items():
-                d, slot = key
-                if slot != u:
-                    continue
-                tgt_key = (d + g, v)
-                tgt_items = basis_at.get(tgt_key, [])
+        for key, items in basis_at.items():
+            d, slot = key
+            for a_idx in self._out_of[slot]:
+                _, v, g, _ = self.endo.basis[a_idx]
+                tgt_items = basis_at.get((d + g, v))
                 if not tgt_items:
                     continue
                 data = [[Fraction(0)] * len(items) for _ in range(len(tgt_items))]
@@ -230,7 +228,7 @@ class DualAlgebra:
             # a bookkeeping slip cannot silently corrupt the Ext tables
             for key in current.block_keys():
                 mat = cover_map.get(key)
-                if mat is None or rref(mat).rank != current.dim(key):
+                if mat is None or rank(mat) != current.dim(key):
                     raise AssertionError("projective cover failed to surject onto a syzygy")
             steps.append(cover)
             current = self._kernel_of_cover(cover_mod, cover_map)

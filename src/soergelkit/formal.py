@@ -23,13 +23,15 @@ flattenings, and the endomorphism algebras read their coordinates from the
 same store.  Twisted sides ask for the centred degree, untwisted sides for
 every degree at once.
 
-Both linear systems on formal complexes, the Hom complex behind
-hom_homotopy and the squaring-to-zero constraint behind random_complex,
-have Hom-space coordinates as unknowns.  Their blocks are composition
-matrices: the coordinates of a fixed entry composed with every basis map
-of one Hom space, read in the Hom space of the composite through its
-echelon basis, and placed at the offsets of the two slots.  Centred
-degrees add under composition, so every composite lies in that space.
+One linear system, the differential of the Hom complex, serves both
+hom_homotopy and random_complex; the squaring-to-zero constraint on a new
+differential is its cocycle condition for maps from the two-term complex
+of the previous differential into a stalk.  Its unknowns are Hom-space
+coordinates, and its blocks are composition matrices: the coordinates of
+a fixed entry composed with every basis map of one Hom space, read in the
+Hom space of the composite through its echelon basis, and placed at the
+offsets of the two slots.  Centred degrees add under composition, so
+every composite lies in that space.
 
 The graded-to-ungraded functor drops twist labels and reinterprets each
 entry inside the full Hom space; the duality functor is a relabelling that
@@ -173,20 +175,6 @@ class FormalCategory:
         mats, basis = self._space_data(side, src, tgt)
         return QMatrix.from_columns(len(mats), [basis.coords(flatten(m)) for m in maps])
 
-    def _layout(self, side: str, slots) -> tuple[dict, int]:
-        """Offsets of Hom-space coordinates laid out one slot after another:
-        ``slots`` yields (key, source generator, target generator), and each
-        key whose Hom space is nonzero gets the offset of its first
-        coordinate.  Returns the offsets by key and the coordinate count."""
-        offsets = {}
-        count = 0
-        for key, src, tgt in slots:
-            dim = self.hom_space_dim(side, src, tgt)
-            if dim:
-                offsets[key] = count
-                count += dim
-        return offsets, count
-
     def validate(self, x: FormalComplex) -> None:
         """Check entry membership and that the differential squares to zero."""
         for c, rows in x.diffs.items():
@@ -264,17 +252,22 @@ class FormalCategory:
         return d_k.cols - rank(d_k) - rank(d_prev)
 
     def _hom_layout(self, x: FormalComplex, y: FormalComplex, k: int) -> tuple[dict, int]:
-        """Coordinates for maps of degree k: one slot per (position c, source
-        generator s, target generator t) with a nonzero Hom space."""
-        return self._layout(
-            x.side,
-            (
-                ((c, s, t), gs, gt)
-                for c in x.positions()
-                for s, gs in enumerate(x.generators(c))
-                for t, gt in enumerate(y.generators(c + k))
-            ),
-        )
+        """Offsets of the coordinates of maps of degree k: one slot (c, s, t)
+        per position c, target generator t and source generator s, in that
+        order, whose Hom space is nonzero.  Returns the offset of each
+        slot's first coordinate and the coordinate count.  The order fixes
+        the free columns that random_complex draws on, and with them the
+        seeded corpus."""
+        offsets = {}
+        count = 0
+        for c in x.positions():
+            for t, gt in enumerate(y.generators(c + k)):
+                for s, gs in enumerate(x.generators(c)):
+                    dim = self.hom_space_dim(x.side, gs, gt)
+                    if dim:
+                        offsets[(c, s, t)] = count
+                        count += dim
+        return offsets, count
 
     def _hom_differential_matrix(self, x: FormalComplex, y: FormalComplex, k: int) -> QMatrix:
         """Matrix of f -> d_Y f - (-1)^k f d_X from degree-k to degree-(k+1)
@@ -318,7 +311,8 @@ class FormalCategory:
 
         Each differential is a random combination of the kernel basis of the
         squaring-to-zero constraint against the previous one, in Hom-space
-        coordinates; twist labels are drawn from -TWIST_RANGE..TWIST_RANGE.
+        coordinates in the layout of ``_hom_layout``; twist labels are drawn
+        from -TWIST_RANGE..TWIST_RANGE.
         """
         n_pos = rng.randint(1, max_positions)
         terms = {}
@@ -333,17 +327,20 @@ class FormalCategory:
         for c in range(n_pos - 1):
             src = terms[c]
             tgt = terms[c + 1]
-            layout, count = self._step_layout(src, tgt)
-            constraint = self._compose_constraint(
-                terms.get(c - 1, ()), src, tgt, diffs.get(c - 1), layout, count
+            # d_c d_{c-1} = 0 says that d_c, a degree-0 map from the two-term
+            # complex d_{c-1} to the stalk of terms[c+1] at c, is a cocycle
+            step = FormalComplex(
+                "MIX", {c - 1: terms.get(c - 1, ()), c: src}, {c - 1: diffs[c - 1]} if c else None
             )
+            stalk = self.stalk("MIX", tgt, c)
+            layout, count = self._hom_layout(step, stalk, 0)
             coords = [Fraction(0)] * count
-            for vec in kernel_basis(constraint):
+            for vec in kernel_basis(self._hom_differential_matrix(step, stalk, 0)):
                 c_rand = rng.randint(-2, 2)
                 if c_rand:
                     coords = [a + c_rand * b for a, b in zip(coords, vec)]
             entries = [[None] * len(src) for _ in range(len(tgt))]
-            for (t, s), off in layout.items():
+            for (_, s, t), off in layout.items():
                 for b, val in zip(self.hom_space("MIX", src[s], tgt[t]), coords[off:]):
                     if val:
                         piece = b.scale(val)
@@ -353,31 +350,6 @@ class FormalCategory:
         if not self.dsquare_check(x):
             raise AssertionError("random corpus generator produced a bad differential")
         return x
-
-    def _step_layout(self, src, tgt) -> tuple[dict, int]:
-        """Coordinates for MIX maps from the generators src to tgt: one slot
-        per (target index, source index), target-major."""
-        return self._layout(
-            "MIX", (((t, s), gs, gt) for t, gt in enumerate(tgt) for s, gs in enumerate(src))
-        )
-
-    def _compose_constraint(self, src, mid, tgt, prev, layout, count) -> QMatrix:
-        """The equations d d_prev = 0 on the coordinates of d : mid -> tgt,
-        laid out by ``layout``, where d_prev : src -> mid has the entries
-        ``prev`` (not read when src is empty).  They are read in the
-        coordinates of the MIX spaces from src to tgt, one block per entry
-        of d_prev and slot of d."""
-        rows, n_rows = self._step_layout(src, tgt)
-        blocks = []
-        for (t, s), col in layout.items():
-            basis = self.hom_space("MIX", mid[s], tgt[t])
-            for s0, gs0 in enumerate(src):
-                e = prev[s][s0]
-                row = rows.get((t, s0))
-                if e is not None and row is not None:
-                    comp = self._coords("MIX", gs0, tgt[t], [b * e for b in basis])
-                    blocks.append((row, col, comp))
-        return place_blocks(n_rows, count, blocks)
 
 
 @lru_cache(maxsize=None)

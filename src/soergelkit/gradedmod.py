@@ -122,19 +122,21 @@ class GradedModule:
                 rhs = self.action(j, d + 2) * self.action(i, d)
                 if lhs != rhs:
                     raise AssertionError(f"actions of x_{i} and x_{j} do not commute at degree {d}")
-        for k in range(1, n + 1):
-            for d in self.degrees():
-                total = QMatrix.zero(self.dim_at(d + 2 * k), self.dim_at(d))
-                for subset in combinations(range(1, n + 1), k):
-                    prod = None
-                    deg = d
-                    for i in subset:
-                        step = self.action(i, deg)
-                        prod = step if prod is None else step * prod
-                        deg += 2
-                    total = total + prod
-                if not total.is_zero():
-                    raise AssertionError(f"e_{k} of the actions does not vanish at degree {d}")
+        # e_k(x_1..x_i) = e_k(x_1..x_{i-1}) + x_i e_{k-1}(x_1..x_{i-1}), one
+        # variable at a time; e[k] maps degree d to degree d + 2k
+        failures = []
+        for d in self.degrees():
+            e = [QMatrix.identity(self.dim_at(d))]
+            e += [QMatrix.zero(self.dim_at(d + 2 * k), self.dim_at(d)) for k in range(1, n + 1)]
+            for i in range(1, n + 1):
+                for k in range(i, 0, -1):
+                    step = self.actions.get((i, d + 2 * k - 2))
+                    if step is not None:
+                        e[k] = e[k] + step * e[k - 1]
+            failures += [(k, d) for k in range(1, n + 1) if not e[k].is_zero()]
+        if failures:
+            k, d = min(failures)
+            raise AssertionError(f"e_{k} of the actions does not vanish at degree {d}")
 
     def poly_action(self, p: MultiPoly) -> dict[int, QMatrix]:
         """Blocks of the action of a homogeneous polynomial, degree by degree.

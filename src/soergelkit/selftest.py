@@ -4,7 +4,9 @@ runnable criterion, exact arithmetic throughout (tolerance zero).
 Each criterion returns a result record with the checked numbers; the
 battery is deterministic given the seed, so two runs produce identical
 reports byte for byte.  The same functions back the command line
-``selftest`` and the acceptance test module.
+``selftest`` and the acceptance test module, and ``tate --demo`` and
+``koszul-square`` run the checks of criteria 7 and 8 through
+:func:`tate_battery` and :func:`square_failures`.
 """
 
 from __future__ import annotations
@@ -210,71 +212,105 @@ def criterion_6_endomorphism_ring() -> CriterionResult:
     )
 
 
-def criterion_7_tate_structures(seed: int) -> CriterionResult:
-    ok = True
-    # fixed witness: the twisted-shifted unit has weight 0 everywhere but
-    # moves from t-degree -2 to t-degree 0 under the collapse
+def tate_battery(rng: random.Random, weight_cases: int, truncation_cases: int) -> tuple[dict, bool]:
+    """The Tate checks: the collapse witness, weight exactness of the
+    collapse on ``weight_cases`` random graded complexes, agreement of the
+    two truncations on ``truncation_cases`` random complexes, and the t- and
+    w-axioms on two samples of five.  Returns the report of ``tate --demo``
+    without its seed, and whether every check passed."""
+    # the twisted-shifted unit has weight 0 everywhere but moves from
+    # t-degree -2 to t-degree 0 under the collapse
     x = simple(-2, -1)
-    ok = ok and weight_of(-2, -1) == 0
-    ok = ok and t_truncate_leq(x, -2) == x
     collapsed = iota_collapse(x)
-    ok = ok and t_truncate_leq(collapsed, -1).total_dim() == 0
-    ok = ok and t_truncate_geq(collapsed, 0) == collapsed
-
-    rng = random.Random(seed)
-    weight_cases = 0
-    for _ in range(200):
+    witnesses = {
+        "weight_of_twisted_shifted_unit": weight_of(-2, -1),
+        "t_degree_before_collapse": -2,
+        "t_degree_after_collapse": 0,
+        "collapse_breaks_t": t_truncate_leq(x, -2) == x
+        and t_truncate_leq(collapsed, -1).total_dim() == 0
+        and t_truncate_geq(collapsed, 0) == collapsed,
+        "collapse_preserves_weight": weight_of(-2, -1) == 0 and list(collapsed.dims) == [0],
+    }
+    weight_failures = 0
+    cases = 0
+    for _ in range(weight_cases):
         g = random_graded_complex(rng, max_g=2, max_pos=2).minimize()
         weights = [weight_of(c, gg) for (c, gg) in g.components()]
         if not weights:
             continue
         positions = list(iota_collapse(g).minimize().dims)
-        ok = ok and (max(weights) <= 0) == (max(positions) <= 0)
-        ok = ok and (min(weights) >= 0) == (min(positions) >= 0)
-        weight_cases += 1
-
-    trunc_cases = 0
-    for _ in range(1000):
+        if (max(weights) <= 0) != (max(positions) <= 0) or (min(weights) >= 0) != (
+            min(positions) >= 0
+        ):
+            weight_failures += 1
+        cases += 1
+    witnesses["weight_exactness_cases"] = cases
+    witnesses["weight_exactness_failures"] = weight_failures
+    trunc_failures = 0
+    for _ in range(truncation_cases):
         c = random_complex(rng, max_pos=3).minimize()
         for m in (-2, -1, 0, 1, 2):
-            ok = ok and t_truncate_leq(c, m) == w_truncate_leq(c, m)
-            ok = ok and t_truncate_geq(c, m) == w_truncate_geq(c, m)
-        trunc_cases += 1
-
+            if t_truncate_leq(c, m) != w_truncate_leq(c, m) or t_truncate_geq(
+                c, m
+            ) != w_truncate_geq(c, m):
+                trunc_failures += 1
     t_report = check_t_axioms([random_graded_complex(rng, max_g=1, max_pos=2) for _ in range(5)])
     w_report = check_w_axioms([random_graded_complex(rng, max_g=1, max_pos=2) for _ in range(5)])
-    ok = ok and t_report["all_pass"] and w_report["all_pass"]
+    ok = (
+        witnesses["collapse_breaks_t"]
+        and witnesses["collapse_preserves_weight"]
+        and weight_failures == 0
+        and trunc_failures == 0
+        and t_report["all_pass"]
+        and w_report["all_pass"]
+    )
+    report = {
+        "witnesses": witnesses,
+        "truncation_cases": truncation_cases,
+        "truncation_failures": trunc_failures,
+        "t_axioms": t_report,
+        "w_axioms": w_report,
+    }
+    return report, ok
+
+
+def criterion_7_tate_structures(seed: int) -> CriterionResult:
+    report, ok = tate_battery(random.Random(seed), 200, 1000)
     return CriterionResult(
         7,
         "collapse is weight-exact, fails t-exactness at the witness, and "
         "the two ungraded truncations coincide",
         ok,
         {
-            "weight_cases": weight_cases,
-            "truncation_cases": trunc_cases,
-            "t_axioms": t_report,
-            "w_axioms": w_report,
+            "weight_cases": report["witnesses"]["weight_exactness_cases"],
+            "truncation_cases": report["truncation_cases"],
+            "t_axioms": report["t_axioms"],
+            "w_axioms": report["w_axioms"],
         },
     )
 
 
+def square_failures(n: int, rng: random.Random, cases: int) -> int:
+    """How many of ``cases`` random rank-n complexes drawn from rng fail the
+    differential check or the duality square."""
+    fc = formal_category(n)
+    failures = 0
+    for _ in range(cases):
+        x = fc.random_complex(rng)
+        if not (fc.dsquare_check(x) and fc.square_check(x)):
+            failures += 1
+    return failures
+
+
 def criterion_8_duality_square(seed: int, cases_per_rank: int = 500) -> CriterionResult:
-    ok = True
     counts = {}
     for n in (2, 3):
-        fc = formal_category(n)
-        rng = random.Random(seed + n)
-        failures = 0
-        for _ in range(cases_per_rank):
-            x = fc.random_complex(rng)
-            if not (fc.dsquare_check(x) and fc.square_check(x)):
-                failures += 1
+        failures = square_failures(n, random.Random(seed + n), cases_per_rank)
         counts[str(n)] = {"cases": cases_per_rank, "failures": failures}
-        ok = ok and failures == 0
     return CriterionResult(
         8,
         "the graded and ungraded duality square commutes on the random corpus",
-        ok,
+        all(c["failures"] == 0 for c in counts.values()),
         {"ranks": counts},
     )
 

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from soergelkit import cli
+from soergelkit import cli, selftest
+from soergelkit.tate import Complex
 
 
 def run_cli(argv):
@@ -251,6 +252,27 @@ def test_fresh_processes_agree_across_hash_seeds():
     command = "decompose --rank 4 --word 1,2,3,2,1"
     assert run_fresh(command, 1) == run_fresh(command, 2)
 
+
+
+def test_tate_demo_runs_the_selftest_checks(monkeypatch):
+    # a wrong truncation where criterion 7 looks it up fails both criterion 7
+    # and the demo, so the demo runs the criterion's checks, not copies
+    monkeypatch.setattr(selftest, "t_truncate_geq", lambda x, m: Complex({}))
+    assert not selftest.criterion_7_tate_structures(42).passed
+    code, out = run_cli(["tate", "--demo", "--seed", "3", "--cases", "5"])
+    assert code == 1
+    assert json.loads(out)["witnesses"]["collapse_breaks_t"] is False
+
+
+def test_selftest_text_lines(monkeypatch):
+    results = [
+        selftest.CriterionResult(1, "first", True, {}),
+        selftest.CriterionResult(12, "second", False, {}),
+    ]
+    monkeypatch.setattr(selftest, "run_battery", lambda seed: results)
+    code, out = run_cli(["selftest", "--format", "text"])
+    assert code == 1
+    assert out == "[ 1] PASS  first\n[12] FAIL  second\npassed 1 of 2 criteria\n"
 
 
 def test_tate_without_demo_exits_two(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from soergelkit.formal import Gen, FormalComplex, formal_category
-from soergelkit.linalg import flatten
+from soergelkit.linalg import QMatrix, flatten
 from soergelkit.tate import Complex, GradedComplex, hom_homotopy as tate_hom
 from soergelkit.weyl import parse_perm
 
@@ -156,6 +156,32 @@ def test_rank_one_matches_toy_category():
         toy = GradedComplex({g: Complex(dims) for g, dims in graded.items()})
         for k in (-1, 0, 1):
             assert fc.hom_homotopy(x, x, k) == tate_hom(toy, toy, k)
+
+
+def _scalar_complex(x: FormalComplex) -> Complex:
+    """A rank-1 K-side complex as a toy complex: every entry is 1x1."""
+    dims = {c: len(x.generators(c)) for c in x.positions()}
+    diffs = {
+        c: QMatrix.from_rows([[0 if e is None else e.entry(0, 0) for e in row] for row in rows])
+        for c, rows in x.diffs.items()
+    }
+    return Complex(dims, diffs)
+
+
+def test_rank_one_hom_complex_matches_toy_hom_complex():
+    # at rank 1 every K-side Hom space is Q, so the Hom complex assembled in
+    # Hom-space coordinates must have the ranks of the one on matrix entries
+    fc = formal_category(1)
+    rng = random.Random(23)
+    with_differential = 0
+    for _ in range(60):
+        x = fc.iota_formal(fc.random_complex(rng))
+        y = fc.iota_formal(fc.random_complex(rng))
+        with_differential += bool(x.diffs)
+        tx, ty = _scalar_complex(x), _scalar_complex(y)
+        for k in range(-3, 4):
+            assert fc.hom_homotopy(x, y, k) == tate_hom(tx, ty, k)
+    assert with_differential > 10
 
 
 def test_zero_entries_are_stored_as_none():

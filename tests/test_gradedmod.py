@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -59,6 +60,86 @@ def test_validate_catches_bad_actions():
     # x_1 acting by identity on a 1-dim module violates e_1 = 0
     with pytest.raises(AssertionError):
         GradedModule(ring, {0: 1, 2: 1}, {(1, 0): QMatrix.from_rows([[1]])})
+
+
+def test_validate_names_e_2_when_e_1_vanishes():
+    # x_1 = a, x_2 = -a, x_3 = 0 with a^2 != 0: e_1 = 0 but e_2 = -a^2
+    ring = coinvariant_ring(3)
+    a = QMatrix.from_rows([[1]])
+    actions = {(1, 0): a, (1, 2): a, (2, 0): -a, (2, 2): -a}
+    m = GradedModule(ring, {0: 1, 2: 1, 4: 1}, actions, validate=False)
+    with pytest.raises(AssertionError, match="^e_2 of the actions does not vanish at degree 0$"):
+        m.validate()
+
+
+def _subset_sum_failure(m):
+    """The first failure of the module axioms, with each e_k summed over
+    the subsets of k variables: None for a module."""
+    n = m.ring.n
+    for i, j in combinations(range(1, n + 1), 2):
+        for d in m.degrees():
+            if m.action(i, d + 2) * m.action(j, d) != m.action(j, d + 2) * m.action(i, d):
+                return f"actions of x_{i} and x_{j} do not commute at degree {d}"
+    for k in range(1, n + 1):
+        for d in m.degrees():
+            total = QMatrix.zero(m.dim_at(d + 2 * k), m.dim_at(d))
+            for subset in combinations(range(1, n + 1), k):
+                prod = QMatrix.identity(m.dim_at(d))
+                for step, i in enumerate(subset):
+                    prod = m.action(i, d + 2 * step) * prod
+                total = total + prod
+            if not total.is_zero():
+                return f"e_{k} of the actions does not vanish at degree {d}"
+    return None
+
+
+def _validate_failure(m):
+    try:
+        m.validate()
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(m, rng):
+    """m with its actions changed at random: x_i + t x_j and (1 - t) x_j in
+    place of x_i and x_j (commutation and e_1 kept), x_i scaled, or one
+    entry of one block moved."""
+    n = m.ring.n
+    acts = {(i, d): m.action(i, d) for i in range(1, n + 1) for d in m.degrees()}
+    i, j = rng.sample(range(1, n + 1), 2)
+    t = rng.choice((-2, -1, 1, 2))
+    blocks = [key for key, blk in acts.items() if blk.rows and blk.cols]
+    kind = rng.randrange(3 if blocks else 2)
+    for d in m.degrees():
+        if kind == 0:
+            acts[(i, d)] = acts[(i, d)] + acts[(j, d)].scale(t)
+            acts[(j, d)] = acts[(j, d)].scale(1 - t)
+        elif kind == 1:
+            acts[(i, d)] = acts[(i, d)].scale(t + 3)
+    if kind == 2:
+        key = rng.choice(blocks)
+        blk = acts[key]
+        data = [row[:] for row in blk.data]
+        data[rng.randrange(blk.rows)][rng.randrange(blk.cols)] += t
+        acts[key] = QMatrix(blk.rows, blk.cols, data)
+    return GradedModule(m.ring, m.dims, acts, validate=False)
+
+
+def test_validate_agrees_with_subset_sums():
+    cat = soergel_category(3)
+    modules = [cat.indecomposable(w) for w in sorted(cat.group.elements())]
+    modules += [cat.bott_samelson(w) for w in ((1, 2), (2, 1, 2))] + [regular_module(3)]
+    rng = random.Random(12)
+    seen = set()
+    for m in modules:
+        assert _validate_failure(m) is None and _subset_sum_failure(m) is None
+        for _ in range(8):
+            bad = _perturbed(m, rng)
+            failure = _validate_failure(bad)
+            assert failure == _subset_sum_failure(bad)
+            seen.add(failure and failure.split()[0])
+    assert {None, "actions", "e_1", "e_2"} <= seen
 
 
 def test_end_of_regular_is_regular_character():
