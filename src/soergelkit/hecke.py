@@ -13,10 +13,18 @@ integer corrections.
 
 The algebra serves as the multiplicity and Hom-dimension oracle for the
 module side: products of b_s along a word predict how the matching induced
-module decomposes, and the sesquilinear pairing predicts graded Hom
-dimensions.  Two candidate anti-involutions for the pairing are shipped; see
-:meth:`HeckeAlgebra.pairing` and docs/conventions.md for how the default is
-pinned against the exact linear-algebra Hom computation.
+module decomposes, and the pairing tau(a(h1) h2) predicts graded Hom
+dimensions.  With the standard trace tau(H_x H_y) = delta_{xy,e} and the
+v-linear anti-involution a(H_w) = H_{w^-1}, that pairing is the dot product
+of standard-basis coefficients; see :meth:`HeckeAlgebra.pairing` and
+docs/conventions.md for how it is pinned against the exact linear-algebra
+Hom computation.
+
+Every right multiplication the library makes is by H_s + c for a simple
+reflection s and a scalar c: by b_s = H_s + v for products and the
+canonical basis, and by bar(H_s) = H_s + (v - v^-1) for the bar involution.
+:meth:`HeckeAlgebra.mult` multiplies general elements and serves the tests
+as the reference route.
 """
 
 from __future__ import annotations
@@ -24,11 +32,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .laurent import LaurentPoly
-from .weyl import Perm, Word, WeylGroup, inverse, length, mult_right_simple, right_descents, weyl_group
+from .weyl import Perm, Word, WeylGroup, length, mult_right_simple, right_descents, weyl_group
 
-PAIRING_CONVENTIONS = ("linear", "barred")
-#: Convention matching the graded Hom oracle; recorded in docs/conventions.md.
-DEFAULT_PAIRING = "linear"
+_V = LaurentPoly.v()
+_V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 
 
 class HeckeElement:
@@ -183,6 +190,10 @@ class HeckeAlgebra:
             out = self.mult_gen(out, i)
         return out
 
+    def _mult_gen_plus(self, h: HeckeElement, i: int, c: LaurentPoly) -> HeckeElement:
+        """Right multiplication by H_{s_i} + c."""
+        return self.mult_gen(h, i) + h.scale(c)
+
     def mult(self, h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
         if h1.n != h2.n:
             raise ValueError("rank mismatch in Hecke multiplication")
@@ -198,17 +209,11 @@ class HeckeAlgebra:
         cached = self._bar_std.get(w)
         if cached is not None:
             return cached
-        if length(w) == 0:
-            result = self.unit()
-        else:
-            word = self.group.a_reduced_word(w)
-            # bar is a ring homomorphism, so expand along the word
-            result = self.unit()
-            v_minus_vinv = LaurentPoly({1: 1, -1: -1})
-            for i in word:
-                # bar(H_s) = H_s + (v - v^-1) H_e
-                term = self.mult_gen(result, i) + result.scale(v_minus_vinv)
-                result = term
+        # bar is a ring homomorphism, so expand along the word, with
+        # bar(H_s) = H_s + (v - v^-1) H_e
+        result = self.unit()
+        for i in self.group.a_reduced_word(w):
+            result = self._mult_gen_plus(result, i, _V_MINUS_VINV)
         self._bar_std[w] = result
         return result
 
@@ -235,12 +240,7 @@ class HeckeAlgebra:
         else:
             i = max(right_descents(w))
             u = mult_right_simple(w, i)
-            b_u = self.kl_basis(u)
-            b_s = HeckeElement(
-                self.n,
-                {self.group.simple(i): LaurentPoly.one(), self.group.identity: LaurentPoly.v()},
-            )
-            result = self.mult(b_u, b_s)
+            result = self._mult_gen_plus(self.kl_basis(u), i, _V)
             # subtract integer multiples of shorter canonical elements until
             # every lower coefficient lies in v Z[v]
             for x in sorted(result.support(), key=lambda y: (-length(y), y)):
@@ -274,11 +274,7 @@ class HeckeAlgebra:
         """The product b_{s_1} ... b_{s_l} over the letters of ``word``."""
         out = self.unit()
         for i in word:
-            b_s = HeckeElement(
-                self.n,
-                {self.group.simple(i): LaurentPoly.one(), self.group.identity: LaurentPoly.v()},
-            )
-            out = self.mult(out, b_s)
+            out = self._mult_gen_plus(out, i, _V)
         return out
 
     def kl_expand(self, h: HeckeElement) -> dict[Perm, LaurentPoly]:
@@ -294,31 +290,22 @@ class HeckeAlgebra:
 
     # -- pairing -----------------------------------------------------------
 
-    def _antipode(self, h: HeckeElement, convention: str) -> HeckeElement:
-        if convention == "linear":
-            # H_w -> H_{w^-1} with coefficients untouched
-            return HeckeElement(self.n, {inverse(w): p for w, p in h._c.items()})
-        if convention == "barred":
-            return self.bar(
-                HeckeElement(self.n, {inverse(w): p for w, p in h._c.items()})
-            )
-        raise ValueError(f"unknown pairing convention {convention!r}")
+    def pairing(self, h1: HeckeElement, h2: HeckeElement) -> LaurentPoly:
+        """The coefficient of H_e in a(h1) h2, for the v-linear
+        anti-involution a(H_w) = H_{w^-1}.
 
-    def pairing(
-        self, h1: HeckeElement, h2: HeckeElement, convention: str = DEFAULT_PAIRING
-    ) -> LaurentPoly:
-        """Coefficient of H_e in a(h1) h2 for the chosen anti-involution a.
-
-        ``linear`` uses a(H_w) = H_{w^-1} with a(v) = v and is the shipped
-        default; ``barred`` composes that with the bar involution.  The two
-        agree on all pairs of canonical-basis elements (a fixes every b_w up
-        to inversion of the index and b_w is bar-invariant), and the default
-        is the one pinned against the module Hom oracle.
+        The standard trace satisfies tau(H_x H_y) = delta_{xy,e}, so this is
+        the sum over w of the products of the H_w coefficients of h1 and h2.
+        It is the form pinned against the module Hom oracle.
         """
         if h1.n != h2.n:
             raise ValueError("rank mismatch in Hecke pairing")
-        prod = self.mult(self._antipode(h1, convention), h2)
-        return prod.coeff(self.group.identity)
+        out = LaurentPoly.zero()
+        for w, p in h1._c.items():
+            q = h2._c.get(w)
+            if q is not None:
+                out = out + p * q
+        return out
 
 
 @lru_cache(maxsize=None)

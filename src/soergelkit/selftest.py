@@ -224,8 +224,8 @@ def tate_battery(rng: random.Random, weight_cases: int, truncation_cases: int) -
     collapsed = iota_collapse(x)
     witnesses = {
         "weight_of_twisted_shifted_unit": weight_of(-2, -1),
-        "t_degree_before_collapse": -2,
-        "t_degree_after_collapse": 0,
+        "t_degree_before_collapse": min(c for c, _ in x.components()),
+        "t_degree_after_collapse": min(collapsed.dims),
         "collapse_breaks_t": t_truncate_leq(x, -2) == x
         and t_truncate_leq(collapsed, -1).total_dim() == 0
         and t_truncate_geq(collapsed, 0) == collapsed,

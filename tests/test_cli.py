@@ -249,8 +249,8 @@ def test_golden_stdout(command):
 
 
 def test_fresh_processes_agree_across_hash_seeds():
-    command = "decompose --rank 4 --word 1,2,3,2,1"
-    assert run_fresh(command, 1) == run_fresh(command, 2)
+    for command in ("decompose --rank 4 --word 1,2,3,2,1", "selftest --seed 42"):
+        assert run_fresh(command, 1) == run_fresh(command, 2)
 
 
 
@@ -262,6 +262,17 @@ def test_tate_demo_runs_the_selftest_checks(monkeypatch):
     code, out = run_cli(["tate", "--demo", "--seed", "3", "--cases", "5"])
     assert code == 1
     assert json.loads(out)["witnesses"]["collapse_breaks_t"] is False
+
+
+def test_tate_demo_reads_witness_degrees_off_the_collapse(monkeypatch):
+    # a collapse that lands one position too high moves the reported degree
+    collapse = selftest.iota_collapse
+    monkeypatch.setattr(selftest, "iota_collapse", lambda x: collapse(x).shift(-1))
+    code, out = run_cli(["tate", "--demo", "--seed", "3", "--cases", "5"])
+    assert code == 1
+    witnesses = json.loads(out)["witnesses"]
+    assert witnesses["t_degree_before_collapse"] == -2
+    assert witnesses["t_degree_after_collapse"] == 1
 
 
 def test_selftest_text_lines(monkeypatch):

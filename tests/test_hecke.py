@@ -5,7 +5,7 @@ import pytest
 
 from soergelkit.hecke import HeckeElement, hecke_algebra
 from soergelkit.laurent import LaurentPoly
-from soergelkit.weyl import evaluate_word, length, parse_perm
+from soergelkit.weyl import evaluate_word, inverse, length, parse_perm
 
 
 def random_element(rng, alg, max_terms=3):
@@ -15,6 +15,22 @@ def random_element(rng, alg, max_terms=3):
         w = rng.choice(els)
         coeffs[w] = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
     return HeckeElement(alg.n, coeffs)
+
+
+def antipode(alg, h):
+    """a(H_w) = H_{w^-1} with a(v) = v."""
+    return HeckeElement(alg.n, {inverse(w): p for w, p in h.terms()})
+
+
+def product_pairing(alg, h1, h2):
+    """The reference route for the pairing: the H_e coefficient of the
+    full product a(h1) h2."""
+    return alg.mult(antipode(alg, h1), h2).coeff(alg.group.identity)
+
+
+def barred_pairing(alg, h1, h2):
+    """The other candidate form: a composed with the bar involution."""
+    return alg.mult(alg.bar(antipode(alg, h1)), h2).coeff(alg.group.identity)
 
 
 def test_unit_multiplication():
@@ -192,20 +208,37 @@ def test_pairing_b_e_vs_longest_s3():
     assert val == LaurentPoly.v(3)
 
 
+def test_pairing_rank_mismatch():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        hecke_algebra(2).pairing(hecke_algebra(2).unit(), hecke_algebra(3).unit())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pairing_matches_product_route_random(n):
+    alg = hecke_algebra(n)
+    rng = random.Random(41 + n)
+    for _ in range(30):
+        h1 = random_element(rng, alg, max_terms=4)
+        h2 = random_element(rng, alg, max_terms=4)
+        assert alg.pairing(h1, h2) == product_pairing(alg, h1, h2)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pairing_conventions_agree_on_canonical_pairs(n):
     alg = hecke_algebra(n)
     for x in alg.group.elements():
         for y in alg.group.elements():
             bx, by = alg.kl_basis(x), alg.kl_basis(y)
-            assert alg.pairing(bx, by, "linear") == alg.pairing(bx, by, "barred")
+            value = alg.pairing(bx, by)
+            assert value == product_pairing(alg, bx, by)
+            assert value == barred_pairing(alg, bx, by)
 
 
 def test_pairing_conventions_differ_as_forms():
     alg = hecke_algebra(2)
     h = alg.unit().scale(LaurentPoly.v())
-    assert alg.pairing(h, alg.unit(), "linear") == LaurentPoly.v()
-    assert alg.pairing(h, alg.unit(), "barred") == LaurentPoly.v(-1)
+    assert alg.pairing(h, alg.unit()) == LaurentPoly.v()
+    assert barred_pairing(alg, h, alg.unit()) == LaurentPoly.v(-1)
 
 
 def test_json_roundtrip():
