@@ -46,7 +46,8 @@ def _monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
 
 class _IdealSlice:
     """The row-reduced degree-d slice of the ideal, with its free columns;
-    each reduced row is kept as its (column, entry) nonzeros."""
+    each reduced row is the {column: entry} dict stored by the reduced
+    matrix."""
 
     __slots__ = ("index", "reduced_rows", "pivots", "free_cols", "staircase")
 
@@ -66,7 +67,7 @@ class _IdealSlice:
         for row, pc in zip(self.reduced_rows, self.pivots):
             x = v[pc]
             if x:
-                for j, r in row:
+                for j, r in row.items():
                     v[j] -= x * r
         return [v[j] for j in self.free_cols]
 
@@ -86,18 +87,14 @@ def ideal_slice(n: int, d: int) -> _IdealSlice:
     for k in range(1, min(n, d) + 1):
         ek = MultiPoly.elementary(k, n)
         for m in _monomials_of_degree(n, d - k):
-            row = [Fraction(0)] * len(monos)
-            for a, x in (MultiPoly.monomial(m) * ek).terms():
-                row[index[a]] = x
-            rows.append(row)
+            rows.append({index[a]: x for a, x in (MultiPoly.monomial(m) * ek).terms()})
     res = rref(QMatrix(len(rows), len(monos), rows))
     pivots = set(res.pivots)
     free_cols = [j for j in range(len(monos)) if j not in pivots]
     staircase = [monos[j] for j in free_cols]
     if staircase != [a for a in monos if all(e < n - i for i, e in enumerate(a))]:
         raise AssertionError(f"free columns of the ideal slice at degree {d} are not the staircase")
-    reduced_rows = [[(j, x) for j, x in enumerate(res.matrix.row(k)) if x] for k in range(res.rank)]
-    return _IdealSlice(index, reduced_rows, res.pivots, free_cols, staircase)
+    return _IdealSlice(index, res.matrix.nonzeros[: res.rank], res.pivots, free_cols, staircase)
 
 
 class CoinvariantElement:

@@ -150,24 +150,22 @@ class DualAlgebra:
                 tgt_items = basis_at.get((d + g, v))
                 if not tgt_items:
                     continue
-                data = [[Fraction(0)] * len(items) for _ in range(len(tgt_items))]
-                nonzero = False
+                # each structure constant is nonzero and lands in its own entry
+                data = [{} for _ in tgt_items]
                 for col, (ci, rec_idx) in enumerate(items):
                     for out_idx, coeff in self.endo.compose_indices(a_idx, rec_idx):
-                        row = pos_of[(ci, out_idx)]
-                        data[row][col] += coeff
-                        nonzero = True
-                if nonzero:
+                        data[pos_of[(ci, out_idx)]][col] = coeff
+                if any(data):
                     act[(a_idx, key)] = QMatrix(len(tgt_items), len(items), data)
         return _AMod(self.endo, blocks, act), basis_at
 
     def _radical_complement(self, mod: _AMod) -> dict[tuple[int, int], list[int]]:
         """Free coordinates of each block modulo the radical image."""
-        images: dict[tuple[int, int], list[list[Fraction]]] = {}
+        images: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
         for (a_idx, (d, _)), blk in mod.act.items():
             _, v, g, _ = self.endo.basis[a_idx]
             if g > 0:
-                images.setdefault((d + g, v), []).extend(blk.col(j) for j in range(blk.cols))
+                images.setdefault((d + g, v), []).extend(blk.transpose().nonzeros)
         out: dict[tuple[int, int], list[int]] = {}
         for key in mod.block_keys():
             rows = images.get(key, [])

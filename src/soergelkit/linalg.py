@@ -1,25 +1,22 @@
 """Exact linear algebra over the rationals.
 
-:class:`QMatrix` is a dense matrix of ``Fraction`` entries (a few thousand
-rows at most), and every routine but the Hom-system builder takes and
-returns it.  Row reduction works on sparse integer rows behind that API:
-the matrices it meets are mostly zero and nearly always integral, so
-:func:`rref` clears each row's denominators once into a {column: int} dict
-and eliminates fraction-free (Bareiss 1968), dividing every reduced row by
-its content to keep entries small; pivots are normalised back to 1 over the
+:class:`QMatrix` stores each row as a {column: Fraction} dict of its
+nonzero entries, beside its authoritative shape, and every routine here
+builds and reads those dicts: a zero is an absent key, so no entry is ever
+tested for zero, and :meth:`QMatrix.is_zero` is one truth test per row.  A
+product adds ``a * b`` over the stored entries of a left row and of the
+right rows they select, and keeps the sums that do not cancel; sums,
+placed blocks, transposes and reduced forms store only nonzeros too.  The
+dense rows are a view, :attr:`QMatrix.data`, that builds all rows x cols
+entries on every read; no library routine reads it (tests and the
+benchmark tracer do).
+
+The matrices met are mostly zero and nearly always integral, so :func:`rref`
+clears each stored row's denominators once into a {column: int} dict and
+eliminates fraction-free (Bareiss 1968), dividing every reduced row by its
+content to keep entries small; pivots are normalised back to 1 over the
 rationals at the end.  Results are exact, and since the reduced row echelon
 form is unique they do not depend on the pivot rows chosen.
-
-Every routine works only on nonzeros where it can.  A product lists the
-nonzeros of each row of the right factor once and adds ``a * b`` over that
-list for each nonzero ``a`` of a left row into a per-row accumulator; no
-entry starts as a sum with zero, and :meth:`QMatrix.times_vector` does the
-same with the nonzeros of the vector.  An entry is tested for zero by identity
-with the shared ``Fraction(0)`` first, and by its truth value only when it
-is another object; that is exact, because a zero that is not the shared
-constant still fails the truth test.  Products, row reductions and
-kernel vectors write every zero as the shared constant, and negation
-and scaling keep it, so the identity test settles most entries.
 
 Coordinates in a kernel basis are read off its free columns, where each
 vector is 1 and the others are 0, and checked by rebuilding the vector; no
@@ -29,18 +26,15 @@ for any independent list, has no caller in the library: it is the
 reference route that tests check the free-column readouts against.
 
 Two assembly routines build every structured matrix: :func:`place_blocks`
-copies blocks to given offsets (behind :func:`block_matrix` and the
-totalised matrices of graded modules), and :func:`hom_equations` writes
-the equations of f -> A f - s f B on row-major blocks of unknowns, which
-is the one builder behind the graded, ungraded and Tate Hom systems.  It
-never builds a dense row: it clears the denominators of each block pair
-once, collects each equation's terms in a {column: int} dict, and keeps an
-equation only when some term survives, as a primitive integer row of a
-:class:`SparseSystem`.  :func:`kernel_basis` and :func:`rank` take such a
-system as well as a :class:`QMatrix` and read its pivot rows directly, so
-a Hom system goes from its equations to its kernel or rank without a dense
-matrix or a dense reduced form; an empty system has the unit basis as its
-kernel.  One private elimination core serves both inputs.
+copies the stored entries of blocks to given offsets (behind
+:func:`block_matrix` and the totalised matrices of graded modules), and
+:func:`hom_equations` writes the equations of f -> A f - s f B on row-major
+blocks of unknowns for the graded, ungraded and Tate Hom systems.  It reads
+A's rows and B's columns off their stored entries, clears each block pair's
+denominators once, and keeps each equation with a surviving term as a
+primitive integer row of a :class:`SparseSystem`.  :func:`kernel_basis` and
+:func:`rank` take such a system as well as a :class:`QMatrix`, through one
+private elimination core; an empty system has the unit basis as its kernel.
 
 The environment variable ``SOERGEL_MAX_DIM`` (default 5000) caps the rows
 and the columns of every system, and a system over it is refused with
@@ -60,6 +54,7 @@ from fractions import Fraction
 DEFAULT_DIMENSION_CAP = 5000
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_EMPTY_ROW: dict[int, Fraction] = {}
 
 
 class SizeCapError(RuntimeError):
@@ -98,30 +93,47 @@ def _frac(x) -> Fraction:
 
 
 class QMatrix:
-    """An immutable dense matrix of rationals.
+    """An immutable matrix of rationals, stored as its nonzeros.
 
-    Rows and columns may be zero; the shape fields stay authoritative for
-    empty matrices.
+    ``nonzeros[i]`` is row i as a {column: Fraction} dict of its nonzero
+    entries; ``rows`` and ``cols`` stay authoritative, also for empty
+    matrices.  Each row is given either dense, as ``cols`` rational entries,
+    or as such a dict, which is checked and then kept, not copied.  Stored
+    rows are never changed, so matrices share them, and all empty rows are
+    one shared dict.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "nonzeros")
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(data) != rows or any(len(r) != cols for r in data):
+        if len(data) != rows:
             raise ValueError(f"data does not match shape {rows}x{cols}")
+        stored = []
+        for r in data:
+            if type(r) is not dict:
+                if len(r) != cols:
+                    raise ValueError(f"data does not match shape {rows}x{cols}")
+                r = {
+                    j: x if type(x) is Fraction else _frac(x)
+                    for j, x in enumerate(r)
+                    if x or type(x) is not int and _frac(x)  # a zero must still be rational
+                }
+            elif r and not all(type(j) is int and 0 <= j < cols and type(x) is Fraction and x for j, x in r.items()):
+                raise ValueError(f"a row dict must map columns 0..{cols - 1} to nonzero Fractions")
+            stored.append(r or _EMPTY_ROW)
         self.rows = rows
         self.cols = cols
-        self.data = [[x if type(x) is Fraction else _frac(x) for x in r] for r in data]
+        self.nonzeros = stored
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
+        return cls(rows, cols, [_EMPTY_ROW] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls(n, n, [{i: _ONE} for i in range(n)])
 
     @classmethod
     def from_rows(cls, data) -> "QMatrix":
@@ -135,56 +147,79 @@ class QMatrix:
         shape when the column list is empty."""
         if any(len(c) != rows for c in columns):
             raise ValueError(f"columns do not all have length {rows}")
-        return cls(rows, len(columns), [[c[r] for c in columns] for r in range(rows)])
+        out = [{} for _ in range(rows)]
+        for j, c in enumerate(columns):
+            for row, x in zip(out, c):
+                if type(x) is not Fraction:
+                    x = _frac(x)
+                if x:
+                    row[j] = x
+        return cls(rows, len(columns), out)
 
-    @classmethod
-    def column(cls, vec) -> "QMatrix":
-        return cls(len(vec), 1, [[x] for x in vec])
+    @property
+    def data(self) -> list[list[Fraction]]:
+        """The dense rows, built anew on every read: rows x cols entries,
+        zeros included; no library routine reads it."""
+        return [self.row(i) for i in range(self.rows)]
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+        return self.nonzeros[i].get(range(self.cols)[j], _ZERO)
 
     def row(self, i: int) -> list[Fraction]:
-        return list(self.data[i])
+        out = [_ZERO] * self.cols
+        for j, x in self.nonzeros[i].items():
+            out[j] = x
+        return out
 
     def col(self, j: int) -> list[Fraction]:
-        return [r[j] for r in self.data]
+        return [r.get(j, _ZERO) for r in self.nonzeros]
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows, [self.col(j) for j in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nonzeros):
+            for j, x in r.items():
+                out[j][i] = x
+        return QMatrix(self.cols, self.rows, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.nonzeros == other.nonzeros
 
     def __hash__(self):
         raise TypeError("QMatrix is unhashable")
 
     def is_zero(self) -> bool:
-        return all(x is _ZERO or not x for r in self.data for x in r)
+        return not any(self.nonzeros)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return QMatrix(
-            self.rows,
-            self.cols,
-            [
-                [b if a is _ZERO or not a else a if b is _ZERO or not b else a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-        )
+        out = []
+        for r1, r2 in zip(self.nonzeros, other.nonzeros):
+            if r1 and r2:
+                r1 = dict(r1)
+                for j, x in r2.items():
+                    x = r1[j] + x if j in r1 else x
+                    if x:
+                        r1[j] = x
+                    else:
+                        del r1[j]
+                out.append(r1)
+            else:
+                out.append(r1 or r2)
+        return QMatrix(self.rows, self.cols, out)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [[x if x is _ZERO else -x for x in r] for r in self.data])
+        return QMatrix(self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self.nonzeros])
 
     def scale(self, c) -> "QMatrix":
         c = _frac(c)
-        return QMatrix(self.rows, self.cols, [[x if x is _ZERO else c * x for x in r] for r in self.data])
+        out = [{j: c * x for j, x in r.items()} for r in self.nonzeros] if c else [_EMPTY_ROW] * self.rows
+        return QMatrix(self.rows, self.cols, out)
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if not isinstance(other, QMatrix):
@@ -194,41 +229,29 @@ class QMatrix:
                 f"shape mismatch in matrix product: {self.rows}x{self.cols} times "
                 f"{other.rows}x{other.cols}"
             )
-        right = [[(j, b) for j, b in enumerate(r) if b is not _ZERO and b] for r in other.data]
+        right = other.nonzeros
         out = []
-        for r in self.data:
+        for r in self.nonzeros:
             acc: dict[int, Fraction] = {}
-            for a, terms in zip(r, right):
-                if terms and a is not _ZERO and a:
-                    for j, b in terms:
-                        acc[j] = acc[j] + a * b if j in acc else a * b
-            row = [_ZERO] * other.cols
-            for j, x in acc.items():
-                if x:
-                    row[j] = x
-            out.append(row)
+            for k, a in r.items():
+                for j, b in right[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: x for j, x in acc.items() if x})
         return QMatrix(self.rows, other.cols, out)
 
     def times_vector(self, vec) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        terms = [(k, x) for k, x in enumerate(vec) if x is not _ZERO and x]
-        out = []
-        for r in self.data:
-            acc = _ZERO
-            for k, x in terms:
-                a = r[k]
-                if a is not _ZERO and a:
-                    acc = a * x if acc is _ZERO else acc + a * x
-            out.append(acc or _ZERO)
-        return out
+        return [sum((a * x for k, a in r.items() if (x := vec[k])), _ZERO) for r in self.nonzeros]
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return QMatrix(
-            self.rows, self.cols + other.cols, [r1 + r2 for r1, r2 in zip(self.data, other.data)]
-        )
+        out = [
+            {**r1, **{j + self.cols: x for j, x in r2.items()}} if r2 else r1
+            for r1, r2 in zip(self.nonzeros, other.nonzeros)
+        ]
+        return QMatrix(self.rows, self.cols + other.cols, out)
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
@@ -237,11 +260,14 @@ class QMatrix:
 def place_blocks(rows: int, cols: int, blocks) -> QMatrix:
     """The rows x cols matrix that is zero except for each (r0, c0, block)
     of ``blocks``, copied with its top-left entry at (r0, c0)."""
-    data = [[_ZERO] * cols for _ in range(rows)]
+    out = [{} for _ in range(rows)]
     for r0, c0, blk in blocks:
-        for r, src in enumerate(blk.data):
-            data[r0 + r][c0 : c0 + blk.cols] = src
-    return QMatrix(rows, cols, data)
+        for r, src in enumerate(blk.nonzeros, r0):
+            if src:
+                row = out[r]
+                for j, x in src.items():
+                    row[c0 + j] = x
+    return QMatrix(rows, cols, out)
 
 
 def block_matrix(blocks) -> QMatrix:
@@ -291,16 +317,12 @@ def hom_equations(count: int, blocks) -> SparseSystem:
     rows = []
     for a, left, b, right, s in blocks:
         t, u = b.rows, b.cols
-        a_terms = (
-            [[(k * u, x) for k, x in enumerate(row) if x is not _ZERO and x] for row in a.data]
-            if left is not None
-            else [[]] * a.rows
-        )
-        b_terms = (
-            [[(k, x) for k, x in enumerate(b.col(c)) if x is not _ZERO and x] for c in range(u)]
-            if right is not None
-            else [[]] * u
-        )
+        a_terms = [[(k * u, x) for k, x in row.items()] for row in a.nonzeros] if left is not None else [[]] * a.rows
+        b_terms = [[] for _ in range(u)]
+        if right is not None:
+            for k, row in enumerate(b.nonzeros):
+                for c, x in row.items():
+                    b_terms[c].append((k, x))
         den = math.lcm(*(x.denominator for terms in (*a_terms, *b_terms) for _, x in terms))
         a_terms = [[(left + j, x.numerator * (den // x.denominator)) for j, x in row] for row in a_terms]
         b_terms = [[(right + j, -s * x.numerator * (den // x.denominator)) for j, x in col] for col in b_terms]
@@ -326,7 +348,11 @@ def hom_equations(count: int, blocks) -> SparseSystem:
 
 def flatten(m: QMatrix) -> list[Fraction]:
     """The entries of m, row by row."""
-    return [x for row in m.data for x in row]
+    out = [_ZERO] * (m.rows * m.cols)
+    for i, row in enumerate(m.nonzeros):
+        for j, x in row.items():
+            out[i * m.cols + j] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -362,11 +388,10 @@ def _integer_rows(m: QMatrix) -> list[dict[int, int]]:
     """The nonzero rows of m with their denominators cleared, as primitive
     {column: int} dicts."""
     rows = []
-    for r in m.data:
-        nonzero = [(j, x) for j, x in enumerate(r) if x is not _ZERO and x]
-        if nonzero:
-            den = math.lcm(*(x.denominator for _, x in nonzero))
-            rows.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in nonzero}))
+    for r in m.nonzeros:
+        if r:
+            den = math.lcm(*(x.denominator for x in r.values()))
+            rows.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in r.items()}))
     return rows
 
 
@@ -415,15 +440,11 @@ def rref(m: QMatrix) -> RrefResult:
     pivot rows are divided by their pivot entry over the rationals.
     """
     _check_cap(m.rows, m.cols)
-    n_rows, n_cols = m.rows, m.cols
-    pivot_rows = _echelon(_integer_rows(m), n_cols, reduce=True)
-    out_rows = [[_ZERO] * n_cols for _ in range(n_rows)]
-    for out, (c, row) in zip(out_rows, pivot_rows):
-        piv = row[c]
-        for j, x in row.items():
-            out[j] = Fraction(x, piv)
+    pivot_rows = _echelon(_integer_rows(m), m.cols, reduce=True)
+    out_rows = [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in pivot_rows]
+    out_rows += [_EMPTY_ROW] * (m.rows - len(pivot_rows))
     pivots = tuple(c for c, _ in pivot_rows)
-    return RrefResult(QMatrix(n_rows, n_cols, out_rows), pivots, len(pivots))
+    return RrefResult(QMatrix(m.rows, m.cols, out_rows), pivots, len(pivots))
 
 
 def _system_rows(m: QMatrix | SparseSystem) -> list[dict[int, int]]:
@@ -451,29 +472,18 @@ def kernel_basis(m: QMatrix | SparseSystem) -> list[list[Fraction]]:
     """
     if isinstance(m, SparseSystem):
         pivot_rows = _echelon(_system_rows(m), m.cols, reduce=True)
-        pivot_set = {c for c, _ in pivot_rows}
-        basis = {f: [_ZERO] * m.cols for f in range(m.cols) if f not in pivot_set}
-        for f, vec in basis.items():
-            vec[f] = _ONE
-        for c, row in pivot_rows:
-            piv = row[c]
-            for j, x in row.items():
-                if j != c:
-                    basis[j][c] = Fraction(-x, piv)
-        return list(basis.values())
-    res = rref(m)
-    pivot_set = set(res.pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [_ZERO] * m.cols
+        entries = [(c, j, Fraction(-x, row[c])) for c, row in pivot_rows for j, x in row.items() if j != c]
+    else:
+        res = rref(m)
+        pivot_rows = list(zip(res.pivots, res.matrix.nonzeros))
+        entries = [(c, j, -x) for c, row in pivot_rows for j, x in row.items() if j != c]
+    pivot_set = {c for c, _ in pivot_rows}
+    basis = {f: [_ZERO] * m.cols for f in range(m.cols) if f not in pivot_set}
+    for f, vec in basis.items():
         vec[f] = _ONE
-        for k, pc in enumerate(res.pivots):
-            x = res.matrix.data[k][f]
-            if x is not _ZERO:
-                vec[pc] = -x
-        basis.append(vec)
-    return basis
+    for c, j, x in entries:
+        basis[j][c] = x
+    return list(basis.values())
 
 
 def solve(m: QMatrix, b) -> list[Fraction] | None:
@@ -483,13 +493,13 @@ def solve(m: QMatrix, b) -> list[Fraction] | None:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = m.hstack(QMatrix.column(b))
+    aug = m.hstack(QMatrix(m.rows, 1, [[x] for x in b]))
     res = rref(aug)
     if res.pivots and res.pivots[-1] == m.cols:
         return None
     x = [_ZERO] * m.cols
-    for k, pc in enumerate(res.pivots):
-        x[pc] = res.matrix.data[k][m.cols]
+    for pc, row in zip(res.pivots, res.matrix.nonzeros):
+        x[pc] = row.get(m.cols, _ZERO)
     return x
 
 
@@ -502,7 +512,7 @@ def inverse(m: QMatrix) -> QMatrix:
     res = rref(m.hstack(QMatrix.identity(n)))
     if res.pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return QMatrix(n, n, [row[n:] for row in res.matrix.data])
+    return QMatrix(n, n, [{j - n: x for j, x in row.items() if j >= n} for row in res.matrix.nonzeros])
 
 
 class EchelonBasis:
@@ -593,7 +603,8 @@ class SpanSolver:
         if res.pivots[: self.k] != tuple(range(self.k)):
             raise ValueError("vectors passed to SpanSolver are linearly dependent")
         # rows of E satisfy E a = [I_k; 0]
-        self._e = QMatrix(dim, dim, [row[self.k :] for row in res.matrix.data])
+        k = self.k
+        self._e = QMatrix(dim, dim, [{j - k: x for j, x in row.items() if j >= k} for row in res.matrix.nonzeros])
 
     def coords(self, vec: list[Fraction]) -> list[Fraction]:
         t = self._e.times_vector(vec)

@@ -28,9 +28,8 @@ and split decomposition triangles on finite samples.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .linalg import _ONE, _ZERO, QMatrix, SparseSystem, block_matrix, hom_equations, inverse, rank
+from .linalg import QMatrix, SparseSystem, block_matrix, hom_equations, inverse, rank
 
 
 class Complex:
@@ -348,14 +347,9 @@ def _dims(*xs) -> set:
 # -- random generators -------------------------------------------------------
 
 
-def _random_sign_or_zero(rng: random.Random) -> Fraction:
-    d = rng.randint(-1, 1)
-    return Fraction(d) if d else _ZERO
-
-
 def _random_unimodular(rng: random.Random, n: int) -> QMatrix:
-    lower = [[_ONE if i == j else _random_sign_or_zero(rng) if i > j else _ZERO for j in range(n)] for i in range(n)]
-    upper = [[_ONE if i == j else _random_sign_or_zero(rng) if i < j else _ZERO for j in range(n)] for i in range(n)]
+    lower = [[1 if i == j else rng.randint(-1, 1) if i > j else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-1, 1) if i < j else 0 for j in range(n)] for i in range(n)]
     return QMatrix(n, n, lower) * QMatrix(n, n, upper)
 
 
@@ -384,7 +378,7 @@ def random_complex(rng: random.Random, max_pos: int = 3, max_dim: int = 2) -> Co
     diffs = {}
     for c, entries in sorted(ones.items()):
         rows, cols = dims[c + 1], dims[c]
-        cells = [[_ONE if (r, s) in entries else _ZERO for s in range(cols)] for r in range(rows)]
+        cells = [[int((r, s) in entries) for s in range(cols)] for r in range(rows)]
         d = QMatrix(rows, cols, cells)
         diffs[c] = changes[c + 1] * d * inverse(changes[c])
     return Complex(dims, diffs)

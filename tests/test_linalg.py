@@ -342,7 +342,7 @@ def test_fresh_zero_objects_give_identical_results():
     for _ in range(600):
         m = _oracle_matrix(rng)
         shared, fresh = _shared_zeros(m), _fresh_zeros(m)
-        assert not any(x is linalg._ZERO for r in fresh.data for x in r)
+        assert fresh.nonzeros == shared.nonzeros
         assert rref(fresh) == rref(shared)
         assert kernel_basis(fresh) == kernel_basis(shared)
     for _ in range(200):
@@ -366,6 +366,85 @@ def test_fresh_zero_objects_give_identical_results():
     assert densify(hom_equations(4, [(_fresh_zeros(a), 0, _fresh_zeros(b), 0, 1)])) == expected
     x = QMatrix.from_rows([[Fraction(7, 3)]])
     assert hom_equations(1, [(x, 0, x, 0, 1)]) == SparseSystem(1, [])
+
+
+def _stored(m):
+    """m, after asserting that it stores one dict per row holding only
+    nonzero Fractions at in-range columns."""
+    assert len(m.nonzeros) == m.rows
+    for row in m.nonzeros:
+        assert type(row) is dict
+        assert all(type(j) is int and 0 <= j < m.cols and type(x) is Fraction and x for j, x in row.items())
+    return m
+
+
+def test_every_operation_stores_only_nonzeros():
+    rng = random.Random(2031)
+    ops = set()
+    for _ in range(300):
+        a = _stored(_oracle_matrix(rng))
+        p, q = a.rows, a.cols
+        dense = a.data
+        assert all(type(x) is Fraction for r in dense for x in r)
+        assert [[x for x in r if x] for r in dense] == [[r[j] for j in sorted(r)] for r in a.nonzeros]
+        zero = [[0] * q for _ in range(p)]
+        assert _stored(QMatrix.zero(p, q)).data == zero
+        assert _stored(QMatrix.identity(p)).data == [[int(i == j) for j in range(p)] for i in range(p)]
+        assert _stored(QMatrix.from_columns(p, [a.col(j) for j in range(q)])) == a
+        assert _stored(a.transpose()).data == [[r[j] for r in dense] for j in range(q)]
+        b = _oracle_matrix(rng, p, q)
+        assert _stored(a + b).data == [[x + y for x, y in zip(r, s)] for r, s in zip(dense, b.data)]
+        assert _stored(a - b).data == [[x - y for x, y in zip(r, s)] for r, s in zip(dense, b.data)]
+        assert _stored(a - a).data == zero and (a - a).is_zero()
+        for c in (0, 1, -2, Fraction(3, 7)):
+            assert _stored(a.scale(c)).data == [[c * x for x in r] for r in dense]
+        c = _oracle_matrix(rng, q, rng.randint(0, 8))
+        assert _stored(a * c) == dense_matmul(a, c)
+        vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q)]
+        assert a.times_vector(vec) == [sum((x * y for x, y in zip(r, vec)), Fraction(0)) for r in dense]
+        d = _oracle_matrix(rng, p, rng.randint(0, 8))
+        assert _stored(a.hstack(d)).data == [r + s for r, s in zip(dense, d.data)]
+        r0, c0 = rng.randint(0, 3), rng.randint(0, 3)
+        placed = [[0] * (q + c0 + 2) for _ in range(p + r0 + 1)]
+        for i, r in enumerate(dense):
+            placed[r0 + i][c0 : c0 + q] = r
+        assert _stored(place_blocks(p + r0 + 1, q + c0 + 2, [(r0, c0, a)])).data == placed
+        if p and q:
+            e = _oracle_matrix(rng, p, rng.randint(0, 4))
+            tiled = [r + s for r, s in zip(dense, e.data)] + [r + [0] * e.cols for r in b.data]
+            assert _stored(block_matrix([[a, e], [b, QMatrix.zero(p, e.cols)]])).data == tiled
+        assert flatten(a) == [x for r in dense for x in r]
+        assert [sorted(r.items()) for r in linalg._integer_rows(a)] == [
+            [(j, x) for j, x in enumerate(r) if x] for r in primitive_rows(r for r in dense if any(r))
+        ]
+        res = rref(a)
+        assert _stored(res.matrix) == dense_rref(a).matrix and res.pivots == dense_rref(a).pivots
+        u = _oracle_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
+        blocks = [(a, 0, u, None if u.rows * p > q * u.cols else 0, 1)]
+        expected = primitive_rows(_kron_system(q * u.cols, blocks))
+        assert densify(hom_equations(q * u.cols, blocks)) == QMatrix(len(expected), q * u.cols, expected)
+        if p == q and res.rank == p:
+            inv = _stored(inverse(a))
+            assert dense_matmul(inv, a) == QMatrix.identity(p)
+            ops.add("inverse")
+        rhs = a.times_vector(vec)
+        x = solve(a, rhs)
+        assert a.times_vector(x) == rhs and all(type(v) is Fraction for v in x)
+        if solve(a, [Fraction(1)] * p) is None:
+            ops.add("inconsistent")
+    assert ops == {"inverse", "inconsistent"}
+
+
+def test_row_dicts_are_checked():
+    assert QMatrix(2, 3, [{2: Fraction(5)}, {}]).data == [[0, 0, 5], [0, 0, 0]]
+    for bad in ({3: Fraction(1)}, {-1: Fraction(1)}, {0: Fraction(0)}, {0: 1}, {0: 1.0}, {1.0: Fraction(1)}):
+        with pytest.raises(ValueError):
+            QMatrix(1, 3, [bad])
+    with pytest.raises(ValueError):
+        QMatrix(2, 3, [{}])
+    for bad in ([1, 0.5], [0.0, 1], [None, 1]):
+        with pytest.raises(TypeError):
+            QMatrix(1, 2, [bad])
 
 
 def test_matmul_and_transpose():
