@@ -28,9 +28,7 @@ from itertools import combinations_with_replacement, product
 from .laurent import LaurentPoly
 from .linalg import QMatrix, SizeCapError, kernel_basis, rref
 from .multipoly import MultiPoly, divided_difference
-from .weyl import Perm, simple_reflection
-
-RANK_CAP = 5
+from .weyl import RANK_CAP, Perm, simple_reflection
 
 
 def _monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
@@ -316,7 +314,7 @@ class CoinvariantRing:
             idxs = self.degree_basis_indices(d)
             m = self.action_matrix(s, d) - QMatrix.identity(len(idxs))
             for vec in kernel_basis(m):
-                out.append(CoinvariantElement(self, dict(zip(idxs, vec))))
+                out.append(CoinvariantElement(self, {idxs[t]: x for t, x in vec.items()}))
         return out
 
     def invariant_generators(self, i: int) -> list[CoinvariantElement]:

@@ -213,14 +213,14 @@ class DualAlgebra:
             cover_mod, basis_at = self._projective_sum(cover)
             # the cover map sends the basis record (ci, rec) to rec . h_ci, the
             # column of rec's action at the coordinate of the head h_ci
+            act_columns = {label: blk.transpose().nonzeros for label, blk in current.act.items()}
             cover_map: dict[tuple[int, int], QMatrix] = {}
             for key, items in basis_at.items():
-                zero = [Fraction(0)] * current.dim(key)
                 columns = []
                 for ci, rec_idx in items:
                     h_key, j = head_coords[ci]
-                    blk = current.act.get((rec_idx, h_key))
-                    columns.append(zero if blk is None else blk.col(j))
+                    cols = act_columns.get((rec_idx, h_key))
+                    columns.append({} if cols is None else cols[j])
                 cover_map[key] = QMatrix.from_columns(current.dim(key), columns)
             # surjectivity is Nakayama from the head choice, but assert it so
             # a bookkeeping slip cannot silently corrupt the Ext tables

@@ -333,16 +333,17 @@ class FormalCategory:
                 "MIX", {c - 1: terms.get(c - 1, ()), c: src}, {c - 1: diffs[c - 1]} if c else None
             )
             stalk = self.stalk("MIX", tgt, c)
-            layout, count = self._hom_layout(step, stalk, 0)
-            coords = [Fraction(0)] * count
+            layout, _ = self._hom_layout(step, stalk, 0)
+            coords: dict[int, Fraction] = {}
             for vec in kernel_basis(self._hom_differential_matrix(step, stalk, 0)):
                 c_rand = rng.randint(-2, 2)
                 if c_rand:
-                    coords = [a + c_rand * b for a, b in zip(coords, vec)]
+                    for j, x in vec.items():
+                        coords[j] = coords.get(j, 0) + c_rand * x
             entries = [[None] * len(src) for _ in range(len(tgt))]
             for (_, s, t), off in layout.items():
-                for b, val in zip(self.hom_space("MIX", src[s], tgt[t]), coords[off:]):
-                    if val:
+                for k, b in enumerate(self.hom_space("MIX", src[s], tgt[t]), off):
+                    if val := coords.get(k):
                         piece = b.scale(val)
                         entries[t][s] = piece if entries[t][s] is None else entries[t][s] + piece
             diffs[c] = entries

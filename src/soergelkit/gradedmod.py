@@ -303,14 +303,15 @@ def hom_graded(M: GradedModule, N: GradedModule, degree: int) -> list[ModuleMap]
             if N.dim_at(a + degree + 2) and ((i, a + degree) in N.actions or (i, a) in M.actions)
         ),
     )
+    # unknown offsets[a] + r * M.dim_at(a) + c is entry (r, c) of block a
+    entry_of = [(a, r, c) for a in offsets for r in range(N.dim_at(a + degree)) for c in range(M.dim_at(a))]
     maps = []
     for vec in kernel_basis(system):
-        blocks = {}
-        for a, off in offsets.items():
-            rows, cols = N.dim_at(a + degree), M.dim_at(a)
-            blocks[a] = QMatrix(
-                rows, cols, [vec[off + r * cols : off + (r + 1) * cols] for r in range(rows)]
-            )
+        rows = {a: [{} for _ in range(N.dim_at(a + degree))] for a in offsets}
+        for k, x in vec.items():
+            a, r, c = entry_of[k]
+            rows[a][r][c] = x
+        blocks = {a: QMatrix(len(block_rows), M.dim_at(a), block_rows) for a, block_rows in rows.items()}
         maps.append(ModuleMap(M, N, degree, blocks))
     return maps
 
@@ -380,8 +381,6 @@ def kernel_module_with_projection(e: ModuleMap) -> tuple[GradedModule, ModuleMap
     K, inclusion, bases = _kernel(e)
     blocks = {}
     for d, basis in bases.items():
-        comp = QMatrix.identity(basis.dim) - e.block(d)
-        blocks[d] = QMatrix.from_columns(
-            K.dim_at(d), [basis.coords(comp.col(j)) for j in range(comp.cols)]
-        )
+        comp = (QMatrix.identity(basis.dim) - e.block(d)).transpose()
+        blocks[d] = QMatrix.from_columns(K.dim_at(d), [basis.coords(col) for col in comp.nonzeros])
     return K, inclusion, ModuleMap(e.source, K, 0, blocks)

@@ -6,10 +6,12 @@ builds and reads those dicts: a zero is an absent key, so no entry is ever
 tested for zero, and :meth:`QMatrix.is_zero` is one truth test per row.  A
 product adds ``a * b`` over the stored entries of a left row and of the
 right rows they select, and keeps the sums that do not cancel; sums,
-placed blocks, transposes and reduced forms store only nonzeros too.  The
-dense rows are a view, :attr:`QMatrix.data`, that builds all rows x cols
-entries on every read; no library routine reads it (tests and the
-benchmark tracer do).
+placed blocks, transposes and reduced forms store only nonzeros too.  A
+vector is stored the same way, as an {index: Fraction} dict: kernel bases,
+:func:`flatten` and :class:`EchelonBasis` build and read such dicts.  The
+dense forms are test views and reference routes: :attr:`QMatrix.data`,
+``row``, ``col``, ``times_vector``, :func:`solve` and :class:`SpanSolver`;
+no other library routine calls them (tests and the benchmark tracer do).
 
 The matrices met are mostly zero and nearly always integral, so :func:`rref`
 clears each stored row's denominators once into a {column: int} dict and
@@ -19,9 +21,9 @@ rationals at the end.  Results are exact, and since the reduced row echelon
 form is unique they do not depend on the pivot rows chosen.
 
 Coordinates in a kernel basis are read off its free columns, where each
-vector is 1 and the others are 0, and checked by rebuilding the vector; no
-solve is needed.  :func:`inverse` takes one row reduction of ``[m | I]``
-rather than one solve per column.  :class:`SpanSolver`, which changes basis
+vector is 1 and the others are 0, and checked by rebuilding the vector from
+its nonzero coordinates; no solve is needed.  :func:`inverse` takes one row
+reduction of ``[m | I]`` rather than one solve per column.  :class:`SpanSolver`, which changes basis
 for any independent list, has no caller in the library: it is the
 reference route that tests check the free-column readouts against.
 
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,18 +146,9 @@ class QMatrix:
 
     @classmethod
     def from_columns(cls, rows: int, columns) -> "QMatrix":
-        """The matrix whose j-th column is ``columns[j]``; ``rows`` keeps the
-        shape when the column list is empty."""
-        if any(len(c) != rows for c in columns):
-            raise ValueError(f"columns do not all have length {rows}")
-        out = [{} for _ in range(rows)]
-        for j, c in enumerate(columns):
-            for row, x in zip(out, c):
-                if type(x) is not Fraction:
-                    x = _frac(x)
-                if x:
-                    row[j] = x
-        return cls(rows, len(columns), out)
+        """The matrix whose j-th column is ``columns[j]``, given like a row;
+        ``rows`` keeps the shape when the column list is empty."""
+        return cls(len(columns), rows, columns).transpose()
 
     @property
     def data(self) -> list[list[Fraction]]:
@@ -346,13 +340,10 @@ def hom_equations(count: int, blocks) -> SparseSystem:
     return SparseSystem(count, rows)
 
 
-def flatten(m: QMatrix) -> list[Fraction]:
-    """The entries of m, row by row."""
-    out = [_ZERO] * (m.rows * m.cols)
-    for i, row in enumerate(m.nonzeros):
-        for j, x in row.items():
-            out[i * m.cols + j] = x
-    return out
+def flatten(m: QMatrix) -> dict[int, Fraction]:
+    """The nonzero entries of m, row by row: x at (i, j) is kept at i * cols + j."""
+    cols = m.cols
+    return {i * cols + j: x for i, row in enumerate(m.nonzeros) for j, x in row.items()}
 
 
 @dataclass(frozen=True)
@@ -460,8 +451,9 @@ def rank(m: QMatrix | SparseSystem) -> int:
     return len(_echelon(_system_rows(m), m.cols, reduce=False))
 
 
-def kernel_basis(m: QMatrix | SparseSystem) -> list[list[Fraction]]:
-    """A basis of the null space, one vector per free column.
+def kernel_basis(m: QMatrix | SparseSystem) -> list[dict[int, Fraction]]:
+    """A basis of the null space, one vector per free column, each a
+    {index: Fraction} dict of its nonzeros.
 
     The vector for free column f is 1 at f and 0 at every other free column
     (the shape :class:`EchelonBasis` reads); vectors are returned in
@@ -478,9 +470,7 @@ def kernel_basis(m: QMatrix | SparseSystem) -> list[list[Fraction]]:
         pivot_rows = list(zip(res.pivots, res.matrix.nonzeros))
         entries = [(c, j, -x) for c, row in pivot_rows for j, x in row.items() if j != c]
     pivot_set = {c for c, _ in pivot_rows}
-    basis = {f: [_ZERO] * m.cols for f in range(m.cols) if f not in pivot_set}
-    for f, vec in basis.items():
-        vec[f] = _ONE
+    basis = {f: {f: _ONE} for f in range(m.cols) if f not in pivot_set}
     for c, j, x in entries:
         basis[j][c] = x
     return list(basis.values())
@@ -518,39 +508,42 @@ def inverse(m: QMatrix) -> QMatrix:
 class EchelonBasis:
     """Vectors each equal to 1 at a position where all the others are 0.
 
-    :func:`kernel_basis` returns such vectors (the positions are its free
-    columns).  Reordering or zero-padding coordinates keeps the shape, so it
-    holds for flattened bases of graded Homs, also summed over degrees.  The
-    positions are found once; a vector's coordinates are its entries there.
+    A vector is a {index: Fraction} dict of its nonzeros at indices below
+    ``dim``, as :func:`kernel_basis` returns them (the positions are its
+    free columns).  Reindexing coordinates keeps the shape, so it holds for
+    flattened bases of graded Homs, also summed over degrees.  Each
+    position is the smallest index where a vector is 1 and no other vector
+    is stored, found once; a vector's coordinates are its entries there.
     """
 
-    __slots__ = ("vectors", "dim", "positions", "_support")
+    __slots__ = ("vectors", "dim", "positions")
 
-    def __init__(self, vectors: list[list[Fraction]], dim: int):
-        if any(len(v) != dim for v in vectors):
-            raise ValueError("basis vector length does not match ambient dimension")
-        used = [sum(1 for v in vectors if v[j]) for j in range(dim)]
+    def __init__(self, vectors: list[dict[int, Fraction]], dim: int):
+        used = Counter(j for v in vectors for j in v)
+        if any(not 0 <= j < dim for j in used):
+            raise ValueError("basis vector index outside the ambient dimension")
         self.positions = tuple(
-            next((j for j, x in enumerate(v) if x == 1 and used[j] == 1), -1) for v in vectors
+            min((j for j, x in v.items() if x == 1 and used[j] == 1), default=-1) for v in vectors
         )
         if -1 in self.positions:
             raise ValueError("basis vector has no position where the others vanish")
         self.vectors = vectors
         self.dim = dim
-        self._support = [[(j, x) for j, x in enumerate(v) if x] for v in vectors]
 
-    def coords(self, vec: list[Fraction]) -> list[Fraction]:
-        """The entries of ``vec`` at the positions; raises ValueError unless
-        they rebuild ``vec`` exactly, i.e. unless ``vec`` lies in the span."""
-        if len(vec) != self.dim:
-            raise ValueError("vector length does not match ambient dimension")
-        coords = [vec[p] for p in self.positions]
-        rest = list(vec)
-        for c, support in zip(coords, self._support):
-            if c:
-                for j, x in support:
-                    rest[j] -= c * x
-        if any(rest):
+    def coords(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """The nonzero entries {t: c} of ``vec`` at the positions; raises
+        ValueError unless they rebuild ``vec`` exactly, i.e. unless ``vec``
+        lies in the span."""
+        coords = {t: c for t, p in enumerate(self.positions) if (c := vec.get(p))}
+        rest = dict(vec)
+        for t, c in coords.items():
+            for j, x in self.vectors[t].items():
+                x = rest.get(j, 0) - c * x
+                if x:
+                    rest[j] = x
+                else:
+                    del rest[j]
+        if rest:
             raise ValueError("vector does not lie in the span")
         return coords
 
@@ -560,21 +553,24 @@ def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
 
     Returns the :class:`EchelonBasis` of every nonzero kernel of ``maps``,
     by key, and each nonzero block of ``blocks`` = (label, key, target key,
-    matrix) in kernel coordinates, by label.  Raises AssertionError when a
-    block maps a kernel vector outside the target kernel.
+    matrix) in kernel coordinates, by label.  The images of a kernel basis
+    are the stored rows of (block * inclusion) transposed.  Raises
+    AssertionError when a block maps a kernel vector outside the target
+    kernel.
     """
-    bases = {}
+    bases, inclusions = {}, {}
     for key, mat in maps.items():
         vecs = kernel_basis(mat)
         if vecs:
             bases[key] = EchelonBasis(vecs, mat.cols)
+            inclusions[key] = QMatrix.from_columns(mat.cols, vecs)
     restricted = {}
     for label, key, tgt_key, block in blocks:
         if key not in bases:
             continue
         tgt = bases.get(tgt_key) or EchelonBasis([], block.rows)
         try:
-            cols = [tgt.coords(block.times_vector(v)) for v in bases[key].vectors]
+            cols = [tgt.coords(v) for v in (block * inclusions[key]).transpose().nonzeros]
         except ValueError:
             raise AssertionError("kernel is not action-stable") from None
         mat = QMatrix.from_columns(len(tgt.vectors), cols)

@@ -364,14 +364,16 @@ class EndoAlgebra:
                         self._block_index.setdefault((a, b), []).append(len(self.basis))
                         self.basis.append((a, b, d, ModuleMap(ma, mb, d, blocks)))
         self.table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        # basis[i] after basis[j] needs basis[j] to end in the slot where basis[i] starts
         for i, (a1, b1, _, m1) in enumerate(self.basis):
-            for j, (a2, b2, _, m2) in enumerate(self.basis):
-                if a1 != b2:
-                    continue
-                space = cat.hom_space(self.summands[a2][0], self.summands[b1][0])[1]
-                coords = space.coords(flatten(m1.compose(m2).to_total()))
-                idxs = self._block_index[(a2, b1)]
-                self.table[(i, j)] = tuple((idxs[t], c) for t, c in enumerate(coords) if c)
+            for a2, (w2, _) in enumerate(self.summands):
+                js = self._block_index.get((a2, a1))
+                if js:
+                    space = cat.hom_space(w2, self.summands[b1][0])[1]
+                    idxs = self._block_index.get((a2, b1))
+                    for j in js:
+                        coords = space.coords(flatten(m1.compose(self.basis[j][3]).to_total()))
+                        self.table[(i, j)] = tuple((idxs[t], c) for t, c in coords.items())
 
     @property
     def dim(self) -> int:

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from soergelkit.formal import Gen, FormalComplex, formal_category
-from soergelkit.linalg import QMatrix, flatten
+from soergelkit.linalg import QMatrix
 from soergelkit.tate import Complex, GradedComplex, hom_homotopy as tate_hom
 from soergelkit.weyl import parse_perm
+
+from dense_views import dense_flatten
 
 
 def test_hom_rule_scalars():
@@ -229,7 +231,7 @@ def _formal_bytes(x: FormalComplex) -> bytes:
         src, tgt = x.generators(c), x.generators(c + 1)
         entries = [
             [
-                None if e is None else (e.rows, e.cols, [str(v) for v in flatten(e)])
+                None if e is None else (e.rows, e.cols, [str(v) for v in dense_flatten(e)])
                 for e in (x.entry(c, t, s) for s in range(len(src)))
             ]
             for t in range(len(tgt))

@@ -26,6 +26,8 @@ from soergelkit.linalg import (
 )
 from soergelkit.soergel import soergel_category
 
+from dense_views import dense, dense_flatten, sparse
+
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return QMatrix(rows, cols, [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
@@ -174,10 +176,10 @@ def test_rref_matches_dense_reference_on_rank3_hom_systems(monkeypatch):
 
     def checked_kernel_basis(system):
         assert isinstance(system, SparseSystem)
-        dense = densify(system)
+        densified = densify(system)
         basis = kernel_basis(system)
-        assert basis == dense_kernel(dense)
-        assert rank(system) == dense_rref(dense).rank == system.cols - len(basis)
+        assert [dense(v, system.cols) for v in basis] == dense_kernel(densified)
+        assert rank(system) == dense_rref(densified).rank == system.cols - len(basis)
         seen.append(len(system.equations) * system.cols)
         return basis
 
@@ -234,7 +236,7 @@ def test_kernel_identity_empty():
 def test_kernel_single_equation():
     basis = kernel_basis(QMatrix.from_rows([[1, 1]]))
     assert len(basis) == 1
-    x, y = basis[0]
+    x, y = dense(basis[0], 2)
     assert x + y == 0 and (x, y) != (0, 0)
 
 
@@ -247,7 +249,7 @@ def test_kernel_vectors_annihilated_random():
     for _ in range(30):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         for vec in kernel_basis(m):
-            assert all(x == 0 for x in m.times_vector(vec))
+            assert all(x == 0 for x in m.times_vector(dense(vec, m.cols)))
 
 
 def test_solve_identity():
@@ -378,47 +380,65 @@ def _stored(m):
     return m
 
 
+def _stored_vector(vec, n):
+    """vec, after asserting that it is a dict holding only nonzero Fractions
+    at indices 0..n-1."""
+    assert type(vec) is dict
+    assert all(type(j) is int and 0 <= j < n and type(x) is Fraction and x for j, x in vec.items())
+    return vec
+
+
 def test_every_operation_stores_only_nonzeros():
     rng = random.Random(2031)
+    coeff_rng = random.Random(2032)  # apart, so that the matrices drawn stay the same
     ops = set()
     for _ in range(300):
         a = _stored(_oracle_matrix(rng))
         p, q = a.rows, a.cols
-        dense = a.data
-        assert all(type(x) is Fraction for r in dense for x in r)
-        assert [[x for x in r if x] for r in dense] == [[r[j] for j in sorted(r)] for r in a.nonzeros]
+        dense_rows = a.data
+        assert all(type(x) is Fraction for r in dense_rows for x in r)
+        assert [[x for x in r if x] for r in dense_rows] == [[r[j] for j in sorted(r)] for r in a.nonzeros]
         zero = [[0] * q for _ in range(p)]
         assert _stored(QMatrix.zero(p, q)).data == zero
         assert _stored(QMatrix.identity(p)).data == [[int(i == j) for j in range(p)] for i in range(p)]
         assert _stored(QMatrix.from_columns(p, [a.col(j) for j in range(q)])) == a
-        assert _stored(a.transpose()).data == [[r[j] for r in dense] for j in range(q)]
+        assert _stored(a.transpose()).data == [[r[j] for r in dense_rows] for j in range(q)]
         b = _oracle_matrix(rng, p, q)
-        assert _stored(a + b).data == [[x + y for x, y in zip(r, s)] for r, s in zip(dense, b.data)]
-        assert _stored(a - b).data == [[x - y for x, y in zip(r, s)] for r, s in zip(dense, b.data)]
+        assert _stored(a + b).data == [[x + y for x, y in zip(r, s)] for r, s in zip(dense_rows, b.data)]
+        assert _stored(a - b).data == [[x - y for x, y in zip(r, s)] for r, s in zip(dense_rows, b.data)]
         assert _stored(a - a).data == zero and (a - a).is_zero()
         for c in (0, 1, -2, Fraction(3, 7)):
-            assert _stored(a.scale(c)).data == [[c * x for x in r] for r in dense]
+            assert _stored(a.scale(c)).data == [[c * x for x in r] for r in dense_rows]
         c = _oracle_matrix(rng, q, rng.randint(0, 8))
         assert _stored(a * c) == dense_matmul(a, c)
         vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q)]
-        assert a.times_vector(vec) == [sum((x * y for x, y in zip(r, vec)), Fraction(0)) for r in dense]
+        assert a.times_vector(vec) == [sum((x * y for x, y in zip(r, vec)), Fraction(0)) for r in dense_rows]
         d = _oracle_matrix(rng, p, rng.randint(0, 8))
-        assert _stored(a.hstack(d)).data == [r + s for r, s in zip(dense, d.data)]
+        assert _stored(a.hstack(d)).data == [r + s for r, s in zip(dense_rows, d.data)]
         r0, c0 = rng.randint(0, 3), rng.randint(0, 3)
         placed = [[0] * (q + c0 + 2) for _ in range(p + r0 + 1)]
-        for i, r in enumerate(dense):
+        for i, r in enumerate(dense_rows):
             placed[r0 + i][c0 : c0 + q] = r
         assert _stored(place_blocks(p + r0 + 1, q + c0 + 2, [(r0, c0, a)])).data == placed
         if p and q:
             e = _oracle_matrix(rng, p, rng.randint(0, 4))
-            tiled = [r + s for r, s in zip(dense, e.data)] + [r + [0] * e.cols for r in b.data]
+            tiled = [r + s for r, s in zip(dense_rows, e.data)] + [r + [0] * e.cols for r in b.data]
             assert _stored(block_matrix([[a, e], [b, QMatrix.zero(p, e.cols)]])).data == tiled
-        assert flatten(a) == [x for r in dense for x in r]
+        assert _stored_vector(flatten(a), p * q) == sparse(dense_flatten(a))
+        assert dense_flatten(a) == [x for r in dense_rows for x in r]
         assert [sorted(r.items()) for r in linalg._integer_rows(a)] == [
-            [(j, x) for j, x in enumerate(r) if x] for r in primitive_rows(r for r in dense if any(r))
+            [(j, x) for j, x in enumerate(r) if x] for r in primitive_rows(r for r in dense_rows if any(r))
         ]
         res = rref(a)
         assert _stored(res.matrix) == dense_rref(a).matrix and res.pivots == dense_rref(a).pivots
+        kernel = [_stored_vector(v, q) for v in kernel_basis(a)]
+        dense_vecs = [dense(v, q) for v in kernel]
+        assert dense_vecs == dense_kernel(a)
+        coeffs = [Fraction(coeff_rng.randint(-2, 2), coeff_rng.randint(1, 2)) for _ in kernel]
+        combo = [sum((c * v[j] for c, v in zip(coeffs, dense_vecs)), Fraction(0)) for j in range(q)]
+        assert _stored_vector(EchelonBasis(kernel, q).coords(sparse(combo)), len(kernel)) == sparse(coeffs)
+        if kernel:
+            ops.add("coords")
         u = _oracle_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
         blocks = [(a, 0, u, None if u.rows * p > q * u.cols else 0, 1)]
         expected = primitive_rows(_kron_system(q * u.cols, blocks))
@@ -432,7 +452,7 @@ def test_every_operation_stores_only_nonzeros():
         assert a.times_vector(x) == rhs and all(type(v) is Fraction for v in x)
         if solve(a, [Fraction(1)] * p) is None:
             ops.add("inconsistent")
-    assert ops == {"inverse", "inconsistent"}
+    assert ops == {"inverse", "inconsistent", "coords"}
 
 
 def test_row_dicts_are_checked():
@@ -509,7 +529,7 @@ def test_span_solver():
     # the free-column readout agrees with the solver on the same inputs, on
     # kernel bases of random matrices, and on a permuted, zero-padded basis
     rng = random.Random(17)
-    cases = [(vecs, 3)]
+    cases = [([sparse(v) for v in vecs], 3)]
     while len(cases) < 30:
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 8))
         if kernel_basis(m):
@@ -517,22 +537,24 @@ def test_span_solver():
     wide, dim = max(cases, key=lambda c: len(c[0]))
     order = list(range(dim + 3))
     rng.shuffle(order)
-    cases.append(([[(v + [Fraction(0)] * 3)[j] for j in order] for v in wide], dim + 3))
+    cases.append(([sparse([(dense(v, dim) + [Fraction(0)] * 3)[j] for j in order]) for v in wide], dim + 3))
     for basis, dim in cases:
-        solver, echelon = SpanSolver(basis, dim), EchelonBasis(basis, dim)
+        solver, echelon = SpanSolver([dense(v, dim) for v in basis], dim), EchelonBasis(basis, dim)
         for _ in range(5):
             coeffs = [Fraction(rng.randint(-5, 5)) for _ in basis]
-            vec = [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(dim)]
-            assert echelon.coords(vec) == solver.coords(vec) == coeffs
+            vec = [sum(c * v.get(j, 0) for c, v in zip(coeffs, basis)) for j in range(dim)]
+            assert dense(echelon.coords(sparse(vec)), len(basis)) == solver.coords(vec) == coeffs
         units = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
         outside = [u for u in units if not solver.contains(u)]
         assert outside or len(basis) == dim
         for u in outside:
             with pytest.raises(ValueError):
-                echelon.coords(u)
+                echelon.coords(sparse(u))
     for not_echelon in ([[1, 1], [1, 2]], [[2, 0]], [[1, 1], [0, 1]]):
         with pytest.raises(ValueError):
-            EchelonBasis([[Fraction(x) for x in v] for v in not_echelon], 2)
+            EchelonBasis([sparse(v) for v in not_echelon], 2)
+    with pytest.raises(ValueError, match="outside the ambient dimension"):
+        EchelonBasis([{2: Fraction(1)}], 2)
 
 
 def test_restrict_to_kernels_rejects_images_outside_the_target_kernel():
@@ -550,7 +572,13 @@ def test_restrict_to_kernels_rejects_images_outside_the_target_kernel():
 def test_from_columns_keeps_shape():
     m = QMatrix.from_columns(2, [[1, 2], [3, 4], [5, 6]])
     assert m == QMatrix.from_rows([[1, 3, 5], [2, 4, 6]])
-    assert flatten(m) == [1, 3, 5, 2, 4, 6]
+    assert dense_flatten(m) == [1, 3, 5, 2, 4, 6]
+    assert flatten(m) == {0: 1, 1: 3, 2: 5, 3: 2, 4: 4, 5: 6}
+    # columns may also be given as dicts of their nonzeros, checked like rows
+    columns = [{0: Fraction(1), 1: Fraction(2)}, {}, sparse([5, 6])]
+    assert QMatrix.from_columns(2, columns) == QMatrix.from_rows([[1, 0, 5], [2, 0, 6]])
+    with pytest.raises(ValueError):
+        QMatrix.from_columns(2, [{2: Fraction(1)}])
     empty = QMatrix.from_columns(3, [])
     assert (empty.rows, empty.cols) == (3, 0)
     with pytest.raises(ValueError):
@@ -640,7 +668,7 @@ def test_hom_equations_edge_shapes():
     # no blocks: no equations, and the kernel is the unit basis in order
     empty = hom_equations(3, [])
     assert empty == SparseSystem(3, [])
-    assert kernel_basis(empty) == [[int(i == j) for j in range(3)] for i in range(3)]
+    assert [dense(v, 3) for v in kernel_basis(empty)] == [[int(i == j) for j in range(3)] for i in range(3)]
     assert rank(empty) == 0
     # A F - F A on one 2x2 block: the equations of the identity cancel out
     ident = QMatrix.identity(2)

@@ -14,9 +14,11 @@ from soergelkit.gradedmod import (
     hom_ungraded_dim,
 )
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, flatten, rank, rref
+from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, rank, rref
 from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory, soergel_category
 from soergelkit.weyl import format_perm, length, parse_perm
+
+from dense_views import dense_flatten
 
 
 def s3_words(max_len):
@@ -383,7 +385,7 @@ def test_endo_algebra_table_matches_span_solver_rank3():
         blocks.setdefault((a, b), []).append(i)
     solvers = {}
     for key, idxs in blocks.items():
-        vecs = [flatten(alg.basis[i][3].to_total()) for i in idxs]
+        vecs = [dense_flatten(alg.basis[i][3].to_total()) for i in idxs]
         solvers[key] = (idxs, SpanSolver(vecs, len(vecs[0])))
     assert alg.dim == 77
     for i, (a1, b1, _, m1) in enumerate(alg.basis):
@@ -392,7 +394,7 @@ def test_endo_algebra_table_matches_span_solver_rank3():
                 assert alg.compose_indices(i, j) == ()
                 continue
             idxs, solver = solvers[(a2, b1)]
-            coords = solver.coords(flatten(m1.compose(m2).to_total()))
+            coords = solver.coords(dense_flatten(m1.compose(m2).to_total()))
             expected = tuple((idxs[t], c) for t, c in enumerate(coords) if c)
             assert alg.compose_indices(i, j) == expected
 
@@ -416,7 +418,7 @@ def test_endo_algebra_with_shifts_matches_direct_solves_rank3():
         blocks.setdefault((a, b), []).append(i)
     solvers = {}
     for key, idxs in blocks.items():
-        vecs = [flatten(basis[i][3].to_total()) for i in idxs]
+        vecs = [dense_flatten(basis[i][3].to_total()) for i in idxs]
         solvers[key] = (idxs, SpanSolver(vecs, len(vecs[0])))
     for i, (a1, b1, _, m1) in enumerate(basis):
         for j, (a2, b2, _, m2) in enumerate(basis):
@@ -424,7 +426,7 @@ def test_endo_algebra_with_shifts_matches_direct_solves_rank3():
                 assert alg.compose_indices(i, j) == ()
                 continue
             idxs, solver = solvers[(a2, b1)]
-            coords = solver.coords(flatten(m1.compose(m2).to_total()))
+            coords = solver.coords(dense_flatten(m1.compose(m2).to_total()))
             assert alg.compose_indices(i, j) == tuple((idxs[t], c) for t, c in enumerate(coords) if c)
 
 
