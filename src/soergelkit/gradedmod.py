@@ -15,7 +15,7 @@ second route rather than summing the graded answer by construction.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .coinvariant import CoinvariantRing
 from .laurent import LaurentPoly
@@ -33,11 +33,13 @@ from .multipoly import MultiPoly
 class GradedModule:
     """A graded module over the coinvariant algebra of rank n."""
 
-    __slots__ = ("ring", "dims", "actions")
+    __slots__ = ("ring", "dims", "actions", "_offsets")
 
     def __init__(self, ring: CoinvariantRing, dims, actions, validate: bool = True):
         self.ring = ring
         self.dims = {int(d): int(m) for d, m in dims.items() if m}
+        degrees = sorted(self.dims)
+        self._offsets = dict(zip(degrees, accumulate((self.dims[d] for d in degrees), initial=0)))
         acts: dict[tuple[int, int], QMatrix] = {}
         for (i, d), mat in actions.items():
             if mat.rows != self.dim_at(d + 2) or mat.cols != self.dim_at(d):
@@ -69,12 +71,7 @@ class GradedModule:
         return mat
 
     def total_offsets(self) -> dict[int, int]:
-        off = {}
-        pos = 0
-        for d in self.degrees():
-            off[d] = pos
-            pos += self.dims[d]
-        return off
+        return self._offsets
 
     def total_action(self, i: int) -> QMatrix:
         n = self.total_dim()

@@ -190,7 +190,7 @@ class HeckeAlgebra:
             out = self.mult_gen(out, i)
         return out
 
-    def _mult_gen_plus(self, h: HeckeElement, i: int, c: LaurentPoly) -> HeckeElement:
+    def mult_gen_plus(self, h: HeckeElement, i: int, c: LaurentPoly) -> HeckeElement:
         """Right multiplication by H_{s_i} + c."""
         return self.mult_gen(h, i) + h.scale(c)
 
@@ -213,7 +213,7 @@ class HeckeAlgebra:
         # bar(H_s) = H_s + (v - v^-1) H_e
         result = self.unit()
         for i in self.group.a_reduced_word(w):
-            result = self._mult_gen_plus(result, i, _V_MINUS_VINV)
+            result = self.mult_gen_plus(result, i, _V_MINUS_VINV)
         self._bar_std[w] = result
         return result
 
@@ -240,7 +240,7 @@ class HeckeAlgebra:
         else:
             i = max(right_descents(w))
             u = mult_right_simple(w, i)
-            result = self._mult_gen_plus(self.kl_basis(u), i, _V)
+            result = self.mult_gen_plus(self.kl_basis(u), i, _V)
             # subtract integer multiples of shorter canonical elements until
             # every lower coefficient lies in v Z[v]
             for x in sorted(result.support(), key=lambda y: (-length(y), y)):
@@ -274,7 +274,7 @@ class HeckeAlgebra:
         """The product b_{s_1} ... b_{s_l} over the letters of ``word``."""
         out = self.unit()
         for i in word:
-            out = self._mult_gen_plus(out, i, _V)
+            out = self.mult_gen_plus(out, i, _V)
         return out
 
     def kl_expand(self, h: HeckeElement) -> dict[Perm, LaurentPoly]:

@@ -10,13 +10,16 @@ see :meth:`SoergelCategory.induct`.  The result is validated as a module
 over C, which is the evidence that the formulas are right.
 
 Iterating induction along a word starting from the one-dimensional module
-gives the Bott-Samelson module of the word.  Its indecomposable summands
-D_w are extracted by a peel loop: the Hecke-algebra product of canonical
-generators predicts the summand multiset, and every predicted summand is
-split off by finding a projection and an inclusion whose composite is a
-nonzero scalar.  Oracle and linear algebra verify each other; a predicted
-summand that cannot be split is a hard error.  Scalar-valued peeling is
-sound because degree-zero endomorphisms of each D_w are one-dimensional,
+gives the Bott-Samelson module of the word.  A peel loop splits a module
+into summands D_x: the Hecke algebra predicts the summand multiset, and
+every predicted summand is split off by a projection and an inclusion
+whose composite is a nonzero scalar.  D_w follows the canonical-basis
+recursion (Soergel 2007; Elias and Williamson 2014): with s the last
+letter of the canonical word of w and u = ws, it is what is left of the
+induction of D_u along s once the summands of b_u b_s - b_w are peeled
+off.  Oracle and linear algebra verify each other; a predicted summand
+that cannot be split is a hard error.  Scalar-valued peeling is sound
+because degree-zero endomorphisms of each D_w are one-dimensional,
 which is asserted whenever a composite endomorphism is read off.
 """
 
@@ -38,7 +41,7 @@ from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from .laurent import LaurentPoly
 from .linalg import EchelonBasis, QMatrix, SizeCapError, block_matrix, dimension_cap, flatten
 from .linalg import rref  # noqa: F401  benchmarks/test_harness.py traces this binding
-from .weyl import Perm, Word, WeylGroup, format_perm, length, weyl_group
+from .weyl import Perm, Word, WeylGroup, format_perm, length, mult_right_simple, weyl_group
 
 
 class DecompositionError(RuntimeError):
@@ -183,12 +186,14 @@ class SoergelCategory:
     # -- oracle -----------------------------------------------------------------
 
     def expected_summands(self, word: Word) -> list[tuple[Perm, int]]:
-        """Summand multiset predicted by the canonical-generator product.
+        """Summand multiset predicted by the canonical-generator product."""
+        return self._summands_of(self.hecke.product_bs(tuple(word)))
 
-        The coefficient of v^j in the expansion coefficient at x predicts a
-        copy of D_x with degrees lowered by -j.
-        """
-        expansion = self.hecke.kl_expand(self.hecke.product_bs(tuple(word)))
+    def _summands_of(self, h: HeckeElement) -> list[tuple[Perm, int]]:
+        """Sorted summands (x, k) of a module of class h: c v^j at b_x predicts
+        c copies of D_x with degrees lowered by -j; raises DecompositionError
+        unless every c is a nonnegative integer."""
+        expansion = self.hecke.kl_expand(h)
         out = []
         for x in sorted(expansion, key=lambda w: (length(w), w)):
             for j, c in expansion[x].items():
@@ -282,27 +287,21 @@ class SoergelCategory:
         return Decomposition(M, summands, idempotents)
 
     def indecomposable(self, w: Perm) -> GradedModule:
-        """The summand D_w, peeled from the Bott-Samelson module of a
-        reduced word of w; cached per rank."""
+        """D_w: the induction of D_u along the last letter s of the canonical
+        word of w, u = ws, with the summands of b_u b_s - b_w peeled off;
+        cached per rank."""
         cached = self._indec.get(w)
         if cached is not None:
             return cached
         if length(w) == 0:
             module = self.trivial()
         else:
-            word = self.group.a_reduced_word(w)
-            bs = self.bott_samelson(word)
-            expected = self.expected_summands(word)
-            if (w, 0) not in expected:
-                raise DecompositionError(
-                    f"oracle does not predict D[{format_perm(w)}] inside its own word"
-                )
-            rest = list(expected)
-            rest.remove((w, 0))
-            module = bs
-            for _, _, res in self._peel_expected(
-                bs, rest, f" while extracting D[{format_perm(w)}]"
-            ):
+            i = self.group.a_reduced_word(w)[-1]
+            u = mult_right_simple(w, i)
+            module = self.induct(i, self.indecomposable(u))
+            b_us = self.hecke.mult_gen_plus(self.hecke.kl_basis(u), i, LaurentPoly.v())
+            rest = self._summands_of(b_us - self.hecke.kl_basis(w))
+            for _, _, res in self._peel_expected(module, rest, f" while extracting D[{format_perm(w)}]"):
                 module = res[1]
             if not module.character().is_symmetric():
                 raise DecompositionError(

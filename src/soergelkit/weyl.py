@@ -244,7 +244,10 @@ class WeylGroup:
         """The lexicographically smallest reduced word; canonical choice.
 
         Greedy: the first letter of a reduced word is a left descent, so
-        strip the smallest one until w is the identity.
+        strip the smallest one until w is the identity.  Every prefix of the
+        word is the canonical word of its element, which keeps each D_w
+        that ``SoergelCategory.indecomposable`` builds on the basis of the
+        inductions along its word's Bott-Samelson module.
         """
         cached = self._a_word.get(w)
         if cached is not None:

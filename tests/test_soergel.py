@@ -173,6 +173,50 @@ def test_indecomposable_verifies_before_publishing(monkeypatch):
     assert len(checked) == 2
 
 
+def test_indecomposable_refuses_a_negative_oracle_multiplicity(monkeypatch):
+    cat = SoergelCategory(3)
+    w0 = cat.group.longest_element()
+    for w in cat.group.elements():
+        cat.hecke.kl_basis(w)
+        if w != w0:
+            cat.indecomposable(w)
+    # b_u b_s comes out as b_u, so b_u b_s - b_w0 has multiplicity -1 at w0;
+    # dropping the negative multiplicity would instead fail the peel of D_u
+    monkeypatch.setattr(cat.hecke, "mult_gen_plus", lambda h, i, c: h)
+    with pytest.raises(DecompositionError, match="not a nonnegative integer"):
+        cat.indecomposable(w0)
+    assert w0 not in cat._indec
+
+
+def bott_samelson_route(cat, w):
+    """D_w peeled from the Bott-Samelson module of the canonical word of w,
+    the reference route for the Hecke recursion of ``indecomposable``."""
+    word = cat.group.a_reduced_word(w)
+    rest = cat.expected_summands(word)
+    rest.remove((w, 0))
+    module = cat.bott_samelson(word)
+    for _, _, res in cat._peel_expected(module, rest):
+        module = res[1]
+    return module
+
+
+@pytest.mark.parametrize("n, max_length", [(2, 1), (3, 3), (4, 6), (5, 5)])
+def test_indecomposable_isomorphic_to_bott_samelson_route(n, max_length):
+    # degree-0 maps both ways composing to a nonzero scalar make the
+    # equal-dimensional modules isomorphic, not just equal in character
+    cat = soergel_category(n)
+    for w in cat.group.elements():
+        if not 0 < length(w) <= max_length:
+            continue
+        new, old = cat.indecomposable(w), bott_samelson_route(cat, w)
+        assert new.character() == old.character()
+        assert any(
+            soergel._scalar_of_endo(p.compose(j), new)
+            for j in hom_graded(new, old, 0)
+            for p in hom_graded(old, new, 0)
+        ), format_perm(w)
+
+
 def character_oracle(cat, w):
     """Independent character prediction: the canonical-basis element under
     the functional sending the standard basis of x to v^-length(x).  That

@@ -13,6 +13,7 @@ from soergelkit.weyl import (
     inverse,
     left_descents,
     length,
+    mult_right_simple,
     multiply,
     parse_perm,
     parse_word,
@@ -129,6 +130,17 @@ def test_a_reduced_word_is_the_smallest_reduced_word():
         g = WeylGroup(n)
         for w in g.elements():
             assert g.a_reduced_word(w) == g.reduced_words(w)[0]
+
+
+def test_a_reduced_word_prefixes_are_canonical():
+    # indecomposable(w) inducts D_u, u = w s_i for the last letter i, and
+    # keeps to the Bott-Samelson inductions only if u's word is the prefix
+    for n in range(1, 6):
+        g = WeylGroup(n)
+        for w in g.elements():
+            if length(w):
+                word = g.a_reduced_word(w)
+                assert word[:-1] == g.a_reduced_word(mult_right_simple(w, word[-1]))
 
 
 def test_demazure_product():
