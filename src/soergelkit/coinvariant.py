@@ -26,9 +26,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .laurent import LaurentPoly
-from .linalg import QMatrix, SizeCapError, kernel_basis, rref
+from .linalg import QMatrix, kernel_basis, rref
 from .multipoly import MultiPoly, divided_difference
-from .weyl import RANK_CAP, Perm, simple_reflection
+from .weyl import Perm, check_rank, simple_reflection
 
 
 def _monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
@@ -186,10 +186,7 @@ class CoinvariantRing:
     """The coinvariant algebra for S_n, with reduction and operator data."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("rank must be at least 1")
-        if n > RANK_CAP:
-            raise SizeCapError(f"rank {n} exceeds the configured cap {RANK_CAP}")
+        check_rank(n)
         self.n = n
         self.top_poly_degree = n * (n - 1) // 2
         self.basis: tuple[tuple[int, ...], ...] = tuple(

@@ -38,12 +38,16 @@ primitive integer row of a :class:`SparseSystem`.  :func:`kernel_basis` and
 :func:`rank` take such a system as well as a :class:`QMatrix`, through one
 private elimination core; an empty system has the unit basis as its kernel.
 
-The environment variable ``SOERGEL_MAX_DIM`` (default 5000) caps the rows
-and the columns of every system, and a system over it is refused with
-:class:`SizeCapError` rather than ground through.  :func:`rref` and
-:func:`rank` check a :class:`QMatrix` on entry, before they allocate
-anything; :func:`hom_equations` checks the unknowns before it builds any
-row, and the equations as it emits them.
+The environment variable ``SOERGEL_MAX_DIM`` (default 5000) caps the
+unknowns of every linear system, and :func:`check_size` is the one place
+that compares a size with it: a system over the cap is refused with
+:class:`SizeCapError` before any of its rows is made.  :func:`hom_equations`
+checks its unknowns before it reads a block, and every :class:`QMatrix`
+that is reduced is checked on its columns before a row is copied.  Rows
+and equations are not counted.  A row either reduces to zero and is
+dropped, or becomes one of at most ``cols`` pivot rows, so the elimination
+keeps at most cols² entries however tall the system is; tall systems are
+the cheap ones, since most of their rows reduce to nothing.
 """
 
 from __future__ import annotations
@@ -64,27 +68,22 @@ class SizeCapError(RuntimeError):
     """A computation was refused because it exceeds the configured size cap."""
 
 
-def dimension_cap() -> int:
+def check_size(what: str, size: int) -> None:
+    """Refuse ``size`` over the cap ``SOERGEL_MAX_DIM`` with a
+    :class:`SizeCapError` that names ``what``, a template with one ``{}``
+    for the size."""
     raw = os.environ.get("SOERGEL_MAX_DIM")
-    if not raw:
-        return DEFAULT_DIMENSION_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SizeCapError(f"SOERGEL_MAX_DIM={raw!r} is not an integer") from exc
-    if cap <= 0:
-        raise SizeCapError(f"SOERGEL_MAX_DIM={raw!r} must be positive")
-    return cap
-
-
-def _cap_refusal(what: str, cap: int) -> SizeCapError:
-    return SizeCapError(f"{what} exceeds the dimension cap {cap} (raise SOERGEL_MAX_DIM to override)")
-
-
-def _check_cap(rows: int, cols: int) -> None:
-    cap = dimension_cap()
-    if rows > cap or cols > cap:
-        raise _cap_refusal(f"matrix of size {rows}x{cols}", cap)
+    cap = DEFAULT_DIMENSION_CAP
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise SizeCapError(f"SOERGEL_MAX_DIM={raw!r} is not an integer") from exc
+        if cap <= 0:
+            raise SizeCapError(f"SOERGEL_MAX_DIM={raw!r} must be positive")
+    if size > cap:
+        what = what.format(size)
+        raise SizeCapError(f"{what} exceeds the dimension cap {cap} (raise SOERGEL_MAX_DIM to override)")
 
 
 def _frac(x) -> Fraction:
@@ -305,9 +304,7 @@ def hom_equations(count: int, blocks) -> SparseSystem:
     and B are cleared once per term, each equation is kept as a primitive
     integer row, and equations that come out all zero are left out.
     """
-    cap = dimension_cap()
-    if count > cap:
-        raise _cap_refusal(f"Hom system in {count} unknowns", cap)
+    check_size("Hom system in {} unknowns", count)
     rows = []
     for a, left, b, right, s in blocks:
         t, u = b.rows, b.cols
@@ -335,8 +332,6 @@ def hom_equations(count: int, blocks) -> SparseSystem:
                     row[j] = x
                 if row:
                     rows.append(_primitive(row))
-                    if len(rows) > cap:
-                        raise _cap_refusal(f"Hom system with over {cap} equations", cap)
     return SparseSystem(count, rows)
 
 
@@ -377,7 +372,8 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
 
 def _integer_rows(m: QMatrix) -> list[dict[int, int]]:
     """The nonzero rows of m with their denominators cleared, as primitive
-    {column: int} dicts."""
+    {column: int} dicts; m is refused first if its columns exceed the cap."""
+    check_size("linear system in {} unknowns", m.cols)
     rows = []
     for r in m.nonzeros:
         if r:
@@ -430,7 +426,6 @@ def rref(m: QMatrix) -> RrefResult:
     denominators cleared once into a {column: int} dict, and the reduced
     pivot rows are divided by their pivot entry over the rationals.
     """
-    _check_cap(m.rows, m.cols)
     pivot_rows = _echelon(_integer_rows(m), m.cols, reduce=True)
     out_rows = [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in pivot_rows]
     out_rows += [_EMPTY_ROW] * (m.rows - len(pivot_rows))
@@ -442,7 +437,6 @@ def _system_rows(m: QMatrix | SparseSystem) -> list[dict[int, int]]:
     """Integer rows of a matrix or system, which the elimination may change."""
     if isinstance(m, SparseSystem):
         return [dict(row) for row in m.equations]
-    _check_cap(m.rows, m.cols)
     return _integer_rows(m)
 
 

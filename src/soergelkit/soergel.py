@@ -39,7 +39,7 @@ from .gradedmod import (
 )
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from .laurent import LaurentPoly
-from .linalg import EchelonBasis, QMatrix, SizeCapError, block_matrix, dimension_cap, flatten
+from .linalg import EchelonBasis, QMatrix, block_matrix, check_size, flatten
 from .linalg import rref  # noqa: F401  benchmarks/test_harness.py traces this binding
 from .weyl import Perm, Word, WeylGroup, format_perm, length, mult_right_simple, weyl_group
 
@@ -111,10 +111,7 @@ class SoergelCategory:
             raise ValueError("module belongs to a different ring")
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"simple reflection index {i} out of range for rank {self.n}")
-        if 2 * M.total_dim() > dimension_cap():
-            raise SizeCapError(
-                f"induced module of dimension {2 * M.total_dim()} exceeds the cap {dimension_cap()}"
-            )
+        check_size("induced module of dimension {}", 2 * M.total_dim())
         act, dim, zero = M.action, M.dim_at, QMatrix.zero
 
         def e1(d: int) -> QMatrix:

@@ -30,6 +30,14 @@ Word = tuple[int, ...]
 RANK_CAP = 5
 
 
+def check_rank(n: int) -> None:
+    """Refuse a rank below 1 (ValueError) or over ``RANK_CAP`` (SizeCapError)."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    if n > RANK_CAP:
+        raise SizeCapError(f"rank {n} exceeds the configured cap {RANK_CAP}")
+
+
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
@@ -155,10 +163,7 @@ class WeylGroup:
     """The symmetric group S_n with cached combinatorial structure."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("rank must be at least 1")
-        if n > RANK_CAP:
-            raise SizeCapError(f"rank {n} exceeds the configured cap {RANK_CAP} ({n}! elements)")
+        check_rank(n)
         self.n = n
         self.identity = identity_perm(n)
         self._elements: tuple[Perm, ...] | None = None

@@ -130,11 +130,11 @@ def test_size_cap_refusal_exits_two(monkeypatch, capsys):
     assert code == 2
     assert capsys.readouterr().err.count("\n") == 1
     # with cold caches the ring build comes first, and rref refuses its first
-    # ideal slice over the cap at entry, before reducing it
+    # ideal slice in more unknowns than the cap, before copying any row
     proc = fresh_process("coinv --rank 3", 0, {"SOERGEL_MAX_DIM": "6"})
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == (
-        b"refused: matrix of size 10x10 exceeds the dimension cap 6 "
+        b"refused: linear system in 10 unknowns exceeds the dimension cap 6 "
         b"(raise SOERGEL_MAX_DIM to override)\n"
     )
 
@@ -144,7 +144,10 @@ def test_induced_module_cap_refusal_exits_two():
     # 16, so the refusal is always the induced-module cap (2^5 = 32)
     proc = fresh_process("bs --rank 3 --word 1,2,1,2,1", 0, {"SOERGEL_MAX_DIM": "16"})
     assert (proc.returncode, proc.stdout) == (2, b"")
-    assert proc.stderr == b"refused: induced module of dimension 32 exceeds the cap 16\n"
+    assert proc.stderr == (
+        b"refused: induced module of dimension 32 exceeds the dimension cap 16 "
+        b"(raise SOERGEL_MAX_DIM to override)\n"
+    )
 
 
 def test_coinvariant_rank_cap_exits_two(capsys):

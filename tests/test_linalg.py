@@ -488,8 +488,22 @@ def test_empty_shapes_compose():
 
 def test_size_cap(monkeypatch):
     monkeypatch.setenv("SOERGEL_MAX_DIM", "4")
-    with pytest.raises(SizeCapError):
-        rref(QMatrix.zero(5, 2))
+    # the cap bounds the columns, the unknowns, and rows are not counted
+    tall = random_matrix(random.Random(5), 5, 2)
+    assert rref(tall) == dense_rref(tall)
+    assert [dense(v, 2) for v in kernel_basis(tall)] == dense_kernel(tall)
+    assert rank(tall) == dense_rref(tall).rank
+
+    def must_not_run(*args):
+        raise AssertionError("a matrix over the cap reached the elimination")
+
+    # a wide matrix is refused before any row is copied or reduced
+    monkeypatch.setattr(linalg, "_primitive", must_not_run)
+    monkeypatch.setattr(linalg, "_echelon", must_not_run)
+    wide = random_matrix(random.Random(5), 2, 5, lo=1)
+    for route in (rref, rank, kernel_basis):
+        with pytest.raises(SizeCapError, match="linear system in 5 unknowns exceeds the dimension cap 4"):
+            route(wide)
     monkeypatch.setenv("SOERGEL_MAX_DIM", "bogus")
     with pytest.raises(SizeCapError):
         rref(QMatrix.zero(1, 1))
@@ -510,12 +524,16 @@ def test_hom_equations_cap(monkeypatch):
     with pytest.raises(SizeCapError, match="Hom system in 5 unknowns exceeds the dimension cap 4"):
         hom_equations(5, blocks(3))
     assert read == []
-    assert len(hom_equations(4, blocks(1)).equations) == 4
-    # the fifth equation is refused as it is emitted, before the third block
-    read.clear()
-    with pytest.raises(SizeCapError, match="Hom system with over 4 equations exceeds the dimension cap 4"):
-        hom_equations(4, blocks(3))
-    assert len(read) == 2
+    # equations are not counted: three blocks give 12 equations in 4 unknowns
+    system = hom_equations(4, blocks(3))
+    assert len(read) == 3 and len(system.equations) == 12
+    assert kernel_basis(system) == [] == dense_kernel(densify(system))
+    # F -> A F with A of rank 1 leaves a 2-dimensional kernel
+    a = QMatrix.from_rows([[1, -1], [2, -2]])
+    system = hom_equations(4, [(a, 0, ident, None, 1)] * 3)
+    assert len(system.equations) == 12
+    assert [dense(v, 4) for v in kernel_basis(system)] == dense_kernel(densify(system))
+    assert len(kernel_basis(system)) == 2
 
 
 def test_span_solver():

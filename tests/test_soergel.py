@@ -150,7 +150,7 @@ def test_induct_isomorphic_to_tensor_quotient(n, word):
 def test_induct_cap_bounds_the_induced_module(monkeypatch):
     cat = SoergelCategory(3)  # builds the ring before the cap is lowered
     monkeypatch.setenv("SOERGEL_MAX_DIM", "16")
-    # the last step's tensor space C (x) M would have dimension 6 * 8
+    # inducting once more would give a module of dimension 2 * 16
     m = cat.bott_samelson((1, 2, 1, 2))
     assert m.total_dim() == 16
     with pytest.raises(SizeCapError):
