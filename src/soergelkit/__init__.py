@@ -27,7 +27,7 @@ from .formal import FormalComplex, Gen, formal_category
 from .gradedmod import GradedModule, ModuleMap, graded_hom_poly, hom_graded, trivial_module
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from .laurent import LaurentPoly
-from .linalg import QMatrix, SizeCapError, kernel_basis, rref, solve
+from .linalg import QMatrix, SizeCapError, kernel_basis, rref
 from .multipoly import MultiPoly, divided_difference
 from .soergel import Decomposition, SoergelCategory, soergel_category
 from .weyl import WeylGroup, weyl_group
@@ -59,7 +59,6 @@ __all__ = [
     "kernel_basis",
     "rref",
     "soergel_category",
-    "solve",
     "trivial_module",
     "weyl_group",
     "__version__",

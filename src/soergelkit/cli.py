@@ -263,7 +263,7 @@ def cmd_endo(args) -> tuple[dict, bool, tuple | None]:
         w = cat.group.evaluate(parse_word(args.w, args.rank))
         summands = [(w, 0)]
     else:
-        summands = [(w, 0) for w in sorted(cat.group.elements(), key=lambda u: (length(u), u))]
+        summands = [(w, 0) for w in cat.group.elements()]
     alg = cat.endo_algebra(summands)
     result = {
         "rank": args.rank,

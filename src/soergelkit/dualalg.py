@@ -86,7 +86,7 @@ class DualAlgebra:
     def __init__(self, n: int):
         self.cat: SoergelCategory = soergel_category(n)
         self.n = n
-        self.summands: list[Perm] = sorted(self.cat.group.elements(), key=lambda w: (length(w), w))
+        self.summands: list[Perm] = list(self.cat.group.elements())
         self.slot = {w: i for i, w in enumerate(self.summands)}
         self.endo: EndoAlgebra = self.cat.endo_algebra([(w, 0) for w in self.summands])
         for a, b, d, _ in self.endo.basis:

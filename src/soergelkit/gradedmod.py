@@ -21,7 +21,6 @@ from .coinvariant import CoinvariantRing
 from .laurent import LaurentPoly
 from .linalg import (
     QMatrix,
-    block_matrix,
     hom_equations,
     kernel_basis,
     place_blocks,
@@ -97,15 +96,10 @@ class GradedModule:
         dims = dict(self.dims)
         for d, m in other.dims.items():
             dims[d] = dims.get(d, 0) + m
-        actions = {}
-        for i in range(1, self.ring.n + 1):
-            for d in set(self.degrees()) | set(other.degrees()):
-                a, b = self.action(i, d), other.action(i, d)
-                if a.rows + b.rows == 0 or a.cols + b.cols == 0:
-                    continue
-                actions[(i, d)] = block_matrix(
-                    [[a, QMatrix.zero(a.rows, b.cols)], [QMatrix.zero(b.rows, a.cols), b]]
-                )
+        placed = {key: [(0, 0, mat)] for key, mat in self.actions.items()}
+        for (i, d), mat in other.actions.items():
+            placed.setdefault((i, d), []).append((self.dim_at(d + 2), self.dim_at(d), mat))
+        actions = {(i, d): place_blocks(dims[d + 2], dims[d], blocks) for (i, d), blocks in placed.items()}
         return GradedModule(self.ring, dims, actions, validate=False)
 
     # -- module axioms ---------------------------------------------------------

@@ -27,14 +27,16 @@ reduction of ``[m | I]`` rather than one solve per column.  :class:`SpanSolver`,
 for any independent list, has no caller in the library: it is the
 reference route that tests check the free-column readouts against.
 
-Two assembly routines build every structured matrix: :func:`place_blocks`
-copies the stored entries of blocks to given offsets (behind
-:func:`block_matrix` and the totalised matrices of graded modules), and
-:func:`hom_equations` writes the equations of f -> A f - s f B on row-major
-blocks of unknowns for the graded, ungraded and Tate Hom systems.  It reads
-A's rows and B's columns off their stored entries, clears each block pair's
-denominators once, and keeps each equation with a surviving term as a
-primitive integer row of a :class:`SparseSystem`.  :func:`kernel_basis` and
+Two assembly routines build every structured matrix.  :func:`place_blocks`
+copies the stored entries of the blocks it is given to their offsets, so
+callers pass only their nonzero blocks: the induced actions, the direct
+sums, the totalised matrices of graded modules, and the ``[m | I]`` and
+``[m | b]`` that :func:`inverse`, :func:`solve` and :class:`SpanSolver`
+reduce.  :func:`hom_equations` writes the equations of f -> A f - s f B on
+row-major blocks of unknowns for the graded, ungraded and Tate Hom
+systems.  It reads A's rows and B's columns off their stored entries,
+clears each block pair's denominators once, and keeps each equation with a
+surviving term as a primitive integer row of a :class:`SparseSystem`.  :func:`kernel_basis` and
 :func:`rank` take such a system as well as a :class:`QMatrix`, through one
 private elimination core; an empty system has the unit basis as its kernel.
 
@@ -237,51 +239,24 @@ class QMatrix:
             raise ValueError("vector length does not match column count")
         return [sum((a * x for k, a in r.items() if (x := vec[k])), _ZERO) for r in self.nonzeros]
 
-    def hstack(self, other: "QMatrix") -> "QMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        out = [
-            {**r1, **{j + self.cols: x for j, x in r2.items()}} if r2 else r1
-            for r1, r2 in zip(self.nonzeros, other.nonzeros)
-        ]
-        return QMatrix(self.rows, self.cols + other.cols, out)
-
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
 def place_blocks(rows: int, cols: int, blocks) -> QMatrix:
     """The rows x cols matrix that is zero except for each (r0, c0, block)
-    of ``blocks``, copied with its top-left entry at (r0, c0)."""
+    of ``blocks``, copied with its top-left entry at (r0, c0); raises
+    ValueError for a block that does not fit inside the matrix."""
     out = [{} for _ in range(rows)]
     for r0, c0, blk in blocks:
+        if not (0 <= r0 and r0 + blk.rows <= rows and 0 <= c0 and c0 + blk.cols <= cols):
+            raise ValueError(f"a {blk.rows}x{blk.cols} block at ({r0}, {c0}) does not fit in {rows}x{cols}")
         for r, src in enumerate(blk.nonzeros, r0):
             if src:
                 row = out[r]
                 for j, x in src.items():
                     row[c0 + j] = x
     return QMatrix(rows, cols, out)
-
-
-def block_matrix(blocks) -> QMatrix:
-    """Assemble a matrix from a list of block rows.
-
-    Blocks in one block row must share their row count, and every block row
-    must have the same column widths.
-    """
-    widths = [b.cols for b in blocks[0]] if blocks else []
-    placed = []
-    r0 = 0
-    for block_row in blocks:
-        height = block_row[0].rows
-        if [b.cols for b in block_row] != widths or any(b.rows != height for b in block_row):
-            raise ValueError("blocks do not tile a matrix")
-        c0 = 0
-        for b in block_row:
-            placed.append((r0, c0, b))
-            c0 += b.cols
-        r0 += height
-    return place_blocks(r0, sum(widths), placed)
 
 
 @dataclass(frozen=True)
@@ -477,8 +452,8 @@ def solve(m: QMatrix, b) -> list[Fraction] | None:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = m.hstack(QMatrix(m.rows, 1, [[x] for x in b]))
-    res = rref(aug)
+    rhs = QMatrix(m.rows, 1, [[x] for x in b])
+    res = rref(place_blocks(m.rows, m.cols + 1, [(0, 0, m), (0, m.cols, rhs)]))
     if res.pivots and res.pivots[-1] == m.cols:
         return None
     x = [_ZERO] * m.cols
@@ -493,7 +468,7 @@ def inverse(m: QMatrix) -> QMatrix:
     n = m.rows
     if m.cols != n:
         raise ValueError(f"cannot invert a non-square {m.rows}x{m.cols} matrix")
-    res = rref(m.hstack(QMatrix.identity(n)))
+    res = rref(place_blocks(n, 2 * n, [(0, 0, m), (0, n, QMatrix.identity(n))]))
     if res.pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     return QMatrix(n, n, [{j - n: x for j, x in row.items() if j >= n} for row in res.matrix.nonzeros])
@@ -589,7 +564,7 @@ class SpanSolver:
             if len(v) != dim:
                 raise ValueError("basis vector length does not match ambient dimension")
         a = QMatrix.from_columns(dim, vectors)
-        res = rref(a.hstack(QMatrix.identity(dim)))
+        res = rref(place_blocks(dim, self.k + dim, [(0, 0, a), (0, self.k, QMatrix.identity(dim))]))
         if res.pivots[: self.k] != tuple(range(self.k)):
             raise ValueError("vectors passed to SpanSolver are linearly dependent")
         # rows of E satisfy E a = [I_k; 0]

@@ -33,7 +33,6 @@ from .tate import (
     w_truncate_leq,
     weight_of,
 )
-from .weyl import length
 
 #: Curated rank-4 words for the oracle agreement run; all stay far below
 #: the dimension cap (the largest has dimension 32).
@@ -118,25 +117,16 @@ def criterion_2_demazure_calculus() -> CriterionResult:
 
 
 def criterion_3_bott_samelson_oracle() -> CriterionResult:
-    checked = {"3": 0, "4": 0}
+    checked = {}
     ok = True
-    cat3 = soergel_category(3)
     words3 = [w for l in range(5) for w in product((1, 2), repeat=l)]
-    for word in words3:
-        expected = cat3.expected_summands(word)
-        dec = cat3.decompose(cat3.bott_samelson(word), expected=expected)
-        ok = ok and dec.multiset() == tuple(
-            sorted(expected, key=lambda t: (length(t[0]), t[0], t[1]))
-        )
-        checked["3"] += 1
-    cat4 = soergel_category(4)
-    for word in CURATED_RANK4_WORDS:
-        expected = cat4.expected_summands(word)
-        dec = cat4.decompose(cat4.bott_samelson(word), expected=expected)
-        ok = ok and dec.multiset() == tuple(
-            sorted(expected, key=lambda t: (length(t[0]), t[0], t[1]))
-        )
-        checked["4"] += 1
+    for n, words in ((3, words3), (4, CURATED_RANK4_WORDS)):
+        cat = soergel_category(n)
+        for word in words:
+            expected = cat.expected_summands(word)
+            dec = cat.decompose(cat.bott_samelson(word), expected=expected)
+            ok = ok and dec.multiset() == tuple(expected)
+        checked[str(n)] = len(words)
     return CriterionResult(
         3,
         "induced-module decompositions match the canonical-basis products",
@@ -292,14 +282,11 @@ def criterion_7_tate_structures(seed: int) -> CriterionResult:
 
 def square_failures(n: int, rng: random.Random, cases: int) -> int:
     """How many of ``cases`` random rank-n complexes drawn from rng fail the
-    differential check or the duality square."""
+    duality square.  The differential check d² = 0 runs, and raises, inside
+    :meth:`FormalCategory.random_complex`, so every complex counted here
+    has passed it."""
     fc = formal_category(n)
-    failures = 0
-    for _ in range(cases):
-        x = fc.random_complex(rng)
-        if not (fc.dsquare_check(x) and fc.square_check(x)):
-            failures += 1
-    return failures
+    return sum(not fc.square_check(fc.random_complex(rng)) for _ in range(cases))
 
 
 def criterion_8_duality_square(seed: int, cases_per_rank: int = 500) -> CriterionResult:

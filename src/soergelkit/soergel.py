@@ -39,7 +39,7 @@ from .gradedmod import (
 )
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from .laurent import LaurentPoly
-from .linalg import EchelonBasis, QMatrix, block_matrix, check_size, flatten
+from .linalg import EchelonBasis, QMatrix, check_size, flatten, place_blocks
 from .linalg import rref  # noqa: F401  benchmarks/test_harness.py traces this binding
 from .weyl import Perm, Word, WeylGroup, format_perm, length, mult_right_simple, weyl_group
 
@@ -105,14 +105,16 @@ class SoergelCategory:
         the actions of x_i + x_{i+1} and x_i x_{i+1}, the relation
         x_i^2 = E1 x_i - E2 gives x_i the blocks [[0, -E2], [I, E1]] and
         x_{i+1} = E1 - x_i the blocks [[E1, E2], [-I, 0]]; every other
-        variable is invariant and acts diagonally.
+        variable is invariant and acts diagonally.  Each action from degree
+        d to d + 2 places only its nonzero blocks: its rows are 1 (x) M_{d+2}
+        then x_i (x) M_d, its columns 1 (x) M_d then x_i (x) M_{d-2}.
         """
         if M.ring is not self.ring:
             raise ValueError("module belongs to a different ring")
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"simple reflection index {i} out of range for rank {self.n}")
         check_size("induced module of dimension {}", 2 * M.total_dim())
-        act, dim, zero = M.action, M.dim_at, QMatrix.zero
+        act, dim = M.action, M.dim_at
 
         def e1(d: int) -> QMatrix:
             return act(i, d) + act(i + 1, d)
@@ -124,17 +126,15 @@ class SoergelCategory:
                 continue
             one = QMatrix.identity(dim(d))
             e2 = act(i + 1, d) * act(i, d - 2)
+            r1, c1 = dim(d + 2), dim(d)
             for l in range(1, self.n + 1):
                 if l == i:
-                    grid = [[zero(dim(d + 2), dim(d)), -e2], [one, e1(d - 2)]]
+                    blocks = [(0, c1, -e2), (r1, 0, one), (r1, c1, e1(d - 2))]
                 elif l == i + 1:
-                    grid = [[e1(d), e2], [-one, zero(dim(d), dim(d - 2))]]
+                    blocks = [(0, 0, e1(d)), (0, c1, e2), (r1, 0, -one)]
                 else:
-                    grid = [
-                        [act(l, d), zero(dim(d + 2), dim(d - 2))],
-                        [zero(dim(d), dim(d)), act(l, d - 2)],
-                    ]
-                actions[(l, d)] = block_matrix(grid)
+                    blocks = [(0, 0, act(l, d)), (r1, c1, act(l, d - 2))]
+                actions[(l, d)] = place_blocks(dims[d + 2], dims[d], blocks)
         return GradedModule(self.ring, dims, actions, validate=True).shift(1)
 
     def bott_samelson(self, word: Word) -> GradedModule:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import QMatrix, SparseSystem, block_matrix, hom_equations, inverse, rank
+from .linalg import QMatrix, SparseSystem, hom_equations, inverse, place_blocks, rank
 
 
 class Complex:
@@ -95,14 +95,10 @@ class Complex:
         dims = dict(self.dims)
         for c, m in other.dims.items():
             dims[c] = dims.get(c, 0) + m
-        diffs = {}
-        for c in set(self.dims) | set(other.dims):
-            a, b = self.diff(c), other.diff(c)
-            if (a.rows + b.rows) == 0 or (a.cols + b.cols) == 0:
-                continue
-            diffs[c] = block_matrix(
-                [[a, QMatrix.zero(a.rows, b.cols)], [QMatrix.zero(b.rows, a.cols), b]]
-            )
+        placed = {c: [(0, 0, mat)] for c, mat in self.diffs.items()}
+        for c, mat in other.diffs.items():
+            placed.setdefault(c, []).append((self.dim_at(c + 1), self.dim_at(c), mat))
+        diffs = {c: place_blocks(dims[c + 1], dims[c], blocks) for c, blocks in placed.items()}
         return Complex(dims, diffs, validate=False)
 
     def cohomology_dims(self) -> dict[int, int]:

@@ -24,3 +24,9 @@ def dense_flatten(m):
     """The entries of a QMatrix row by row, zeros included: the dense
     reference for :func:`soergelkit.linalg.flatten`."""
     return [x for row in m.data for x in row]
+
+
+def block_diagonal(a, b):
+    """The dense rows of the block-diagonal matrix [[a, 0], [0, b]] of two
+    QMatrix blocks: the reference for the direct sums."""
+    return [r + [Fraction(0)] * b.cols for r in a.data] + [[Fraction(0)] * a.cols + r for r in b.data]

@@ -19,7 +19,7 @@ from soergelkit.linalg import QMatrix, SizeCapError, hom_equations, kernel_basis
 from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import soergel_category
 
-from dense_views import dense, dense_flatten
+from dense_views import block_diagonal, dense, dense_flatten
 
 
 def regular_module(n):
@@ -200,6 +200,34 @@ def test_direct_sum_and_kernel():
     k, inc = kernel_module(e)
     assert k.dims == {-2: 1}
     inc.check_commutes()
+
+
+def test_direct_sum_is_the_block_diagonal_of_its_summands():
+    cat = soergel_category(3)
+    rng = random.Random(1801)
+    empty = GradedModule(cat.ring, {}, {})
+
+    def draw():
+        word = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 3)))
+        return cat.bott_samelson(word).shift(rng.randint(-4, 4))
+
+    pairs = [(draw(), draw()) for _ in range(24)] + [(draw(), empty), (empty, draw()), (empty, empty)]
+    kinds = set()
+    for a, b in pairs:
+        s = a.direct_sum(b)
+        s.validate()
+        support = set(a.degrees()) | set(b.degrees())
+        assert s.dims == {d: a.dim_at(d) + b.dim_at(d) for d in support}
+        for i in range(1, 4):
+            for d in support:
+                x, y, got = a.action(i, d), b.action(i, d), s.action(i, d)
+                assert (got.rows, got.cols) == (x.rows + y.rows, x.cols + y.cols)
+                assert got.data == block_diagonal(x, y)
+        if not (a.dims and b.dims):
+            kinds.add("empty")
+        else:
+            kinds.add("overlapping" if set(a.dims) & set(b.dims) else "disjoint")
+    assert kinds == {"empty", "overlapping", "disjoint"}
 
 
 def test_kernel_module_rejects_a_non_module_map():

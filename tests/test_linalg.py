@@ -13,7 +13,6 @@ from soergelkit.linalg import (
     SizeCapError,
     SpanSolver,
     SparseSystem,
-    block_matrix,
     flatten,
     hom_equations,
     inverse,
@@ -414,7 +413,8 @@ def test_every_operation_stores_only_nonzeros():
         vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q)]
         assert a.times_vector(vec) == [sum((x * y for x, y in zip(r, vec)), Fraction(0)) for r in dense_rows]
         d = _oracle_matrix(rng, p, rng.randint(0, 8))
-        assert _stored(a.hstack(d)).data == [r + s for r, s in zip(dense_rows, d.data)]
+        side_by_side = place_blocks(p, q + d.cols, [(0, 0, a), (0, q, d)])
+        assert _stored(side_by_side).data == [r + s for r, s in zip(dense_rows, d.data)]
         r0, c0 = rng.randint(0, 3), rng.randint(0, 3)
         placed = [[0] * (q + c0 + 2) for _ in range(p + r0 + 1)]
         for i, r in enumerate(dense_rows):
@@ -423,7 +423,8 @@ def test_every_operation_stores_only_nonzeros():
         if p and q:
             e = _oracle_matrix(rng, p, rng.randint(0, 4))
             tiled = [r + s for r, s in zip(dense_rows, e.data)] + [r + [0] * e.cols for r in b.data]
-            assert _stored(block_matrix([[a, e], [b, QMatrix.zero(p, e.cols)]])).data == tiled
+            grid = place_blocks(2 * p, q + e.cols, [(0, 0, a), (0, q, e), (p, 0, b)])
+            assert _stored(grid).data == tiled
         assert _stored_vector(flatten(a), p * q) == sparse(dense_flatten(a))
         assert dense_flatten(a) == [x for r in dense_rows for x in r]
         assert [sorted(r.items()) for r in linalg._integer_rows(a)] == [
@@ -603,17 +604,27 @@ def test_from_columns_keeps_shape():
         QMatrix.from_columns(2, [[1, 2], [3]])
 
 
-def test_block_matrix_tiles_blocks():
+def test_place_blocks_copies_each_block_to_its_offset():
     a = QMatrix.from_rows([[1, 2]])
     b = QMatrix.from_rows([[3], [4]])
-    m = block_matrix([[a, QMatrix.zero(1, 1)], [QMatrix.zero(2, 2), b]])
-    assert m == QMatrix.from_rows([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    m = QMatrix.from_rows([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    assert place_blocks(3, 3, [(0, 0, a), (1, 2, b)]) == m
     assert place_blocks(3, 3, [(1, 2, b), (0, 0, a)]) == m
-    # a block row of height zero still fixes the column widths
-    m = block_matrix([[QMatrix.zero(0, 2), QMatrix.zero(0, 1)], [a, QMatrix.zero(1, 1)]])
-    assert (m.rows, m.cols) == (1, 3)
-    with pytest.raises(ValueError):
-        block_matrix([[a, b]])
+    # blocks of height or width zero place nothing, also on the far edges
+    empty = [(3, 1, QMatrix.zero(0, 2)), (1, 3, QMatrix.zero(2, 0)), (0, 0, QMatrix.zero(0, 0))]
+    assert place_blocks(3, 3, [*empty, (1, 2, b), (0, 0, a)]) == m
+    assert place_blocks(0, 2, [(0, 0, QMatrix.zero(0, 2))]) == QMatrix.zero(0, 2)
+    assert place_blocks(2, 0, [(0, 0, QMatrix.zero(2, 0))]) == QMatrix.zero(2, 0)
+    # a block that does not fit is refused, even where its overhang is zero
+    for blocks in (
+        [(0, 2, a)],
+        [(0, 2, QMatrix.zero(1, 2))],
+        [(2, 0, b)],
+        [(-1, 0, a)],
+        [(0, -1, a)],
+    ):
+        with pytest.raises(ValueError, match="does not fit"):
+            place_blocks(3, 3, blocks)
 
 
 def _kron(x, y):

@@ -20,6 +20,8 @@ from soergelkit.tate import (
     weight_of,
 )
 
+from dense_views import block_diagonal
+
 
 def test_simple_placement():
     x = simple(0, 0)
@@ -249,3 +251,25 @@ def test_random_generators_are_pinned():
             for g, layer in sorted(random_graded_complex(rng, **kw).layers.items()):
                 digest.update(repr(g).encode() + _complex_bytes(layer))
     assert digest.hexdigest() == "42b2f418e217d1a4e7d59f69f0055f707e8d531b7e9a51537ca895cf66c11e5f"
+
+
+def test_direct_sum_is_the_block_diagonal_of_its_summands():
+    rng = random.Random(1802)
+    empty = Complex({})
+    pairs = [(random_complex(rng), random_complex(rng).shift(rng.randint(-5, 5))) for _ in range(30)]
+    pairs += [(random_complex(rng), empty), (empty, random_complex(rng)), (empty, empty)]
+    kinds = set()
+    for x, y in pairs:
+        s = x.direct_sum(y)
+        s.validate()
+        support = set(x.dims) | set(y.dims)
+        assert s.dims == {c: x.dim_at(c) + y.dim_at(c) for c in support}
+        for c in support:
+            a, b, got = x.diff(c), y.diff(c), s.diff(c)
+            assert (got.rows, got.cols) == (a.rows + b.rows, a.cols + b.cols)
+            assert got.data == block_diagonal(a, b)
+        if not (x.dims and y.dims):
+            kinds.add("empty")
+        else:
+            kinds.add("overlapping" if set(x.dims) & set(y.dims) else "disjoint")
+    assert kinds == {"empty", "overlapping", "disjoint"}
