@@ -280,7 +280,7 @@ def cmd_tate(args) -> tuple[dict, bool, tuple | None]:
 
     from .selftest import tate_battery
 
-    report, ok = tate_battery(_random.Random(args.seed), args.cases, args.cases)
+    report, ok = tate_battery(_random.Random(args.seed), args.cases)
     return {"seed": args.seed, **report}, ok, None
 
 

@@ -26,7 +26,7 @@ def _coerce(x) -> Fraction:
     raise TypeError(f"cannot use {x!r} as a rational coefficient")
 
 
-_TERM_RE = re.compile(r"^(\d+(?:/\d+)?)?(v(?:\^(-?\d+))?)?$")
+_TERM_RE = re.compile(r"^(\d+(?:/0*[1-9]\d*)?)?(v(?:\^(-?\d+))?)?$")
 
 
 class LaurentPoly:

@@ -3,7 +3,8 @@ runnable criterion, exact arithmetic throughout (tolerance zero).
 
 Each criterion returns a result record with the checked numbers; the
 battery is deterministic given the seed, so two runs produce identical
-reports byte for byte.  The same functions back the command line
+reports byte for byte (the tests compare runs in fresh interpreters under
+different hash seeds).  The same functions back the command line
 ``selftest`` and the acceptance test module, and ``tate --demo`` and
 ``koszul-square`` run the checks of criteria 7 and 8 through
 :func:`tate_battery` and :func:`square_failures`.
@@ -11,7 +12,6 @@ reports byte for byte.  The same functions back the command line
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from itertools import product
@@ -24,13 +24,10 @@ from .tate import (
     check_t_axioms,
     check_w_axioms,
     iota_collapse,
-    random_complex,
     random_graded_complex,
     simple,
     t_truncate_geq,
     t_truncate_leq,
-    w_truncate_geq,
-    w_truncate_leq,
     weight_of,
 )
 
@@ -202,12 +199,13 @@ def criterion_6_endomorphism_ring() -> CriterionResult:
     )
 
 
-def tate_battery(rng: random.Random, weight_cases: int, truncation_cases: int) -> tuple[dict, bool]:
+def tate_battery(rng: random.Random, weight_cases: int) -> tuple[dict, bool]:
     """The Tate checks: the collapse witness, weight exactness of the
-    collapse on ``weight_cases`` random graded complexes, agreement of the
-    two truncations on ``truncation_cases`` random complexes, and the t- and
+    collapse on ``weight_cases`` random graded complexes, and the t- and
     w-axioms on two samples of five.  Returns the report of ``tate --demo``
-    without its seed, and whether every check passed."""
+    without its seed, and whether every check passed.  The t- and
+    w-truncations of an ungraded complex coincide by construction, so
+    they are not compared here."""
     # the twisted-shifted unit has weight 0 everywhere but moves from
     # t-degree -2 to t-degree 0 under the collapse
     x = simple(-2, -1)
@@ -236,44 +234,26 @@ def tate_battery(rng: random.Random, weight_cases: int, truncation_cases: int) -
         cases += 1
     witnesses["weight_exactness_cases"] = cases
     witnesses["weight_exactness_failures"] = weight_failures
-    trunc_failures = 0
-    for _ in range(truncation_cases):
-        c = random_complex(rng, max_pos=3).minimize()
-        for m in (-2, -1, 0, 1, 2):
-            if t_truncate_leq(c, m) != w_truncate_leq(c, m) or t_truncate_geq(
-                c, m
-            ) != w_truncate_geq(c, m):
-                trunc_failures += 1
     t_report = check_t_axioms([random_graded_complex(rng, max_g=1, max_pos=2) for _ in range(5)])
     w_report = check_w_axioms([random_graded_complex(rng, max_g=1, max_pos=2) for _ in range(5)])
     ok = (
         witnesses["collapse_breaks_t"]
         and witnesses["collapse_preserves_weight"]
         and weight_failures == 0
-        and trunc_failures == 0
         and t_report["all_pass"]
         and w_report["all_pass"]
     )
-    report = {
-        "witnesses": witnesses,
-        "truncation_cases": truncation_cases,
-        "truncation_failures": trunc_failures,
-        "t_axioms": t_report,
-        "w_axioms": w_report,
-    }
-    return report, ok
+    return {"witnesses": witnesses, "t_axioms": t_report, "w_axioms": w_report}, ok
 
 
 def criterion_7_tate_structures(seed: int) -> CriterionResult:
-    report, ok = tate_battery(random.Random(seed), 200, 1000)
+    report, ok = tate_battery(random.Random(seed), 200)
     return CriterionResult(
         7,
-        "collapse is weight-exact, fails t-exactness at the witness, and "
-        "the two ungraded truncations coincide",
+        "collapse is weight-exact and fails t-exactness at the witness",
         ok,
         {
             "weight_cases": report["witnesses"]["weight_exactness_cases"],
-            "truncation_cases": report["truncation_cases"],
             "t_axioms": report["t_axioms"],
             "w_axioms": report["w_axioms"],
         },
@@ -296,7 +276,8 @@ def criterion_8_duality_square(seed: int, cases_per_rank: int = 500) -> Criterio
         counts[str(n)] = {"cases": cases_per_rank, "failures": failures}
     return CriterionResult(
         8,
-        "the graded and ungraded duality square commutes on the random corpus",
+        "every random corpus complex has d^2 = 0 in the total space; the "
+        "duality square, a relabelling, commutes (structural check)",
         all(c["failures"] == 0 for c in counts.values()),
         {"ranks": counts},
     )
@@ -330,33 +311,6 @@ def criterion_9_dual_homological() -> CriterionResult:
     )
 
 
-def _seeded_subreport(seed: int) -> str:
-    """Serialised results of the seeded criteria; used for the determinism
-    check, which reruns them and compares bytes."""
-    results = [
-        criterion_5_degrading(seed),
-        criterion_7_tate_structures(seed),
-        criterion_8_duality_square(seed, cases_per_rank=25),
-    ]
-    payload = [
-        {"number": r.number, "name": r.name, "passed": r.passed, "details": r.details}
-        for r in results
-    ]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def criterion_10_determinism(seed: int) -> CriterionResult:
-    first = _seeded_subreport(seed)
-    second = _seeded_subreport(seed)
-    ok = first == second
-    return CriterionResult(
-        10,
-        "seeded reruns of the randomised criteria are byte-identical",
-        ok,
-        {"bytes": len(first), "identical": ok},
-    )
-
-
 def run_battery(seed: int = 42) -> list[CriterionResult]:
     """All acceptance criteria in order."""
     return [
@@ -369,7 +323,6 @@ def run_battery(seed: int = 42) -> list[CriterionResult]:
         criterion_7_tate_structures(seed),
         criterion_8_duality_square(seed),
         criterion_9_dual_homological(),
-        criterion_10_determinism(seed),
     ]
 
 

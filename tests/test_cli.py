@@ -213,9 +213,9 @@ GOLDEN = {
     "koszul-square --rank 3 --cases 50": '{"cases":50,"failures":0,"rank":3,"seed":42}\n',
     "tate --demo --seed 42 --cases 20": (
         '{"seed":42,"t_axioms":{"all_pass":true,"cases":5,"decomposition":true,"nesting":true,'
-        '"orthogonality":true,"pairs":25},"truncation_cases":20,"truncation_failures":0,'
-        '"w_axioms":{"all_pass":true,"cases":5,"decomposition":true,"nesting":true,'
-        '"orthogonality":true,"pairs":25},"witnesses":{"collapse_breaks_t":true,'
+        '"orthogonality":true,"pairs":25},"w_axioms":{"all_pass":true,"cases":5,'
+        '"decomposition":true,"nesting":true,"orthogonality":true,"pairs":25},'
+        '"witnesses":{"collapse_breaks_t":true,'
         '"collapse_preserves_weight":true,"t_degree_after_collapse":0,'
         '"t_degree_before_collapse":-2,"weight_exactness_cases":20,'
         '"weight_exactness_failures":0,"weight_of_twisted_shifted_unit":0}}\n'
@@ -252,7 +252,12 @@ def test_golden_stdout(command):
 
 
 def test_fresh_processes_agree_across_hash_seeds():
-    for command in ("decompose --rank 4 --word 1,2,3,2,1", "selftest --seed 42"):
+    for command in (
+        "decompose --rank 4 --word 1,2,3,2,1",
+        "selftest --seed 42",
+        "tate --demo --seed 42 --cases 20",
+        "koszul-square --rank 3 --cases 50",
+    ):
         assert run_fresh(command, 1) == run_fresh(command, 2)
 
 

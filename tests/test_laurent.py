@@ -84,3 +84,6 @@ def test_parse_rejects_garbage():
         LaurentPoly.parse("v^^2")
     with pytest.raises(ValueError):
         LaurentPoly.parse("w+1")
+    for zero_denominator in ("1/0v", "3/00", "v^2+1/0"):
+        with pytest.raises(ValueError, match="bad term"):
+            LaurentPoly.parse(zero_denominator)
