@@ -182,8 +182,8 @@ class DualAlgebra:
         for (a_idx, key), blk in cover_mod.act.items():
             _, v, g, _ = self.endo.basis[a_idx]
             blocks.append(((a_idx, key), key, (key[0] + g, v), blk))
-        bases, act = restrict_to_kernels(cover_map, blocks)
-        return _AMod(self.endo, {key: len(b.vectors) for key, b in bases.items()}, act)
+        inclusions, act = restrict_to_kernels(cover_map, blocks)
+        return _AMod(self.endo, {key: inc.cols for key, inc in inclusions.items()}, act)
 
     # -- resolutions -------------------------------------------------------------
 

@@ -338,22 +338,6 @@ def hom_ungraded_dim(M: GradedModule, N: GradedModule) -> int:
     return len(kernel_basis(system))
 
 
-def _kernel(e: ModuleMap):
-    """The kernel module of e, its inclusion, and its basis in each degree."""
-    if e.degree != 0 or e.source is not e.target:
-        raise ValueError("kernel_module expects a degree-0 endomorphism")
-    M = e.source
-    bases, actions = restrict_to_kernels(
-        {d: e.block(d) for d in M.degrees()},
-        (((i, d), d, d + 2, mat) for (i, d), mat in M.actions.items()),
-    )
-    K = GradedModule(M.ring, {d: len(b.vectors) for d, b in bases.items()}, actions, validate=False)
-    inclusion = ModuleMap(
-        K, M, 0, {d: QMatrix.from_columns(b.dim, b.vectors) for d, b in bases.items()}
-    )
-    return K, inclusion, bases
-
-
 def kernel_module(e: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     """The kernel of a degree-0 endomorphism, with its inclusion map.
 
@@ -361,17 +345,12 @@ def kernel_module(e: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     action blocks are read off the kernel bases, which is exact and raises
     if the map was not actually a module map.
     """
-    K, inclusion, _ = _kernel(e)
-    return K, inclusion
-
-
-def kernel_module_with_projection(e: ModuleMap) -> tuple[GradedModule, ModuleMap, ModuleMap]:
-    """Kernel of a degree-0 idempotent with inclusion and the projection
-    along the image; the projection reads the coordinates of (1 - e) v off
-    the kernel bases."""
-    K, inclusion, bases = _kernel(e)
-    blocks = {}
-    for d, basis in bases.items():
-        comp = (QMatrix.identity(basis.dim) - e.block(d)).transpose()
-        blocks[d] = QMatrix.from_columns(K.dim_at(d), [basis.coords(col) for col in comp.nonzeros])
-    return K, inclusion, ModuleMap(e.source, K, 0, blocks)
+    if e.degree != 0 or e.source is not e.target:
+        raise ValueError("kernel_module expects a degree-0 endomorphism")
+    M = e.source
+    inclusions, actions = restrict_to_kernels(
+        {d: e.block(d) for d in M.degrees()},
+        (((i, d), d, d + 2, mat) for (i, d), mat in M.actions.items()),
+    )
+    K = GradedModule(M.ring, {d: inc.cols for d, inc in inclusions.items()}, actions, validate=False)
+    return K, ModuleMap(K, M, 0, inclusions)

@@ -520,12 +520,12 @@ class EchelonBasis:
 def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
     """The kernels of keyed matrices, and blocks restricted to them.
 
-    Returns the :class:`EchelonBasis` of every nonzero kernel of ``maps``,
-    by key, and each nonzero block of ``blocks`` = (label, key, target key,
-    matrix) in kernel coordinates, by label.  The images of a kernel basis
-    are the stored rows of (block * inclusion) transposed.  Raises
-    AssertionError when a block maps a kernel vector outside the target
-    kernel.
+    Returns the inclusion of every nonzero kernel of ``maps``, by key (its
+    columns are the :func:`kernel_basis` vectors), and each nonzero block
+    of ``blocks`` = (label, key, target key, matrix) in kernel coordinates,
+    by label.  The images of a kernel basis are the stored rows of (block *
+    inclusion) transposed.  Raises AssertionError when a block maps a
+    kernel vector outside the target kernel.
     """
     bases, inclusions = {}, {}
     for key, mat in maps.items():
@@ -545,7 +545,7 @@ def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
         mat = QMatrix.from_columns(len(tgt.vectors), cols)
         if not mat.is_zero():
             restricted[label] = mat
-    return bases, restricted
+    return inclusions, restricted
 
 
 class SpanSolver:

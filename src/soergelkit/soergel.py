@@ -12,8 +12,9 @@ over C, which is the evidence that the formulas are right.
 Iterating induction along a word starting from the one-dimensional module
 gives the Bott-Samelson module of the word.  A peel loop splits a module
 into summands D_x: the Hecke algebra predicts the summand multiset, and
-every predicted summand is split off by a projection and an inclusion
-whose composite is a nonzero scalar.  D_w follows the canonical-basis
+every predicted summand is split off by maps p and j whose composite
+p j is a nonzero scalar c, and the peel goes on in the kernel of the
+idempotent j p / c.  D_w follows the canonical-basis
 recursion (Soergel 2007; Elias and Williamson 2014): with s the last
 letter of the canonical word of w and u = ws, it is what is left of the
 induction of D_u along s once the summands of b_u b_s - b_w are peeled
@@ -34,7 +35,7 @@ from .gradedmod import (
     ModuleMap,
     hom_degree_range,
     hom_graded,
-    kernel_module_with_projection,
+    kernel_module,
     trivial_module,
 )
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
@@ -49,15 +50,13 @@ class DecompositionError(RuntimeError):
 
 
 class Decomposition:
-    """Summands (w, k), each a copy of D_w with degrees lowered by k,
-    together with the orthogonal idempotents realising the splitting."""
+    """Summands (w, k), each a copy of D_w with degrees lowered by k, in
+    the order the peel split them off."""
 
-    __slots__ = ("module", "summands", "idempotents")
+    __slots__ = ("summands",)
 
-    def __init__(self, module: GradedModule, summands, idempotents):
-        self.module = module
+    def __init__(self, summands):
         self.summands = tuple(summands)
-        self.idempotents = tuple(idempotents)
 
     def multiset(self) -> tuple[tuple[Perm, int], ...]:
         return tuple(sorted(self.summands, key=lambda t: (length(t[0]), t[0], t[1])))
@@ -192,8 +191,8 @@ class SoergelCategory:
         unless every c is a nonnegative integer."""
         expansion = self.hecke.kl_expand(h)
         out = []
-        for x in sorted(expansion, key=lambda w: (length(w), w)):
-            for j, c in expansion[x].items():
+        for x, p in expansion.items():
+            for j, c in p.items():
                 if c.denominator != 1 or c < 0:
                     raise DecompositionError(
                         f"oracle multiplicity {c} at {format_perm(x)} is not a nonnegative integer"
@@ -204,7 +203,9 @@ class SoergelCategory:
     # -- decomposition ------------------------------------------------------------
 
     def _try_peel(self, M: GradedModule, x: Perm, k: int):
-        """Split one copy of D_x with shift k off M, or return None."""
+        """Split one copy of D_x with shift k off M, or return None.  With j:
+        D_x -> M and p: M -> D_x such that p j = c is a nonzero scalar, returns
+        idem = j p / c with its kernel module (the complement) and inclusion."""
         dx = self.indecomposable(x)
         inclusions = hom_graded(dx, M, -k)
         if not inclusions:
@@ -215,8 +216,7 @@ class SoergelCategory:
                 c = _scalar_of_endo(p.compose(j), dx)
                 if c:
                     idem = j.compose(p).scale(Fraction(1) / c)
-                    complement, inc, proj = kernel_module_with_projection(idem)
-                    return idem, complement, inc, proj
+                    return (idem, *kernel_module(idem))
         return None
 
     def _peel_expected(self, M: GradedModule, expected, context: str = ""):
@@ -259,19 +259,15 @@ class SoergelCategory:
 
         With ``expected`` (a list of (x, k) pairs) the peel follows the
         oracle prediction; otherwise candidates are searched by character
-        containment over all indecomposables of the rank.  Failure to
-        realise a splitting raises :class:`DecompositionError`.
+        containment over all indecomposables of the rank.  Each step goes on
+        in the complement; a failed split, a remainder or a character
+        mismatch raises :class:`DecompositionError`.
         """
         steps = self._peel_search(M) if expected is None else self._peel_expected(M, expected)
         summands: list[tuple[Perm, int]] = []
-        idempotents: list[ModuleMap] = []
         cur = M
-        inc_chain = proj_chain = ModuleMap.identity(M)
-        for x, k, (idem, cur, inc, proj) in steps:
+        for x, k, (_, cur, _) in steps:
             summands.append((x, k))
-            idempotents.append(inc_chain.compose(idem).compose(proj_chain))
-            inc_chain = inc_chain.compose(inc)
-            proj_chain = proj.compose(proj_chain)
         if cur.total_dim():
             raise DecompositionError(
                 f"peel left a remainder of dimension {cur.total_dim()}"
@@ -281,7 +277,7 @@ class SoergelCategory:
             got = got + self.indecomposable(x).character().shift(-k)
         if got != M.character():
             raise DecompositionError("summand characters do not add up to the module character")
-        return Decomposition(M, summands, idempotents)
+        return Decomposition(summands)
 
     def indecomposable(self, w: Perm) -> GradedModule:
         """D_w: the induction of D_u along the last letter s of the canonical

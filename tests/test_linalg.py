@@ -580,8 +580,8 @@ def test_restrict_to_kernels_rejects_images_outside_the_target_kernel():
     # kernels: span(e2) at key 0, span(e1) at key 1, nothing at key 2
     maps = {0: QMatrix.from_rows([[1, 0]]), 1: QMatrix.from_rows([[0, 1]]), 2: QMatrix.identity(2)}
     swap = QMatrix.from_rows([[0, 1], [1, 0]])
-    bases, restricted = restrict_to_kernels(maps, [("swap", 0, 1, swap)])
-    assert sorted(bases) == [0, 1]
+    inclusions, restricted = restrict_to_kernels(maps, [("swap", 0, 1, swap)])
+    assert inclusions == {0: QMatrix.from_rows([[0], [1]]), 1: QMatrix.from_rows([[1], [0]])}
     assert restricted == {"swap": QMatrix.from_rows([[1]])}
     for tgt_key in (1, 2):
         with pytest.raises(AssertionError, match="not action-stable"):

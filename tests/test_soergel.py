@@ -285,22 +285,6 @@ def test_decompose_bs_121():
     assert dec.multiset() == ((parse_perm("213"), 0), (parse_perm("321"), 0))
 
 
-def test_decomposition_idempotents():
-    cat = soergel_category(3)
-    m = cat.bott_samelson((1, 2, 1))
-    dec = cat.decompose(m)
-    total = None
-    for e in dec.idempotents:
-        assert e.compose(e) == e
-        e.check_commutes()
-        total = e if total is None else total + e
-    assert total == ModuleMap.identity(m)
-    for a in dec.idempotents:
-        for b in dec.idempotents:
-            if a is not b:
-                assert a.compose(b).is_zero()
-
-
 @pytest.mark.parametrize("word", s3_words(4))
 def test_oracle_multiplicity_agreement_s3(word):
     cat = soergel_category(3)
@@ -506,16 +490,30 @@ def test_degree_zero_endomorphisms_are_the_identity(n):
             assert hom_graded(d, d, 0) == [ModuleMap.identity(d)]
 
 
+@pytest.mark.parametrize("route", ["expected", "search"])
 @pytest.mark.parametrize("word", [(1, 2, 1), (1, 2, 1, 2), (2, 1, 1)])
-def test_peel_projection_splits_off_the_idempotent(word):
+def test_each_peel_step_splits_off_the_image_of_its_idempotent(word, route):
+    # e is an idempotent module map, so the current module is im(e) + ker(e);
+    # the inclusion is injective into ker(e), and the characters show that it
+    # fills ker(e), since im(e) is the copy of D_x
     cat = soergel_category(3)
-    m = cat.bott_samelson(word)
-    for x, k in cat.expected_summands(word):
-        idem, complement, inc, proj = cat._try_peel(m, x, k)
-        assert proj.compose(inc) == ModuleMap.identity(complement)
-        assert inc.compose(proj) == ModuleMap.identity(m) - idem
-        m = complement
-    assert m.total_dim() == 0
+    cur = cat.bott_samelson(word)
+    if route == "expected":
+        steps = cat._peel_expected(cur, cat.expected_summands(word))
+    else:
+        steps = cat._peel_search(cur)
+    for x, k, (idem, complement, inclusion) in steps:
+        assert idem.source is cur and idem.target is cur and idem.degree == 0
+        assert idem.compose(idem) == idem
+        idem.check_commutes()
+        assert inclusion.source is complement and inclusion.target is cur
+        assert idem.compose(inclusion).is_zero()
+        inclusion.check_commutes()
+        assert sorted(inclusion.blocks) == list(complement.degrees())
+        assert all(rank(blk) == blk.cols for blk in inclusion.blocks.values())
+        assert complement.character() + cat.indecomposable(x).character().shift(-k) == cur.character()
+        cur = complement
+    assert cur.total_dim() == 0
 
 
 def test_decompose_shifted_sum_generic():
