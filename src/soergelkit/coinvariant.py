@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .laurent import LaurentPoly
-from .linalg import QMatrix, kernel_basis, rref
+from .linalg import QMatrix, exact, kernel_basis, rref
 from .multipoly import MultiPoly, divided_difference
 from .weyl import Perm, check_rank, simple_reflection
 
@@ -56,10 +56,11 @@ class _IdealSlice:
         self.free_cols = free_cols
         self.staircase = staircase
 
-    def residual(self, part: MultiPoly) -> list[Fraction]:
+    def residual(self, part: MultiPoly) -> list[int | Fraction]:
         """Entries at the free columns of a degree-d polynomial reduced by
-        the slice: its coordinates on ``staircase``."""
-        v = [Fraction(0)] * len(self.index)
+        the slice: its coordinates on ``staircase``, each an int or a
+        Fraction that may be integral."""
+        v = [0] * len(self.index)
         for a, x in part.terms():
             v[self.index[a]] = x
         for row, pc in zip(self.reduced_rows, self.pivots):
@@ -96,17 +97,17 @@ def ideal_slice(n: int, d: int) -> _IdealSlice:
 
 
 class CoinvariantElement:
-    """An element of the coinvariant algebra in staircase coordinates."""
+    """An element of the coinvariant algebra in staircase coordinates, each
+    nonzero one stored as an int when integral, else as a Fraction."""
 
     __slots__ = ("ring", "coords")
 
     def __init__(self, ring: "CoinvariantRing", coords=None):
         self.ring = ring
-        c: dict[int, Fraction] = {}
+        c: dict[int, int | Fraction] = {}
         if coords:
             for i, x in coords.items():
-                if not isinstance(x, Fraction):
-                    x = Fraction(x)
+                x = exact(x)
                 if x:
                     c[int(i)] = x
         self.coords = c
@@ -170,10 +171,10 @@ class CoinvariantElement:
         ds = self.degrees()
         return ds[0] if len(ds) == 1 else None
 
-    def coord_vector(self, d: int) -> list[Fraction]:
+    def coord_vector(self, d: int) -> list[int | Fraction]:
         """Coordinates inside the degree-d graded piece, in basis order."""
         idxs = self.ring.degree_basis_indices(d)
-        return [self.coords.get(i, Fraction(0)) for i in idxs]
+        return [self.coords.get(i, 0) for i in idxs]
 
     def __str__(self) -> str:
         return str(self.lift())
@@ -248,7 +249,7 @@ class CoinvariantRing:
         """
         if p.n != self.n:
             raise ValueError(f"polynomial in {p.n} variables fed to rank-{self.n} ring")
-        coords: dict[int, Fraction] = {}
+        coords: dict[int, int | Fraction] = {}
         for d, part in p.homogeneous_parts().items():
             if d > self.top_poly_degree:
                 continue

@@ -114,7 +114,7 @@ class DualAlgebra:
         """Ungraded Hom dimensions; entry (i, j) counts maps from the i-th
         summand to the j-th."""
         size = len(self.summands)
-        data = [[Fraction(0)] * size for _ in range(size)]
+        data = [[0] * size for _ in range(size)]
         for a, b, _, _ in self.endo.basis:
             data[a][b] += 1
         return QMatrix(size, size, data)
@@ -161,7 +161,7 @@ class DualAlgebra:
 
     def _radical_complement(self, mod: _AMod) -> dict[tuple[int, int], list[int]]:
         """Free coordinates of each block modulo the radical image."""
-        images: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
+        images: dict[tuple[int, int], list[dict[int, int | Fraction]]] = {}
         for (a_idx, (d, _)), blk in mod.act.items():
             _, v, g, _ = self.endo.basis[a_idx]
             if g > 0:
@@ -260,7 +260,7 @@ class DualAlgebra:
     def euler_matrix(self) -> QMatrix:
         """Alternating sums of Ext dimensions, from the resolutions."""
         size = len(self.summands)
-        data = [[Fraction(0)] * size for _ in range(size)]
+        data = [[0] * size for _ in range(size)]
         for i, x in enumerate(self.summands):
             res = self.projective_resolution(x)
             if not res.complete:

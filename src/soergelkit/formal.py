@@ -334,7 +334,7 @@ class FormalCategory:
             )
             stalk = self.stalk("MIX", tgt, c)
             layout, _ = self._hom_layout(step, stalk, 0)
-            coords: dict[int, Fraction] = {}
+            coords: dict[int, int | Fraction] = {}
             for vec in kernel_basis(self._hom_differential_matrix(step, stalk, 0)):
                 c_rand = rng.randint(-2, 2)
                 if c_rand:

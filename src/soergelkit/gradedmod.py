@@ -260,6 +260,23 @@ class ModuleMap:
             ((t_off[d + self.degree], s_off[d], blk) for d, blk in self.blocks.items()),
         )
 
+    def flatten(self) -> dict:
+        """The nonzero entries of :meth:`to_total` keyed as
+        :func:`~soergelkit.linalg.flatten` keys them, written straight from
+        the blocks: entry (r, c) of the block at d is kept at
+        (t_off[d + degree] + r) * cols + s_off[d] + c, with cols the total
+        source dimension."""
+        t_off, s_off = self.target.total_offsets(), self.source.total_offsets()
+        cols = self.source.total_dim()
+        out = {}
+        for d, blk in self.blocks.items():
+            s0 = s_off[d]
+            for r, row in enumerate(blk.nonzeros, t_off[d + self.degree]):
+                base = r * cols + s0
+                for c, x in row.items():
+                    out[base + c] = x
+        return out
+
 
 def trivial_module(ring: CoinvariantRing) -> GradedModule:
     """The one-dimensional module in degree 0 with all variables acting by 0."""

@@ -2,8 +2,11 @@
 
 These carry graded dimensions, Poincare polynomials and Hecke-algebra
 coefficients throughout the package.  Values are immutable; every operation
-returns a new polynomial.  The canonical string form lists terms in
-ascending exponent order, e.g. ``v^-1+2v^3``.
+returns a new polynomial.  A coefficient is stored as an int when it is
+integral and as a Fraction otherwise (:func:`soergelkit.linalg.exact`), so
+:meth:`LaurentPoly.coeff` and :meth:`LaurentPoly.at_one` return ints for
+the integral counts that the package mostly carries.  The canonical string
+form lists terms in ascending exponent order, e.g. ``v^-1+2v^3``.
 
 >>> p = LaurentPoly.v() + LaurentPoly.v(-1)
 >>> str(p)
@@ -17,13 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-
-def _coerce(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot use {x!r} as a rational coefficient")
+from .linalg import exact
 
 
 _TERM_RE = re.compile(r"^(\d+(?:/0*[1-9]\d*)?)?(v(?:\^(-?\d+))?)?$")
@@ -38,7 +35,7 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for k, x in coeffs.items():
-                x = _coerce(x)
+                x = exact(x)
                 if x:
                     c[int(k)] = x
         self._c = c
@@ -60,8 +57,8 @@ class LaurentPoly:
     def term(cls, coeff, k: int) -> "LaurentPoly":
         return cls({k: coeff})
 
-    def coeff(self, k: int) -> Fraction:
-        return self._c.get(k, Fraction(0))
+    def coeff(self, k: int) -> int | Fraction:
+        return self._c.get(k, 0)
 
     def exponents(self) -> tuple[int, ...]:
         return tuple(sorted(self._c))
@@ -90,7 +87,7 @@ class LaurentPoly:
         for k, x in other._c.items():
             y = c.get(k, 0) + x
             if y:
-                c[k] = y
+                c[k] = y if type(y) is int else exact(y)
             else:
                 c.pop(k, None)
         out = LaurentPoly.__new__(LaurentPoly)
@@ -111,7 +108,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            x = _coerce(other)
+            x = exact(other)
             return LaurentPoly({k: c * x for k, c in self._c.items()})
         c = {}
         for k1, x1 in self._c.items():
@@ -119,7 +116,7 @@ class LaurentPoly:
                 k = k1 + k2
                 y = c.get(k, 0) + x1 * x2
                 if y:
-                    c[k] = y
+                    c[k] = y if type(y) is int else exact(y)
                 else:
                     c.pop(k, None)
         out = LaurentPoly.__new__(LaurentPoly)
@@ -148,12 +145,12 @@ class LaurentPoly:
         """True when invariant under v -> v^-1."""
         return self.bar() == self
 
-    def at_one(self) -> Fraction:
+    def at_one(self) -> int | Fraction:
         """Evaluate at v = 1 (total dimension of a graded count)."""
-        return sum(self._c.values(), Fraction(0))
+        return exact(sum(self._c.values()))
 
     def is_nonneg_integral(self) -> bool:
-        return all(x.denominator == 1 and x >= 0 for x in self._c.values())
+        return all(type(x) is int and x >= 0 for x in self._c.values())
 
     def min_exp(self) -> int:
         return min(self._c)
@@ -203,7 +200,7 @@ class LaurentPoly:
                 tokens.append(s[start:i])
                 start = i
         tokens.append(s[start:])
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int | Fraction] = {}
         for tok in tokens:
             sign = 1
             if tok[0] == "+":
@@ -214,14 +211,14 @@ class LaurentPoly:
             m = _TERM_RE.match(tok)
             if not m or (m.group(1) is None and m.group(2) is None):
                 raise ValueError(f"bad term {tok!r} in Laurent polynomial")
-            coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            coeff = Fraction(m.group(1)) if m.group(1) else 1
             if m.group(2) is None:
                 exp = 0
             elif m.group(3) is None:
                 exp = 1
             else:
                 exp = int(m.group(3))
-            coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
+            coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
         return cls(coeffs)
 
 

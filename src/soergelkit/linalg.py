@@ -1,24 +1,33 @@
 """Exact linear algebra over the rationals.
 
-:class:`QMatrix` stores each row as a {column: Fraction} dict of its
+Every exact value is stored as an int when it is integral and as a
+Fraction only when it is not; :func:`exact` gives that form, and the
+polynomial and coinvariant modules use it too.  Nearly every value met is
+integral, so the products, sums and eliminations run on int arithmetic,
+and results are normalised where they are stored; nothing else changes,
+since ``3 == Fraction(3)`` with the same hash and the same string.
+
+:class:`QMatrix` stores each row as a {column: value} dict of its
 nonzero entries, beside its authoritative shape, and every routine here
 builds and reads those dicts: a zero is an absent key, so no entry is ever
 tested for zero, and :meth:`QMatrix.is_zero` is one truth test per row.  A
 product adds ``a * b`` over the stored entries of a left row and of the
 right rows they select, and keeps the sums that do not cancel; sums,
 placed blocks, transposes and reduced forms store only nonzeros too.  A
-vector is stored the same way, as an {index: Fraction} dict: kernel bases,
+vector is stored the same way, as an {index: value} dict: kernel bases,
 :func:`flatten` and :class:`EchelonBasis` build and read such dicts.  The
-dense forms are test views and reference routes: :attr:`QMatrix.data`,
-``row``, ``col``, ``times_vector``, :func:`solve` and :class:`SpanSolver`;
-no other library routine calls them (tests and the benchmark tracer do).
+dense forms, lists of Fractions, are test views and reference routes:
+:attr:`QMatrix.data`, ``row``, ``col``, ``times_vector``, :func:`solve`
+and :class:`SpanSolver`; no other library routine calls them (tests and
+the benchmark tracer do).
 
 The matrices met are mostly zero and nearly always integral, so :func:`rref`
-clears each stored row's denominators once into a {column: int} dict and
-eliminates fraction-free (Bareiss 1968), dividing every reduced row by its
-content to keep entries small; pivots are normalised back to 1 over the
-rationals at the end.  Results are exact, and since the reduced row echelon
-form is unique they do not depend on the pivot rows chosen.
+clears each stored row's denominators once into a {column: int} dict (a
+row of ints is only copied) and eliminates fraction-free (Bareiss 1968),
+dividing every reduced row by its content to keep entries small; pivots
+are normalised back to 1 over the rationals at the end, each quotient an
+int where the division is exact.  Results are exact, and since the reduced
+row echelon form is unique they do not depend on the pivot rows chosen.
 
 Coordinates in a kernel basis are read off its free columns, where each
 vector is 1 and the others are 0, and checked by rebuilding the vector from
@@ -62,8 +71,7 @@ from fractions import Fraction
 
 DEFAULT_DIMENSION_CAP = 5000
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_EMPTY_ROW: dict[int, Fraction] = {}
+_EMPTY_ROW: dict[int, int | Fraction] = {}
 
 
 class SizeCapError(RuntimeError):
@@ -88,23 +96,30 @@ def check_size(what: str, size: int) -> None:
         raise SizeCapError(f"{what} exceeds the dimension cap {cap} (raise SOERGEL_MAX_DIM to override)")
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def exact(x) -> int | Fraction:
+    """The rational x in its stored form: an int when it is integral, else a
+    Fraction; raises TypeError for anything that is not an int or a
+    Fraction (a float or None, say)."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"matrix entries must be rational, got {x!r}")
+        return int(x)
+    raise TypeError(f"exact values must be int or Fraction, got {x!r}")
 
 
 class QMatrix:
     """An immutable matrix of rationals, stored as its nonzeros.
 
-    ``nonzeros[i]`` is row i as a {column: Fraction} dict of its nonzero
-    entries; ``rows`` and ``cols`` stay authoritative, also for empty
-    matrices.  Each row is given either dense, as ``cols`` rational entries,
-    or as such a dict, which is checked and then kept, not copied.  Stored
-    rows are never changed, so matrices share them, and all empty rows are
-    one shared dict.
+    ``nonzeros[i]`` is row i as a {column: value} dict of its nonzero
+    entries, each an int when integral and a Fraction otherwise (see
+    :func:`exact`); ``rows`` and ``cols`` stay authoritative, also for empty
+    matrices.  Each row is given either dense, as ``cols`` int or Fraction
+    entries, which are put in that form, or as such a dict, which is checked
+    and then kept, not copied.  Stored rows are never changed, so matrices
+    share them, and all empty rows are one shared dict.  The dense views
+    :attr:`data`, :meth:`row` and :meth:`col` hold Fractions.
     """
 
     __slots__ = ("rows", "cols", "nonzeros")
@@ -120,12 +135,19 @@ class QMatrix:
                 if len(r) != cols:
                     raise ValueError(f"data does not match shape {rows}x{cols}")
                 r = {
-                    j: x if type(x) is Fraction else _frac(x)
+                    j: x if type(x) is int else exact(x)
                     for j, x in enumerate(r)
-                    if x or type(x) is not int and _frac(x)  # a zero must still be rational
+                    if x or type(x) is not int and exact(x)  # a zero must still be rational
                 }
-            elif r and not all(type(j) is int and 0 <= j < cols and type(x) is Fraction and x for j, x in r.items()):
-                raise ValueError(f"a row dict must map columns 0..{cols - 1} to nonzero Fractions")
+            elif r and not all(
+                type(j) is int
+                and 0 <= j < cols
+                and (x if type(x) is int else type(x) is Fraction and x.denominator != 1)
+                for j, x in r.items()
+            ):
+                raise ValueError(
+                    f"a row dict must map columns 0..{cols - 1} to nonzero ints or to Fractions that are not integral"
+                )
             stored.append(r or _EMPTY_ROW)
         self.rows = rows
         self.cols = cols
@@ -137,7 +159,7 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [{i: _ONE} for i in range(n)])
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_rows(cls, data) -> "QMatrix":
@@ -157,17 +179,17 @@ class QMatrix:
         zeros included; no library routine reads it."""
         return [self.row(i) for i in range(self.rows)]
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.nonzeros[i].get(range(self.cols)[j], _ZERO)
+    def entry(self, i: int, j: int) -> int | Fraction:
+        return self.nonzeros[i].get(range(self.cols)[j], 0)
 
     def row(self, i: int) -> list[Fraction]:
         out = [_ZERO] * self.cols
         for j, x in self.nonzeros[i].items():
-            out[j] = x
+            out[j] = Fraction(x)
         return out
 
     def col(self, j: int) -> list[Fraction]:
-        return [r.get(j, _ZERO) for r in self.nonzeros]
+        return [Fraction(r.get(j, 0)) for r in self.nonzeros]
 
     def transpose(self) -> "QMatrix":
         out = [{} for _ in range(self.cols)]
@@ -197,7 +219,7 @@ class QMatrix:
                 for j, x in r2.items():
                     x = r1[j] + x if j in r1 else x
                     if x:
-                        r1[j] = x
+                        r1[j] = x if type(x) is int else exact(x)
                     else:
                         del r1[j]
                 out.append(r1)
@@ -212,8 +234,8 @@ class QMatrix:
         return QMatrix(self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self.nonzeros])
 
     def scale(self, c) -> "QMatrix":
-        c = _frac(c)
-        out = [{j: c * x for j, x in r.items()} for r in self.nonzeros] if c else [_EMPTY_ROW] * self.rows
+        c = exact(c)
+        out = [{j: exact(c * x) for j, x in r.items()} for r in self.nonzeros] if c else [_EMPTY_ROW] * self.rows
         return QMatrix(self.rows, self.cols, out)
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
@@ -227,11 +249,11 @@ class QMatrix:
         right = other.nonzeros
         out = []
         for r in self.nonzeros:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int | Fraction] = {}
             for k, a in r.items():
                 for j, b in right[k].items():
                     acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append({j: x for j, x in acc.items() if x})
+            out.append({j: x if type(x) is int else exact(x) for j, x in acc.items() if x})
         return QMatrix(self.rows, other.cols, out)
 
     def times_vector(self, vec) -> list[Fraction]:
@@ -276,22 +298,27 @@ def hom_equations(count: int, blocks) -> SparseSystem:
     equations of A F - s G B, where F is the a.cols x b.cols block at
     offset ``left``, G the a.rows x b.rows block at offset ``right`` and s
     an integer; an offset of None drops its term.  The denominators of A
-    and B are cleared once per term, each equation is kept as a primitive
-    integer row, and equations that come out all zero are left out.
+    and B are cleared once per term (a term of ints is taken as it is),
+    each equation is kept as a primitive integer row, and equations that
+    come out all zero are left out.
     """
     check_size("Hom system in {} unknowns", count)
     rows = []
     for a, left, b, right, s in blocks:
         t, u = b.rows, b.cols
-        a_terms = [[(k * u, x) for k, x in row.items()] for row in a.nonzeros] if left is not None else [[]] * a.rows
+        a_terms = [[]] * a.rows
+        if left is not None:
+            a_terms = [[(left + k * u, x) for k, x in row.items()] for row in a.nonzeros]
         b_terms = [[] for _ in range(u)]
         if right is not None:
             for k, row in enumerate(b.nonzeros):
                 for c, x in row.items():
-                    b_terms[c].append((k, x))
-        den = math.lcm(*(x.denominator for terms in (*a_terms, *b_terms) for _, x in terms))
-        a_terms = [[(left + j, x.numerator * (den // x.denominator)) for j, x in row] for row in a_terms]
-        b_terms = [[(right + j, -s * x.numerator * (den // x.denominator)) for j, x in col] for col in b_terms]
+                    b_terms[c].append((right + k, -s * x))
+        dens = [x.denominator for terms in (*a_terms, *b_terms) for _, x in terms if type(x) is not int]
+        if dens:
+            den = math.lcm(*dens)
+            a_terms = [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in a_terms]
+            b_terms = [[(j, x.numerator * (den // x.denominator)) for j, x in col] for col in b_terms]
         for r, a_row in enumerate(a_terms):
             for c, b_col in enumerate(b_terms):
                 if not (a_row or b_col):
@@ -310,7 +337,7 @@ def hom_equations(count: int, blocks) -> SparseSystem:
     return SparseSystem(count, rows)
 
 
-def flatten(m: QMatrix) -> dict[int, Fraction]:
+def flatten(m: QMatrix) -> dict[int, int | Fraction]:
     """The nonzero entries of m, row by row: x at (i, j) is kept at i * cols + j."""
     cols = m.cols
     return {i * cols + j: x for i, row in enumerate(m.nonzeros) for j, x in row.items()}
@@ -347,14 +374,26 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
 
 def _integer_rows(m: QMatrix) -> list[dict[int, int]]:
     """The nonzero rows of m with their denominators cleared, as primitive
-    {column: int} dicts; m is refused first if its columns exceed the cap."""
+    {column: int} dicts, new ones, so that the elimination may change them;
+    m is refused first if its columns exceed the cap.  A row of ints is
+    only copied."""
     check_size("linear system in {} unknowns", m.cols)
     rows = []
     for r in m.nonzeros:
         if r:
-            den = math.lcm(*(x.denominator for x in r.values()))
-            rows.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in r.items()}))
+            if all(type(x) is int for x in r.values()):
+                r = dict(r)
+            else:
+                den = math.lcm(*(x.denominator for x in r.values()))
+                r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+            rows.append(_primitive(r))
     return rows
+
+
+def _ratio(x: int, p: int) -> int | Fraction:
+    """x / p for ints x and p, in the form :func:`exact` gives."""
+    q, r = divmod(x, p)
+    return Fraction(x, p) if r else q
 
 
 def _echelon(rows: list[dict[int, int]], n_cols: int, reduce: bool) -> list[tuple[int, dict[int, int]]]:
@@ -402,7 +441,7 @@ def rref(m: QMatrix) -> RrefResult:
     pivot rows are divided by their pivot entry over the rationals.
     """
     pivot_rows = _echelon(_integer_rows(m), m.cols, reduce=True)
-    out_rows = [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in pivot_rows]
+    out_rows = [{j: _ratio(x, row[c]) for j, x in row.items()} for c, row in pivot_rows]
     out_rows += [_EMPTY_ROW] * (m.rows - len(pivot_rows))
     pivots = tuple(c for c, _ in pivot_rows)
     return RrefResult(QMatrix(m.rows, m.cols, out_rows), pivots, len(pivots))
@@ -420,9 +459,9 @@ def rank(m: QMatrix | SparseSystem) -> int:
     return len(_echelon(_system_rows(m), m.cols, reduce=False))
 
 
-def kernel_basis(m: QMatrix | SparseSystem) -> list[dict[int, Fraction]]:
-    """A basis of the null space, one vector per free column, each a
-    {index: Fraction} dict of its nonzeros.
+def kernel_basis(m: QMatrix | SparseSystem) -> list[dict[int, int | Fraction]]:
+    """A basis of the null space, one vector per free column, each an
+    {index: value} dict of its nonzeros.
 
     The vector for free column f is 1 at f and 0 at every other free column
     (the shape :class:`EchelonBasis` reads); vectors are returned in
@@ -433,13 +472,13 @@ def kernel_basis(m: QMatrix | SparseSystem) -> list[dict[int, Fraction]]:
     """
     if isinstance(m, SparseSystem):
         pivot_rows = _echelon(_system_rows(m), m.cols, reduce=True)
-        entries = [(c, j, Fraction(-x, row[c])) for c, row in pivot_rows for j, x in row.items() if j != c]
+        entries = [(c, j, _ratio(-x, row[c])) for c, row in pivot_rows for j, x in row.items() if j != c]
     else:
         res = rref(m)
         pivot_rows = list(zip(res.pivots, res.matrix.nonzeros))
         entries = [(c, j, -x) for c, row in pivot_rows for j, x in row.items() if j != c]
     pivot_set = {c for c, _ in pivot_rows}
-    basis = {f: {f: _ONE} for f in range(m.cols) if f not in pivot_set}
+    basis = {f: {f: 1} for f in range(m.cols) if f not in pivot_set}
     for c, j, x in entries:
         basis[j][c] = x
     return list(basis.values())
@@ -458,7 +497,7 @@ def solve(m: QMatrix, b) -> list[Fraction] | None:
         return None
     x = [_ZERO] * m.cols
     for pc, row in zip(res.pivots, res.matrix.nonzeros):
-        x[pc] = row.get(m.cols, _ZERO)
+        x[pc] = Fraction(row.get(m.cols, 0))
     return x
 
 
@@ -477,7 +516,7 @@ def inverse(m: QMatrix) -> QMatrix:
 class EchelonBasis:
     """Vectors each equal to 1 at a position where all the others are 0.
 
-    A vector is a {index: Fraction} dict of its nonzeros at indices below
+    A vector is an {index: value} dict of its nonzeros at indices below
     ``dim``, as :func:`kernel_basis` returns them (the positions are its
     free columns).  Reindexing coordinates keeps the shape, so it holds for
     flattened bases of graded Homs, also summed over degrees.  Each
@@ -487,7 +526,7 @@ class EchelonBasis:
 
     __slots__ = ("vectors", "dim", "positions")
 
-    def __init__(self, vectors: list[dict[int, Fraction]], dim: int):
+    def __init__(self, vectors: list[dict[int, int | Fraction]], dim: int):
         used = Counter(j for v in vectors for j in v)
         if any(not 0 <= j < dim for j in used):
             raise ValueError("basis vector index outside the ambient dimension")
@@ -499,7 +538,7 @@ class EchelonBasis:
         self.vectors = vectors
         self.dim = dim
 
-    def coords(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def coords(self, vec: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
         """The nonzero entries {t: c} of ``vec`` at the positions; raises
         ValueError unless they rebuild ``vec`` exactly, i.e. unless ``vec``
         lies in the span."""
@@ -509,7 +548,7 @@ class EchelonBasis:
             for j, x in self.vectors[t].items():
                 x = rest.get(j, 0) - c * x
                 if x:
-                    rest[j] = x
+                    rest[j] = x if type(x) is int else exact(x)
                 else:
                     del rest[j]
         if rest:

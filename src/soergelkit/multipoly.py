@@ -1,9 +1,11 @@
 """Multivariate polynomials over the rationals in a fixed number of variables.
 
 Terms map exponent vectors (tuples of fixed length n) to rational
-coefficients.  The symmetric group permutes variables, and the divided
-difference for an adjacent pair of variables is computed by the closed
-per-monomial formula, so no polynomial division is ever performed.
+coefficients, each stored as an int when it is integral and as a Fraction
+otherwise (:func:`soergelkit.linalg.exact`).  The symmetric group permutes
+variables, and the divided difference for an adjacent pair of variables is
+computed by the closed per-monomial formula, so no polynomial division is
+ever performed.
 
 >>> x1 = MultiPoly.variable(1, 2)
 >>> str(divided_difference(x1, 1))
@@ -15,13 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-
-def _coerce(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot use {x!r} as a rational coefficient")
+from .linalg import exact
 
 
 class MultiPoly:
@@ -39,9 +35,9 @@ class MultiPoly:
                 a = tuple(int(e) for e in a)
                 if len(a) != n or any(e < 0 for e in a):
                     raise ValueError(f"bad exponent vector {a} for {n} variables")
-                x = _coerce(x)
+                x = exact(x)
                 if x:
-                    t[a] = t.get(a, Fraction(0)) + x
+                    t[a] = t.get(a, 0) + x
         self._t = {a: x for a, x in t.items() if x}
 
     @classmethod
@@ -83,8 +79,8 @@ class MultiPoly:
         """Pairs (exponent vector, coefficient) in a fixed sorted order."""
         return [(a, self._t[a]) for a in sorted(self._t)]
 
-    def coeff(self, exponents) -> Fraction:
-        return self._t.get(tuple(exponents), Fraction(0))
+    def coeff(self, exponents) -> int | Fraction:
+        return self._t.get(tuple(exponents), 0)
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -107,7 +103,7 @@ class MultiPoly:
         for a, x in other._t.items():
             y = t.get(a, 0) + x
             if y:
-                t[a] = y
+                t[a] = y if type(y) is int else exact(y)
             else:
                 t.pop(a, None)
         out = MultiPoly.__new__(MultiPoly)
@@ -126,7 +122,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
+            c = exact(other)
             return MultiPoly(self.n, {a: c * x for a, x in self._t.items()})
         self._same_n(other)
         t = {}
@@ -135,7 +131,7 @@ class MultiPoly:
                 a = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
                 y = t.get(a, 0) + x1 * x2
                 if y:
-                    t[a] = y
+                    t[a] = y if type(y) is int else exact(y)
                 else:
                     t.pop(a, None)
         out = MultiPoly.__new__(MultiPoly)
@@ -213,12 +209,13 @@ def divided_difference(p: MultiPoly, i: int) -> MultiPoly:
     """The divided difference (p - s_i p) / (x_i - x_{i+1}), 1-based i.
 
     Computed termwise from the closed form for a monomial in x_i, x_{i+1},
-    which avoids any actual division and is exact.
+    which avoids any actual division and is exact; the constructor puts
+    the summed coefficients in their stored form.
     """
     if not 1 <= i <= p.n - 1:
         raise ValueError(f"adjacent transposition index {i} out of range")
     ia, ib = i - 1, i
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
 
     def add(a, x):
         y = terms.get(a, 0) + x

@@ -66,10 +66,10 @@ class Decomposition:
         return f"Decomposition[{inner}]"
 
 
-def _scalar_of_endo(comp: ModuleMap, module: GradedModule) -> Fraction:
+def _scalar_of_endo(comp: ModuleMap, module: GradedModule) -> int | Fraction:
     """Read a degree-0 endomorphism as a scalar; raises when it is not one."""
     if comp.is_zero():
-        return Fraction(0)
+        return 0
     d0 = module.degrees()[0]
     c = comp.block(d0).entry(0, 0)
     if comp != ModuleMap.identity(module).scale(c):
@@ -355,7 +355,7 @@ class EndoAlgebra:
                         blocks = {e - ka: blk for e, blk in m.blocks.items()}
                         self._block_index.setdefault((a, b), []).append(len(self.basis))
                         self.basis.append((a, b, d, ModuleMap(ma, mb, d, blocks)))
-        self.table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        self.table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
         # basis[i] after basis[j] needs basis[j] to end in the slot where basis[i] starts
         for i, (a1, b1, _, m1) in enumerate(self.basis):
             for a2, (w2, _) in enumerate(self.summands):
@@ -364,7 +364,7 @@ class EndoAlgebra:
                     space = cat.hom_space(w2, self.summands[b1][0])[1]
                     idxs = self._block_index.get((a2, b1))
                     for j in js:
-                        coords = space.coords(flatten(m1.compose(self.basis[j][3]).to_total()))
+                        coords = space.coords(m1.compose(self.basis[j][3]).flatten())
                         self.table[(i, j)] = tuple((idxs[t], c) for t, c in coords.items())
 
     @property
@@ -392,7 +392,7 @@ class EndoAlgebra:
             out[d] = out.get(d, 0) + 1
         return LaurentPoly(out)
 
-    def compose_indices(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+    def compose_indices(self, i: int, j: int) -> tuple[tuple[int, int | Fraction], ...]:
         """Structure constants of basis[i] after basis[j]; empty if not composable."""
         return self.table.get((i, j), ())
 

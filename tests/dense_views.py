@@ -1,23 +1,27 @@
 """Dense views of sparse vectors: the reference form tests compare with.
 
-The library stores a vector as an {index: Fraction} dict of its nonzeros;
-these helpers give the list form, zeros included, and back.
+The library stores a vector as an {index: value} dict of its nonzeros, each
+value an int when integral and a Fraction otherwise; these helpers give the
+list form of Fractions, zeros included, and back.
 """
 
 from fractions import Fraction
 
+from soergelkit.linalg import exact
+
 
 def dense(vec, n):
-    """The {index: Fraction} vector ``vec`` as a list of n entries."""
+    """The {index: value} vector ``vec`` as a list of n Fractions."""
     out = [Fraction(0)] * n
     for j, x in vec.items():
-        out[j] = x
+        out[j] = Fraction(x)
     return out
 
 
 def sparse(values):
-    """The nonzero entries of a list, as an {index: Fraction} dict."""
-    return {j: Fraction(x) for j, x in enumerate(values) if x}
+    """The nonzero entries of a list, as an {index: value} dict in the
+    stored form."""
+    return {j: exact(x) for j, x in enumerate(values) if x}
 
 
 def dense_flatten(m):

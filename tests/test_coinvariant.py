@@ -334,3 +334,34 @@ def test_ring_build_rejects_free_columns_off_the_staircase(monkeypatch):
     monkeypatch.setattr(coinvariant, "_monomials_of_degree", old_order)
     with pytest.raises(AssertionError, match="not the staircase"):
         CoinvariantRing(3)
+
+
+def test_coordinates_are_ints_when_integral():
+    from soergelkit.coinvariant import CoinvariantElement
+
+    def stored(c):
+        assert all(
+            type(x) is int and x != 0 or type(x) is Fraction and x.denominator != 1 for x in c.coords.values()
+        )
+        return c
+
+    ring = coinvariant_ring(3)
+    half = stored(CoinvariantElement(ring, {0: Fraction(1, 2), 1: Fraction(4, 2), 2: True}))
+    assert [type(half.coords[i]) for i in range(3)] == [Fraction, int, int]
+    assert stored(half + half).coords == {0: 1, 1: 4, 2: 2}
+    assert all(type(x) is int for x in (half + half).coords.values())
+    assert type(half.coord_vector(0)[0]) is Fraction and type((half + half).coord_vector(2)[0]) is int
+    with pytest.raises(TypeError):
+        CoinvariantElement(ring, {0: 0.5})
+    rng = random.Random(17)
+    for _ in range(100):
+        a = random_element(rng, ring).scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        b = random_element(rng, ring)
+        i = rng.randint(1, 2)
+        for c in (a + b, a - b, a * b, a.scale(2), ring.demazure(i, a), ring.weyl_act(simple_reflection(i, 3), a)):
+            stored(c)
+        stored(ring.normal_form(a.lift() * MultiPoly.variable(3, 3)))
+    for i in range(1, 3):
+        for d in ring.degrees():
+            for m in (ring.multiply_by_variable_matrix(i, d), ring.action_matrix(simple_reflection(i, 3), d)):
+                assert all(type(x) is int for row in m.nonzeros for x in row.values())

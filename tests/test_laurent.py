@@ -87,3 +87,36 @@ def test_parse_rejects_garbage():
     for zero_denominator in ("1/0v", "3/00", "v^2+1/0"):
         with pytest.raises(ValueError, match="bad term"):
             LaurentPoly.parse(zero_denominator)
+
+
+def _stored_coefficients(p):
+    """The coefficients of p, after asserting that each is a nonzero int or
+    a Fraction that is not integral (never a float or a bool)."""
+    values = [x for _, x in p.items()]
+    assert all(type(x) is int and x != 0 or type(x) is Fraction and x.denominator != 1 for x in values)
+    return values
+
+
+def test_coefficients_are_ints_when_integral():
+    half = LaurentPoly({0: Fraction(1, 2), 1: Fraction(4, 2), 2: True})
+    assert _stored_coefficients(half) == [Fraction(1, 2), 2, 1]
+    assert [type(x) for x in _stored_coefficients(half)] == [Fraction, int, int]
+    whole = half + half
+    assert _stored_coefficients(whole) == [1, 4, 2]
+    assert type(whole.coeff(0)) is int and type(whole.coeff(7)) is int and whole.coeff(7) == 0
+    assert half.at_one() == Fraction(7, 2) and type(whole.at_one()) is int and whole.at_one() == 7
+    assert _stored_coefficients(half * 2) == [1, 4, 2]
+    assert _stored_coefficients(LaurentPoly.parse("1/2v+1/2v")) == [1]
+    assert whole.is_nonneg_integral() and not half.is_nonneg_integral()
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 1.5})
+    rng = random.Random(11)
+    for _ in range(200):
+        p, q = (
+            LaurentPoly({rng.randint(-3, 3): Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)})
+            for _ in range(2)
+        )
+        for r in (p + q, p - q, p * q, p * Fraction(2, 3), 3 * p, p.bar(), p.shift(2), p**2, LaurentPoly.parse(str(p))):
+            _stored_coefficients(r)
+            assert type(r.at_one()) is int or r.at_one().denominator != 1
+            assert all(type(r.coeff(k)) is int or r.coeff(k).denominator != 1 for k in range(-8, 9))

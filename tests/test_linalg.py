@@ -13,6 +13,7 @@ from soergelkit.linalg import (
     SizeCapError,
     SpanSolver,
     SparseSystem,
+    exact,
     flatten,
     hom_equations,
     inverse,
@@ -369,21 +370,27 @@ def test_fresh_zero_objects_give_identical_results():
     assert hom_equations(1, [(x, 0, x, 0, 1)]) == SparseSystem(1, [])
 
 
+def _is_stored_value(x):
+    """Whether x is in the stored form: a nonzero int, or a Fraction that is
+    not integral."""
+    return type(x) is int and x != 0 or type(x) is Fraction and x.denominator != 1
+
+
 def _stored(m):
     """m, after asserting that it stores one dict per row holding only
-    nonzero Fractions at in-range columns."""
+    values in the stored form at in-range columns."""
     assert len(m.nonzeros) == m.rows
     for row in m.nonzeros:
         assert type(row) is dict
-        assert all(type(j) is int and 0 <= j < m.cols and type(x) is Fraction and x for j, x in row.items())
+        assert all(type(j) is int and 0 <= j < m.cols and _is_stored_value(x) for j, x in row.items())
     return m
 
 
 def _stored_vector(vec, n):
-    """vec, after asserting that it is a dict holding only nonzero Fractions
-    at indices 0..n-1."""
+    """vec, after asserting that it is a dict holding only values in the
+    stored form at indices 0..n-1."""
     assert type(vec) is dict
-    assert all(type(j) is int and 0 <= j < n and type(x) is Fraction and x for j, x in vec.items())
+    assert all(type(j) is int and 0 <= j < n and _is_stored_value(x) for j, x in vec.items())
     return vec
 
 
@@ -457,8 +464,21 @@ def test_every_operation_stores_only_nonzeros():
 
 
 def test_row_dicts_are_checked():
-    assert QMatrix(2, 3, [{2: Fraction(5)}, {}]).data == [[0, 0, 5], [0, 0, 0]]
-    for bad in ({3: Fraction(1)}, {-1: Fraction(1)}, {0: Fraction(0)}, {0: 1}, {0: 1.0}, {1.0: Fraction(1)}):
+    assert QMatrix(2, 3, [{2: 5}, {}]).data == [[0, 0, 5], [0, 0, 0]]
+    assert QMatrix(1, 3, [{0: 1, 1: Fraction(1, 2)}]).data == [[1, Fraction(1, 2), 0]]
+    bad_rows = (
+        {3: 1},
+        {-1: 1},
+        {0: 0},
+        {0: Fraction(0)},
+        {0: Fraction(1)},
+        {0: Fraction(-4, 2)},
+        {0: 1.0},
+        {0: True},
+        {1.0: 1},
+        {3: Fraction(1, 2)},
+    )
+    for bad in bad_rows:
         with pytest.raises(ValueError):
             QMatrix(1, 3, [bad])
     with pytest.raises(ValueError):
@@ -466,6 +486,57 @@ def test_row_dicts_are_checked():
     for bad in ([1, 0.5], [0.0, 1], [None, 1]):
         with pytest.raises(TypeError):
             QMatrix(1, 2, [bad])
+
+
+def test_exact_keeps_ints_and_true_fractions():
+    assert type(exact(3)) is int and exact(3) == 3
+    assert type(exact(Fraction(4, 2))) is int and exact(Fraction(4, 2)) == 2
+    assert type(exact(Fraction(-6, 3))) is int and exact(Fraction(-6, 3)) == -2
+    half = Fraction(1, 2)
+    assert exact(half) is half
+    assert type(exact(True)) is int and exact(True) == 1
+    for bad in (1.0, 0.0, None, "1", 1j):
+        with pytest.raises(TypeError):
+            exact(bad)
+
+
+def test_results_cancel_to_ints_and_hold_no_float_or_bool():
+    half = QMatrix.from_rows([[Fraction(1, 2), Fraction(4, 2), True]])
+    assert half.nonzeros == [{0: Fraction(1, 2), 1: 2, 2: 1}]
+    assert [type(x) for x in half.nonzeros[0].values()] == [Fraction, int, int]
+    one = _stored(half + half)
+    assert one.nonzeros == [{0: 1, 1: 4, 2: 2}]
+    assert _stored(half * QMatrix.from_rows([[2], [0], [0]])).nonzeros == [{0: 1}]
+    assert _stored(half.scale(Fraction(2, 3))).nonzeros == [{0: Fraction(1, 3), 1: Fraction(4, 3), 2: Fraction(2, 3)}]
+    # non-unit pivots: the reduced form and kernel hold ints where the
+    # quotients are exact and Fractions elsewhere
+    res = rref(QMatrix.from_rows([[2, 4, 6, 3], [0, 3, 0, 1]]))
+    assert _stored(res.matrix).nonzeros == [{0: 1, 2: 3, 3: Fraction(5, 6)}, {1: 1, 3: Fraction(1, 3)}]
+    system = SparseSystem(4, [{0: 2, 1: 4, 2: 6, 3: 3}, {1: 3, 3: 1}])
+    for m in (QMatrix.from_rows([[2, 4, 6, 3], [0, 3, 0, 1]]), system):
+        kernel = [_stored_vector(v, 4) for v in kernel_basis(m)]
+        assert kernel == [{2: 1, 0: -3}, {3: 1, 0: Fraction(-5, 6), 1: Fraction(-1, 3)}]
+    rng = random.Random(2040)
+    seen = set()
+    for _ in range(300):
+        a = _stored(_oracle_matrix(rng))
+        for c in (rng.randint(2, 9), -rng.randint(2, 9)):
+            scaled = _stored(a.scale(Fraction(1, c)))
+            assert scaled.data == [[x / c for x in r] for r in a.data]
+            assert _stored(scaled.scale(c)) == a and _stored(scaled + scaled.scale(c - 1)) == a
+            seen.add("scale")
+        res = rref(a)
+        _stored(res.matrix)
+        for v in kernel_basis(a):
+            _stored_vector(v, a.cols)
+            seen.add("int kernel entry" if any(type(x) is int and x != 1 for x in v.values()) else "kernel")
+        if a.rows == a.cols and res.rank == a.rows:
+            inv = _stored(inverse(a))
+            assert _stored(inv * a) == QMatrix.identity(a.rows) == _stored(a * inv)
+            seen.add("inverse")
+        if any(x != 1 and x != 0 for r in res.matrix.data[: res.rank] for x in r):
+            seen.add("reduced entry off 0 and 1")
+    assert seen == {"scale", "kernel", "int kernel entry", "inverse", "reduced entry off 0 and 1"}
 
 
 def test_matmul_and_transpose():
@@ -594,10 +665,11 @@ def test_from_columns_keeps_shape():
     assert dense_flatten(m) == [1, 3, 5, 2, 4, 6]
     assert flatten(m) == {0: 1, 1: 3, 2: 5, 3: 2, 4: 4, 5: 6}
     # columns may also be given as dicts of their nonzeros, checked like rows
-    columns = [{0: Fraction(1), 1: Fraction(2)}, {}, sparse([5, 6])]
+    columns = [{0: 1, 1: 2}, {}, sparse([Fraction(5), 6])]
     assert QMatrix.from_columns(2, columns) == QMatrix.from_rows([[1, 0, 5], [2, 0, 6]])
-    with pytest.raises(ValueError):
-        QMatrix.from_columns(2, [{2: Fraction(1)}])
+    for bad in ({2: 1}, {0: Fraction(1)}):
+        with pytest.raises(ValueError):
+            QMatrix.from_columns(2, [bad])
     empty = QMatrix.from_columns(3, [])
     assert (empty.rows, empty.cols) == (3, 0)
     with pytest.raises(ValueError):

@@ -103,3 +103,35 @@ def test_bad_exponents():
         MultiPoly(2, {(1,): 1})
     with pytest.raises(ValueError):
         MultiPoly(2, {(-1, 0): 1})
+
+
+def _stored_coefficients(p):
+    """The coefficients of p, after asserting that each is a nonzero int or
+    a Fraction that is not integral (never a float or a bool)."""
+    values = [x for _, x in p.terms()]
+    assert all(type(x) is int and x != 0 or type(x) is Fraction and x.denominator != 1 for x in values)
+    return values
+
+
+def test_coefficients_are_ints_when_integral():
+    half = MultiPoly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(4, 2), (0, 0): True})
+    assert _stored_coefficients(half) == [1, 2, Fraction(1, 2)]
+    assert [type(x) for x in _stored_coefficients(half)] == [int, int, Fraction]
+    assert _stored_coefficients(half + half) == [2, 4, 1]
+    assert type((half + half).coeff((1, 0))) is int and type(half.coeff((5, 5))) is int
+    assert _stored_coefficients(half * 2) == [2, 4, 1]
+    # the divided difference of x1^2 / 2 is (x1 + x2) / 2; twice it is x1 + x2
+    sq = MultiPoly(2, {(2, 0): Fraction(1, 2)})
+    assert _stored_coefficients(divided_difference(sq, 1)) == [Fraction(1, 2), Fraction(1, 2)]
+    assert _stored_coefficients(divided_difference(sq * 2, 1)) == [1, 1]
+    with pytest.raises(TypeError):
+        MultiPoly(2, {(1, 0): 0.5})
+    rng = random.Random(13)
+    for _ in range(200):
+        p, q = random_poly(rng, 3), random_poly(rng, 3)
+        p = p * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        i = rng.randint(1, 2)
+        for r in (p + q, p - q, p * q, p * Fraction(3, 2), divided_difference(p * q, i), p.perm_act((2, 0, 1))):
+            _stored_coefficients(r)
+            for part in r.homogeneous_parts().values():
+                _stored_coefficients(part)

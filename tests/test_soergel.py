@@ -14,7 +14,7 @@ from soergelkit.gradedmod import (
     hom_ungraded_dim,
 )
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, rank, rref
+from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, flatten, rank, rref
 from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory, soergel_category
 from soergelkit.weyl import format_perm, length, parse_perm
 
@@ -522,3 +522,23 @@ def test_decompose_shifted_sum_generic():
     m = cat.indecomposable(s).shift(3).direct_sum(cat.trivial())
     dec = cat.decompose(m)
     assert dec.multiset() == ((parse_perm("12"), 0), (s, 3))
+
+
+def test_composites_flatten_like_their_total_matrices():
+    # the direct flattening that EndoAlgebra reads coordinates from, against
+    # the reference route through the total matrix
+    cat = soergel_category(3)
+    w0, s1, e = parse_perm("321"), parse_perm("213"), parse_perm("123")
+    alg = cat.endo_algebra([(w0, 0), (s1, -1), (s1, 1), (e, 2)])
+    composites = 0
+    for a1, _, _, m1 in alg.basis:
+        for _, b2, _, m2 in alg.basis:
+            if b2 == a1:
+                comp = m1.compose(m2)
+                assert comp.flatten() == flatten(comp.to_total())
+                composites += not comp.is_zero()
+    assert composites > 100
+    for _, _, _, m in alg.basis:
+        assert m.flatten() == flatten(m.to_total())
+        half = m.scale(Fraction(1, 2))
+        assert half.flatten() == flatten(half.to_total())
