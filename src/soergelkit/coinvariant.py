@@ -3,17 +3,23 @@
 This is the quotient of Q[x_1 .. x_n] by the ideal generated by the
 elementary symmetric polynomials e_1 .. e_n, graded with deg(x_i) = 2.  Its
 dimension is n! and the staircase monomials x^a with a_i <= n - i descend
-to a basis.  Reduction to the staircase basis is done degree by degree with
-exact row reduction of the ideal slice against all monomials of that
-degree; no Groebner machinery is involved.  The monomial columns are in
-lex order with x_n largest, whose standard monomials are the staircase, so
-the free columns of each reduced slice are asserted to be exactly the
-staircase monomials, in order, and a polynomial's residual at the free
-columns is its staircase coordinate vector.
+to a basis.  Each degree slice of the ideal is row-reduced exactly against
+all monomials of that degree; no Groebner machinery is involved.  The
+monomial columns are in lex order with x_n largest, whose standard
+monomials are the staircase, so the free columns of each reduced slice are
+asserted to be exactly the staircase monomials, in order.  The normal form
+of each monomial is read off the reduced rows: a free monomial is its own
+basis element, a pivot monomial is minus its reduced row at the free
+columns, and a monomial above the top degree is 0.  The ring stores these
+forms for every monomial up to the top degree, and all arithmetic works on
+staircase coordinates through them: a polynomial's normal form is the sum
+of its terms' forms, a product of basis elements is the form of the
+exponent sum, and a permuted monomial is a monomial.
 
 The ring carries the permutation action of S_n and the divided-difference
 (Demazure) operators for adjacent transpositions, which descend to the
-quotient because the ideal is stable under both.
+quotient because the ideal is stable under both; each operator is stored
+as its table of normal forms on the basis monomials.
 
 A ring is built once and is read-only afterwards; all element operations
 are pure functions of the ring data.
@@ -24,11 +30,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from operator import add
 
 from .laurent import LaurentPoly
 from .linalg import QMatrix, exact, kernel_basis, rref
 from .multipoly import MultiPoly, divided_difference
 from .weyl import Perm, check_rank, simple_reflection
+
+
+#: the form of a monomial above the top degree
+_ZERO: dict[int, int] = {}
 
 
 def _monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
@@ -56,19 +67,17 @@ class _IdealSlice:
         self.free_cols = free_cols
         self.staircase = staircase
 
-    def residual(self, part: MultiPoly) -> list[int | Fraction]:
-        """Entries at the free columns of a degree-d polynomial reduced by
-        the slice: its coordinates on ``staircase``, each an int or a
-        Fraction that may be integral."""
-        v = [0] * len(self.index)
-        for a, x in part.terms():
-            v[self.index[a]] = x
+    def monomial_forms(self, basis_index) -> dict[tuple[int, ...], dict[int, int | Fraction]]:
+        """The normal form of each degree-d monomial as {basis index: value},
+        read off the reduced rows: a free monomial is its own staircase
+        basis element, and the monomial at a pivot column is minus the
+        reduced row of that pivot at the free columns."""
+        monos = list(self.index)
+        free = {j: basis_index[a] for j, a in zip(self.free_cols, self.staircase)}
+        forms = {monos[j]: {b: 1} for j, b in free.items()}
         for row, pc in zip(self.reduced_rows, self.pivots):
-            x = v[pc]
-            if x:
-                for j, r in row.items():
-                    v[j] -= x * r
-        return [v[j] for j in self.free_cols]
+            forms[monos[pc]] = {free[j]: -x for j, x in row.items() if j != pc}
+        return forms
 
 
 def ideal_slice(n: int, d: int) -> _IdealSlice:
@@ -147,7 +156,13 @@ class CoinvariantElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_ring(other)
-        return self.ring.normal_form(self.lift() * other.lift())
+        ring = self.ring
+        basis, forms = ring.basis, ring._forms
+        return ring._combine(
+            (x * y, forms.get(tuple(map(add, basis[i], basis[j])), _ZERO))
+            for i, x in self.coords.items()
+            for j, y in other.coords.items()
+        )
 
     __rmul__ = __mul__
 
@@ -157,10 +172,8 @@ class CoinvariantElement:
 
     def lift(self) -> MultiPoly:
         """The canonical polynomial representative (staircase combination)."""
-        out = MultiPoly.zero(self.ring.n)
-        for i, x in self.coords.items():
-            out = out + MultiPoly.monomial(self.ring.basis[i], x)
-        return out
+        basis = self.ring.basis
+        return MultiPoly(self.ring.n, {basis[i]: x for i, x in self.coords.items()})
 
     def degrees(self) -> tuple[int, ...]:
         """Doubled degrees of the homogeneous components, ascending."""
@@ -201,7 +214,13 @@ class CoinvariantRing:
         for i, a in enumerate(self.basis):
             self._by_degree.setdefault(2 * sum(a), ())
             self._by_degree[2 * sum(a)] += (i,)
-        self._slices = [ideal_slice(n, d) for d in range(self.top_poly_degree + 1)]
+        self._forms: dict[tuple[int, ...], dict[int, int | Fraction]] = {}
+        for d in range(self.top_poly_degree + 1):
+            self._forms.update(ideal_slice(n, d).monomial_forms(self.basis_index))
+        self._demazure = tuple(
+            tuple(self.normal_form(divided_difference(MultiPoly.monomial(a), i)).coords for a in self.basis)
+            for i in range(1, n)
+        )
         self._var_mult: dict[tuple[int, int], QMatrix] = {}
         self._act_matrices: dict[tuple[Perm, int], QMatrix] = {}
 
@@ -244,19 +263,25 @@ class CoinvariantRing:
     def normal_form(self, p: MultiPoly) -> CoinvariantElement:
         """The image of a polynomial in staircase coordinates.
 
-        Components of degree above the top degree vanish in the quotient
-        and are dropped without further computation.
+        This is the sum of the terms times the forms of their monomials;
+        a monomial above the top degree vanishes in the quotient.
         """
         if p.n != self.n:
             raise ValueError(f"polynomial in {p.n} variables fed to rank-{self.n} ring")
-        coords: dict[int, int | Fraction] = {}
-        for d, part in p.homogeneous_parts().items():
-            if d > self.top_poly_degree:
-                continue
-            data = self._slices[d]
-            for a, c in zip(data.staircase, data.residual(part)):
-                coords[self.basis_index[a]] = c
-        return CoinvariantElement(self, coords)
+        return self._combine((x, self._forms.get(a, _ZERO)) for a, x in p.terms())
+
+    def _combine(self, pairs) -> CoinvariantElement:
+        """The sum of x * form over (x, form) pairs, each form a
+        {basis index: value} dict."""
+        acc: dict[int, int | Fraction] = {}
+        for x, form in pairs:
+            for b, y in form.items():
+                acc[b] = acc.get(b, 0) + x * y
+        return CoinvariantElement(self, acc)
+
+    def _check_rank(self, c: CoinvariantElement) -> None:
+        if c.ring.n != self.n:
+            raise ValueError(f"element of the rank-{c.ring.n} ring fed to rank-{self.n} ring")
 
     # -- structure maps --------------------------------------------------------
 
@@ -264,15 +289,27 @@ class CoinvariantRing:
         """The algebra automorphism induced by permuting the variables."""
         if len(w) != self.n:
             raise ValueError("rank mismatch in coinvariant action")
-        return self.normal_form(c.lift().perm_act(w))
+        self._check_rank(c)
+        forms = self._forms
+        pairs = []
+        for b, x in c.coords.items():
+            image = [0] * self.n
+            for k, e in enumerate(self.basis[b]):
+                image[w[k]] = e
+            pairs.append((x, forms[tuple(image)]))
+        return self._combine(pairs)
 
     def demazure(self, i: int, c: CoinvariantElement) -> CoinvariantElement:
-        """Divided difference on a lift, reduced back to the quotient.
+        """The divided difference, from its table on the basis monomials.
 
         Well defined because the invariant ideal is stable under divided
         differences; lowers the doubled degree by 2.
         """
-        return self.normal_form(divided_difference(c.lift(), i))
+        if not 1 <= i <= self.n - 1:
+            raise ValueError(f"adjacent transposition index {i} out of range")
+        self._check_rank(c)
+        table = self._demazure[i - 1]
+        return self._combine((x, table[b]) for b, x in c.coords.items())
 
     def multiply_by_variable_matrix(self, i: int, d: int) -> QMatrix:
         """Matrix of multiplication by x_i from degree d to degree d + 2."""
@@ -281,11 +318,8 @@ class CoinvariantRing:
         if cached is None:
             src = self.degree_basis_indices(d)
             tgt = self.degree_basis_indices(d + 2)
-            cols = []
-            xi = MultiPoly.variable(i, self.n)
-            for b in src:
-                prod = self.normal_form(xi * MultiPoly.monomial(self.basis[b]))
-                cols.append(prod.coord_vector(d + 2))
+            xi = self.variable(i)
+            cols = [(xi * self.basis_element(b)).coord_vector(d + 2) for b in src]
             cached = QMatrix.from_columns(len(tgt), cols)
             self._var_mult[key] = cached
         return cached

@@ -32,13 +32,13 @@ from .multipoly import MultiPoly
 class GradedModule:
     """A graded module over the coinvariant algebra of rank n."""
 
-    __slots__ = ("ring", "dims", "actions", "_offsets")
+    __slots__ = ("ring", "dims", "actions", "_degrees", "_offsets")
 
     def __init__(self, ring: CoinvariantRing, dims, actions, validate: bool = True):
         self.ring = ring
         self.dims = {int(d): int(m) for d, m in dims.items() if m}
-        degrees = sorted(self.dims)
-        self._offsets = dict(zip(degrees, accumulate((self.dims[d] for d in degrees), initial=0)))
+        self._degrees = tuple(sorted(self.dims))
+        self._offsets = dict(zip(self._degrees, accumulate((self.dims[d] for d in self._degrees), initial=0)))
         acts: dict[tuple[int, int], QMatrix] = {}
         for (i, d), mat in actions.items():
             if mat.rows != self.dim_at(d + 2) or mat.cols != self.dim_at(d):
@@ -52,7 +52,7 @@ class GradedModule:
     # -- bookkeeping ---------------------------------------------------------
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.dims))
+        return self._degrees
 
     def dim_at(self, d: int) -> int:
         return self.dims.get(d, 0)

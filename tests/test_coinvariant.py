@@ -365,3 +365,92 @@ def test_coordinates_are_ints_when_integral():
         for d in ring.degrees():
             for m in (ring.multiply_by_variable_matrix(i, d), ring.action_matrix(simple_reflection(i, 3), d)):
                 assert all(type(x) is int for row in m.nonzeros for x in row.values())
+
+
+def mixed_element(rng, ring):
+    """A few basis elements of mixed degrees with true-fraction coefficients."""
+    from soergelkit.coinvariant import CoinvariantElement
+
+    coords = {rng.randrange(ring.dim): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)}
+    return CoinvariantElement(ring, coords)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monomial_forms_are_the_normal_forms_of_their_monomials(n):
+    ring = coinvariant_ring(n)
+    monomials = [a for d in range(ring.top_poly_degree + 1) for a in exponents(n, d)]
+    assert sorted(ring._forms) == sorted(monomials)
+    for a in monomials:
+        assert ring._forms[a] == ring.normal_form(MultiPoly.monomial(a)).coords, a
+    for a in exponents(n, ring.top_poly_degree + 1):
+        assert not ring.normal_form(MultiPoly.monomial(a))
+    for i, a in enumerate(ring.basis):
+        assert ring._forms[a] == {i: 1}
+    # the forms vanish on the ideal: each monomial multiple of each e_k
+    for k in range(1, n + 1):
+        for d in range(ring.top_poly_degree - k + 1):
+            for m in exponents(n, d):
+                assert not ring.normal_form(MultiPoly.monomial(m) * MultiPoly.elementary(k, n)), (k, m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_products_match_the_polynomial_route(n):
+    ring = coinvariant_ring(n)
+    rng = random.Random(70 + n)
+    for _ in range(40):
+        c, d = mixed_element(rng, ring), mixed_element(rng, ring)
+        assert c * d == ring.normal_form(c.lift() * d.lift())
+        for k in (3, Fraction(-2, 3)):
+            assert c * k == k * c == c.scale(k) == ring.normal_form(c.lift() * k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_products_above_the_top_degree_vanish(n):
+    ring = coinvariant_ring(n)
+    top = 2 * ring.top_poly_degree
+    for i in range(ring.dim):
+        for j in range(ring.dim):
+            if ring.basis_degree(i) + ring.basis_degree(j) > top:
+                assert not ring.basis_element(i) * ring.basis_element(j)
+    assert ring.basis_element(ring.dim - 1) * ring.one() == ring.basis_element(ring.dim - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_demazure_matches_the_polynomial_route(n):
+    from soergelkit.multipoly import divided_difference
+
+    ring = coinvariant_ring(n)
+    rng = random.Random(80 + n)
+    for i in range(1, n):
+        for b in range(ring.dim):
+            c = ring.basis_element(b)
+            assert ring.demazure(i, c) == ring.normal_form(divided_difference(c.lift(), i))
+        for _ in range(20):
+            c = mixed_element(rng, ring)
+            assert ring.demazure(i, c) == ring.normal_form(divided_difference(c.lift(), i))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_weyl_act_matches_the_polynomial_route(n):
+    ring = coinvariant_ring(n)
+    rng = random.Random(90 + n)
+    for w in weyl_group(n).elements():
+        for b in range(ring.dim):
+            c = ring.basis_element(b)
+            assert ring.weyl_act(w, c) == ring.normal_form(c.lift().perm_act(w))
+        c = mixed_element(rng, ring)
+        assert ring.weyl_act(w, c) == ring.normal_form(c.lift().perm_act(w))
+
+
+def test_operations_refuse_elements_of_another_rank():
+    ring3, ring4 = coinvariant_ring(3), coinvariant_ring(4)
+    c = ring4.variable(1)
+    with pytest.raises(ValueError, match="rank-4 ring fed to rank-3"):
+        ring3.demazure(1, c)
+    with pytest.raises(ValueError, match="rank-4 ring fed to rank-3"):
+        ring3.weyl_act(simple_reflection(1, 3), c)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            ring3.demazure(i, ring3.variable(1))
+    with pytest.raises(ValueError, match="different coinvariant rings"):
+        ring3.variable(1) * c
