@@ -355,18 +355,18 @@ def hom_ungraded_dim(M: GradedModule, N: GradedModule) -> int:
     return len(kernel_basis(system))
 
 
-def kernel_module(e: ModuleMap) -> tuple[GradedModule, ModuleMap]:
-    """The kernel of a degree-0 endomorphism, with its inclusion map.
+def kernel_module(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
+    """The kernel of a module map, with its inclusion map.
 
-    The kernel of a map commuting with the actions is a submodule; its
-    action blocks are read off the kernel bases, which is exact and raises
-    if the map was not actually a module map.
+    The kernel of a map commuting with the actions is a submodule of its
+    source; its action blocks are read off the kernel bases, which is exact
+    and raises if the map was not actually a module map.  A degree where f
+    has no block is kept whole, with no elimination (see
+    :func:`~soergelkit.linalg.restrict_to_kernels`).
     """
-    if e.degree != 0 or e.source is not e.target:
-        raise ValueError("kernel_module expects a degree-0 endomorphism")
-    M = e.source
+    M = f.source
     inclusions, actions = restrict_to_kernels(
-        {d: e.block(d) for d in M.degrees()},
+        {d: f.block(d) for d in M.degrees()},
         (((i, d), d, d + 2, mat) for (i, d), mat in M.actions.items()),
     )
     K = GradedModule(M.ring, {d: inc.cols for d, inc in inclusions.items()}, actions, validate=False)

@@ -26,8 +26,11 @@ clears each stored row's denominators once into a {column: int} dict (a
 row of ints is only copied) and eliminates fraction-free (Bareiss 1968),
 dividing every reduced row by its content to keep entries small; pivots
 are normalised back to 1 over the rationals at the end, each quotient an
-int where the division is exact.  Results are exact, and since the reduced
-row echelon form is unique they do not depend on the pivot rows chosen.
+int where the division is exact.  Unknowns that one-term rows force to
+zero are taken out first, in one cascade (see :func:`_echelon`), which is
+where the tall Hom systems lose most of their rows.  Results are exact,
+and since the reduced row echelon form is unique they depend neither on
+the presolve nor on the pivot rows chosen.
 
 Coordinates in a kernel basis are read off its free columns, where each
 vector is 1 and the others are 0, and checked by rebuilding the vector from
@@ -68,6 +71,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 DEFAULT_DIMENSION_CAP = 5000
 _ZERO = Fraction(0)
@@ -396,18 +400,51 @@ def _ratio(x: int, p: int) -> int | Fraction:
     return Fraction(x, p) if r else q
 
 
+def _presolve(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """The columns that one-term rows force to zero, ascending, and the
+    other rows without them, primitive again; ``rows`` are changed.
+
+    A one-term row forces its column; the column is deleted from every row,
+    a row left with one term forces its column in turn, and a row left empty
+    is dropped.  Without a one-term row, ``rows`` come back as they are.
+    """
+    forced = {j for row in rows if len(row) == 1 for j in row}
+    if not forced:
+        return [], rows
+    holders: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        for j in row:
+            holders.setdefault(j, []).append(row)
+    queue = list(forced)
+    while queue:
+        j = queue.pop()
+        for row in holders[j]:
+            del row[j]
+            if len(row) == 1:
+                (k,) = row
+                if k not in forced:
+                    forced.add(k)
+                    queue.append(k)
+    return sorted(forced), [_primitive(row) for row in rows if row]
+
+
 def _echelon(rows: list[dict[int, int]], n_cols: int, reduce: bool) -> list[tuple[int, dict[int, int]]]:
     """The pivot rows (column, row) of the row space of ``rows``, nonzero
     primitive integer rows that are reused and changed.
 
-    Rows are reduced fraction-free by their leading column, the pivot row of
-    a column being the one with fewest nonzeros, then smallest pivot, and
-    every reduced row is divided by its content.  With ``reduce`` the pivot
-    rows are then back-substituted, last pivot first, so that each is zero at
-    every other pivot column: divided by its pivot entry, the k-th is row k
-    of the reduced row echelon form, which is unique, so the choice of pivot
-    rows does not show in it.
+    Unknowns forced to zero go first (:func:`_presolve`): e_j lies in the
+    row space for each forced column j, so ``{j: 1}`` is its reduced pivot
+    row and no other reduced row has an entry at j; the forced pivots are
+    merged into the others in column order.  The remaining rows are reduced
+    fraction-free by their leading column, the pivot row of a column being
+    the one with fewest nonzeros, then smallest pivot, and every reduced row
+    is divided by its content.  With ``reduce`` those pivot rows are then
+    back-substituted, last pivot first, so that each is zero at every other
+    pivot column: divided by its pivot entry, the k-th pivot row is row k of
+    the reduced row echelon form, which is unique, so neither the presolve
+    nor the choice of pivot rows shows in it.
     """
+    forced, rows = _presolve(rows)
     by_lead: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         by_lead.setdefault(min(row), []).append(row)
@@ -430,6 +467,8 @@ def _echelon(rows: list[dict[int, int]], n_cols: int, reduce: bool) -> list[tupl
                 ci, row = pivot_rows[i]
                 if c in row:
                     pivot_rows[i] = (ci, _eliminate(row, prow, c))
+    if forced:
+        pivot_rows = sorted(pivot_rows + [(j, {j: 1}) for j in forced], key=itemgetter(0))
     return pivot_rows
 
 
@@ -563,25 +602,36 @@ def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
     columns are the :func:`kernel_basis` vectors), and each nonzero block
     of ``blocks`` = (label, key, target key, matrix) in kernel coordinates,
     by label.  The images of a kernel basis are the stored rows of (block *
-    inclusion) transposed.  Raises AssertionError when a block maps a
-    kernel vector outside the target kernel.
+    inclusion) transposed.  The kernel of a zero map is its whole space:
+    its inclusion is the identity, found with no elimination, a block from
+    it is not multiplied, and an image in it is its own coordinates, so a
+    block between two whole kernels is passed through unchanged.  Raises
+    AssertionError when a block maps a kernel vector outside the target
+    kernel.
     """
-    bases, inclusions = {}, {}
+    bases, inclusions, whole = {}, {}, set()
     for key, mat in maps.items():
+        if mat.is_zero():
+            if mat.cols:
+                whole.add(key)
+                inclusions[key] = QMatrix.identity(mat.cols)
+            continue
         vecs = kernel_basis(mat)
         if vecs:
             bases[key] = EchelonBasis(vecs, mat.cols)
             inclusions[key] = QMatrix.from_columns(mat.cols, vecs)
     restricted = {}
     for label, key, tgt_key, block in blocks:
-        if key not in bases:
+        if key not in inclusions:
             continue
-        tgt = bases.get(tgt_key) or EchelonBasis([], block.rows)
-        try:
-            cols = [tgt.coords(v) for v in (block * inclusions[key]).transpose().nonzeros]
-        except ValueError:
-            raise AssertionError("kernel is not action-stable") from None
-        mat = QMatrix.from_columns(len(tgt.vectors), cols)
+        mat = block if key in whole else block * inclusions[key]
+        if tgt_key not in whole:
+            tgt = bases.get(tgt_key) or EchelonBasis([], block.rows)
+            try:
+                cols = [tgt.coords(v) for v in mat.transpose().nonzeros]
+            except ValueError:
+                raise AssertionError("kernel is not action-stable") from None
+            mat = QMatrix.from_columns(len(tgt.vectors), cols)
         if not mat.is_zero():
             restricted[label] = mat
     return inclusions, restricted

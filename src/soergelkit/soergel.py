@@ -14,11 +14,11 @@ gives the Bott-Samelson module of the word.  A peel loop splits a module
 into summands D_x: the Hecke algebra predicts the summand multiset, and
 every predicted summand is split off by maps p and j whose composite
 p j is a nonzero scalar c, and the peel goes on in the kernel of the
-idempotent j p / c.  D_w follows the canonical-basis
-recursion (Soergel 2007; Elias and Williamson 2014): with s the last
-letter of the canonical word of w and u = ws, it is what is left of the
-induction of D_u along s once the summands of b_u b_s - b_w are peeled
-off.  Oracle and linear algebra verify each other; a predicted summand
+idempotent j p / c, read off as the kernel of p.  D_w follows the
+canonical-basis recursion (Soergel 2007; Elias and Williamson 2014):
+with s the last letter of the canonical word of w and u = ws, it is what
+is left of the induction of D_u along s once the summands of
+b_u b_s - b_w are peeled off.  Oracle and linear algebra verify each other; a predicted summand
 that cannot be split is a hard error.  Scalar-valued peeling is sound
 because degree-zero endomorphisms of each D_w are one-dimensional,
 which is asserted whenever a composite endomorphism is read off.
@@ -205,7 +205,8 @@ class SoergelCategory:
     def _try_peel(self, M: GradedModule, x: Perm, k: int):
         """Split one copy of D_x with shift k off M, or return None.  With j:
         D_x -> M and p: M -> D_x such that p j = c is a nonzero scalar, returns
-        idem = j p / c with its kernel module (the complement) and inclusion."""
+        idem = j p / c with its kernel module (the complement) and inclusion,
+        read off ker p, which is ker idem since j is injective."""
         dx = self.indecomposable(x)
         inclusions = hom_graded(dx, M, -k)
         if not inclusions:
@@ -216,7 +217,7 @@ class SoergelCategory:
                 c = _scalar_of_endo(p.compose(j), dx)
                 if c:
                     idem = j.compose(p).scale(Fraction(1) / c)
-                    return (idem, *kernel_module(idem))
+                    return (idem, *kernel_module(p))
         return None
 
     def _peel_expected(self, M: GradedModule, expected, context: str = ""):

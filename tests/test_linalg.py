@@ -191,6 +191,113 @@ def test_rref_matches_dense_reference_on_rank3_hom_systems(monkeypatch):
     assert len(seen) > 36 and max(seen) > 0
 
 
+def _forced_closure(rows):
+    """Reference route for the presolve: the columns forced to zero, found
+    level by level (a row with one column outside the forced set forces
+    that column), and the number of levels."""
+    forced, levels = set(), 0
+    while True:
+        new = {j for row in rows if len(rest := set(row) - forced) == 1 for j in rest}
+        if new <= forced:
+            return forced, levels
+        forced |= new
+        levels += 1
+
+
+def _planted_system(rng, kind):
+    """A seeded sparse integer system with one-term rows planted in it.
+
+    A chain c_0, c_1, .. of columns is forced level by level: {c_0: a} is a
+    one-term row and each later row holds c_i beside earlier chain columns.
+    Rows supported on the chain alone empty once it is forced, and random
+    rows of two or more terms fill the rest.  ``kind`` "all" forces every
+    column and "none" plants no one-term row at all.
+    """
+    cols = rng.randint(1, 12) if kind != "none" else rng.randint(2, 12)
+    order = rng.sample(range(cols), cols)
+    depth = {"all": cols, "none": 0, "some": rng.randint(1, min(cols, 5))}[kind]
+    chain = order[:depth]
+
+    def coeff():
+        return rng.choice([-1, 1]) * rng.randint(1, 6)
+
+    rows = []
+    for i, c in enumerate(chain):
+        row = {c: coeff()}
+        for j in rng.sample(chain[:i], rng.randint(min(i, 1), min(i, 3))):
+            row[j] = coeff()
+        rows.append(row)
+    if len(chain) > 1:
+        for _ in range(rng.randint(1, 3)):
+            rows.append({j: coeff() for j in rng.sample(chain, 2)})
+    for _ in range(rng.randint(0, cols + 3)):
+        size = rng.randint(2, cols) if cols > 1 else 0
+        if size:
+            rows.append({j: coeff() for j in rng.sample(range(cols), size)})
+    rng.shuffle(rows)
+    return SparseSystem(cols, [linalg._primitive(dict(sorted(row.items()))) for row in rows])
+
+
+def test_presolve_forces_the_closure_of_the_one_term_rows():
+    rng = random.Random(2323)
+    seen = set()
+    for kind in ["some"] * 300 + ["all"] * 60 + ["none"] * 60:
+        system = _planted_system(rng, kind)
+        forced, levels = _forced_closure(system.equations)
+        rows = [dict(row) for row in system.equations]
+        got, rest = linalg._presolve(rows)
+        assert got == sorted(forced)
+        expected = [{j: x for j, x in row.items() if j not in forced} for row in system.equations]
+        assert rest == [linalg._primitive(row) for row in expected if row]
+        assert all(len(row) > 1 for row in rest)
+        if not forced:
+            assert rest is rows
+            seen.add("none")
+        if forced and len(rest) < len(rows) - sum(len(row) == 1 for row in system.equations):
+            seen.add("rows empty")
+        if levels >= 2:
+            seen.add("deep")
+        if len(forced) == system.cols:
+            seen.add("all")
+    assert seen == {"none", "rows empty", "deep", "all"}
+
+
+def test_presolve_keeps_rref_rank_and_kernel_of_matrices_and_systems():
+    # the reduced form of a matrix and the kernel and rank of both kinds of
+    # input against the dense reference; the matrix rows are scaled by
+    # seeded fractions, so its rows are cleared of denominators first
+    rng = random.Random(2324)
+    for kind in ["some"] * 300 + ["all"] * 60 + ["none"] * 60:
+        system = _planted_system(rng, kind)
+        densified = densify(system)
+        scales = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in system.equations]
+        scaled = QMatrix(
+            densified.rows, system.cols, [[x * c for x in row] for row, c in zip(densified.data, scales)]
+        )
+        reference = dense_rref(densified)
+        kernel = dense_kernel(densified)
+        for m in (densified, scaled):
+            assert rref(m) == reference
+            assert rank(m) == reference.rank
+            assert [dense(v, m.cols) for v in kernel_basis(m)] == kernel
+        assert rank(system) == reference.rank
+        assert [dense(v, system.cols) for v in kernel_basis(system)] == kernel
+
+
+def test_a_system_forced_to_zero_is_solved_without_elimination(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("eliminated a system that the presolve solves")
+
+    monkeypatch.setattr(linalg, "_eliminate", must_not_run)
+    rng = random.Random(2325)
+    for _ in range(60):
+        system = _planted_system(rng, "all")
+        assert rank(system) == system.cols and kernel_basis(system) == []
+        res = rref(densify(system))
+        assert res.pivots == tuple(range(system.cols))
+        assert res.matrix.nonzeros[: system.cols] == [{j: 1} for j in range(system.cols)]
+
+
 def test_rref_identity():
     m = QMatrix.identity(2)
     res = rref(m)
@@ -657,6 +764,64 @@ def test_restrict_to_kernels_rejects_images_outside_the_target_kernel():
     for tgt_key in (1, 2):
         with pytest.raises(AssertionError, match="not action-stable"):
             restrict_to_kernels(maps, [("id", 0, tgt_key, QMatrix.identity(2))])
+
+
+def _restrict_reference(maps, blocks):
+    """Reference route for :func:`restrict_to_kernels`: every kernel, that
+    of a zero map included, from :func:`kernel_basis`, and the coordinates
+    of every image from a :class:`SpanSolver` of the target kernel."""
+    inclusions = {key: QMatrix.from_columns(m.cols, kernel_basis(m)) for key, m in maps.items()}
+    restricted = {}
+    for label, key, tgt_key, block in blocks:
+        inc = inclusions[key]
+        if not inc.cols:
+            continue
+        tgt = inclusions[tgt_key]
+        solver = SpanSolver([tgt.col(t) for t in range(tgt.cols)], tgt.rows)
+        try:
+            cols = [solver.coords(image) for image in (block * inc).transpose().data]
+        except ValueError:
+            raise AssertionError("kernel is not action-stable") from None
+        mat = QMatrix.from_columns(tgt.cols, cols)
+        if not mat.is_zero():
+            restricted[label] = mat
+    return {key: inc for key, inc in inclusions.items() if inc.cols}, restricted
+
+
+def test_restrict_to_kernels_with_zero_maps_matches_the_general_route():
+    # keyed maps, some of them zero (whose kernel is the whole space), and
+    # blocks between the keys, stable ones built as (kernel basis of the
+    # target) * (random) and unstable ones drawn at random
+    rng = random.Random(2326)
+    seen = set()
+    for _ in range(150):
+        dims = [rng.randint(0, 4) for _ in range(4)]
+        maps = {}
+        for key, n in enumerate(dims):
+            rows = rng.randint(0, 3)
+            maps[key] = QMatrix.zero(rows, n) if rng.random() < 0.5 else random_matrix(rng, rows, n, -2, 2)
+        blocks = []
+        for label in range(rng.randint(1, 6)):
+            key, tgt_key = rng.randrange(4), rng.randrange(4)
+            tgt = maps[tgt_key]
+            if rng.random() < 0.8:
+                span = QMatrix.from_columns(tgt.cols, kernel_basis(tgt))
+                block = span * random_matrix(rng, span.cols, dims[key], -2, 2)
+            else:
+                block = random_matrix(rng, tgt.cols, dims[key], -2, 2)
+            blocks.append((label, key, tgt_key, block))
+        try:
+            expected = _restrict_reference(maps, blocks)
+        except AssertionError:
+            with pytest.raises(AssertionError, match="not action-stable"):
+                restrict_to_kernels(maps, blocks)
+            seen.add("unstable")
+            continue
+        assert restrict_to_kernels(maps, blocks) == expected
+        # which kinds of kernel, whole or not, the kept blocks ran between
+        whole = {key for key, m in maps.items() if m.cols and m.is_zero()}
+        seen.update((key in whole, tgt_key in whole) for label, key, tgt_key, _ in blocks if label in expected[1])
+    assert seen == {(False, False), (False, True), (True, False), (True, True), "unstable"}
 
 
 def test_from_columns_keeps_shape():

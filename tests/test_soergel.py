@@ -12,6 +12,7 @@ from soergelkit.gradedmod import (
     hom_degree_range,
     hom_graded,
     hom_ungraded_dim,
+    kernel_module,
 )
 from soergelkit.laurent import LaurentPoly
 from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, flatten, rank, rref
@@ -542,3 +543,42 @@ def test_composites_flatten_like_their_total_matrices():
         assert m.flatten() == flatten(m.to_total())
         half = m.scale(Fraction(1, 2))
         assert half.flatten() == flatten(half.to_total())
+
+
+
+@pytest.mark.parametrize("route", ["expected", "search"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_peel_step_reads_the_kernel_of_its_idempotent_off_the_projection(n, route, monkeypatch):
+    # ker(j p / c) = ker p, since p j = c is a nonzero scalar: the complement
+    # read off p equals the one read off the idempotent, block for block
+    from soergelkit.selftest import CURATED_RANK4_WORDS
+
+    calls = []
+
+    def recording_kernel_module(f):
+        out = kernel_module(f)
+        calls.append((f, out))
+        return out
+
+    monkeypatch.setattr(soergel, "kernel_module", recording_kernel_module)
+    cat = soergel_category(n)
+    words = [(1, 2, 1), (1, 2, 1, 2), (2, 1, 1)] if n == 3 else CURATED_RANK4_WORDS
+    steps_seen = 0
+    for word in words:
+        cur = cat.bott_samelson(word)
+        if route == "expected":
+            steps = cat._peel_expected(cur, cat.expected_summands(word))
+        else:
+            steps = cat._peel_search(cur)
+        for x, k, (idem, complement, inclusion) in steps:
+            p, (kernel, kernel_inclusion) = calls[-1]
+            assert p.source is cur and p.target is cat.indecomposable(x) and p.degree == k
+            assert (complement, inclusion) == (kernel, kernel_inclusion)
+            by_idem, idem_inclusion = kernel_module(idem)
+            assert complement.dims == by_idem.dims
+            assert complement.actions == by_idem.actions
+            assert inclusion.blocks == idem_inclusion.blocks
+            cur = complement
+            steps_seen += 1
+        assert cur.total_dim() == 0
+    assert steps_seen > len(words)
