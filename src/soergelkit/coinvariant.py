@@ -33,9 +33,9 @@ from itertools import combinations_with_replacement, product
 from operator import add
 
 from .laurent import LaurentPoly
-from .linalg import QMatrix, exact, kernel_basis, rref
+from .linalg import QMatrix, exact, rref
 from .multipoly import MultiPoly, divided_difference
-from .weyl import Perm, check_rank, simple_reflection
+from .weyl import Perm, check_rank
 
 
 #: the form of a monomial above the top degree
@@ -184,11 +184,6 @@ class CoinvariantElement:
         ds = self.degrees()
         return ds[0] if len(ds) == 1 else None
 
-    def coord_vector(self, d: int) -> list[int | Fraction]:
-        """Coordinates inside the degree-d graded piece, in basis order."""
-        idxs = self.ring.degree_basis_indices(d)
-        return [self.coords.get(i, 0) for i in idxs]
-
     def __str__(self) -> str:
         return str(self.lift())
 
@@ -221,8 +216,6 @@ class CoinvariantRing:
             tuple(self.normal_form(divided_difference(MultiPoly.monomial(a), i)).coords for a in self.basis)
             for i in range(1, n)
         )
-        self._var_mult: dict[tuple[int, int], QMatrix] = {}
-        self._act_matrices: dict[tuple[Perm, int], QMatrix] = {}
 
     # -- basic data ----------------------------------------------------------
 
@@ -236,9 +229,6 @@ class CoinvariantRing:
 
     def poincare(self) -> LaurentPoly:
         return LaurentPoly({d: len(idxs) for d, idxs in self._by_degree.items()})
-
-    def degree_basis_indices(self, d: int) -> tuple[int, ...]:
-        return self._by_degree.get(d, ())
 
     def basis_degree(self, i: int) -> int:
         return 2 * sum(self.basis[i])
@@ -310,85 +300,6 @@ class CoinvariantRing:
         self._check_rank(c)
         table = self._demazure[i - 1]
         return self._combine((x, table[b]) for b, x in c.coords.items())
-
-    def multiply_by_variable_matrix(self, i: int, d: int) -> QMatrix:
-        """Matrix of multiplication by x_i from degree d to degree d + 2."""
-        key = (i, d)
-        cached = self._var_mult.get(key)
-        if cached is None:
-            src = self.degree_basis_indices(d)
-            tgt = self.degree_basis_indices(d + 2)
-            xi = self.variable(i)
-            cols = [(xi * self.basis_element(b)).coord_vector(d + 2) for b in src]
-            cached = QMatrix.from_columns(len(tgt), cols)
-            self._var_mult[key] = cached
-        return cached
-
-    def action_matrix(self, w: Perm, d: int) -> QMatrix:
-        """Matrix of the W-action on the degree-d graded piece."""
-        key = (w, d)
-        cached = self._act_matrices.get(key)
-        if cached is None:
-            idxs = self.degree_basis_indices(d)
-            cols = []
-            for b in idxs:
-                img = self.weyl_act(w, self.basis_element(b))
-                cols.append(img.coord_vector(d))
-            cached = QMatrix.from_columns(len(idxs), cols)
-            self._act_matrices[key] = cached
-        return cached
-
-    def invariants_basis(self, i: int) -> list[CoinvariantElement]:
-        """A graded basis of the s_i-invariant subalgebra, degree ascending."""
-        s = simple_reflection(i, self.n)
-        out = []
-        for d in self.degrees():
-            idxs = self.degree_basis_indices(d)
-            m = self.action_matrix(s, d) - QMatrix.identity(len(idxs))
-            for vec in kernel_basis(m):
-                out.append(CoinvariantElement(self, {idxs[t]: x for t, x in vec.items()}))
-        return out
-
-    def invariant_generators(self, i: int) -> list[CoinvariantElement]:
-        """Images of algebra generators of the s_i-invariant polynomials.
-
-        These are the variables other than x_i, x_{i+1} together with
-        x_i + x_{i+1} and x_i x_{i+1}; their positive-degree span generates
-        the positive part of the invariant subalgebra.  Induction does not
-        use them (it works from the free basis {1, x_i}); only the
-        tensor-quotient reference route in the tests builds C (x)_{C^s} M
-        from relations on them.  Generators that die in the quotient are
-        dropped.
-        """
-        polys = []
-        for j in range(1, self.n + 1):
-            if j not in (i, i + 1):
-                polys.append(MultiPoly.variable(j, self.n))
-        xi = MultiPoly.variable(i, self.n)
-        xj = MultiPoly.variable(i + 1, self.n)
-        polys.append(xi + xj)
-        polys.append(xi * xj)
-        out = []
-        for p in polys:
-            nf = self.normal_form(p)
-            if nf:
-                out.append(nf)
-        return out
-
-    def split_invariant(self, i: int, c: CoinvariantElement) -> tuple[CoinvariantElement, CoinvariantElement]:
-        """Write c as a + x_i b with a, b invariant under s_i.
-
-        b is the divided difference of c and a the remainder; both
-        components are asserted invariant and the reconstruction exact.
-        """
-        b = self.demazure(i, c)
-        a = c - self.variable(i) * b
-        s = simple_reflection(i, self.n)
-        if self.weyl_act(s, a) != a or self.weyl_act(s, b) != b:
-            raise AssertionError("rank-two splitting produced non-invariant components")
-        if a + self.variable(i) * b != c:
-            raise AssertionError("rank-two splitting failed to reconstruct the element")
-        return a, b
 
 
 @lru_cache(maxsize=None)

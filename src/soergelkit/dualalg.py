@@ -44,10 +44,9 @@ class _AMod:
     (algebra basis index, source block) pair to its nonzero matrix.
     """
 
-    __slots__ = ("alg", "blocks", "act")
+    __slots__ = ("blocks", "act")
 
-    def __init__(self, alg, blocks, act):
-        self.alg = alg
+    def __init__(self, blocks, act):
         self.blocks = {k: d for k, d in blocks.items() if d}
         self.act = act
 
@@ -157,7 +156,7 @@ class DualAlgebra:
                         data[pos_of[(ci, out_idx)]][col] = coeff
                 if any(data):
                     act[(a_idx, key)] = QMatrix(len(tgt_items), len(items), data)
-        return _AMod(self.endo, blocks, act), basis_at
+        return _AMod(blocks, act), basis_at
 
     def _radical_complement(self, mod: _AMod) -> dict[tuple[int, int], list[int]]:
         """Free coordinates of each block modulo the radical image."""
@@ -183,7 +182,7 @@ class DualAlgebra:
             _, v, g, _ = self.endo.basis[a_idx]
             blocks.append(((a_idx, key), key, (key[0] + g, v), blk))
         inclusions, act = restrict_to_kernels(cover_map, blocks)
-        return _AMod(self.endo, {key: inc.cols for key, inc in inclusions.items()}, act)
+        return _AMod({key: inc.cols for key, inc in inclusions.items()}, act)
 
     # -- resolutions -------------------------------------------------------------
 
@@ -200,7 +199,7 @@ class DualAlgebra:
         # radical of P_x: all blocks of positive degree (degree 0 is the identity)
         rad_blocks = {key: d for key, d in p0.blocks.items() if key[0] > 0}
         rad_act = {label: mat for label, mat in p0.act.items() if label[1][0] > 0}
-        current = _AMod(self.endo, rad_blocks, rad_act)
+        current = _AMod(rad_blocks, rad_act)
         steps = [[(x, 0)]]
         complete = True
         while current.total_dim():

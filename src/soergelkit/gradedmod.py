@@ -26,7 +26,6 @@ from .linalg import (
     place_blocks,
     restrict_to_kernels,
 )
-from .multipoly import MultiPoly
 
 
 class GradedModule:
@@ -129,32 +128,6 @@ class GradedModule:
             k, d = min(failures)
             raise AssertionError(f"e_{k} of the actions does not vanish at degree {d}")
 
-    def poly_action(self, p: MultiPoly) -> dict[int, QMatrix]:
-        """Blocks of the action of a homogeneous polynomial, degree by degree.
-
-        Well defined on the quotient because e_k of the actions vanishes.
-        """
-        parts = p.homogeneous_parts()
-        if len(parts) > 1:
-            raise ValueError("poly_action expects a homogeneous polynomial")
-        if not parts:
-            return {d: QMatrix.zero(self.dim_at(d), self.dim_at(d)) for d in self.degrees()}
-        deg, part = next(iter(parts.items()))
-        out = {}
-        for d in self.degrees():
-            rows = self.dim_at(d + 2 * deg)
-            total = QMatrix.zero(rows, self.dim_at(d))
-            for a, x in part.terms():
-                prod = QMatrix.identity(self.dim_at(d))
-                cur = d
-                for i, e in enumerate(a, start=1):
-                    for _ in range(e):
-                        prod = self.action(i, cur) * prod
-                        cur += 2
-                total = total + prod.scale(x)
-            out[d] = total
-        return out
-
 
 class ModuleMap:
     """A homogeneous map of graded modules, given by one block per degree.
@@ -241,15 +214,6 @@ class ModuleMap:
             if inner is not None and outer is not None:
                 blocks[d] = outer * inner
         return ModuleMap(other.source, self.target, self.degree + other.degree, blocks)
-
-    def check_commutes(self) -> None:
-        """Assert the map commutes with every variable action."""
-        for i in range(1, self.source.ring.n + 1):
-            for d in self.source.degrees():
-                lhs = self.target.action(i, d + self.degree) * self.block(d)
-                rhs = self.block(d + 2) * self.source.action(i, d)
-                if lhs != rhs:
-                    raise AssertionError(f"map fails to commute with x_{i} at degree {d}")
 
     def to_total(self) -> QMatrix:
         """The map as a single matrix on totalised bases (degree ascending)."""

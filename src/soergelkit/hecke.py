@@ -23,8 +23,8 @@ Hom computation.
 Every right multiplication the library makes is by H_s + c for a simple
 reflection s and a scalar c: by b_s = H_s + v for products and the
 canonical basis, and by bar(H_s) = H_s + (v - v^-1) for the bar involution.
-:meth:`HeckeAlgebra.mult` multiplies general elements and serves the tests
-as the reference route.
+The product of general elements is a reference route for the tests, in
+``tests/reference.py``; the library never forms it.
 """
 
 from __future__ import annotations
@@ -183,24 +183,9 @@ class HeckeAlgebra:
                 add(ws, p)
         return HeckeElement(self.n, c)
 
-    def mult_std(self, h: HeckeElement, w: Perm) -> HeckeElement:
-        """Right multiplication by H_w along a reduced word."""
-        out = h
-        for i in self.group.a_reduced_word(w):
-            out = self.mult_gen(out, i)
-        return out
-
     def mult_gen_plus(self, h: HeckeElement, i: int, c: LaurentPoly) -> HeckeElement:
         """Right multiplication by H_{s_i} + c."""
         return self.mult_gen(h, i) + h.scale(c)
-
-    def mult(self, h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
-        if h1.n != h2.n:
-            raise ValueError("rank mismatch in Hecke multiplication")
-        out = self.zero()
-        for w, p in h2.terms():
-            out = out + self.mult_std(h1, w).scale(p)
-        return out
 
     # -- bar involution ----------------------------------------------------
 

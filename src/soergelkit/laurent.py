@@ -53,15 +53,8 @@ class LaurentPoly:
         """The monomial v^k."""
         return cls({k: 1})
 
-    @classmethod
-    def term(cls, coeff, k: int) -> "LaurentPoly":
-        return cls({k: coeff})
-
     def coeff(self, k: int) -> int | Fraction:
         return self._c.get(k, 0)
-
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
 
     def items(self):
         """Pairs (exponent, coefficient) in ascending exponent order."""
@@ -148,9 +141,6 @@ class LaurentPoly:
     def at_one(self) -> int | Fraction:
         """Evaluate at v = 1 (total dimension of a graded count)."""
         return exact(sum(self._c.values()))
-
-    def is_nonneg_integral(self) -> bool:
-        return all(type(x) is int and x >= 0 for x in self._c.values())
 
     def min_exp(self) -> int:
         return min(self._c)

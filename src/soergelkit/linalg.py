@@ -18,8 +18,9 @@ vector is stored the same way, as an {index: value} dict: kernel bases,
 :func:`flatten` and :class:`EchelonBasis` build and read such dicts.  The
 dense forms, lists of Fractions, are test views and reference routes:
 :attr:`QMatrix.data`, ``row``, ``col``, ``times_vector``, :func:`solve`
-and :class:`SpanSolver`; no other library routine calls them (tests and
-the benchmark tracer do).
+and :class:`SpanSolver`.  No other library routine calls them; they stay
+here, not with the other reference routes in ``tests/reference.py``,
+because the benchmark tracer binds them.
 
 The matrices met are mostly zero and nearly always integral, so :func:`rref`
 clears each stored row's denominators once into a {column: int} dict (a
@@ -61,7 +62,11 @@ that is reduced is checked on its columns before a row is copied.  Rows
 and equations are not counted.  A row either reduces to zero and is
 dropped, or becomes one of at most ``cols`` pivot rows, so the elimination
 keeps at most cols² entries however tall the system is; tall systems are
-the cheap ones, since most of their rows reduce to nothing.
+the cheap ones, since most of their rows reduce to nothing.  The same cap
+bounds the dimension of an induced module and of an ``EndoAlgebra``,
+whose dimension is read off the Hecke pairing before any of its modules
+is built: 282 075 for the sum of all rank-5 indecomposables, which is
+refused at the default cap.
 """
 
 from __future__ import annotations

@@ -149,12 +149,6 @@ class MultiPoly:
             out = out * self
         return out
 
-    def homogeneous_parts(self) -> dict[int, "MultiPoly"]:
-        parts: dict[int, dict] = {}
-        for a, x in self._t.items():
-            parts.setdefault(sum(a), {})[a] = x
-        return {d: MultiPoly(self.n, t) for d, t in sorted(parts.items())}
-
     def perm_act(self, w: tuple[int, ...]) -> "MultiPoly":
         """Apply the variable permutation x_i -> x_{w(i)}.
 

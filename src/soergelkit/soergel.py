@@ -205,8 +205,9 @@ class SoergelCategory:
     def _try_peel(self, M: GradedModule, x: Perm, k: int):
         """Split one copy of D_x with shift k off M, or return None.  With j:
         D_x -> M and p: M -> D_x such that p j = c is a nonzero scalar, returns
-        idem = j p / c with its kernel module (the complement) and inclusion,
-        read off ker p, which is ker idem since j is injective."""
+        the complement, the kernel of the idempotent j p / c, and its
+        inclusion, both read off ker p, which is that kernel since j is
+        injective."""
         dx = self.indecomposable(x)
         inclusions = hom_graded(dx, M, -k)
         if not inclusions:
@@ -214,10 +215,8 @@ class SoergelCategory:
         projections = hom_graded(M, dx, k)
         for j in inclusions:
             for p in projections:
-                c = _scalar_of_endo(p.compose(j), dx)
-                if c:
-                    idem = j.compose(p).scale(Fraction(1) / c)
-                    return (idem, *kernel_module(p))
+                if _scalar_of_endo(p.compose(j), dx):
+                    return kernel_module(p)
         return None
 
     def _peel_expected(self, M: GradedModule, expected, context: str = ""):
@@ -232,7 +231,7 @@ class SoergelCategory:
                     f"predicted summand (D[{format_perm(x)}], {k}) could not be split off{context}"
                 )
             yield x, k, res
-            cur = res[1]
+            cur = res[0]
 
     def _peel_search(self, M: GradedModule):
         """Split off what is left of M, one (x, k) at a time: the first whose
@@ -253,7 +252,7 @@ class SoergelCategory:
             else:
                 raise DecompositionError("module is not a direct sum of shifted indecomposables")
             yield x, k, res
-            cur = res[1]
+            cur = res[0]
 
     def decompose(self, M: GradedModule, expected=None) -> Decomposition:
         """Peel M into shifted indecomposables.
@@ -267,7 +266,7 @@ class SoergelCategory:
         steps = self._peel_search(M) if expected is None else self._peel_expected(M, expected)
         summands: list[tuple[Perm, int]] = []
         cur = M
-        for x, k, (_, cur, _) in steps:
+        for x, k, (cur, _) in steps:
             summands.append((x, k))
         if cur.total_dim():
             raise DecompositionError(
@@ -296,7 +295,7 @@ class SoergelCategory:
             b_us = self.hecke.mult_gen_plus(self.hecke.kl_basis(u), i, LaurentPoly.v())
             rest = self._summands_of(b_us - self.hecke.kl_basis(w))
             for _, _, res in self._peel_expected(module, rest, f" while extracting D[{format_perm(w)}]"):
-                module = res[1]
+                module = res[0]
             if not module.character().is_symmetric():
                 raise DecompositionError(
                     f"D[{format_perm(w)}] came out with a non-self-dual character"
@@ -344,6 +343,15 @@ class EndoAlgebra:
         self.summands = [(tuple(w), int(k)) for w, k in summands]
         if not self.summands:
             raise ValueError("endomorphism algebra of an empty sum")
+        # the dimension is the sum over summand pairs of the pairing of b_wa
+        # and b_wb at v = 1 (shifts move degrees, not the count), so an
+        # oversize algebra is refused before any D_w is built
+        hecke = cat.hecke
+        kl = [hecke.kl_basis(w) for w, _ in self.summands]
+        check_size(
+            "endomorphism algebra of dimension {}",
+            sum(hecke.pairing(ba, bb).at_one() for ba in kl for bb in kl),
+        )
         self.modules = [cat.indecomposable(w).shift(k) for w, k in self.summands]
         self.basis: list[tuple[int, int, int, ModuleMap]] = []
         self._block_index: dict[tuple[int, int], list[int]] = {}
@@ -371,13 +379,6 @@ class EndoAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def idempotent_index(self, a: int) -> int:
-        for i in self._block_index.get((a, a), []):
-            _, _, d, m = self.basis[i]
-            if d == 0 and m == ModuleMap.identity(self.modules[a]):
-                return i
-        raise ValueError(f"no identity basis element for slot {a}")
 
     def graded_dims(self) -> dict[int, int]:
         out: dict[int, int] = {}

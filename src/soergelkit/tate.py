@@ -71,9 +71,6 @@ class Complex:
             return QMatrix.zero(self.dim_at(c + 1), self.dim_at(c))
         return mat
 
-    def is_minimal(self) -> bool:
-        return not self.diffs
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Complex):
             return NotImplemented
@@ -162,10 +159,6 @@ class GradedComplex:
         sits in internal degree -1)."""
         return GradedComplex({g - p: layer for g, layer in self.layers.items()})
 
-    def twist_shift(self, p: int) -> "GradedComplex":
-        """Twist by p combined with the shift [2p]; weight-preserving."""
-        return self.twist(p).shift(2 * p)
-
     def direct_sum(self, other: "GradedComplex") -> "GradedComplex":
         layers = dict(self.layers)
         for g, layer in other.layers.items():
@@ -175,17 +168,10 @@ class GradedComplex:
     def minimize(self) -> "GradedComplex":
         return GradedComplex({g: layer.minimize() for g, layer in self.layers.items()})
 
-    def is_minimal(self) -> bool:
-        return all(layer.is_minimal() for layer in self.layers.values())
-
 
 def simple(c: int, g: int) -> GradedComplex:
     """The one-dimensional graded object at position c, internal degree g."""
     return GradedComplex({g: Complex({c: 1})})
-
-
-def simple_ungraded(c: int) -> Complex:
-    return Complex({c: 1})
 
 
 def weight_of(c: int, g: int) -> int:

@@ -113,19 +113,6 @@ def left_descents(w: Perm) -> frozenset[int]:
     return right_descents(inverse(w))
 
 
-def demazure_product(word: Word, n: int) -> Perm:
-    """Fold of w * s = w s when that is longer, w otherwise.
-
-    >>> demazure_product((1, 1), 2)
-    (1, 0)
-    """
-    w = identity_perm(n)
-    for i in word:
-        if i not in right_descents(w):
-            w = mult_right_simple(w, i)
-    return w
-
-
 def format_perm(w: Perm) -> str:
     """One-line notation with 1-based values, e.g. ``'321'``."""
     if len(w) > 9:
@@ -168,14 +155,10 @@ class WeylGroup:
         self.identity = identity_perm(n)
         self._elements: tuple[Perm, ...] | None = None
         self._bruhat: dict[tuple[Perm, Perm], bool] = {}
-        self._reduced: dict[Perm, tuple[Word, ...]] = {}
         self._a_word: dict[Perm, Word] = {}
 
     def simple(self, i: int) -> Perm:
         return simple_reflection(i, self.n)
-
-    def simple_indices(self) -> range:
-        return range(1, self.n)
 
     def elements(self) -> tuple[Perm, ...]:
         """All n! elements, sorted by (length, one-line notation)."""
@@ -189,9 +172,6 @@ class WeylGroup:
 
     def evaluate(self, word: Word) -> Perm:
         return evaluate_word(word, self.n)
-
-    def demazure_product(self, word: Word) -> Perm:
-        return demazure_product(word, self.n)
 
     def bruhat_leq(self, x: Perm, w: Perm) -> bool:
         """Bruhat order via the lifting property.
@@ -222,29 +202,6 @@ class WeylGroup:
         self._bruhat[key] = result
         return result
 
-    def bruhat_interval_below(self, w: Perm) -> tuple[Perm, ...]:
-        return tuple(x for x in self.elements() if self.bruhat_leq(x, w))
-
-    def reduced_words(self, w: Perm) -> tuple[Word, ...]:
-        """All reduced words for w, sorted lexicographically.
-
-        >>> WeylGroup(3).reduced_words((2, 1, 0))
-        ((1, 2, 1), (2, 1, 2))
-        """
-        cached = self._reduced.get(w)
-        if cached is not None:
-            return cached
-        if length(w) == 0:
-            words: tuple[Word, ...] = ((),)
-        else:
-            found = []
-            for i in sorted(right_descents(w)):
-                for prefix in self.reduced_words(mult_right_simple(w, i)):
-                    found.append(prefix + (i,))
-            words = tuple(sorted(found))
-        self._reduced[w] = words
-        return words
-
     def a_reduced_word(self, w: Perm) -> Word:
         """The lexicographically smallest reduced word; canonical choice.
 
@@ -265,14 +222,6 @@ class WeylGroup:
             u = mult_left_simple(i, u)
         word = self._a_word[w] = tuple(letters)
         return word
-
-    def poincare_polynomial(self):
-        """Length generating function as a map length -> count."""
-        counts: dict[int, int] = {}
-        for w in self.elements():
-            l = length(w)
-            counts[l] = counts.get(l, 0) + 1
-        return counts
 
 
 @lru_cache(maxsize=None)

@@ -150,6 +150,20 @@ def test_induced_module_cap_refusal_exits_two():
     )
 
 
+def test_endomorphism_algebra_cap_refusal_exits_two():
+    # the dimension, 77 at rank 3, is read off the Hecke pairing before any
+    # D_w is built, and nothing built before it exceeds 76
+    proc = fresh_process("endo --rank 3", 0, {"SOERGEL_MAX_DIM": "76"})
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (
+        b"refused: endomorphism algebra of dimension 77 exceeds the dimension cap 76 "
+        b"(raise SOERGEL_MAX_DIM to override)\n"
+    )
+    proc = fresh_process("endo --rank 3", 0, {"SOERGEL_MAX_DIM": "77"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["dim"] == 77
+
+
 def test_coinvariant_rank_cap_exits_two(capsys):
     code, out = run_cli(["coinv", "--rank", "6"])
     assert (code, out) == (2, "")

@@ -12,6 +12,16 @@ from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, rref
 from soergelkit.multipoly import MultiPoly
 from soergelkit.weyl import length, simple_reflection, weyl_group
 
+from reference import (
+    action_matrix,
+    coord_vector,
+    homogeneous_parts,
+    invariant_generators,
+    invariants_basis,
+    multiply_by_variable_matrix,
+    split_invariant,
+)
+
 
 def random_element(rng, ring, homogeneous=None):
     coords = {}
@@ -162,7 +172,7 @@ def test_demazure_invariant_linearity():
     ring = coinvariant_ring(3)
     rng = random.Random(15)
     for i in (1, 2):
-        invs = ring.invariants_basis(i)
+        invs = invariants_basis(ring, i)
         for _ in range(6):
             f = rng.choice(invs)
             c = random_element(rng, ring)
@@ -175,18 +185,18 @@ def test_invariants_dimension(n):
     import math
 
     for i in range(1, n):
-        invs = ring.invariants_basis(i)
+        invs = invariants_basis(ring, i)
         assert len(invs) == math.factorial(n) // 2
         s = simple_reflection(i, n)
         for f in invs:
             assert ring.weyl_act(s, f) == f
     # degree zero always contains the unit
-    assert any(f == ring.one() or f.coords == ring.one().coords for f in ring.invariants_basis(1))
+    assert any(f == ring.one() or f.coords == ring.one().coords for f in invariants_basis(ring, 1))
 
 
 def test_invariants_s2():
     ring = coinvariant_ring(2)
-    invs = ring.invariants_basis(1)
+    invs = invariants_basis(ring, 1)
     assert len(invs) == 1
     assert invs[0].degree() == 0
 
@@ -196,18 +206,18 @@ def test_invariant_generators_are_invariant():
         ring = coinvariant_ring(n)
         for i in range(1, n):
             s = simple_reflection(i, n)
-            for g in ring.invariant_generators(i):
+            for g in invariant_generators(ring, i):
                 assert ring.weyl_act(s, g) == g
                 assert g.degree() in (2, 4)
 
 
 def test_split_invariant_basics():
     ring = coinvariant_ring(2)
-    a, b = ring.split_invariant(1, ring.one())
+    a, b = split_invariant(ring, 1, ring.one())
     assert a == ring.one() and not b
-    a, b = ring.split_invariant(1, ring.variable(1))
+    a, b = split_invariant(ring, 1, ring.variable(1))
     assert not a and b == ring.one()
-    a, b = ring.split_invariant(1, ring.variable(2))
+    a, b = split_invariant(ring, 1, ring.variable(2))
     assert not a and b == -ring.one()
 
 
@@ -217,7 +227,7 @@ def test_split_invariant_every_basis_element(n):
     for i in range(1, n):
         for bidx in range(ring.dim):
             c = ring.basis_element(bidx)
-            a, b = ring.split_invariant(i, c)
+            a, b = split_invariant(ring, i, c)
             assert a + ring.variable(i) * b == c
 
 
@@ -295,7 +305,7 @@ def test_normal_form_matches_change_of_basis_reference(n):
 
     def reference(p):
         out = {}
-        for d, part in p.homogeneous_parts().items():
+        for d, part in homogeneous_parts(p).items():
             for a, c in slices[d](part).items():
                 if c:
                     out[ring.basis_index[a]] = c
@@ -350,7 +360,7 @@ def test_coordinates_are_ints_when_integral():
     assert [type(half.coords[i]) for i in range(3)] == [Fraction, int, int]
     assert stored(half + half).coords == {0: 1, 1: 4, 2: 2}
     assert all(type(x) is int for x in (half + half).coords.values())
-    assert type(half.coord_vector(0)[0]) is Fraction and type((half + half).coord_vector(2)[0]) is int
+    assert type(coord_vector(half, 0)[0]) is Fraction and type(coord_vector(half + half, 2)[0]) is int
     with pytest.raises(TypeError):
         CoinvariantElement(ring, {0: 0.5})
     rng = random.Random(17)
@@ -363,7 +373,7 @@ def test_coordinates_are_ints_when_integral():
         stored(ring.normal_form(a.lift() * MultiPoly.variable(3, 3)))
     for i in range(1, 3):
         for d in ring.degrees():
-            for m in (ring.multiply_by_variable_matrix(i, d), ring.action_matrix(simple_reflection(i, 3), d)):
+            for m in (multiply_by_variable_matrix(ring, i, d), action_matrix(ring, simple_reflection(i, 3), d)):
                 assert all(type(x) is int for row in m.nonzeros for x in row.values())
 
 

@@ -20,16 +20,17 @@ from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import soergel_category
 
 from dense_views import block_diagonal, dense, dense_flatten
+from reference import check_commutes, degree_basis_indices, multiply_by_variable_matrix, poly_action
 
 
 def regular_module(n):
     """The coinvariant ring as a module over itself, unshifted."""
     ring = coinvariant_ring(n)
-    dims = {d: len(ring.degree_basis_indices(d)) for d in ring.degrees()}
+    dims = {d: len(degree_basis_indices(ring, d)) for d in ring.degrees()}
     actions = {}
     for i in range(1, n + 1):
         for d in ring.degrees():
-            m = ring.multiply_by_variable_matrix(i, d)
+            m = multiply_by_variable_matrix(ring, i, d)
             if m.rows and m.cols:
                 actions[(i, d)] = m
     return GradedModule(ring, dims, actions)
@@ -178,7 +179,7 @@ def test_module_map_compose_and_total():
     ident = ModuleMap.identity(m)
     assert ident.compose(ident) == ident
     assert ident.to_total() == QMatrix.identity(2)
-    ident.check_commutes()
+    check_commutes(ident)
 
 
 def test_hom_bases_are_module_maps():
@@ -187,7 +188,7 @@ def test_hom_bases_are_module_maps():
     n = cat.bott_samelson((2, 1, 2))
     for d in range(-4, 5):
         for f in hom_graded(m, n, d):
-            f.check_commutes()
+            check_commutes(f)
 
 
 def test_direct_sum_and_kernel():
@@ -199,7 +200,7 @@ def test_direct_sum_and_kernel():
     e = ModuleMap(s, s, 0, {0: QMatrix.from_rows([[1]])})
     k, inc = kernel_module(e)
     assert k.dims == {-2: 1}
-    inc.check_commutes()
+    check_commutes(inc)
 
 
 def test_direct_sum_is_the_block_diagonal_of_its_summands():
@@ -243,12 +244,12 @@ def test_poly_action_well_defined():
     # two lifts of the same ring element act identically
     m = regular_module(3)
     e1 = MultiPoly.elementary(1, 3)
-    zero_action = m.poly_action(e1)
+    zero_action = poly_action(m, e1)
     assert all(block.is_zero() for block in zero_action.values())
     x1 = MultiPoly.variable(1, 3)
     x1_shifted = x1 + e1  # same class in the quotient
-    a1 = m.poly_action(x1)
-    a2 = m.poly_action(x1_shifted)
+    a1 = poly_action(m, x1)
+    a2 = poly_action(m, x1_shifted)
     assert all(a1[d] == a2[d] for d in a1)
 
 

@@ -1,11 +1,14 @@
 """Package structure: modules share only their public names."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import soergelkit
 
 PACKAGE = Path(soergelkit.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _private_imports(path):
@@ -73,3 +76,77 @@ def test_no_library_routine_uses_a_dense_view():
     # the scan sees the uses it allows
     linalg_uses = {(owner, name) for _, owner, name in _dense_view_uses(PACKAGE / "linalg.py")}
     assert {("QMatrix.data", "row"), ("SpanSolver.coords", "times_vector")} <= linalg_uses
+
+
+#: public names that nothing in the library, the benchmark, CI or the
+#: package metadata calls, each with the reason it stays
+UNCALLED_PUBLIC_NAMES = {
+    "hecke.HeckeAlgebra.kl_poly": "user API: one Kazhdan-Lusztig polynomial",
+    "soergel.SoergelCategory.hecke_class": "user API: the Hecke class of a module, read off its decomposition",
+    "hecke.HeckeAlgebra.std": "elementary operation: the standard basis element H_w",
+    "coinvariant.CoinvariantRing.variable": "elementary operation: the class of the generator x_i",
+    "linalg.QMatrix.from_rows": "elementary operation: a matrix from its rows",
+    "weyl.multiply": "elementary operation: the group product",
+    "hecke.HeckeElement.from_json_dict": "reads back the elements that the kl command prints",
+    "linalg.QMatrix.col": "dense view: the benchmark tracer binds the dense views, which leave with it",
+    "linalg.SpanSolver.contains": "dense view: the benchmark tracer binds the dense views, which leave with it",
+}
+
+
+def _public_definitions(tree, module):
+    """(qualified name, name, node, is_method) for each public module-level
+    function and class and each public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item, True
+
+
+def _uses(node):
+    """Counts of the names read under ``node``, as bare names and as attributes."""
+    names, attributes = Counter(), Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            attributes[sub.attr] += 1
+    return names, attributes
+
+
+def test_every_public_name_has_a_caller_or_a_stated_reason():
+    # a public function, class or method passes when the library refers to
+    # it outside its own body (a method only as an attribute), or when the
+    # benchmark, a CI workflow or pyproject.toml names it; the rest must be
+    # exactly the stated exceptions, so a reference route that only tests
+    # call belongs in tests/reference.py
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    names, attributes = Counter(), Counter()
+    for tree in trees.values():
+        n, a = _uses(tree)
+        names += n
+        attributes += a
+    outside = [
+        *sorted(ROOT.glob("benchmarks/*.py")),
+        *sorted(ROOT.glob(".github/workflows/*.yml")),
+        ROOT / "pyproject.toml",
+    ]
+    named_outside = {word for path in outside for word in re.findall(r"\w+", path.read_text())}
+    uncalled = []
+    for module, tree in trees.items():
+        for qualified, name, node, is_method in _public_definitions(tree, module):
+            own_names, own_attributes = _uses(node)
+            inside = attributes[name] - own_attributes[name]
+            if not is_method:
+                inside += names[name] - own_names[name]
+            if not inside and name not in named_outside:
+                uncalled.append(qualified)
+    assert len(trees) > 10 and len(outside) > 3
+    no_caller = sorted(set(uncalled) - set(UNCALLED_PUBLIC_NAMES))
+    assert not no_caller, "no caller outside the tests: " + ", ".join(no_caller)
+    # an exception that gained a caller leaves the list
+    assert set(uncalled) == set(UNCALLED_PUBLIC_NAMES)

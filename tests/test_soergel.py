@@ -20,6 +20,7 @@ from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory,
 from soergelkit.weyl import format_perm, length, parse_perm
 
 from dense_views import dense_flatten
+from reference import check_commutes, idempotent_index, invariant_generators, poly_action
 
 
 def s3_words(max_len):
@@ -71,9 +72,9 @@ def tensor_quotient_induct(ring, i, M):
         return vec
 
     relations = {}
-    for g in ring.invariant_generators(i):
+    for g in invariant_generators(ring, i):
         dg = g.degree()
-        g_on_m = M.poly_action(g.lift())
+        g_on_m = poly_action(M, g.lift())
         for dm in M.degrees():
             for ci in range(ring.dim):
                 d = dm + ring.basis_degree(ci) + dg
@@ -145,7 +146,7 @@ def test_induct_isomorphic_to_tensor_quotient(n, word):
         cols += [image(xi, d - 2, k) for k in range(M.dim_at(d - 2))]
         blocks[d] = QMatrix.from_columns(quotient.dim_at(d), cols)
         assert rank(blocks[d]) == quotient.dim_at(d) == len(cols)
-    ModuleMap(induced, quotient, 0, blocks).check_commutes()
+    check_commutes(ModuleMap(induced, quotient, 0, blocks))
 
 
 def test_induct_cap_bounds_the_induced_module(monkeypatch):
@@ -197,7 +198,7 @@ def bott_samelson_route(cat, w):
     rest.remove((w, 0))
     module = cat.bott_samelson(word)
     for _, _, res in cat._peel_expected(module, rest):
-        module = res[1]
+        module = res[0]
     return module
 
 
@@ -393,11 +394,28 @@ def test_endo_algebra_s2():
     assert alg.block_poly(0, 1) == LaurentPoly.v()
     assert alg.block_poly(1, 0) == LaurentPoly.v()
     # identity elements compose correctly
-    i0 = alg.idempotent_index(0)
-    i1 = alg.idempotent_index(1)
+    i0 = idempotent_index(alg, 0)
+    i1 = idempotent_index(alg, 1)
     assert alg.compose_indices(i0, i0) == ((i0, 1),)
     assert alg.compose_indices(i1, i1) == ((i1, 1),)
     assert alg.compose_indices(i0, i1) == ()
+
+
+def test_endo_algebra_cap_refuses_before_any_module_is_built(monkeypatch):
+    # the shifts move degrees, not the count the cap reads off the pairing
+    w0, s1, e = parse_perm("321"), parse_perm("213"), parse_perm("123")
+    summands = [(w0, 0), (s1, -1), (s1, 1), (e, 2)]
+    size = soergel_category(3).endo_algebra(summands).dim
+    cat = SoergelCategory(3)
+    built = []
+    monkeypatch.setattr(cat, "indecomposable", built.append)
+    monkeypatch.setenv("SOERGEL_MAX_DIM", str(size - 1))
+    refusal = f"endomorphism algebra of dimension {size} exceeds the dimension cap {size - 1} "
+    with pytest.raises(SizeCapError, match=refusal):
+        EndoAlgebra(cat, summands)
+    assert built == []
+    monkeypatch.setenv("SOERGEL_MAX_DIM", str(size))
+    assert EndoAlgebra(soergel_category(3), summands).dim == size
 
 
 def test_endo_algebra_longest_s3():
@@ -491,25 +509,58 @@ def test_degree_zero_endomorphisms_are_the_identity(n):
             assert hom_graded(d, d, 0) == [ModuleMap.identity(d)]
 
 
+def record_kernel_modules(monkeypatch):
+    """The (f, kernel_module(f)) pairs of every kernel the peel reads, in
+    order; a peel step reads its complement off its projection p last."""
+    calls = []
+
+    def recording_kernel_module(f):
+        out = kernel_module(f)
+        calls.append((f, out))
+        return out
+
+    monkeypatch.setattr(soergel, "kernel_module", recording_kernel_module)
+    return calls
+
+
+def peel_idempotent(cat, cur, x, k, p):
+    """e = j∘p/c for the peel step that split (x, k) off ``cur`` with the
+    projection p.  The peel tries the inclusions j in its outer loop, so its
+    j is the first map of hom_graded(D_x, cur, -k) for which p∘j is a
+    nonzero scalar c."""
+    dx = cat.indecomposable(x)
+    for j in hom_graded(dx, cur, -k):
+        comp = p.compose(j)
+        if not comp.is_zero():
+            c = comp.block(dx.degrees()[0]).entry(0, 0)
+            assert comp == ModuleMap.identity(dx).scale(c)
+            return j.compose(p).scale(Fraction(1) / c)
+    raise AssertionError(f"no inclusion of D[{format_perm(x)}] pairs with the projection")
+
+
 @pytest.mark.parametrize("route", ["expected", "search"])
 @pytest.mark.parametrize("word", [(1, 2, 1), (1, 2, 1, 2), (2, 1, 1)])
-def test_each_peel_step_splits_off_the_image_of_its_idempotent(word, route):
+def test_each_peel_step_splits_off_the_image_of_its_idempotent(word, route, monkeypatch):
     # e is an idempotent module map, so the current module is im(e) + ker(e);
     # the inclusion is injective into ker(e), and the characters show that it
     # fills ker(e), since im(e) is the copy of D_x
+    calls = record_kernel_modules(monkeypatch)
     cat = soergel_category(3)
     cur = cat.bott_samelson(word)
     if route == "expected":
         steps = cat._peel_expected(cur, cat.expected_summands(word))
     else:
         steps = cat._peel_search(cur)
-    for x, k, (idem, complement, inclusion) in steps:
+    for x, k, (complement, inclusion) in steps:
+        p, (kernel, _) = calls[-1]
+        assert kernel is complement
+        idem = peel_idempotent(cat, cur, x, k, p)
         assert idem.source is cur and idem.target is cur and idem.degree == 0
         assert idem.compose(idem) == idem
-        idem.check_commutes()
+        check_commutes(idem)
         assert inclusion.source is complement and inclusion.target is cur
         assert idem.compose(inclusion).is_zero()
-        inclusion.check_commutes()
+        check_commutes(inclusion)
         assert sorted(inclusion.blocks) == list(complement.degrees())
         assert all(rank(blk) == blk.cols for blk in inclusion.blocks.values())
         assert complement.character() + cat.indecomposable(x).character().shift(-k) == cur.character()
@@ -553,14 +604,7 @@ def test_each_peel_step_reads_the_kernel_of_its_idempotent_off_the_projection(n,
     # read off p equals the one read off the idempotent, block for block
     from soergelkit.selftest import CURATED_RANK4_WORDS
 
-    calls = []
-
-    def recording_kernel_module(f):
-        out = kernel_module(f)
-        calls.append((f, out))
-        return out
-
-    monkeypatch.setattr(soergel, "kernel_module", recording_kernel_module)
+    calls = record_kernel_modules(monkeypatch)
     cat = soergel_category(n)
     words = [(1, 2, 1), (1, 2, 1, 2), (2, 1, 1)] if n == 3 else CURATED_RANK4_WORDS
     steps_seen = 0
@@ -570,11 +614,11 @@ def test_each_peel_step_reads_the_kernel_of_its_idempotent_off_the_projection(n,
             steps = cat._peel_expected(cur, cat.expected_summands(word))
         else:
             steps = cat._peel_search(cur)
-        for x, k, (idem, complement, inclusion) in steps:
+        for x, k, (complement, inclusion) in steps:
             p, (kernel, kernel_inclusion) = calls[-1]
             assert p.source is cur and p.target is cat.indecomposable(x) and p.degree == k
             assert (complement, inclusion) == (kernel, kernel_inclusion)
-            by_idem, idem_inclusion = kernel_module(idem)
+            by_idem, idem_inclusion = kernel_module(peel_idempotent(cat, cur, x, k, p))
             assert complement.dims == by_idem.dims
             assert complement.actions == by_idem.actions
             assert inclusion.blocks == idem_inclusion.blocks
