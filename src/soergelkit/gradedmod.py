@@ -4,7 +4,8 @@ A module is a graded vector space together with one matrix per variable
 mapping each degree-d component to the degree-(d+2) component.  The
 matrices must commute pairwise and every elementary symmetric polynomial of
 them must vanish, which is exactly what makes the space a module over the
-quotient ring; :meth:`GradedModule.validate` checks both and module
+quotient ring; :meth:`GradedModule.validate` checks both (commutation
+among x_1 .. x_{n-1}, which with e_1 = 0 gives the rest) and module
 constructors run it, so a broken construction never propagates.
 
 Graded Hom spaces are computed degreewise by solving the commutation
@@ -104,9 +105,14 @@ class GradedModule:
     # -- module axioms ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Check commutation and the vanishing of e_k of the actions."""
+        """Check commutation and the vanishing of e_k of the actions.
+
+        Only x_1 .. x_{n-1} are checked to commute: once e_1 vanishes,
+        x_n = -(x_1 + .. + x_{n-1}) commutes with them, so a module whose
+        x_n does not commute is still rejected, by its e_1.
+        """
         n = self.ring.n
-        for i, j in combinations(range(1, n + 1), 2):
+        for i, j in combinations(range(1, n), 2):
             for d in self.degrees():
                 lhs = self.action(i, d + 2) * self.action(j, d)
                 rhs = self.action(j, d + 2) * self.action(i, d)

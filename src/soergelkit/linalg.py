@@ -52,6 +52,8 @@ clears each block pair's denominators once, and keeps each equation with a
 surviving term as a primitive integer row of a :class:`SparseSystem`.  :func:`kernel_basis` and
 :func:`rank` take such a system as well as a :class:`QMatrix`, through one
 private elimination core; an empty system has the unit basis as its kernel.
+:class:`RowSpan` reduces rows one at a time with the same elimination
+step, for a rank that grows as rows are added.
 
 The environment variable ``SOERGEL_MAX_DIM`` (default 5000) caps the
 unknowns of every linear system, and :func:`check_size` is the one place
@@ -598,6 +600,42 @@ class EchelonBasis:
         if rest:
             raise ValueError("vector does not lie in the span")
         return coords
+
+
+class RowSpan:
+    """A row space in ``cols`` columns that grows as rows are added.
+
+    It is kept as primitive integer pivot rows by leading column, the
+    form :func:`rank` eliminates to; a new row is reduced against them and
+    becomes a pivot row unless it reduces to zero, so ``rank`` is their
+    number.
+    """
+
+    __slots__ = ("cols", "pivots")
+
+    def __init__(self, cols: int):
+        self.cols = cols
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, m: QMatrix) -> int:
+        """Add the rows of m, which has ``cols`` columns; returns how much
+        the rank grew."""
+        if m.cols != self.cols:
+            raise ValueError(f"rows of length {m.cols} added to a span in {self.cols} columns")
+        before = len(self.pivots)
+        for row in _integer_rows(m):
+            while row:
+                c = min(row)
+                prow = self.pivots.get(c)
+                if prow is None:
+                    self.pivots[c] = row
+                    break
+                row = _eliminate(row, prow, c)
+        return len(self.pivots) - before
 
 
 def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:

@@ -10,22 +10,28 @@ see :meth:`SoergelCategory.induct`.  The result is validated as a module
 over C, which is the evidence that the formulas are right.
 
 Iterating induction along a word starting from the one-dimensional module
-gives the Bott-Samelson module of the word.  A peel loop splits a module
-into summands D_x: the Hecke algebra predicts the summand multiset, and
-every predicted summand is split off by maps p and j whose composite
-p j is a nonzero scalar c, and the peel goes on in the kernel of the
-idempotent j p / c, read off as the kernel of p.  D_w follows the
-canonical-basis recursion (Soergel 2007; Elias and Williamson 2014):
-with s the last letter of the canonical word of w and u = ws, it is what
-is left of the induction of D_u along s once the summands of
-b_u b_s - b_w are peeled off.  Oracle and linear algebra verify each other; a predicted summand
-that cannot be split is a hard error.  Scalar-valued peeling is sound
-because degree-zero endomorphisms of each D_w are one-dimensional,
-which is asserted whenever a composite endomorphism is read off.
+gives the Bott-Samelson module of the word.  The Hecke algebra predicts
+the summands D_x[k] of a module, and ``decompose`` certifies a prediction
+by an isomorphism onto their direct sum, stacked from projections alone,
+one Hom solve per predicted summand, visited by ascending shift; that
+order completes the stack because Hom^d(D_y, D_x) is 0 for d < 0 and the
+scalars (y = x) or 0 for d = 0.  A peel loop splits summands off one at
+a time by maps p and j whose composite p j is a nonzero scalar c, and
+goes on in the kernel of the idempotent j p / c, read off as the kernel
+of p; it serves ``decompose`` without a prediction and the
+indecomposables.  D_w follows the canonical-basis recursion (Soergel
+2007; Elias and Williamson 2014): with s the last letter of the canonical
+word of w and u = ws, it is what is left of the induction of D_u along s
+once the summands of b_u b_s - b_w are peeled off.  Oracle and linear
+algebra verify each other; a predicted summand that cannot be split or
+certified is a hard error.  Scalar-valued peeling is sound because
+degree-zero endomorphisms of each D_w are one-dimensional, which is
+asserted whenever a composite endomorphism is read off.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,7 +46,7 @@ from .gradedmod import (
 )
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from .laurent import LaurentPoly
-from .linalg import EchelonBasis, QMatrix, check_size, flatten, place_blocks
+from .linalg import EchelonBasis, QMatrix, RowSpan, check_size, flatten, place_blocks
 from .linalg import rref  # noqa: F401  benchmarks/test_harness.py traces this binding
 from .weyl import Perm, Word, WeylGroup, format_perm, length, mult_right_simple, weyl_group
 
@@ -51,7 +57,8 @@ class DecompositionError(RuntimeError):
 
 class Decomposition:
     """Summands (w, k), each a copy of D_w with degrees lowered by k, in
-    the order the peel split them off."""
+    the order of the prediction that certified them, or in the order the
+    search split them off."""
 
     __slots__ = ("summands",)
 
@@ -255,29 +262,66 @@ class SoergelCategory:
             cur = res[0]
 
     def decompose(self, M: GradedModule, expected=None) -> Decomposition:
-        """Peel M into shifted indecomposables.
+        """Split M into shifted indecomposables.
 
-        With ``expected`` (a list of (x, k) pairs) the peel follows the
-        oracle prediction; otherwise candidates are searched by character
-        containment over all indecomposables of the rank.  Each step goes on
-        in the complement; a failed split, a remainder or a character
-        mismatch raises :class:`DecompositionError`.
+        With ``expected`` (a list of (x, k) pairs) the prediction is
+        certified by an isomorphism from M onto the sum of the predicted
+        D_x[k], built from projections M -> D_x[k] alone (see
+        :meth:`_certify`); otherwise candidates are searched by character
+        containment over all indecomposables of the rank and peeled off one
+        at a time.  A prediction that fails, or a module that is no such
+        sum, raises :class:`DecompositionError`.
         """
-        steps = self._peel_search(M) if expected is None else self._peel_expected(M, expected)
-        summands: list[tuple[Perm, int]] = []
-        cur = M
-        for x, k, (cur, _) in steps:
-            summands.append((x, k))
-        if cur.total_dim():
-            raise DecompositionError(
-                f"peel left a remainder of dimension {cur.total_dim()}"
-            )
+        if expected is not None:
+            return self._certify(M, list(expected))
+        summands = [(x, k) for x, k, _ in self._peel_search(M)]
+        self._check_characters(M, summands)
+        return Decomposition(summands)
+
+    def _check_characters(self, M: GradedModule, summands) -> None:
+        """Raise unless the shifted characters of the summands (x, k) add
+        up to the character of M."""
         got = LaurentPoly.zero()
         for x, k in summands:
             got = got + self.indecomposable(x).character().shift(-k)
         if got != M.character():
             raise DecompositionError("summand characters do not add up to the module character")
-        return Decomposition(summands)
+
+    def _certify(self, M: GradedModule, expected: list) -> Decomposition:
+        """The decomposition ``expected`` of M, certified by a bijective
+        module map M -> sum of D_x[k].
+
+        Its components are degree-k maps M -> D_x.  The predicted (x, k)
+        are visited by ascending k, ties by first occurrence; each group of
+        m equal pairs solves Hom(M, D_x) in degree k once and keeps the
+        first m maps, in basis order, that raise the rank of the stack of
+        the maps kept so far, degree by degree.  Hom^d(D_y, D_x) is 0 for
+        d < 0, and the scalars in degree 0 when y = x and 0 otherwise, so
+        on a true prediction the stack is block-triangular with scalar
+        diagonal blocks and the greedy choice completes it.  The characters
+        are compared first, which makes the finished stack square in every
+        degree; full rank then makes it bijective, whatever the theory says.
+        """
+        self._check_characters(M, expected)
+        spans = {d: RowSpan(M.dim_at(d)) for d in M.degrees()}
+        for (x, k), m in sorted(Counter(expected).items(), key=lambda group: group[0][1]):
+            kept = 0
+            for p in hom_graded(M, self.indecomposable(x), k):
+                # a list, not a lazy any(): every block goes into the stack
+                if sum([spans[d].add(blk) for d, blk in p.blocks.items()]):
+                    kept += 1
+                    if kept == m:
+                        break
+            else:
+                raise DecompositionError(
+                    f"predicted summand (D[{format_perm(x)}], {k}) could not be split off"
+                )
+        for d, span in spans.items():
+            if span.rank < M.dim_at(d):
+                raise DecompositionError(
+                    f"the predicted projections are not injective in degree {d}"
+                )
+        return Decomposition(expected)
 
     def indecomposable(self, w: Perm) -> GradedModule:
         """D_w: the induction of D_u along the last letter s of the canonical

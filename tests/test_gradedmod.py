@@ -77,9 +77,10 @@ def test_validate_names_e_2_when_e_1_vanishes():
 
 def _subset_sum_failure(m):
     """The first failure of the module axioms, with each e_k summed over
-    the subsets of k variables: None for a module."""
+    the subsets of k variables: None for a module.  Commutation is checked
+    among x_1 .. x_{n-1}, as in ``validate``."""
     n = m.ring.n
-    for i, j in combinations(range(1, n + 1), 2):
+    for i, j in combinations(range(1, n), 2):
         for d in m.degrees():
             if m.action(i, d + 2) * m.action(j, d) != m.action(j, d + 2) * m.action(i, d):
                 return f"actions of x_{i} and x_{j} do not commute at degree {d}"
@@ -144,6 +145,32 @@ def test_validate_agrees_with_subset_sums():
             seen.add(failure and failure.split()[0])
     assert {None, "actions", "e_1", "e_2"} <= seen
 
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_validate_rejects_x_n_that_fails_to_commute_by_its_e_1(n):
+    # validate checks commutation among x_1 .. x_{n-1} only; moving one
+    # entry of x_n breaks e_1 = 0, and some of those moves also break the
+    # commutation of x_n with another variable, which e_1 still catches
+    m = regular_module(n)
+    noncommuting = 0
+    for d in m.degrees():
+        blk = m.action(n, d)
+        for r in range(blk.rows):
+            for c in range(blk.cols):
+                data = [row[:] for row in blk.data]
+                data[r][c] += 1
+                acts = dict(m.actions)
+                acts[(n, d)] = QMatrix(blk.rows, blk.cols, data)
+                bad = GradedModule(m.ring, m.dims, acts, validate=False)
+                noncommuting += any(
+                    bad.action(n, e + 2) * bad.action(i, e) != bad.action(i, e + 2) * bad.action(n, e)
+                    for i in range(1, n)
+                    for e in bad.degrees()
+                )
+                with pytest.raises(AssertionError, match=f"^e_1 of the actions does not vanish at degree {d}$"):
+                    bad.validate()
+    assert noncommuting > 0
 
 def test_end_of_regular_is_regular_character():
     # End over the ring of the regular module is the ring itself

@@ -9,6 +9,7 @@ from soergelkit.gradedmod import graded_hom_poly, hom_ungraded_dim
 from soergelkit.linalg import (
     EchelonBasis,
     QMatrix,
+    RowSpan,
     RrefResult,
     SizeCapError,
     SpanSolver,
@@ -335,6 +336,24 @@ def test_rank_plus_nullity_random():
         m = random_matrix(rng, rows, cols)
         assert rank(m) + len(kernel_basis(m)) == cols
 
+
+
+def test_row_span_rank_grows_as_the_rank_of_the_stacked_rows():
+    rng = random.Random(25)
+    for _ in range(40):
+        cols = rng.randint(0, 7)
+        span, stacked = RowSpan(cols), []
+        for _ in range(rng.randint(1, 4)):
+            m = random_matrix(rng, rng.randint(0, 4), cols, -1, 1).scale(Fraction(1, rng.randint(1, 3)))
+            before = rank(QMatrix(len(stacked), cols, stacked))
+            stacked += m.nonzeros
+            after = rank(QMatrix(len(stacked), cols, stacked))
+            assert span.add(m) == after - before
+            assert span.rank == after
+        # rows already in the span leave it as it is
+        assert span.add(QMatrix(len(stacked), cols, stacked)) == 0
+    with pytest.raises(ValueError, match="span in 3 columns"):
+        RowSpan(3).add(QMatrix.identity(2))
 
 def test_kernel_identity_empty():
     assert kernel_basis(QMatrix.identity(3)) == []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -626,3 +627,127 @@ def test_each_peel_step_reads_the_kernel_of_its_idempotent_off_the_projection(n,
             steps_seen += 1
         assert cur.total_dim() == 0
     assert steps_seen > len(words)
+
+
+def multiset_of(summands):
+    return tuple(sorted(summands, key=lambda t: (length(t[0]), t[0], t[1])))
+
+
+def words_up_to(n, max_length):
+    return [w for l in range(max_length + 1) for w in product(range(1, n), repeat=l)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_certified_prediction_agrees_with_both_peel_routes(n):
+    # the certificate, the sequential peel along the prediction and the
+    # search each give the same multiset; the certificate keeps the order
+    from soergelkit.selftest import CURATED_RANK4_WORDS
+
+    cat = soergel_category(n)
+    words = words_up_to(3, 5) if n == 3 else words_up_to(4, 3) + list(CURATED_RANK4_WORDS)
+    for word in words:
+        M = cat.bott_samelson(word)
+        expected = cat.expected_summands(word)
+        dec = cat.decompose(M, expected=expected)
+        assert dec.summands == tuple(expected)
+        assert dec.multiset() == multiset_of(expected)
+        assert multiset_of((x, k) for x, k, _ in cat._peel_expected(M, expected)) == dec.multiset()
+        assert multiset_of((x, k) for x, k, _ in cat._peel_search(M)) == dec.multiset(), word
+
+
+def test_certified_prediction_with_multiplicities_across_shifts():
+    cat = soergel_category(2)
+    s = parse_perm("21")
+    expected = cat.expected_summands((1, 1, 1))
+    assert expected == [(s, -2), (s, 0), (s, 0), (s, 2)]
+    assert cat.decompose(cat.bott_samelson((1, 1, 1)), expected=expected).summands == tuple(expected)
+
+
+@pytest.mark.parametrize("n, word", [(2, (1, 1, 1, 1)), (3, (1, 2, 1, 2, 1)), (4, (1, 2, 3, 2, 1, 2))])
+def test_a_scrambled_prediction_certifies_in_its_given_order(n, word):
+    cat = soergel_category(n)
+    M = cat.bott_samelson(word)
+    expected = cat.expected_summands(word)
+    rng = random.Random(25)
+    for scrambled in [expected[::-1]] + [rng.sample(expected, len(expected)) for _ in range(3)]:
+        assert cat.decompose(M, expected=scrambled).summands == tuple(scrambled)
+
+
+@pytest.mark.parametrize("n, max_length", [(3, 6), (4, 4)])
+def test_every_same_character_substitute_is_refused(n, max_length):
+    # D_x and D_y of equal character differ as modules: a prediction with
+    # one summand replaced by such a D_y passes the character comparison,
+    # and the certificate refuses it
+    cat = soergel_category(n)
+    by_character = {}
+    for w in sorted(cat.group.elements()):
+        by_character.setdefault(cat.indecomposable(w).character(), []).append(w)
+    fakes = 0
+    for word in words_up_to(n, max_length):
+        M = cat.bott_samelson(word)
+        expected = cat.expected_summands(word)
+        for i, (x, k) in enumerate(expected):
+            for y in by_character[cat.indecomposable(x).character()]:
+                if y != x:
+                    fake = expected[:i] + [(y, k)] + expected[i + 1 :]
+                    with pytest.raises(DecompositionError, match="could not be split off"):
+                        cat.decompose(M, expected=fake)
+                    fakes += 1
+    assert fakes == {3: 728, 4: 984}[n]
+
+
+def test_a_wrong_shift_or_a_moved_copy_is_refused_before_any_hom_solve(monkeypatch):
+    cat = soergel_category(2)
+    s = parse_perm("21")
+    M = cat.bott_samelson((1, 1, 1))
+    cat.indecomposable(s)
+    calls = []
+    monkeypatch.setattr(soergel, "hom_graded", lambda *args: calls.append(args))
+    for fake in (
+        [(s, -2), (s, 0), (s, 0), (s, 3)],
+        [(s, -2), (s, 0), (s, 2), (s, 2)],
+        [(s, -2), (s, 0), (s, 2)],
+    ):
+        with pytest.raises(DecompositionError, match="do not add up"):
+            cat.decompose(M, expected=fake)
+    assert calls == []
+
+
+def test_projections_that_are_not_injective_are_refused():
+    # M = D_e[1] + D_e[-1] has the character of D_s; Hom(M, D_s) in degree
+    # 0 is one map, nonzero in degree 1 only, so the stack is not injective
+    cat = soergel_category(2)
+    M = cat.trivial().shift(1).direct_sum(cat.trivial().shift(-1))
+    with pytest.raises(DecompositionError, match="not injective in degree -1"):
+        cat.decompose(M, expected=[(parse_perm("21"), 0)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_certified_prediction_takes_no_complement_and_no_peel(n, monkeypatch):
+    from soergelkit.selftest import CURATED_RANK4_WORDS
+
+    cat = soergel_category(n)
+    for w in cat.group.elements():
+        cat.indecomposable(w)
+
+    def refuse(*args):
+        raise AssertionError("decompose with a prediction took a complement or a peel step")
+
+    monkeypatch.setattr(soergel, "kernel_module", refuse)
+    monkeypatch.setattr(cat, "_try_peel", refuse)
+    words = words_up_to(3, 4) if n == 3 else CURATED_RANK4_WORDS
+    for word in words:
+        expected = cat.expected_summands(word)
+        assert cat.decompose(cat.bott_samelson(word), expected=expected).summands == tuple(expected)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hom_between_indecomposables_vanishes_below_degree_0_and_is_scalar_in_it(n):
+    # the premise of the certificate: Hom^d(D_y, D_x) = 0 for d < 0, and
+    # Hom^0(D_y, D_x) is the scalars when y = x and 0 otherwise
+    cat = soergel_category(n)
+    for x in cat.group.elements():
+        for y in cat.group.elements():
+            poly = cat.hom_poly(y, x)
+            assert poly.min_exp() >= 0, (format_perm(y), format_perm(x))
+            assert poly.coeff(0) == (x == y)
