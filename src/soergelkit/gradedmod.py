@@ -8,31 +8,50 @@ quotient ring; :meth:`GradedModule.validate` checks both (commutation
 among x_1 .. x_{n-1}, which with e_1 = 0 gives the rest) and module
 constructors run it, so a broken construction never propagates.
 
-Graded Hom spaces are computed degreewise by solving the commutation
-equations exactly; the ungraded Hom dimension is computed by an independent
-solve of the unrestricted system, which gives the degrading comparison a
-second route rather than summing the graded answer by construction.
+A graded Hom space is solved on generator images: a module map is fixed
+by its values on generators, so each module keeps a
+:class:`Presentation`, a basis of every degree made of products x_i b of
+basis vectors one degree down, completed by unit vectors (the
+generators), and the other products as relations.  The unknowns are the
+images of the generators and each relation gives the equations
+(:func:`hom_images`); :func:`hom_graded` writes the maps as blocks and
+returns the reduced echelon basis that a solve with one unknown per block
+entry would.  The ungraded Hom dimension is computed by an independent
+solve of the unrestricted block system, which gives the degrading
+comparison a second route rather than summing the graded answer by
+construction.
 """
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_right
 from itertools import accumulate, combinations
 
 from .coinvariant import CoinvariantRing
 from .laurent import LaurentPoly
 from .linalg import (
     QMatrix,
+    RowSpan,
+    SparseSystem,
+    check_size,
+    combine,
+    exact,
     hom_equations,
+    inverse,
     kernel_basis,
     place_blocks,
     restrict_to_kernels,
+    rref,
 )
+
+_PRESENTATION_LOCK = threading.Lock()
 
 
 class GradedModule:
     """A graded module over the coinvariant algebra of rank n."""
 
-    __slots__ = ("ring", "dims", "actions", "_degrees", "_offsets")
+    __slots__ = ("ring", "dims", "actions", "_degrees", "_offsets", "_presentation")
 
     def __init__(self, ring: CoinvariantRing, dims, actions, validate: bool = True):
         self.ring = ring
@@ -46,6 +65,7 @@ class GradedModule:
             if not mat.is_zero():
                 acts[(int(i), int(d))] = mat
         self.actions = acts
+        self._presentation = None
         if validate:
             self.validate()
 
@@ -78,6 +98,17 @@ class GradedModule:
         return place_blocks(
             n, n, ((off[d + 2], off[d], blk) for (j, d), blk in self.actions.items() if j == i)
         )
+
+    def presentation(self) -> "Presentation":
+        """The module's :class:`Presentation`, built on first use and kept
+        on the module; threads that ask at once all get the one kept."""
+        pres = self._presentation
+        if pres is None:
+            with _PRESENTATION_LOCK:
+                pres = self._presentation
+                if pres is None:
+                    pres = self._presentation = Presentation(self)
+        return pres
 
     # -- constructors ----------------------------------------------------------
 
@@ -133,6 +164,95 @@ class GradedModule:
         if failures:
             k, d = min(failures)
             raise AssertionError(f"e_{k} of the actions does not vanish at degree {d}")
+
+
+def _columns(action: QMatrix) -> list[dict]:
+    """The columns of ``action`` as {row: value} dicts."""
+    out = [{} for _ in range(action.cols)]
+    for s, row in enumerate(action.nonzeros):
+        for r, x in row.items():
+            out[r][s] = x
+    return out
+
+
+def _times(columns: list[dict], image: dict, width: int) -> dict:
+    """x_i applied to a packed image, given the columns of the action of
+    x_i: coordinate s of the result at unknown u, kept at s * width + u,
+    sums action[s][r] times the entry at r * width + u.  With width 1 it
+    is x_i applied to a vector."""
+    acc = {}
+    for col, x in image.items():
+        r, u = divmod(col, width)
+        for s, a in columns[r].items():
+            k = s * width + u
+            acc[k] = acc[k] + a * x if k in acc else a * x
+    return {k: x if type(x) is int else exact(x) for k, x in acc.items() if x}
+
+
+class Presentation:
+    """Generators and relations of a graded module M, degree by degree.
+
+    The candidates in degree d are the products x_i b, i < n, of the rows b
+    of ``bases[d - 2]``, numbered i-major: candidate (i - 1) dim M_{d-2} + t
+    is x_i times row t.  x_n is left out, since it acts as -(x_1 + .. +
+    x_{n-1}) on every module.  ``bases[d]`` holds a basis of M_d, one
+    vector per row: first the candidates ``chosen[d]`` that raise the rank,
+    in order, then the unit vectors that complete them, which are the
+    generators.  Every other candidate is a relation, and ``relations[d]``
+    lists them; the degrees just above those of M have relations only,
+    since every product vanishes there.  The inverse of a basis and the
+    coordinates of the relations in it are found when first asked for,
+    since a Hom system reads them only in the degrees its target reaches.
+    """
+
+    __slots__ = ("bases", "chosen", "relations", "_products", "_inverses", "_coords")
+
+    def __init__(self, M: GradedModule):
+        self.bases, self.chosen, self.relations = {}, {}, {}
+        self._products, self._inverses, self._coords = {}, {}, {}
+        for d in sorted({*M.degrees(), *(e + 2 for e in M.degrees())}):
+            m, below = M.dim_at(d), self.bases.get(d - 2)
+            if not m:
+                self.relations[d] = tuple(range((M.ring.n - 1) * M.dim_at(d - 2)))
+                continue
+            candidates = []
+            if below is not None:
+                for i in range(1, M.ring.n):
+                    act = M.actions.get((i, d - 2))
+                    if act is None:
+                        candidates += [{}] * below.rows
+                    else:
+                        columns = _columns(act)
+                        candidates += [_times(columns, b, 1) for b in below.nonzeros]
+            span = RowSpan(m)
+            chosen = span.independent(QMatrix(len(candidates), m, candidates))
+            units = QMatrix.identity(m)
+            generators = [units.nonzeros[u] for u in span.independent(units)]
+            taken = set(chosen)
+            relations = tuple(c for c in range(len(candidates)) if c not in taken)
+            self.bases[d] = QMatrix(m, m, [candidates[c] for c in chosen] + generators)
+            self.chosen[d], self.relations[d] = tuple(chosen), relations
+            self._products[d] = QMatrix(len(relations), m, [candidates[c] for c in relations])
+
+    def generators(self) -> dict[int, int]:
+        """The number of generators in each degree that has one."""
+        return {d: gens for d, basis in self.bases.items() if (gens := basis.rows - len(self.chosen[d]))}
+
+    def inverse(self, d: int) -> QMatrix:
+        """The inverse of ``bases[d]``: its row c holds the coordinates of
+        the unit vector e_c."""
+        inv = self._inverses.get(d)
+        if inv is None:
+            inv = self._inverses.setdefault(d, inverse(self.bases[d]))
+        return inv
+
+    def coords(self, d: int) -> QMatrix:
+        """Row r holds the coordinates in ``bases[d]`` of relation r of
+        degree d, a degree of M."""
+        coords = self._coords.get(d)
+        if coords is None:
+            coords = self._coords.setdefault(d, self._products[d] * self.inverse(d))
+        return coords
 
 
 class ModuleMap:
@@ -253,6 +373,93 @@ def trivial_module(ring: CoinvariantRing) -> GradedModule:
     return GradedModule(ring, {0: 1}, {})
 
 
+def check_hom_size(M: GradedModule, N: GradedModule, degree: int) -> None:
+    """Refuse Hom^degree(M, N) when its blocks M_a -> N_{a+degree} hold
+    more entries than the cap, as a Hom system in that many unknowns."""
+    check_size("Hom system in {} unknowns", sum(M.dim_at(a) * N.dim_at(a + degree) for a in M.degrees()))
+
+
+def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, QMatrix]]:
+    """A basis of the degree-``degree`` maps M -> N, each given by its
+    images of the basis of M's :class:`Presentation`: the block at d, kept
+    where it is nonzero, is the dim M_d x dim N_{d+degree} matrix whose row
+    j is the image of row j of ``bases[d]``.
+
+    The unknowns are the images of the generators, dim N_{d+degree} for a
+    generator in degree d.  The image of a chosen product x_i b is x_i
+    applied to the image of b, so every image is linear in the unknowns:
+    while they are built, an image is packed into one dict that holds the
+    coefficient of unknown u in coordinate r at r * width + u, width being
+    the number of unknowns.  Each relation gives dim N_{d+degree}
+    equations.  As in :func:`hom_graded`, M and N must be modules, and the
+    size of the block system of :func:`hom_graded` is checked against the
+    cap first.
+    """
+    if M.ring is not N.ring:
+        raise ValueError("Hom between modules over different rings")
+    check_hom_size(M, N, degree)
+    pres = M.presentation()
+    # generator g of degree d has the unknowns first[d][g] + r, r < dim N_{d+degree}
+    first, width = {}, 0
+    for d, gens in pres.generators().items():
+        nd = N.dim_at(d + degree)
+        first[d] = [width + g * nd for g in range(gens)]
+        width += gens * nd
+    if not width:
+        return []
+    images, equations = {}, []
+    for d, relations in pres.relations.items():
+        nd = N.dim_at(d + degree)
+        if not nd:
+            continue
+        below = images.get(d - 2)
+        candidates = []
+        for i in range(1, M.ring.n):
+            act = N.actions.get((i, d - 2 + degree))
+            if below is None or act is None:
+                candidates += [{}] * M.dim_at(d - 2)
+            else:
+                columns = _columns(act)
+                candidates += [_times(columns, image, width) for image in below]
+        if d in pres.bases:
+            gens = [{r * width + u + r: 1 for r in range(nd)} for u in first.get(d, ())]
+            images[d] = image = [candidates[c] for c in pres.chosen[d]] + gens
+            sums = [
+                combine([(1, candidates[c]), *((-x, image[j]) for j, x in row.items())])
+                for c, row in zip(relations, pres.coords(d).nonzeros)
+            ]
+        else:
+            sums = [candidates[c] for c in relations]
+        for packed in sums:
+            split = [{} for _ in range(nd)]
+            for col, x in packed.items():
+                r, u = divmod(col, width)
+                split[r][u] = x
+            equations += split
+    vecs = kernel_basis(SparseSystem.of(width, equations))
+    # solution s at unknown u is by_unknown[u][s]
+    by_unknown = [{} for _ in range(width)]
+    for s, vec in enumerate(vecs):
+        for u, x in vec.items():
+            by_unknown[u][s] = x
+    maps = [{} for _ in vecs]
+    for d, image in images.items():
+        blocks = [[{} for _ in image] for _ in vecs]
+        for j, packed in enumerate(image):
+            acc = {}
+            for col, x in packed.items():
+                r, u = divmod(col, width)
+                for s, y in by_unknown[u].items():
+                    acc[s, r] = acc[s, r] + x * y if (s, r) in acc else x * y
+            for (s, r), x in acc.items():
+                if x:
+                    blocks[s][j][r] = x if type(x) is int else exact(x)
+        for f, rows in zip(maps, blocks):
+            if any(rows):
+                f[d] = QMatrix(len(rows), N.dim_at(d + degree), rows)
+    return maps
+
+
 def hom_graded(M: GradedModule, N: GradedModule, degree: int) -> list[ModuleMap]:
     """A basis of the degree-``degree`` maps commuting with all actions.
 
@@ -261,37 +468,51 @@ def hom_graded(M: GradedModule, N: GradedModule, degree: int) -> list[ModuleMap]
     library builds is: e_1 acts by 0 on both, so x_n = -(x_1 + .. +
     x_{n-1}) on both sides and a map commuting with the others commutes
     with x_n.
+
+    The maps are solved on generator images (:func:`hom_images`) and then
+    written as blocks f_a : M_a -> N_{a+degree}, whose entries, block by
+    block in ascending a and row by row, form one vector per map.  The
+    basis returned is the reduced echelon basis of those vectors in
+    reversed entry order: each map is 1 at its last nonzero entry, where
+    every other map is 0.  That basis is unique for the space, and it is
+    the one that :func:`~soergelkit.linalg.kernel_basis` returns for the
+    system with one unknown per block entry.
     """
-    if M.ring is not N.ring:
-        raise ValueError("Hom between modules over different rings")
-    offsets = {}
-    count = 0
+    maps = hom_images(M, N, degree)
+    if not maps:
+        return []
+    pres = M.presentation()
+    offsets, count = {}, 0
     for a in M.degrees():
         offsets[a] = count
-        count += N.dim_at(a + degree) * M.dim_at(a)
-    # f_a : M_a -> N_{a+degree} commutes with x_i: x_i f_a - f_{a+2} x_i = 0;
-    # a degree with N_{a+degree+2} = 0, or where x_i acts by 0 on both sides,
-    # has no equations, so its zero action blocks are never built
-    system = hom_equations(
-        count,
-        (
-            (N.action(i, a + degree), offsets[a], M.action(i, a), offsets.get(a + 2), 1)
-            for i in range(1, M.ring.n)
-            for a in M.degrees()
-            if N.dim_at(a + degree + 2) and ((i, a + degree) in N.actions or (i, a) in M.actions)
-        ),
-    )
-    # unknown offsets[a] + r * M.dim_at(a) + c is entry (r, c) of block a
-    entry_of = [(a, r, c) for a in offsets for r in range(N.dim_at(a + degree)) for c in range(M.dim_at(a))]
-    maps = []
-    for vec in kernel_basis(system):
-        rows = {a: [{} for _ in range(N.dim_at(a + degree))] for a in offsets}
-        for k, x in vec.items():
-            a, r, c = entry_of[k]
+        count += N.dim_at(a + degree) * M.dims[a]
+    # each map as one vector, entry k of the layout kept at last - k
+    last = count - 1
+    reversed_vecs = []
+    for images in maps:
+        vec = {}
+        for a, img in images.items():
+            # row c of inverse * images is column c of the block f_a
+            base, cols = last - offsets[a], M.dims[a]
+            for c, row in enumerate((pres.inverse(a) * img).nonzeros):
+                for r, x in row.items():
+                    vec[base - r * cols - c] = x
+        reversed_vecs.append(vec)
+    echelon = rref(QMatrix(len(maps), count, reversed_vecs)).matrix.nonzeros[: len(maps)]
+    degrees, starts = list(offsets), list(offsets.values())
+    out = []
+    for row in reversed(echelon):
+        rows = {}
+        for k, x in row.items():
+            k = last - k
+            a = degrees[bisect_right(starts, k) - 1]
+            r, c = divmod(k - offsets[a], M.dims[a])
+            if a not in rows:
+                rows[a] = [{} for _ in range(N.dim_at(a + degree))]
             rows[a][r][c] = x
-        blocks = {a: QMatrix(len(block_rows), M.dim_at(a), block_rows) for a, block_rows in rows.items()}
-        maps.append(ModuleMap(M, N, degree, blocks))
-    return maps
+        blocks = {a: QMatrix(len(rows[a]), M.dims[a], rows[a]) for a in degrees if a in rows}
+        out.append(ModuleMap(M, N, degree, blocks))
+    return out
 
 
 def hom_degree_range(M: GradedModule, N: GradedModule) -> range:

@@ -300,6 +300,13 @@ class SparseSystem:
     cols: int
     equations: list[dict[int, int]]
 
+    @classmethod
+    def of(cls, cols: int, rows) -> "SparseSystem":
+        """The system of ``rows``, {column: value} dicts of nonzero
+        rationals: each nonempty row has its denominators cleared and is
+        divided by its content."""
+        return cls(cols, [_integer_row(r) for r in rows if r])
+
 
 def hom_equations(count: int, blocks) -> SparseSystem:
     """The linear system of f -> A f - s f B in ``count`` unknowns.
@@ -348,6 +355,17 @@ def hom_equations(count: int, blocks) -> SparseSystem:
     return SparseSystem(count, rows)
 
 
+def combine(terms) -> dict[int, int | Fraction]:
+    """The vector sum of a * v over the (a, v) pairs of ``terms``, each v
+    an {index: value} dict of nonzeros; its nonzeros are kept in the form
+    :func:`exact` gives."""
+    acc: dict[int, int | Fraction] = {}
+    for a, vec in terms:
+        for j, x in vec.items():
+            acc[j] = acc[j] + a * x if j in acc else a * x
+    return {j: x if type(x) is int else exact(x) for j, x in acc.items() if x}
+
+
 def flatten(m: QMatrix) -> dict[int, int | Fraction]:
     """The nonzero entries of m, row by row: x at (i, j) is kept at i * cols + j."""
     cols = m.cols
@@ -383,22 +401,23 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
     return _primitive(out) if out else out
 
 
+def _integer_row(r: dict[int, int | Fraction]) -> dict[int, int]:
+    """A nonzero stored row with its denominators cleared, as a new
+    primitive {column: int} dict that the elimination may change; a row of
+    ints is only copied."""
+    if all(type(x) is int for x in r.values()):
+        r = dict(r)
+    else:
+        den = math.lcm(*(x.denominator for x in r.values()))
+        r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+    return _primitive(r)
+
+
 def _integer_rows(m: QMatrix) -> list[dict[int, int]]:
-    """The nonzero rows of m with their denominators cleared, as primitive
-    {column: int} dicts, new ones, so that the elimination may change them;
-    m is refused first if its columns exceed the cap.  A row of ints is
-    only copied."""
+    """The nonzero rows of m as :func:`_integer_row` gives them; m is
+    refused first if its columns exceed the cap."""
     check_size("linear system in {} unknowns", m.cols)
-    rows = []
-    for r in m.nonzeros:
-        if r:
-            if all(type(x) is int for x in r.values()):
-                r = dict(r)
-            else:
-                den = math.lcm(*(x.denominator for x in r.values()))
-                r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
-            rows.append(_primitive(r))
-    return rows
+    return [_integer_row(r) for r in m.nonzeros if r]
 
 
 def _ratio(x: int, p: int) -> int | Fraction:
@@ -624,18 +643,31 @@ class RowSpan:
     def add(self, m: QMatrix) -> int:
         """Add the rows of m, which has ``cols`` columns; returns how much
         the rank grew."""
+        return len(self.independent(m))
+
+    def independent(self, m: QMatrix) -> list[int]:
+        """Add the rows of m, which has ``cols`` columns, one at a time;
+        returns the indices of those that raised the rank.  Once the span
+        is everything, the remaining rows are not reduced."""
         if m.cols != self.cols:
             raise ValueError(f"rows of length {m.cols} added to a span in {self.cols} columns")
-        before = len(self.pivots)
-        for row in _integer_rows(m):
+        check_size("linear system in {} unknowns", m.cols)
+        raised = []
+        for k, row in enumerate(m.nonzeros):
+            if len(self.pivots) == self.cols:
+                break
+            if not row:
+                continue
+            row = _integer_row(row)
             while row:
                 c = min(row)
                 prow = self.pivots.get(c)
                 if prow is None:
                     self.pivots[c] = row
+                    raised.append(k)
                     break
                 row = _eliminate(row, prow, c)
-        return len(self.pivots) - before
+        return raised
 
 
 def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:

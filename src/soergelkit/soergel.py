@@ -12,14 +12,14 @@ over C, which is the evidence that the formulas are right.
 Iterating induction along a word starting from the one-dimensional module
 gives the Bott-Samelson module of the word.  The Hecke algebra predicts
 the summands D_x[k] of a module, and ``decompose`` certifies a prediction
-by an isomorphism onto their direct sum, stacked from projections alone,
-one Hom solve per predicted summand, visited by ascending shift; that
-order completes the stack because Hom^d(D_y, D_x) is 0 for d < 0 and the
-scalars (y = x) or 0 for d = 0.  A peel loop splits summands off one at
-a time by maps p and j whose composite p j is a nonzero scalar c, and
-goes on in the kernel of the idempotent j p / c, read off as the kernel
-of p; it serves ``decompose`` without a prediction and the
-indecomposables.  D_w follows the canonical-basis recursion (Soergel
+by an isomorphism from their direct sum, stacked from inclusions alone,
+one Hom solve on the generators of D_x per predicted summand, visited by
+descending shift; that order completes the stack because Hom^d(D_x, D_y)
+is 0 for d < 0 and the scalars (y = x) or 0 for d = 0.  A peel loop
+splits summands off one at a time by maps p and j whose composite p j is
+a nonzero scalar c, and goes on in the kernel of the idempotent j p / c,
+read off as the kernel of p; it serves ``decompose`` without a
+prediction and the indecomposables.  D_w follows the canonical-basis recursion (Soergel
 2007; Elias and Williamson 2014): with s the last letter of the canonical
 word of w and u = ws, it is what is left of the induction of D_u along s
 once the summands of b_u b_s - b_w are peeled off.  Oracle and linear
@@ -39,8 +39,10 @@ from .coinvariant import CoinvariantRing, coinvariant_ring
 from .gradedmod import (
     GradedModule,
     ModuleMap,
+    check_hom_size,
     hom_degree_range,
     hom_graded,
+    hom_images,
     kernel_module,
     trivial_module,
 )
@@ -265,8 +267,8 @@ class SoergelCategory:
         """Split M into shifted indecomposables.
 
         With ``expected`` (a list of (x, k) pairs) the prediction is
-        certified by an isomorphism from M onto the sum of the predicted
-        D_x[k], built from projections M -> D_x[k] alone (see
+        certified by an isomorphism from the sum of the predicted D_x[k]
+        onto M, built from inclusions D_x[k] -> M alone (see
         :meth:`_certify`); otherwise candidates are searched by character
         containment over all indecomposables of the rank and peeled off one
         at a time.  A prediction that fails, or a module that is no such
@@ -289,26 +291,34 @@ class SoergelCategory:
 
     def _certify(self, M: GradedModule, expected: list) -> Decomposition:
         """The decomposition ``expected`` of M, certified by a bijective
-        module map M -> sum of D_x[k].
+        module map from the sum of the D_x[k] onto M.
 
-        Its components are degree-k maps M -> D_x.  The predicted (x, k)
-        are visited by ascending k, ties by first occurrence; each group of
-        m equal pairs solves Hom(M, D_x) in degree k once and keeps the
-        first m maps, in basis order, that raise the rank of the stack of
-        the maps kept so far, degree by degree.  Hom^d(D_y, D_x) is 0 for
-        d < 0, and the scalars in degree 0 when y = x and 0 otherwise, so
-        on a true prediction the stack is block-triangular with scalar
-        diagonal blocks and the greedy choice completes it.  The characters
-        are compared first, which makes the finished stack square in every
-        degree; full rank then makes it bijective, whatever the theory says.
+        Its components are degree -k maps D_x -> M, solved on the
+        generators of D_x (:func:`~soergelkit.gradedmod.hom_images`).  The
+        predicted (x, k) are visited by descending k, ties by first
+        occurrence; each group of m equal pairs solves its Hom once and
+        keeps the first m maps, in basis order, whose images raise the rank
+        of the span of the images kept so far, degree by degree.  A map
+        D_x[k] -> D_y[j] is a map D_x -> D_y of degree j - k, which is 0
+        for j < k, and the scalars (y = x) or 0 for j = k; so on a true
+        prediction the images of a group add a fresh copy of each D_x[k]
+        to those of the larger shifts, and the greedy choice completes the
+        span.  The characters are compared first, which makes the finished
+        stack square in every degree; a span that is all of M then makes it
+        bijective, whatever the theory says.  Before any solve, each
+        group's Hom is checked against the cap by its block-entry count,
+        groups by ascending k.
         """
         self._check_characters(M, expected)
+        groups = list(Counter(expected).items())
+        for (x, k), _ in sorted(groups, key=lambda group: group[0][1]):
+            check_hom_size(self.indecomposable(x), M, -k)
         spans = {d: RowSpan(M.dim_at(d)) for d in M.degrees()}
-        for (x, k), m in sorted(Counter(expected).items(), key=lambda group: group[0][1]):
+        for (x, k), m in _by_descending_shift(groups):
             kept = 0
-            for p in hom_graded(M, self.indecomposable(x), k):
-                # a list, not a lazy any(): every block goes into the stack
-                if sum([spans[d].add(blk) for d, blk in p.blocks.items()]):
+            for images in hom_images(self.indecomposable(x), M, -k):
+                # a list, not a lazy any(): every block goes into the span
+                if sum([spans[d - k].add(img) for d, img in images.items()]):
                     kept += 1
                     if kept == m:
                         break
@@ -319,7 +329,7 @@ class SoergelCategory:
         for d, span in spans.items():
             if span.rank < M.dim_at(d):
                 raise DecompositionError(
-                    f"the predicted projections are not injective in degree {d}"
+                    f"the predicted inclusions are not surjective in degree {d}"
                 )
         return Decomposition(expected)
 
@@ -330,6 +340,7 @@ class SoergelCategory:
         cached = self._indec.get(w)
         if cached is not None:
             return cached
+        self._check_element(w)
         if length(w) == 0:
             module = self.trivial()
         else:
@@ -353,6 +364,11 @@ class SoergelCategory:
         self._hom[(w, w, 0)] = endo
         return module
 
+    def _check_element(self, w) -> None:
+        """Refuse with ValueError what is not an element of the rank's group."""
+        if w not in self.group.elements():
+            raise ValueError(f"{w!r} is not an element of S_{self.n}")
+
     def hecke_class(self, M: GradedModule, expected=None) -> HeckeElement:
         """The canonical-basis combination matching the decomposition of M."""
         dec = self.decompose(M, expected=expected)
@@ -363,6 +379,11 @@ class SoergelCategory:
 
     def endo_algebra(self, summands) -> "EndoAlgebra":
         return EndoAlgebra(self, summands)
+
+
+def _by_descending_shift(groups):
+    """Predicted groups ((x, k), m) by descending k, ties in their order."""
+    return sorted(groups, key=lambda group: -group[0][1])
 
 
 def _candidate_shifts(dx_char: LaurentPoly, char: LaurentPoly):
@@ -387,6 +408,8 @@ class EndoAlgebra:
         self.summands = [(tuple(w), int(k)) for w, k in summands]
         if not self.summands:
             raise ValueError("endomorphism algebra of an empty sum")
+        for w, _ in self.summands:
+            cat._check_element(w)
         # the dimension is the sum over summand pairs of the pairing of b_wa
         # and b_wb at v = 1 (shifts move degrees, not the count), so an
         # oversize algebra is refused before any D_w is built

@@ -3,13 +3,15 @@
 Each is a plain function over the public API, with no cache, and none has
 a caller in the library: the coinvariant ring's matrices, invariants and
 rank-two splitting, the action of a polynomial on a graded module, the
-general Hecke product, and the Weyl-group enumerations the Bruhat order
-and canonical words are checked against.
+graded Hom with one unknown per block entry, the general Hecke product,
+and the Weyl-group enumerations the Bruhat order and canonical words are
+checked against.
 """
 
+from soergelkit import gradedmod
 from soergelkit.coinvariant import CoinvariantElement
 from soergelkit.gradedmod import ModuleMap
-from soergelkit.linalg import QMatrix, kernel_basis
+from soergelkit.linalg import QMatrix, hom_equations, kernel_basis
 from soergelkit.multipoly import MultiPoly
 from soergelkit.tate import Complex
 from soergelkit.weyl import identity_perm, length, mult_right_simple, right_descents, simple_reflection
@@ -133,6 +135,44 @@ def check_commutes(f: ModuleMap):
             rhs = f.block(d + 2) * f.source.action(i, d)
             if lhs != rhs:
                 raise AssertionError(f"map fails to commute with x_{i} at degree {d}")
+
+
+def graded_hom_system(M, N, degree, variables):
+    """The block system of Hom^degree(M, N) on the equations of
+    ``variables``: one unknown per entry of each block f_a : M_a ->
+    N_{a+degree}, row by row in ascending a, and one equation per entry of
+    x_i f_a - f_{a+2} x_i."""
+    offsets, count = {}, 0
+    for a in M.degrees():
+        offsets[a] = count
+        count += N.dim_at(a + degree) * M.dim_at(a)
+    return hom_equations(
+        count,
+        (
+            (N.action(i, a + degree), offsets[a], M.action(i, a), offsets.get(a + 2), 1)
+            for i in variables
+            for a in M.degrees()
+            if N.dim_at(a + degree + 2)
+        ),
+    )
+
+
+def hom_graded_blocks(M, N, degree):
+    """A basis of Hom^degree(M, N) from the block system on the equations of
+    x_1 .. x_{n-1}.  The kernel is solved through ``gradedmod``'s
+    ``kernel_basis`` binding, so that a spy on it sees this system too."""
+    system = graded_hom_system(M, N, degree, range(1, M.ring.n))
+    # unknown offsets[a] + r * M.dim_at(a) + c is entry (r, c) of block a
+    entry_of = [(a, r, c) for a in M.degrees() for r in range(N.dim_at(a + degree)) for c in range(M.dim_at(a))]
+    maps = []
+    for vec in gradedmod.kernel_basis(system):
+        rows = {a: [{} for _ in range(N.dim_at(a + degree))] for a in M.degrees()}
+        for k, x in vec.items():
+            a, r, c = entry_of[k]
+            rows[a][r][c] = x
+        blocks = {a: QMatrix(len(block_rows), M.dim_at(a), block_rows) for a, block_rows in rows.items()}
+        maps.append(ModuleMap(M, N, degree, blocks))
+    return maps
 
 
 def idempotent_index(alg, a):

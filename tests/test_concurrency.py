@@ -1,6 +1,7 @@
 """Shared per-rank contexts promise safe concurrent reads with add-only
 caches; exercise that promise with racing readers against cold caches."""
 
+import sys
 import threading
 
 from soergelkit.soergel import SoergelCategory
@@ -59,3 +60,34 @@ def test_concurrent_hom_and_decompose():
         sorted(baseline.expected_summands((1, 2, 1)), key=lambda t: (length(t[0]), t[0], t[1]))
     )
     assert results["dec"] == expected
+
+
+def test_concurrent_readers_of_one_module_get_one_presentation():
+    # a module fresh from induction has no presentation yet; every thread
+    # that asks at once gets the one the module keeps
+    cat = SoergelCategory(4)
+    module = cat.induct(2, cat.bott_samelson((1, 3, 2, 1, 3)))
+    barrier = threading.Barrier(6)
+    seen, errors = [], []
+
+    def reader():
+        try:
+            barrier.wait(timeout=60)
+            seen.append(module.presentation())
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(6)]
+    # switch threads often, so that the readers overlap inside the build
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(seen) == 6
+    assert all(p is seen[0] for p in seen) and module.presentation() is seen[0]

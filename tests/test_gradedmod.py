@@ -18,9 +18,17 @@ from soergelkit.laurent import LaurentPoly
 from soergelkit.linalg import QMatrix, SizeCapError, hom_equations, kernel_basis
 from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import soergel_category
+from soergelkit.weyl import format_perm, length, parse_perm
 
 from dense_views import block_diagonal, dense, dense_flatten
-from reference import check_commutes, degree_basis_indices, multiply_by_variable_matrix, poly_action
+from reference import (
+    check_commutes,
+    degree_basis_indices,
+    graded_hom_system,
+    hom_graded_blocks,
+    multiply_by_variable_matrix,
+    poly_action,
+)
 
 
 def regular_module(n):
@@ -299,23 +307,6 @@ def test_induct_doubles_dimension_s3():
     assert m.dims == {-3: 1, -1: 3, 1: 3, 3: 1}
 
 
-def _graded_system(M, N, degree, variables):
-    """The system of :func:`hom_graded` on the equations of ``variables``."""
-    offsets, count = {}, 0
-    for a in M.degrees():
-        offsets[a] = count
-        count += N.dim_at(a + degree) * M.dim_at(a)
-    return hom_equations(
-        count,
-        (
-            (N.action(i, a + degree), offsets[a], M.action(i, a), offsets.get(a + 2), 1)
-            for i in variables
-            for a in M.degrees()
-            if N.dim_at(a + degree + 2)
-        ),
-    )
-
-
 def _ungraded_system(M, N, variables):
     """The system of :func:`hom_ungraded_dim` on the equations of ``variables``."""
     return hom_equations(
@@ -328,13 +319,13 @@ def _check_x_n_equations_are_redundant(M, N, stats):
     n = M.ring.n
     every, without_x_n = range(1, n + 1), range(1, n)
     for d in hom_degree_range(M, N):
-        full = _graded_system(M, N, d, every)
+        full = graded_hom_system(M, N, d, every)
         basis = kernel_basis(full)
-        assert kernel_basis(_graded_system(M, N, d, without_x_n)) == basis
+        assert kernel_basis(graded_hom_system(M, N, d, without_x_n)) == basis
         maps = hom_graded(M, N, d)
         flat = [[x for a in M.degrees() for x in dense_flatten(f.block(a))] for f in maps]
         assert flat == [dense(v, full.cols) for v in basis]
-        stats["dropped"] += len(full.equations) - len(_graded_system(M, N, d, without_x_n).equations)
+        stats["dropped"] += len(full.equations) - len(graded_hom_system(M, N, d, without_x_n).equations)
         stats["nonempty"] += bool(basis)
     full = _ungraded_system(M, N, every)
     basis = kernel_basis(full)
@@ -375,3 +366,132 @@ def test_hom_graded_refuses_over_the_cap(monkeypatch):
     monkeypatch.delenv("SOERGEL_MAX_DIM")
     assert capped == hom_graded(m, m, 0)
     assert len(capped) == 1
+
+
+# -- Hom on generator images against the block system ----------------------------
+
+
+def _routes_agree(M, N):
+    """Assert that hom_graded and the per-degree block system give the same
+    basis, map by map, in every degree where a map could be nonzero;
+    returns the number of maps."""
+    maps = 0
+    for d in hom_degree_range(M, N):
+        got = hom_graded(M, N, d)
+        assert got == hom_graded_blocks(M, N, d), d
+        maps += len(got)
+    return maps
+
+
+def test_hom_graded_equals_the_block_system_on_all_rank_3_pairs():
+    cat = soergel_category(3)
+    modules = [cat.indecomposable(w) for w in sorted(cat.group.elements())]
+    # 77 is the sum over all pairs of the Hecke pairing at v = 1
+    assert sum(_routes_agree(M, N) for M in modules for N in modules) == 77
+
+
+def test_hom_graded_equals_the_block_system_on_a_rank_4_sample():
+    # 3412 and 4231 are the two rank-4 D_w with two generators
+    cat = soergel_category(4)
+    elements = sorted(cat.group.elements())
+    special = [parse_perm("3412"), parse_perm("4231")]
+    rng = random.Random(26)
+    pairs = [(x, y) for x in special for y in special]
+    pairs += [(x, rng.choice(elements)) for x in special] + [(rng.choice(elements), y) for y in special]
+    pairs += [(rng.choice(elements), rng.choice(elements)) for _ in range(12)]
+    assert all(_routes_agree(cat.indecomposable(x), cat.indecomposable(y)) for x, y in pairs)
+
+
+def test_hom_graded_equals_the_block_system_on_bott_samelson_shifted_and_sum_modules():
+    cat = soergel_category(3)
+    w0 = cat.group.longest_element()
+    built = [
+        cat.bott_samelson((1, 2, 1)),
+        cat.bott_samelson((2, 1)).shift(1),
+        cat.indecomposable(w0).direct_sum(cat.bott_samelson((1,)).shift(-1)),
+        cat.bott_samelson((1, 2)).direct_sum(cat.bott_samelson((2,)).shift(2)),
+    ]
+    others = built + [cat.indecomposable(w) for w in sorted(cat.group.elements())]
+    maps = sum(_routes_agree(M, N) + _routes_agree(N, M) for M in built for N in others)
+    cat4 = soergel_category(4)
+    bs = cat4.bott_samelson((1, 2, 3, 2))
+    for w in (parse_perm("3412"), parse_perm("2143"), cat4.group.longest_element()):
+        maps += _routes_agree(bs, cat4.indecomposable(w)) + _routes_agree(cat4.indecomposable(w), bs.shift(-1))
+    assert maps > 0
+
+
+def test_hom_graded_keeps_the_relations_above_the_top_degree():
+    # every product of a generator of the trivial module is a relation in
+    # degree 2, where the module is 0; without it, a map to D_s could send
+    # the generator to the bottom of D_s, which x_1 does not kill
+    for n in (2, 3):
+        cat = soergel_category(n)
+        trivial = cat.trivial()
+        pair = trivial.shift(1).direct_sum(trivial.shift(-1))
+        targets = [cat.indecomposable(w) for w in sorted(cat.group.elements())]
+        targets += [cat.bott_samelson((1, 1)), pair]
+        for M in (trivial, pair):
+            for N in targets:
+                _routes_agree(M, N)
+    cat = soergel_category(2)
+    d_s = cat.indecomposable(parse_perm("21"))
+    assert cat.trivial().presentation().relations == {0: (), 2: (0,)}
+    assert hom_graded(cat.trivial(), d_s, -1) == []
+    assert len(hom_graded(cat.trivial(), d_s, 1)) == 1
+
+
+def _check_presentation(M):
+    """Assert that M's presentation chooses a basis of every degree, made
+    of products and then unit vectors, and that every relation holds
+    exactly; returns its generators."""
+    pres = M.presentation()
+    degrees = set(M.degrees())
+    assert set(pres.relations) == degrees | {d + 2 for d in degrees}
+    assert set(pres.bases) == degrees
+    for d, relations in pres.relations.items():
+        below = pres.bases.get(d - 2)
+        products = []
+        if below is not None:
+            for i in range(1, M.ring.n):
+                products += [M.action(i, d - 2).times_vector(below.row(t)) for t in range(below.rows)]
+        chosen = pres.chosen.get(d, ())
+        assert sorted(chosen + relations) == list(range(len(products)))
+        if d not in degrees:
+            assert chosen == () and all(v == [] for v in products)
+            continue
+        basis, m = pres.bases[d], M.dim_at(d)
+        assert pres.inverse(d) * basis == QMatrix.identity(m) == basis * pres.inverse(d)
+        assert [basis.row(j) for j in range(len(chosen))] == [products[c] for c in chosen]
+        units = [basis.row(j) for j in range(len(chosen), m)]
+        assert all(sorted(row) == [0] * (m - 1) + [1] for row in units)
+        coords = pres.coords(d)
+        for r, c in enumerate(relations):
+            assert basis.transpose().times_vector(coords.row(r)) == products[c]
+    return pres.generators()
+
+
+def test_presentations_are_bases_of_products_and_their_relations_hold():
+    for n in (2, 3, 4):
+        cat = soergel_category(n)
+        modules = [cat.indecomposable(w) for w in sorted(cat.group.elements())]
+        modules += [cat.trivial(), cat.bott_samelson((1,) * 3).shift(1)]
+        if n > 2:
+            modules += [cat.bott_samelson((1, 2, 1, 2)), cat.bott_samelson((2, 1)).direct_sum(cat.trivial().shift(2))]
+        for M in modules:
+            gens = _check_presentation(M)
+            assert sum(gens.values()) >= 1 and min(gens) == min(M.degrees())
+    assert _check_presentation(regular_module(3)) == {0: 1}
+
+
+def test_d_w_is_cyclic_exactly_when_w_avoids_3412_and_4231():
+    # Schubert varieties are rationally smooth exactly off these patterns
+    # (Lakshmibai and Sandhya 1990), and then D_w is generated in its
+    # bottom degree -l(w)
+    for n, cyclic in ((3, 6), (4, 22)):
+        cat = soergel_category(n)
+        gens = {w: cat.indecomposable(w).presentation().generators() for w in cat.group.elements()}
+        assert sum(g == {-length(w): 1} for w, g in gens.items()) == cyclic
+    assert {format_perm(w): g for w, g in gens.items() if sum(g.values()) > 1} == {
+        "3412": {-4: 1, -2: 1},
+        "4231": {-5: 1, -3: 1},
+    }

@@ -355,6 +355,30 @@ def test_row_span_rank_grows_as_the_rank_of_the_stacked_rows():
     with pytest.raises(ValueError, match="span in 3 columns"):
         RowSpan(3).add(QMatrix.identity(2))
 
+
+def test_row_span_names_the_rows_that_raise_its_rank():
+    rng = random.Random(26)
+    for _ in range(40):
+        cols = rng.randint(0, 6)
+        m = random_matrix(rng, rng.randint(0, 9), cols, -1, 1)
+        raised = RowSpan(cols).independent(m)
+        # row k raises the rank exactly when it is not in the span of the rows before it
+        expected = [
+            k for k in range(m.rows)
+            if rank(QMatrix(k + 1, cols, m.nonzeros[: k + 1])) > rank(QMatrix(k, cols, m.nonzeros[:k]))
+        ]
+        assert raised == expected
+    # once the span is everything, the rows left are not reduced
+    span = RowSpan(2)
+    assert span.independent(QMatrix.from_rows([[1, 0], [1, 1], [3, 5]])) == [0, 1]
+    assert span.rank == 2
+
+
+def test_sparse_system_of_rational_rows_keeps_primitive_integer_rows():
+    system = SparseSystem.of(3, [{0: Fraction(1, 2), 2: Fraction(-3, 4)}, {}, {1: 6, 2: 4}, {1: Fraction(5, 1)}])
+    assert system == SparseSystem(3, [{0: 2, 2: -3}, {1: 3, 2: 2}, {1: 1}])
+    assert [dense(v, 3) for v in kernel_basis(system)] == dense_kernel(densify(system))
+
 def test_kernel_identity_empty():
     assert kernel_basis(QMatrix.identity(3)) == []
 

@@ -713,12 +713,13 @@ def test_a_wrong_shift_or_a_moved_copy_is_refused_before_any_hom_solve(monkeypat
     assert calls == []
 
 
-def test_projections_that_are_not_injective_are_refused():
-    # M = D_e[1] + D_e[-1] has the character of D_s; Hom(M, D_s) in degree
-    # 0 is one map, nonzero in degree 1 only, so the stack is not injective
+def test_inclusions_that_are_not_surjective_are_refused():
+    # M = D_e[1] + D_e[-1] has the character of D_s, on which x_1 acts by 0;
+    # a degree-0 map D_s -> M sends the generator into degree -1 and kills
+    # x_1 times it, so no inclusion reaches degree 1
     cat = soergel_category(2)
     M = cat.trivial().shift(1).direct_sum(cat.trivial().shift(-1))
-    with pytest.raises(DecompositionError, match="not injective in degree -1"):
+    with pytest.raises(DecompositionError, match="^the predicted inclusions are not surjective in degree 1$"):
         cat.decompose(M, expected=[(parse_perm("21"), 0)])
 
 
@@ -751,3 +752,79 @@ def test_hom_between_indecomposables_vanishes_below_degree_0_and_is_scalar_in_it
             poly = cat.hom_poly(y, x)
             assert poly.min_exp() >= 0, (format_perm(y), format_perm(x))
             assert poly.coeff(0) == (x == y)
+
+
+def test_inclusions_visited_by_ascending_shift_refuse_true_predictions(monkeypatch):
+    # negative control for the visiting order: ascending, a group's
+    # inclusions also reach the summands of larger shift, and the greedy
+    # choice can keep a map that leaves a copy uncovered
+    cat = soergel_category(3)
+    words = words_up_to(3, 4)[1:]
+    assert len(words) == 30
+    monkeypatch.setattr(soergel, "_by_descending_shift", lambda groups: sorted(groups, key=lambda g: g[0][1]))
+    refused = []
+    for word in words:
+        try:
+            cat.decompose(cat.bott_samelson(word), expected=cat.expected_summands(word))
+        except DecompositionError as exc:
+            assert "not surjective" in str(exc)
+            refused.append(word)
+    assert len(refused) == 10 and (1, 2, 2) in refused
+    monkeypatch.undo()
+    for word in refused:
+        expected = cat.expected_summands(word)
+        assert cat.decompose(cat.bott_samelson(word), expected=expected).summands == tuple(expected)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_certified_prediction_solves_no_block_system_and_takes_no_peel(n, monkeypatch):
+    from soergelkit import gradedmod, linalg
+    from soergelkit.selftest import CURATED_RANK4_WORDS
+
+    cat = soergel_category(n)
+    for w in cat.group.elements():
+        cat.indecomposable(w)
+
+    def refuse(*args):
+        raise AssertionError("decompose with a prediction solved a block system or took a peel step")
+
+    spied = [
+        (soergel, "hom_graded"),
+        (gradedmod, "hom_equations"),
+        (linalg, "hom_equations"),
+        (soergel, "kernel_module"),
+    ]
+    for module, name in spied:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(cat, "_try_peel", refuse)
+    words = words_up_to(3, 4) if n == 3 else CURATED_RANK4_WORDS
+    for word in words:
+        expected = cat.expected_summands(word)
+        assert cat.decompose(cat.bott_samelson(word), expected=expected).summands == tuple(expected)
+    # a prediction of the wrong character is refused before any solve
+    monkeypatch.setattr(soergel, "hom_images", refuse)
+    x, k = cat.expected_summands(words[-1])[0]
+    with pytest.raises(DecompositionError, match="do not add up"):
+        cat.decompose(cat.bott_samelson(words[-1]), expected=[(x, k + 1)])
+
+
+@pytest.mark.parametrize("w", [(0, 0, 1), (0, 1), (0, 1, 5), (1, 0), (2, 1, 0, 3)])
+def test_what_is_not_a_group_element_is_refused_before_anything_is_cached(w):
+    cat = soergel_category(3)
+    e, s = parse_perm("123"), parse_perm("213")
+    cat.indecomposable(s)
+    before = dict(cat._indec)
+    calls = [
+        lambda: cat.indecomposable(w),
+        lambda: cat.hom_basis(w, s, 0),
+        lambda: cat.hom_poly(w, e),
+        lambda: cat.endo_algebra([(w, 0)]),
+        lambda: cat.decompose(cat.bott_samelson((1,)), expected=[(w, 0)]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an element of S_3"):
+            call()
+        assert cat._indec == before
+    with pytest.raises(ValueError):
+        cat.hom_poly((0, 1), (0, 1, 2))
+    assert cat._indec == before
