@@ -546,18 +546,21 @@ def hom_ungraded_dim(M: GradedModule, N: GradedModule) -> int:
     return len(kernel_basis(system))
 
 
-def kernel_module(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
-    """The kernel of a module map, with its inclusion map.
+def kernel_module(*maps: ModuleMap) -> tuple[GradedModule, ModuleMap]:
+    """The common kernel of module maps out of one source, the kernel of
+    their blocks stacked degree by degree, with its inclusion map.
 
-    The kernel of a map commuting with the actions is a submodule of its
-    source; its action blocks are read off the kernel bases, which is exact
-    and raises if the map was not actually a module map.  A degree where f
-    has no block is kept whole, with no elimination (see
-    :func:`~soergelkit.linalg.restrict_to_kernels`).
+    The kernel is a submodule of the source; its action blocks are read off
+    the kernel bases, which is exact and raises if a map was not actually a
+    module map.  A degree where no map has a block is kept whole, with no
+    elimination (see :func:`~soergelkit.linalg.restrict_to_kernels`).
     """
-    M = f.source
+    M = maps[0].source
+    if any(f.source is not M for f in maps):
+        raise ValueError("common kernel of maps out of different sources")
+    stacks = {d: [row for f in maps for row in f.block(d).nonzeros] for d in M.degrees()}
     inclusions, actions = restrict_to_kernels(
-        {d: f.block(d) for d in M.degrees()},
+        {d: QMatrix(len(rows), M.dims[d], rows) for d, rows in stacks.items()},
         (((i, d), d, d + 2, mat) for (i, d), mat in M.actions.items()),
     )
     K = GradedModule(M.ring, {d: inc.cols for d, inc in inclusions.items()}, actions, validate=False)

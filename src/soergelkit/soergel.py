@@ -15,18 +15,17 @@ the summands D_x[k] of a module, and ``decompose`` certifies a prediction
 by an isomorphism from their direct sum, stacked from inclusions alone,
 one Hom solve on the generators of D_x per predicted summand, visited by
 descending shift; that order completes the stack because Hom^d(D_x, D_y)
-is 0 for d < 0 and the scalars (y = x) or 0 for d = 0.  A peel loop
-splits summands off one at a time by maps p and j whose composite p j is
-a nonzero scalar c, and goes on in the kernel of the idempotent j p / c,
-read off as the kernel of p; it serves ``decompose`` without a
-prediction and the indecomposables.  D_w follows the canonical-basis recursion (Soergel
-2007; Elias and Williamson 2014): with s the last letter of the canonical
-word of w and u = ws, it is what is left of the induction of D_u along s
-once the summands of b_u b_s - b_w are peeled off.  Oracle and linear
-algebra verify each other; a predicted summand that cannot be split or
-certified is a hard error.  Scalar-valued peeling is sound because
-degree-zero endomorphisms of each D_w are one-dimensional, which is
-asserted whenever a composite endomorphism is read off.
+is 0 for d < 0 and the scalars (y = x) or 0 for d = 0.  D_w follows the
+canonical-basis recursion (Soergel 2007; Elias and Williamson 2014): with
+s the last letter of the canonical word of w and u = ws, it is the common
+kernel of the degree-0 maps from the induction of D_u along s to the
+summands of b_u b_s - b_w, certified by the same stack.  Without a
+prediction a peel loop searches, splitting summands off one at a time
+(:meth:`SoergelCategory._try_peel`).  Oracle and linear algebra verify
+each other; a predicted summand that cannot be split or certified is a
+hard error.  Scalar-valued peeling is sound because degree-zero
+endomorphisms of each D_w are one-dimensional, which is asserted
+whenever a composite endomorphism is read off.
 """
 
 from __future__ import annotations
@@ -155,8 +154,7 @@ class SoergelCategory:
             module = self.trivial()
         else:
             module = self.induct(word[-1], self.bott_samelson(word[:-1]))
-        self._bs[word] = module
-        return module
+        return self._bs.setdefault(word, module)
 
     # -- Hom spaces -----------------------------------------------------------
 
@@ -165,8 +163,8 @@ class SoergelCategory:
         key = (x, y, degree)
         cached = self._hom.get(key)
         if cached is None:
-            cached = tuple(hom_graded(self.indecomposable(x), self.indecomposable(y), degree))
-            self._hom[key] = cached
+            maps = tuple(hom_graded(self.indecomposable(x), self.indecomposable(y), degree))
+            cached = self._hom.setdefault(key, maps)
         return cached
 
     def hom_space(self, x: Perm, y: Perm, degree: int | None = None):
@@ -179,8 +177,8 @@ class SoergelCategory:
             dx, dy = self.indecomposable(x), self.indecomposable(y)
             degrees = [d for d in hom_degree_range(dx, dy) if degree in (None, d)]
             mats = tuple(m.to_total() for d in degrees for m in self.hom_basis(x, y, d))
-            cached = (mats, EchelonBasis([flatten(m) for m in mats], dy.total_dim() * dx.total_dim()))
-            self._spaces[key] = cached
+            space = EchelonBasis([flatten(m) for m in mats], dy.total_dim() * dx.total_dim())
+            cached = self._spaces.setdefault(key, (mats, space))
         return cached
 
     def hom_poly(self, x: Perm, y: Perm) -> LaurentPoly:
@@ -228,20 +226,6 @@ class SoergelCategory:
                     return kernel_module(p)
         return None
 
-    def _peel_expected(self, M: GradedModule, expected, context: str = ""):
-        """Split each predicted (x, k) off what is left of M, in order,
-        yielding (x, k, split); raises DecompositionError at the first one
-        that cannot be split off."""
-        cur = M
-        for x, k in expected:
-            res = self._try_peel(cur, x, k)
-            if res is None:
-                raise DecompositionError(
-                    f"predicted summand (D[{format_perm(x)}], {k}) could not be split off{context}"
-                )
-            yield x, k, res
-            cur = res[0]
-
     def _peel_search(self, M: GradedModule):
         """Split off what is left of M, one (x, k) at a time: the first whose
         shifted character fits under the remaining one, longest x first,
@@ -277,43 +261,45 @@ class SoergelCategory:
         if expected is not None:
             return self._certify(M, list(expected))
         summands = [(x, k) for x, k, _ in self._peel_search(M)]
-        self._check_characters(M, summands)
+        self._check_characters(M.character(), summands)
         return Decomposition(summands)
 
-    def _check_characters(self, M: GradedModule, summands) -> None:
+    def _check_characters(self, char: LaurentPoly, summands, context: str = "") -> None:
         """Raise unless the shifted characters of the summands (x, k) add
-        up to the character of M."""
+        up to ``char``."""
         got = LaurentPoly.zero()
         for x, k in summands:
             got = got + self.indecomposable(x).character().shift(-k)
-        if got != M.character():
-            raise DecompositionError("summand characters do not add up to the module character")
+        if got != char:
+            raise DecompositionError(f"summand characters do not add up to the module character{context}")
 
     def _certify(self, M: GradedModule, expected: list) -> Decomposition:
         """The decomposition ``expected`` of M, certified by a bijective
-        module map from the sum of the D_x[k] onto M.
-
-        Its components are degree -k maps D_x -> M, solved on the
-        generators of D_x (:func:`~soergelkit.gradedmod.hom_images`).  The
-        predicted (x, k) are visited by descending k, ties by first
-        occurrence; each group of m equal pairs solves its Hom once and
-        keeps the first m maps, in basis order, whose images raise the rank
-        of the span of the images kept so far, degree by degree.  A map
-        D_x[k] -> D_y[j] is a map D_x -> D_y of degree j - k, which is 0
-        for j < k, and the scalars (y = x) or 0 for j = k; so on a true
-        prediction the images of a group add a fresh copy of each D_x[k]
-        to those of the larger shifts, and the greedy choice completes the
-        span.  The characters are compared first, which makes the finished
-        stack square in every degree; a span that is all of M then makes it
-        bijective, whatever the theory says.  Before any solve, each
-        group's Hom is checked against the cap by its block-entry count,
-        groups by ascending k.
-        """
-        self._check_characters(M, expected)
+        module map onto M stacked from inclusions D_x[k] -> M
+        (:meth:`_stack_inclusions`).  The characters are compared first,
+        which makes the stack square in every degree, so a span that is all
+        of M makes it bijective, whatever the theory says.  Before any
+        solve, each group's Hom is checked against the cap by its
+        block-entry count, groups by ascending k."""
+        self._check_characters(M.character(), expected)
         groups = list(Counter(expected).items())
         for (x, k), _ in sorted(groups, key=lambda group: group[0][1]):
             check_hom_size(self.indecomposable(x), M, -k)
-        spans = {d: RowSpan(M.dim_at(d)) for d in M.degrees()}
+        self._stack_inclusions(M, groups, {d: RowSpan(M.dim_at(d)) for d in M.degrees()})
+        return Decomposition(expected)
+
+    def _stack_inclusions(self, M: GradedModule, groups, spans, context: str = "") -> None:
+        """Add to ``spans``, one RowSpan per degree of M, the images of
+        degree -k maps D_x -> M, solved on the generators of D_x
+        (:func:`~soergelkit.gradedmod.hom_images`), for the predicted groups
+        ((x, k), m), by descending k, ties in their order.  Each group keeps
+        the first m maps, in basis order, whose images raise the rank of the
+        span, degree by degree.  A map D_x[k] -> D_y[j] is a map D_x -> D_y
+        of degree j - k, which is 0 for j < k, and the scalars (y = x) or 0
+        for j = k; so on a true prediction each group adds a fresh copy of
+        each D_x[k] to those of the larger shifts, and the greedy choice
+        completes the span.  Raises DecompositionError when a group keeps
+        fewer than m maps or the spans do not fill M."""
         for (x, k), m in _by_descending_shift(groups):
             kept = 0
             for images in hom_images(self.indecomposable(x), M, -k):
@@ -324,19 +310,21 @@ class SoergelCategory:
                         break
             else:
                 raise DecompositionError(
-                    f"predicted summand (D[{format_perm(x)}], {k}) could not be split off"
+                    f"predicted summand (D[{format_perm(x)}], {k}) could not be split off{context}"
                 )
         for d, span in spans.items():
             if span.rank < M.dim_at(d):
                 raise DecompositionError(
-                    f"the predicted inclusions are not surjective in degree {d}"
+                    f"the predicted inclusions are not surjective in degree {d}{context}"
                 )
-        return Decomposition(expected)
 
     def indecomposable(self, w: Perm) -> GradedModule:
-        """D_w: the induction of D_u along the last letter s of the canonical
-        word of w, u = ws, with the summands of b_u b_s - b_w peeled off;
-        cached per rank."""
+        """D_w: in the induction M of D_u along the last letter s of the
+        canonical word of w, u = ws, the common kernel K of the degree-0
+        maps to the summands D_y of b_u b_s - b_w, certified as M = K + (sum
+        of the D_y) by characters and by its inclusion stacked with
+        inclusions D_y -> M; cached per rank, the first copy published
+        winning."""
         cached = self._indec.get(w)
         if cached is not None:
             return cached
@@ -346,11 +334,18 @@ class SoergelCategory:
         else:
             i = self.group.a_reduced_word(w)[-1]
             u = mult_right_simple(w, i)
-            module = self.induct(i, self.indecomposable(u))
+            module = M = self.induct(i, self.indecomposable(u))
             b_us = self.hecke.mult_gen_plus(self.hecke.kl_basis(u), i, LaurentPoly.v())
             rest = self._summands_of(b_us - self.hecke.kl_basis(w))
-            for _, _, res in self._peel_expected(module, rest, f" while extracting D[{format_perm(w)}]"):
-                module = res[0]
+            if rest:
+                context, groups = f" while extracting D[{format_perm(w)}]", list(Counter(rest).items())
+                maps = [f for (y, _), _ in groups for f in hom_graded(M, self.indecomposable(y), 0)]
+                module, inclusion = kernel_module(*maps) if maps else (M, ModuleMap.identity(M))
+                self._check_characters(M.character() - module.character(), rest, context)
+                spans = {d: RowSpan(M.dim_at(d)) for d in M.degrees()}
+                for d, block in inclusion.blocks.items():
+                    spans[d].add(block.transpose())
+                self._stack_inclusions(M, groups, spans, context)
             if not module.character().is_symmetric():
                 raise DecompositionError(
                     f"D[{format_perm(w)}] came out with a non-self-dual character"
@@ -360,9 +355,9 @@ class SoergelCategory:
             raise DecompositionError(
                 f"degree-0 endomorphisms of D[{format_perm(w)}] are not scalars"
             )
-        self._indec[w] = module
-        self._hom[(w, w, 0)] = endo
-        return module
+        if self._indec.setdefault(w, module) is module:
+            self._hom.setdefault((w, w, 0), endo)
+        return self._indec[w]
 
     def _check_element(self, w) -> None:
         """Refuse with ValueError what is not an element of the rank's group."""

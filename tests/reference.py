@@ -3,18 +3,21 @@
 Each is a plain function over the public API, with no cache, and none has
 a caller in the library: the coinvariant ring's matrices, invariants and
 rank-two splitting, the action of a polynomial on a graded module, the
-graded Hom with one unknown per block entry, the general Hecke product,
-and the Weyl-group enumerations the Bruhat order and canonical words are
-checked against.
+graded Hom with one unknown per block entry, the peel along a prediction
+and the Hecke recursion of the indecomposables built with it, the general
+Hecke product, and the Weyl-group enumerations the Bruhat order and
+canonical words are checked against.
 """
 
 from soergelkit import gradedmod
 from soergelkit.coinvariant import CoinvariantElement
 from soergelkit.gradedmod import ModuleMap
+from soergelkit.laurent import LaurentPoly
 from soergelkit.linalg import QMatrix, hom_equations, kernel_basis
 from soergelkit.multipoly import MultiPoly
+from soergelkit.soergel import DecompositionError
 from soergelkit.tate import Complex
-from soergelkit.weyl import identity_perm, length, mult_right_simple, right_descents, simple_reflection
+from soergelkit.weyl import format_perm, identity_perm, length, mult_right_simple, right_descents, simple_reflection
 
 # -- coinvariant ring ------------------------------------------------------------
 
@@ -181,6 +184,46 @@ def idempotent_index(alg, a):
         if (src, tgt, d) == (a, a, 0) and m == ModuleMap.identity(alg.modules[a]):
             return i
     raise ValueError(f"no identity basis element for slot {a}")
+
+
+# -- Soergel modules -------------------------------------------------------------
+
+
+def peel_along(cat, M, expected):
+    """Split each predicted (x, k) off what is left of M, in order, with
+    the category's peel step, yielding (x, k, split) with split the
+    complement and its inclusion; raises DecompositionError at the first
+    one that cannot be split off."""
+    cur = M
+    for x, k in expected:
+        res = cat._try_peel(cur, x, k)
+        if res is None:
+            raise DecompositionError(f"predicted summand (D[{format_perm(x)}], {k}) could not be split off")
+        yield x, k, res
+        cur = res[0]
+
+
+def lower_summands(cat, w):
+    """The summands (y, k) of b_u b_s - b_w, with s = s_i the last letter
+    of the canonical word of w, w of positive length, and u = ws: what the
+    induction of D_u along s holds besides D_w.  Returns (i, u, summands)."""
+    i = cat.group.a_reduced_word(w)[-1]
+    u = mult_right_simple(w, i)
+    b_us = cat.hecke.mult_gen_plus(cat.hecke.kl_basis(u), i, LaurentPoly.v())
+    return i, u, cat._summands_of(b_us - cat.hecke.kl_basis(w))
+
+
+def indecomposable_by_peel(cat, w):
+    """D_w by the Hecke recursion with the peel: the induction of the
+    category's D_u along the last letter of the canonical word of w, with
+    its lower summands peeled off along the prediction."""
+    if length(w) == 0:
+        return cat.trivial()
+    i, u, rest = lower_summands(cat, w)
+    module = cat.induct(i, cat.indecomposable(u))
+    for _, _, split in peel_along(cat, module, rest):
+        module = split[0]
+    return module
 
 
 # -- Hecke algebra ---------------------------------------------------------------

@@ -91,3 +91,36 @@ def test_concurrent_readers_of_one_module_get_one_presentation():
     assert not any(t.is_alive() for t in threads)
     assert not errors and len(seen) == 6
     assert all(p is seen[0] for p in seen) and module.presentation() is seen[0]
+
+
+def test_concurrent_first_calls_publish_one_indecomposable():
+    # racing first calls each build their own copy of D_w; every caller gets
+    # the first copy published, and the cached endomorphisms start from it
+    cat = SoergelCategory(4)
+    elements = sorted(cat.group.elements(), key=lambda w: (-length(w), w))
+    barrier = threading.Barrier(4)
+    seen, errors = [], []
+
+    def reader():
+        try:
+            barrier.wait(timeout=60)
+            for w in elements:
+                seen.append((w, cat.indecomposable(w), cat.hom_basis(w, w, 0)))
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(seen) == 4 * len(elements)
+    for w, module, endo in seen:
+        assert module is cat.indecomposable(w)
+        assert endo is cat.hom_basis(w, w, 0) and endo[0].source is module

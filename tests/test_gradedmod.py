@@ -266,6 +266,31 @@ def test_direct_sum_is_the_block_diagonal_of_its_summands():
     assert kinds == {"empty", "overlapping", "disjoint"}
 
 
+def test_common_kernel_is_the_iterated_kernel():
+    # the kernel of g on ker f, in the reduced echelon basis of ker f,
+    # composes to the common kernel of f and g entry for entry, whatever the
+    # degrees and targets of the maps
+    cat = soergel_category(3)
+    M = cat.bott_samelson((1, 2, 1))
+    maps = [
+        f
+        for word, degree in (((1,), 0), ((1,), 2), ((2,), 2), ((1, 2), 1), ((2, 1), 3))
+        for f in hom_graded(M, cat.bott_samelson(word), degree)
+    ]
+    assert len(maps) == 10
+    shrinks = 0
+    for f, g in combinations(maps, 2):
+        first, first_inclusion = kernel_module(f)
+        kernel, inclusion = kernel_module(g.compose(first_inclusion))
+        common, common_inclusion = kernel_module(f, g)
+        assert common.dims == kernel.dims and common.actions == kernel.actions
+        assert common_inclusion.blocks == first_inclusion.compose(inclusion).blocks
+        shrinks += common.dims != first.dims
+    assert shrinks > 20
+    with pytest.raises(ValueError, match="different sources"):
+        kernel_module(maps[0], hom_graded(cat.bott_samelson((1,)), cat.bott_samelson((1,)), 0)[0])
+
+
 def test_kernel_module_rejects_a_non_module_map():
     # killing the top degree of D_s but not the bottom one does not commute
     # with x_1, which maps the bottom degree onto the top one

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -21,7 +22,15 @@ from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory,
 from soergelkit.weyl import format_perm, length, parse_perm
 
 from dense_views import dense_flatten
-from reference import check_commutes, idempotent_index, invariant_generators, poly_action
+from reference import (
+    check_commutes,
+    idempotent_index,
+    indecomposable_by_peel,
+    invariant_generators,
+    lower_summands,
+    peel_along,
+    poly_action,
+)
 
 
 def s3_words(max_len):
@@ -184,7 +193,8 @@ def test_indecomposable_refuses_a_negative_oracle_multiplicity(monkeypatch):
         if w != w0:
             cat.indecomposable(w)
     # b_u b_s comes out as b_u, so b_u b_s - b_w0 has multiplicity -1 at w0;
-    # dropping the negative multiplicity would instead fail the peel of D_u
+    # dropping the negative multiplicity would instead fail the certificate
+    # of the kernel
     monkeypatch.setattr(cat.hecke, "mult_gen_plus", lambda h, i, c: h)
     with pytest.raises(DecompositionError, match="not a nonnegative integer"):
         cat.indecomposable(w0)
@@ -198,7 +208,7 @@ def bott_samelson_route(cat, w):
     rest = cat.expected_summands(word)
     rest.remove((w, 0))
     module = cat.bott_samelson(word)
-    for _, _, res in cat._peel_expected(module, rest):
+    for _, _, res in peel_along(cat, module, rest):
         module = res[0]
     return module
 
@@ -218,6 +228,98 @@ def test_indecomposable_isomorphic_to_bott_samelson_route(n, max_length):
             for j in hom_graded(new, old, 0)
             for p in hom_graded(old, new, 0)
         ), format_perm(w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_indecomposable_equals_the_peel_recursion(n):
+    # the common kernel and the peel find the same subspace of the induced
+    # module, and the reduced echelon kernel bases of the peel's steps
+    # compose to the one of the common kernel, so the modules agree entry
+    # for entry, not only up to isomorphism
+    cat = soergel_category(n)
+    for w in sorted(cat.group.elements(), key=lambda w: (length(w), w)):
+        new, old = cat.indecomposable(w), indecomposable_by_peel(cat, w)
+        assert new.dims == old.dims and new.actions == old.actions, format_perm(w)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_indecomposable_is_the_one_copy_killed_by_the_maps_to_the_lower_summands(n, monkeypatch):
+    calls = record_kernel_modules(monkeypatch)
+    cat = SoergelCategory(n)
+    for w in cat.group.elements():
+        cat.indecomposable(w)
+    assert len(calls) == {3: 1, 4: 7}[n]
+    published = {id(module): w for w, module in cat._indec.items()}
+    for maps, (kernel, inclusion) in calls:
+        w, M = published[id(kernel)], inclusion.target
+        rest = lower_summands(cat, w)[2]
+        assert rest and all(k == 0 and y != w for y, k in rest)
+        projections = [p for y in sorted({y for y, _ in rest}) for p in hom_graded(M, cat.indecomposable(y), 0)]
+        assert len(maps) == len(projections) == len(rest)
+        # the inclusion of D_w into M is unique up to a scalar, and every
+        # degree-0 map to a lower summand kills it
+        (j,) = hom_graded(kernel, M, 0)
+        for p in projections:
+            assert p.compose(inclusion).is_zero() and p.compose(j).is_zero()
+
+
+def substitute_a_summand(cat, rest):
+    """``rest`` with its first summand that has a same-character
+    substitute among the cached D_z replaced by it."""
+    for t, (y, k) in enumerate(rest):
+        for z in sorted(cat._indec):
+            if z != y and cat._indec[z].character() == cat._indec[y].character():
+                return rest[:t] + [(z, k)] + rest[t + 1 :]
+    raise AssertionError("no summand has a same-character substitute")
+
+
+REFUSALS = {
+    "drop": "are not scalars",
+    "substitute": "do not add up",
+    "no inclusions": "could not be split off",
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("fault", list(REFUSALS))
+def test_a_faulty_split_of_the_induced_module_is_refused_before_anything_is_cached(n, fault, monkeypatch):
+    # a dropped summand leaves a kernel with more than the scalars in End^0;
+    # a substitute D_z of the character of D_y takes no map from M, since
+    # D_z and D_y differ as modules, and the characters do not add up; with
+    # no inclusions of the D_y the stack cannot fill M
+    cat = SoergelCategory(n)
+    refused = 0
+    for w in sorted(cat.group.elements(), key=lambda w: (length(w), w)):
+        rest = lower_summands(cat, w)[2] if length(w) else []
+        if rest:
+            fake = {"drop": rest[:-1], "substitute": substitute_a_summand(cat, rest)}.get(fault, rest)
+            with monkeypatch.context() as patch:
+                patch.setattr(cat, "_summands_of", lambda h: fake)
+                if fault == "no inclusions":
+                    patch.setattr(soergel, "hom_images", lambda *args: [])
+                with pytest.raises(DecompositionError, match=re.escape(f"D[{format_perm(w)}]")) as refusal:
+                    cat.indecomposable(w)
+            assert REFUSALS[fault] in str(refusal.value)
+            assert w not in cat._indec and (w, w, 0) not in cat._hom
+            refused += 1
+        cat.indecomposable(w)
+    assert refused == {3: 1, 4: 7}[n]
+
+
+def test_building_an_indecomposable_takes_no_peel(monkeypatch):
+    import reference
+
+    cat = SoergelCategory(4)
+
+    def refuse(*args):
+        raise AssertionError("an indecomposable was built by a peel")
+
+    monkeypatch.setattr(cat, "_try_peel", refuse)
+    monkeypatch.setattr(cat, "_peel_search", refuse)
+    monkeypatch.setattr(reference, "peel_along", refuse)
+    for w in cat.group.elements():
+        cat.indecomposable(w)
+    assert len(cat._indec) == 24
 
 
 def character_oracle(cat, w):
@@ -511,13 +613,14 @@ def test_degree_zero_endomorphisms_are_the_identity(n):
 
 
 def record_kernel_modules(monkeypatch):
-    """The (f, kernel_module(f)) pairs of every kernel the peel reads, in
-    order; a peel step reads its complement off its projection p last."""
+    """The (maps, kernel_module(*maps)) pairs of every kernel the library
+    reads, in order; a peel step reads its complement off its projection p
+    last, as the kernel of (p,)."""
     calls = []
 
-    def recording_kernel_module(f):
-        out = kernel_module(f)
-        calls.append((f, out))
+    def recording_kernel_module(*maps):
+        out = kernel_module(*maps)
+        calls.append((maps, out))
         return out
 
     monkeypatch.setattr(soergel, "kernel_module", recording_kernel_module)
@@ -549,11 +652,11 @@ def test_each_peel_step_splits_off_the_image_of_its_idempotent(word, route, monk
     cat = soergel_category(3)
     cur = cat.bott_samelson(word)
     if route == "expected":
-        steps = cat._peel_expected(cur, cat.expected_summands(word))
+        steps = peel_along(cat, cur, cat.expected_summands(word))
     else:
         steps = cat._peel_search(cur)
     for x, k, (complement, inclusion) in steps:
-        p, (kernel, _) = calls[-1]
+        (p,), (kernel, _) = calls[-1]
         assert kernel is complement
         idem = peel_idempotent(cat, cur, x, k, p)
         assert idem.source is cur and idem.target is cur and idem.degree == 0
@@ -612,11 +715,11 @@ def test_each_peel_step_reads_the_kernel_of_its_idempotent_off_the_projection(n,
     for word in words:
         cur = cat.bott_samelson(word)
         if route == "expected":
-            steps = cat._peel_expected(cur, cat.expected_summands(word))
+            steps = peel_along(cat, cur, cat.expected_summands(word))
         else:
             steps = cat._peel_search(cur)
         for x, k, (complement, inclusion) in steps:
-            p, (kernel, kernel_inclusion) = calls[-1]
+            (p,), (kernel, kernel_inclusion) = calls[-1]
             assert p.source is cur and p.target is cat.indecomposable(x) and p.degree == k
             assert (complement, inclusion) == (kernel, kernel_inclusion)
             by_idem, idem_inclusion = kernel_module(peel_idempotent(cat, cur, x, k, p))
@@ -651,7 +754,7 @@ def test_certified_prediction_agrees_with_both_peel_routes(n):
         dec = cat.decompose(M, expected=expected)
         assert dec.summands == tuple(expected)
         assert dec.multiset() == multiset_of(expected)
-        assert multiset_of((x, k) for x, k, _ in cat._peel_expected(M, expected)) == dec.multiset()
+        assert multiset_of((x, k) for x, k, _ in peel_along(cat, M, expected)) == dec.multiset()
         assert multiset_of((x, k) for x, k, _ in cat._peel_search(M)) == dec.multiset(), word
 
 
