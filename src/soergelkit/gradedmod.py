@@ -140,30 +140,44 @@ class GradedModule:
 
         Only x_1 .. x_{n-1} are checked to commute: once e_1 vanishes,
         x_n = -(x_1 + .. + x_{n-1}) commutes with them, so a module whose
-        x_n does not commute is still rejected, by its e_1.
+        x_n does not commute is still rejected, by its e_1.  An absent
+        action block is zero, so a product with one is zero and is neither
+        built nor multiplied.
         """
         n = self.ring.n
+        act = self.actions.get
         for i, j in combinations(range(1, n), 2):
             for d in self.degrees():
-                lhs = self.action(i, d + 2) * self.action(j, d)
-                rhs = self.action(j, d + 2) * self.action(i, d)
-                if lhs != rhs:
+                lhs = _product(act((i, d + 2)), act((j, d)))
+                rhs = _product(act((j, d + 2)), act((i, d)))
+                if lhs is None or rhs is None:
+                    other = rhs if lhs is None else lhs
+                    commute = other is None or other.is_zero()
+                else:
+                    commute = lhs == rhs
+                if not commute:
                     raise AssertionError(f"actions of x_{i} and x_{j} do not commute at degree {d}")
         # e_k(x_1..x_i) = e_k(x_1..x_{i-1}) + x_i e_{k-1}(x_1..x_{i-1}), one
-        # variable at a time; e[k] maps degree d to degree d + 2k
+        # variable at a time; e[k] maps degree d to degree d + 2k, e[0] is the
+        # identity and None is zero
         failures = []
         for d in self.degrees():
-            e = [QMatrix.identity(self.dim_at(d))]
-            e += [QMatrix.zero(self.dim_at(d + 2 * k), self.dim_at(d)) for k in range(1, n + 1)]
+            e: list[QMatrix | None] = [None] * (n + 1)
             for i in range(1, n + 1):
                 for k in range(i, 0, -1):
-                    step = self.actions.get((i, d + 2 * k - 2))
-                    if step is not None:
-                        e[k] = e[k] + step * e[k - 1]
-            failures += [(k, d) for k in range(1, n + 1) if not e[k].is_zero()]
+                    step = act((i, d + 2 * k - 2))
+                    term = step if k == 1 else _product(step, e[k - 1])
+                    if term is not None:
+                        e[k] = term if e[k] is None else e[k] + term
+            failures += [(k, d) for k in range(1, n + 1) if e[k] is not None and not e[k].is_zero()]
         if failures:
             k, d = min(failures)
             raise AssertionError(f"e_{k} of the actions does not vanish at degree {d}")
+
+
+def _product(a: QMatrix | None, b: QMatrix | None) -> QMatrix | None:
+    """a * b, or None (zero) when either factor is None."""
+    return None if a is None or b is None else a * b
 
 
 def _columns(action: QMatrix) -> list[dict]:

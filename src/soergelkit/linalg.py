@@ -120,6 +120,23 @@ def exact(x) -> int | Fraction:
     raise TypeError(f"exact values must be int or Fraction, got {x!r}")
 
 
+class _StoredRows:
+    """Rows that this module's operations built, which :class:`QMatrix`
+    keeps without its per-entry check.
+
+    Each row is a {column: value} dict whose columns lie below the
+    matrix's ``cols`` and whose values are nonzero and in the form
+    :func:`exact` gives, and every empty row is the shared ``_EMPTY_ROW``.
+    The constructor recognises this type by its exact type only, and no
+    other module names it, so rows built elsewhere are always checked.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[dict[int, int | Fraction]]):
+        self.rows = rows
+
+
 class QMatrix:
     """An immutable matrix of rationals, stored as its nonzeros.
 
@@ -128,14 +145,28 @@ class QMatrix:
     :func:`exact`); ``rows`` and ``cols`` stay authoritative, also for empty
     matrices.  Each row is given either dense, as ``cols`` int or Fraction
     entries, which are put in that form, or as such a dict, which is checked
-    and then kept, not copied.  Stored rows are never changed, so matrices
-    share them, and all empty rows are one shared dict.  The dense views
-    :attr:`data`, :meth:`row` and :meth:`col` hold Fractions.
+    and then kept, not copied; this holds for the public constructor, for
+    :meth:`from_rows` and the caller's columns in :meth:`from_columns`,
+    whatever list, tuple or list subclass holds the rows.  The rows that
+    this module's operations build (``zero``, ``identity``, ``transpose``,
+    sums, differences, negation, ``scale``, products, :func:`place_blocks`,
+    :func:`rref` and :func:`inverse`) come in a private
+    :class:`_StoredRows` and are kept as built: their columns come from
+    checked shapes and their values from stored values, kept only when
+    nonzero and put in the stored form, so they cannot be malformed.
+    Stored rows are never changed, so matrices share them, and all empty
+    rows are one shared dict.  The dense views :attr:`data`, :meth:`row`
+    and :meth:`col` hold Fractions.
     """
 
     __slots__ = ("rows", "cols", "nonzeros")
 
     def __init__(self, rows: int, cols: int, data):
+        if type(data) is _StoredRows:
+            self.rows = rows
+            self.cols = cols
+            self.nonzeros = data.rows
+            return
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         if len(data) != rows:
@@ -166,11 +197,11 @@ class QMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [_EMPTY_ROW] * rows)
+        return cls(rows, cols, _StoredRows([_EMPTY_ROW] * rows))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [{i: 1} for i in range(n)])
+        return cls(n, n, _StoredRows([{i: 1} for i in range(n)]))
 
     @classmethod
     def from_rows(cls, data) -> "QMatrix":
@@ -207,7 +238,7 @@ class QMatrix:
         for i, r in enumerate(self.nonzeros):
             for j, x in r.items():
                 out[j][i] = x
-        return QMatrix(self.cols, self.rows, out)
+        return QMatrix(self.cols, self.rows, _StoredRows([r or _EMPTY_ROW for r in out]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
@@ -233,21 +264,24 @@ class QMatrix:
                         r1[j] = x if type(x) is int else exact(x)
                     else:
                         del r1[j]
-                out.append(r1)
+                out.append(r1 or _EMPTY_ROW)
             else:
                 out.append(r1 or r2)
-        return QMatrix(self.rows, self.cols, out)
+        return QMatrix(self.rows, self.cols, _StoredRows(out))
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self.nonzeros])
+        out = [{j: -x for j, x in r.items()} if r else _EMPTY_ROW for r in self.nonzeros]
+        return QMatrix(self.rows, self.cols, _StoredRows(out))
 
     def scale(self, c) -> "QMatrix":
         c = exact(c)
-        out = [{j: exact(c * x) for j, x in r.items()} for r in self.nonzeros] if c else [_EMPTY_ROW] * self.rows
-        return QMatrix(self.rows, self.cols, out)
+        if not c:
+            return QMatrix.zero(self.rows, self.cols)
+        out = [{j: exact(c * x) for j, x in r.items()} if r else _EMPTY_ROW for r in self.nonzeros]
+        return QMatrix(self.rows, self.cols, _StoredRows(out))
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if not isinstance(other, QMatrix):
@@ -264,8 +298,8 @@ class QMatrix:
             for k, a in r.items():
                 for j, b in right[k].items():
                     acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append({j: x if type(x) is int else exact(x) for j, x in acc.items() if x})
-        return QMatrix(self.rows, other.cols, out)
+            out.append({j: x if type(x) is int else exact(x) for j, x in acc.items() if x} or _EMPTY_ROW)
+        return QMatrix(self.rows, other.cols, _StoredRows(out))
 
     def times_vector(self, vec) -> list[Fraction]:
         if len(vec) != self.cols:
@@ -289,7 +323,7 @@ def place_blocks(rows: int, cols: int, blocks) -> QMatrix:
                 row = out[r]
                 for j, x in src.items():
                     row[c0 + j] = x
-    return QMatrix(rows, cols, out)
+    return QMatrix(rows, cols, _StoredRows([r or _EMPTY_ROW for r in out]))
 
 
 @dataclass(frozen=True)
@@ -509,7 +543,7 @@ def rref(m: QMatrix) -> RrefResult:
     out_rows = [{j: _ratio(x, row[c]) for j, x in row.items()} for c, row in pivot_rows]
     out_rows += [_EMPTY_ROW] * (m.rows - len(pivot_rows))
     pivots = tuple(c for c, _ in pivot_rows)
-    return RrefResult(QMatrix(m.rows, m.cols, out_rows), pivots, len(pivots))
+    return RrefResult(QMatrix(m.rows, m.cols, _StoredRows(out_rows)), pivots, len(pivots))
 
 
 def _system_rows(m: QMatrix | SparseSystem) -> list[dict[int, int]]:
@@ -575,7 +609,8 @@ def inverse(m: QMatrix) -> QMatrix:
     res = rref(place_blocks(n, 2 * n, [(0, 0, m), (0, n, QMatrix.identity(n))]))
     if res.pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return QMatrix(n, n, [{j - n: x for j, x in row.items() if j >= n} for row in res.matrix.nonzeros])
+    out = [{j - n: x for j, x in row.items() if j >= n} or _EMPTY_ROW for row in res.matrix.nonzeros]
+    return QMatrix(n, n, _StoredRows(out))
 
 
 class EchelonBasis:

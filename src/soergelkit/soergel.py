@@ -113,35 +113,47 @@ class SoergelCategory:
         x_i^2 = E1 x_i - E2 gives x_i the blocks [[0, -E2], [I, E1]] and
         x_{i+1} = E1 - x_i the blocks [[E1, E2], [-I, 0]]; every other
         variable is invariant and acts diagonally.  Each action from degree
-        d to d + 2 places only its nonzero blocks: its rows are 1 (x) M_{d+2}
-        then x_i (x) M_d, its columns 1 (x) M_d then x_i (x) M_{d-2}.
+        d to d + 2 places only the blocks that exist: an action block that M
+        does not hold is zero, so no zero E1, E2 or action block is built,
+        negated or placed, and an action with no block is left out.  Its rows
+        are 1 (x) M_{d+2} then x_i (x) M_d, its columns 1 (x) M_d then
+        x_i (x) M_{d-2}.
         """
         if M.ring is not self.ring:
             raise ValueError("module belongs to a different ring")
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"simple reflection index {i} out of range for rank {self.n}")
         check_size("induced module of dimension {}", 2 * M.total_dim())
-        act, dim = M.action, M.dim_at
+        act, dim = M.actions.get, M.dim_at
 
-        def e1(d: int) -> QMatrix:
-            return act(i, d) + act(i + 1, d)
+        def e1(d: int) -> QMatrix | None:
+            a, b = act((i, d)), act((i + 1, d))
+            return b if a is None else a if b is None else a + b
 
         dims = {d: dim(d) + dim(d - 2) for e in M.degrees() for d in (e, e + 2)}
         actions = {}
         for d in dims:
             if d + 2 not in dims:
                 continue
-            one = QMatrix.identity(dim(d))
-            e2 = act(i + 1, d) * act(i, d - 2)
             r1, c1 = dim(d + 2), dim(d)
+            one = minus_one = e2 = minus_e2 = None
+            if c1:
+                one = QMatrix.identity(c1)
+                minus_one = -one
+            a, b = act((i + 1, d)), act((i, d - 2))
+            if a is not None and b is not None:
+                e2 = a * b
+                minus_e2 = -e2
             for l in range(1, self.n + 1):
                 if l == i:
-                    blocks = [(0, c1, -e2), (r1, 0, one), (r1, c1, e1(d - 2))]
+                    blocks = [(0, c1, minus_e2), (r1, 0, one), (r1, c1, e1(d - 2))]
                 elif l == i + 1:
-                    blocks = [(0, 0, e1(d)), (0, c1, e2), (r1, 0, -one)]
+                    blocks = [(0, 0, e1(d)), (0, c1, e2), (r1, 0, minus_one)]
                 else:
-                    blocks = [(0, 0, act(l, d)), (r1, c1, act(l, d - 2))]
-                actions[(l, d)] = place_blocks(dims[d + 2], dims[d], blocks)
+                    blocks = [(0, 0, act((l, d))), (r1, c1, act((l, d - 2)))]
+                blocks = [blk for blk in blocks if blk[2] is not None]
+                if blocks:
+                    actions[(l, d)] = place_blocks(dims[d + 2], dims[d], blocks)
         return GradedModule(self.ring, dims, actions, validate=True).shift(1)
 
     def bott_samelson(self, word: Word) -> GradedModule:

@@ -114,15 +114,16 @@ def _validate_failure(m):
 
 
 def _perturbed(m, rng):
-    """m with its actions changed at random: x_i + t x_j and (1 - t) x_j in
-    place of x_i and x_j (commutation and e_1 kept), x_i scaled, or one
-    entry of one block moved."""
+    """m with its actions changed at random, and the kind of change: x_i +
+    t x_j and (1 - t) x_j in place of x_i and x_j (commutation and e_1
+    kept), x_i scaled, one entry of one block moved, or one nonzero block
+    deleted, so that a product through it is absent on one side only."""
     n = m.ring.n
     acts = {(i, d): m.action(i, d) for i in range(1, n + 1) for d in m.degrees()}
     i, j = rng.sample(range(1, n + 1), 2)
     t = rng.choice((-2, -1, 1, 2))
     blocks = [key for key, blk in acts.items() if blk.rows and blk.cols]
-    kind = rng.randrange(3 if blocks else 2)
+    kind = rng.randrange(4 if blocks else 2)
     for d in m.degrees():
         if kind == 0:
             acts[(i, d)] = acts[(i, d)] + acts[(j, d)].scale(t)
@@ -135,24 +136,44 @@ def _perturbed(m, rng):
         data = [row[:] for row in blk.data]
         data[rng.randrange(blk.rows)][rng.randrange(blk.cols)] += t
         acts[key] = QMatrix(blk.rows, blk.cols, data)
-    return GradedModule(m.ring, m.dims, acts, validate=False)
+    elif kind == 3:
+        del acts[rng.choice(sorted(m.actions))]
+    return GradedModule(m.ring, m.dims, acts, validate=False), kind
+
+
+def _check_validate_against_subset_sums(modules, rng, rounds):
+    """Assert that ``validate`` and the subset-sum oracle give the same
+    verdict on every module and on ``rounds`` perturbations of each;
+    returns the first words of the failures seen and the kinds of change."""
+    seen, kinds = set(), set()
+    for m in modules:
+        assert _validate_failure(m) is None and _subset_sum_failure(m) is None
+        for _ in range(rounds):
+            bad, kind = _perturbed(m, rng)
+            failure = _validate_failure(bad)
+            assert failure == _subset_sum_failure(bad)
+            seen.add(failure and failure.split()[0])
+            kinds.add((kind, failure and failure.split()[0]))
+    return seen, kinds
 
 
 def test_validate_agrees_with_subset_sums():
     cat = soergel_category(3)
     modules = [cat.indecomposable(w) for w in sorted(cat.group.elements())]
     modules += [cat.bott_samelson(w) for w in ((1, 2), (2, 1, 2))] + [regular_module(3)]
-    rng = random.Random(12)
-    seen = set()
-    for m in modules:
-        assert _validate_failure(m) is None and _subset_sum_failure(m) is None
-        for _ in range(8):
-            bad = _perturbed(m, rng)
-            failure = _validate_failure(bad)
-            assert failure == _subset_sum_failure(bad)
-            seen.add(failure and failure.split()[0])
+    seen, kinds = _check_validate_against_subset_sums(modules, random.Random(12), 8)
     assert {None, "actions", "e_1", "e_2"} <= seen
+    # a deleted block leaves a product on one side with none on the other
+    assert {(3, "actions"), (3, "e_1")} <= kinds
 
+
+def test_validate_agrees_with_subset_sums_at_rank_4():
+    cat = soergel_category(4)
+    modules = [cat.indecomposable(parse_perm(w)) for w in ("3412", "4231", "4321")]
+    modules += [cat.bott_samelson(w) for w in ((1, 3, 2), (2, 1, 3, 2))]
+    seen, kinds = _check_validate_against_subset_sums(modules, random.Random(13), 8)
+    assert {None, "actions", "e_1", "e_2"} <= seen
+    assert {(3, "actions"), (3, "e_1")} <= kinds
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -528,10 +528,12 @@ def _is_stored_value(x):
 
 def _stored(m):
     """m, after asserting that it stores one dict per row holding only
-    values in the stored form at in-range columns."""
-    assert len(m.nonzeros) == m.rows
+    values in the stored form at in-range columns, each empty row the
+    shared empty row."""
+    assert type(m.nonzeros) is list and len(m.nonzeros) == m.rows
     for row in m.nonzeros:
         assert type(row) is dict
+        assert row or row is linalg._EMPTY_ROW
         assert all(type(j) is int and 0 <= j < m.cols and _is_stored_value(x) for j, x in row.items())
     return m
 
@@ -589,9 +591,15 @@ def test_every_operation_stores_only_nonzeros():
         ]
         res = rref(a)
         assert _stored(res.matrix) == dense_rref(a).matrix and res.pivots == dense_rref(a).pivots
+        if res.rank < p:
+            ops.add("rref zero rows")
         kernel = [_stored_vector(v, q) for v in kernel_basis(a)]
         dense_vecs = [dense(v, q) for v in kernel]
         assert dense_vecs == dense_kernel(a)
+        cancelled = _stored(a * QMatrix.from_columns(q, kernel))
+        assert cancelled.is_zero() and cancelled.cols == len(kernel)
+        if kernel and not a.is_zero():
+            ops.add("cancelled product")
         coeffs = [Fraction(coeff_rng.randint(-2, 2), coeff_rng.randint(1, 2)) for _ in kernel]
         combo = [sum((c * v[j] for c, v in zip(coeffs, dense_vecs)), Fraction(0)) for j in range(q)]
         assert _stored_vector(EchelonBasis(kernel, q).coords(sparse(combo)), len(kernel)) == sparse(coeffs)
@@ -610,7 +618,11 @@ def test_every_operation_stores_only_nonzeros():
         assert a.times_vector(x) == rhs and all(type(v) is Fraction for v in x)
         if solve(a, [Fraction(1)] * p) is None:
             ops.add("inconsistent")
-    assert ops == {"inverse", "inconsistent", "coords"}
+    assert ops == {"inverse", "inconsistent", "coords", "rref zero rows", "cancelled product"}
+
+
+class _RowList(list):
+    """A user-defined list of rows, which the constructor checks like a list."""
 
 
 def test_row_dicts_are_checked():
@@ -628,14 +640,21 @@ def test_row_dicts_are_checked():
         {1.0: 1},
         {3: Fraction(1, 2)},
     )
+    # the rows are checked whatever container holds them
+    containers = (list, tuple, _RowList)
     for bad in bad_rows:
+        for container in containers:
+            with pytest.raises(ValueError):
+                QMatrix(1, 3, container([bad]))
+            with pytest.raises(ValueError):
+                QMatrix.from_columns(3, container([bad]))
+    for container in containers:
         with pytest.raises(ValueError):
-            QMatrix(1, 3, [bad])
-    with pytest.raises(ValueError):
-        QMatrix(2, 3, [{}])
-    for bad in ([1, 0.5], [0.0, 1], [None, 1]):
-        with pytest.raises(TypeError):
-            QMatrix(1, 2, [bad])
+            QMatrix(2, 3, container([{}]))
+        for bad in ([1, 0.5], [0.0, 1], [None, 1]):
+            with pytest.raises(TypeError):
+                QMatrix(1, 2, container([bad]))
+        assert _stored(QMatrix(2, 3, container([{2: 5}, {}]))).nonzeros == [{2: 5}, {}]
 
 
 def test_exact_keeps_ints_and_true_fractions():

@@ -34,6 +34,16 @@ def test_no_module_imports_a_private_name_from_another():
     assert found == []
 
 
+def test_only_linalg_names_its_stored_rows_type():
+    # QMatrix keeps rows given in this type without checking them, so a
+    # module that named it could store rows it built itself unchecked
+    name = soergelkit.linalg._StoredRows.__name__
+    pattern = re.compile(rf"\b{name}\b")
+    src = ROOT / "src"
+    named = sorted(path.relative_to(src).as_posix() for path in src.rglob("*.py") if pattern.search(path.read_text()))
+    assert named == ["soergelkit/linalg.py"]
+
+
 DENSE_VIEWS = {"row", "col", "data", "times_vector", "solve", "SpanSolver"}
 
 
