@@ -16,10 +16,13 @@ generators), and the other products as relations.  The unknowns are the
 images of the generators and each relation gives the equations
 (:func:`hom_images`); :func:`hom_graded` writes the maps as blocks and
 returns the reduced echelon basis that a solve with one unknown per block
-entry would.  The ungraded Hom dimension is computed by an independent
-solve of the unrestricted block system, which gives the degrading
-comparison a second route rather than summing the graded answer by
-construction.
+entry would.  A dimension needs no basis: :func:`hom_dim` is the number
+of unknowns less the rank of the same system, found with no
+back-substitution and no map, and :func:`graded_hom_poly` counts with it
+degree by degree; ``len(hom_graded(...))`` is its test oracle.  The
+ungraded Hom dimension is computed by an independent solve of the
+unrestricted block system, which gives the degrading comparison a second
+route rather than summing the graded answer by construction.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     place_blocks,
+    rank,
     restrict_to_kernels,
     rref,
 )
@@ -393,11 +397,10 @@ def check_hom_size(M: GradedModule, N: GradedModule, degree: int) -> None:
     check_size("Hom system in {} unknowns", sum(M.dim_at(a) * N.dim_at(a + degree) for a in M.degrees()))
 
 
-def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, QMatrix]]:
-    """A basis of the degree-``degree`` maps M -> N, each given by its
-    images of the basis of M's :class:`Presentation`: the block at d, kept
-    where it is nonzero, is the dim M_d x dim N_{d+degree} matrix whose row
-    j is the image of row j of ``bases[d]``.
+def _hom_system(M: GradedModule, N: GradedModule, degree: int) -> tuple[int, dict[int, list[dict]], list[dict]]:
+    """The Hom^degree(M, N) system on generator images: the number of
+    unknowns, the packed image of every row of ``bases[d]`` by degree, and
+    the equations, one {unknown: value} dict each.
 
     The unknowns are the images of the generators, dim N_{d+degree} for a
     generator in degree d.  The image of a chosen product x_i b is x_i
@@ -405,9 +408,9 @@ def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, 
     while they are built, an image is packed into one dict that holds the
     coefficient of unknown u in coordinate r at r * width + u, width being
     the number of unknowns.  Each relation gives dim N_{d+degree}
-    equations.  As in :func:`hom_graded`, M and N must be modules, and the
-    size of the block system of :func:`hom_graded` is checked against the
-    cap first.
+    equations.  M and N must be modules, over one ring, and the size of
+    the block system of :func:`hom_graded` is checked against the cap
+    first.
     """
     if M.ring is not N.ring:
         raise ValueError("Hom between modules over different rings")
@@ -419,9 +422,9 @@ def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, 
         nd = N.dim_at(d + degree)
         first[d] = [width + g * nd for g in range(gens)]
         width += gens * nd
-    if not width:
-        return []
     images, equations = {}, []
+    if not width:
+        return width, images, equations
     for d, relations in pres.relations.items():
         nd = N.dim_at(d + degree)
         if not nd:
@@ -450,6 +453,22 @@ def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, 
                 r, u = divmod(col, width)
                 split[r][u] = x
             equations += split
+    return width, images, equations
+
+
+def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, QMatrix]]:
+    """A basis of the degree-``degree`` maps M -> N, each given by its
+    images of the basis of M's :class:`Presentation`: the block at d, kept
+    where it is nonzero, is the dim M_d x dim N_{d+degree} matrix whose row
+    j is the image of row j of ``bases[d]``.
+
+    The kernel of the system of :func:`_hom_system` is solved and each
+    kernel vector is substituted into the packed images.  As in
+    :func:`hom_graded`, M and N must be modules.
+    """
+    width, images, equations = _hom_system(M, N, degree)
+    if not width:
+        return []
     vecs = kernel_basis(SparseSystem.of(width, equations))
     # solution s at unknown u is by_unknown[u][s]
     by_unknown = [{} for _ in range(width)]
@@ -529,6 +548,18 @@ def hom_graded(M: GradedModule, N: GradedModule, degree: int) -> list[ModuleMap]
     return out
 
 
+def hom_dim(M: GradedModule, N: GradedModule, degree: int) -> int:
+    """The dimension of Hom^degree(M, N): the unknowns of the system of
+    :func:`_hom_system` less its rank.
+
+    The rank stops at the pivots, with no back-substitution, and no kernel
+    vector, image or map is formed.  It equals ``len(hom_graded(M, N,
+    degree))``, which is its test oracle, and refuses what that refuses.
+    """
+    width, _, equations = _hom_system(M, N, degree)
+    return width - rank(SparseSystem.of(width, equations)) if width else 0
+
+
 def hom_degree_range(M: GradedModule, N: GradedModule) -> range:
     """Degrees at which a graded map could be nonzero."""
     if not M.dims or not N.dims:
@@ -539,8 +570,9 @@ def hom_degree_range(M: GradedModule, N: GradedModule) -> range:
 
 
 def graded_hom_poly(M: GradedModule, N: GradedModule) -> LaurentPoly:
-    """Graded dimension of Hom(M, N) as a Laurent polynomial in v."""
-    return LaurentPoly({d: len(hom_graded(M, N, d)) for d in hom_degree_range(M, N)})
+    """Graded dimension of Hom(M, N) as a Laurent polynomial in v, counted
+    degree by degree with :func:`hom_dim`."""
+    return LaurentPoly({d: hom_dim(M, N, d) for d in hom_degree_range(M, N)})
 
 
 def hom_ungraded_dim(M: GradedModule, N: GradedModule) -> int:

@@ -150,10 +150,11 @@ class QMatrix:
     whatever list, tuple or list subclass holds the rows.  The rows that
     this module's operations build (``zero``, ``identity``, ``transpose``,
     sums, differences, negation, ``scale``, products, :func:`place_blocks`,
-    :func:`rref` and :func:`inverse`) come in a private
-    :class:`_StoredRows` and are kept as built: their columns come from
-    checked shapes and their values from stored values, kept only when
-    nonzero and put in the stored form, so they cannot be malformed.
+    :func:`rref`, :func:`inverse`, and the inclusions and restricted blocks
+    of :func:`restrict_to_kernels`) come in a private :class:`_StoredRows`
+    and are kept as built: their columns come from checked shapes and their
+    values from stored values, kept only when nonzero and put in the stored
+    form, so they cannot be malformed.
     Stored rows are never changed, so matrices share them, and all empty
     rows are one shared dict.  The dense views :attr:`data`, :meth:`row`
     and :meth:`col` hold Fractions.
@@ -234,11 +235,7 @@ class QMatrix:
         return [Fraction(r.get(j, 0)) for r in self.nonzeros]
 
     def transpose(self) -> "QMatrix":
-        out = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self.nonzeros):
-            for j, x in r.items():
-                out[j][i] = x
-        return QMatrix(self.cols, self.rows, _StoredRows([r or _EMPTY_ROW for r in out]))
+        return _stored_columns(self.cols, self.nonzeros)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
@@ -308,6 +305,17 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
+
+
+def _stored_columns(rows: int, columns: list[dict[int, int | Fraction]]) -> QMatrix:
+    """The matrix whose j-th column is ``columns[j]``, a vector that this
+    module built or stored (nonzero values in the stored form at indices
+    below ``rows``), kept as built."""
+    out = [{} for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            out[i][j] = x
+    return QMatrix(rows, len(columns), _StoredRows([r or _EMPTY_ROW for r in out]))
 
 
 def place_blocks(rows: int, cols: int, blocks) -> QMatrix:
@@ -712,10 +720,13 @@ def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
     columns are the :func:`kernel_basis` vectors), and each nonzero block
     of ``blocks`` = (label, key, target key, matrix) in kernel coordinates,
     by label.  The images of a kernel basis are the stored rows of (block *
-    inclusion) transposed.  The kernel of a zero map is its whole space:
-    its inclusion is the identity, found with no elimination, a block from
-    it is not multiplied, and an image in it is its own coordinates, so a
-    block between two whole kernels is passed through unchanged.  Raises
+    inclusion) transposed.  Kernel vectors and coordinates hold stored
+    values already, so the inclusions and restricted blocks are built from
+    them as columns with no per-entry check.  The kernel of a zero map is
+    its whole space: its inclusion is the identity, found with no
+    elimination, a block from it is not multiplied, and an image in it is
+    its own coordinates, so a block between two whole kernels is passed
+    through unchanged.  Raises
     AssertionError when a block maps a kernel vector outside the target
     kernel.
     """
@@ -729,7 +740,7 @@ def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
         vecs = kernel_basis(mat)
         if vecs:
             bases[key] = EchelonBasis(vecs, mat.cols)
-            inclusions[key] = QMatrix.from_columns(mat.cols, vecs)
+            inclusions[key] = _stored_columns(mat.cols, vecs)
     restricted = {}
     for label, key, tgt_key, block in blocks:
         if key not in inclusions:
@@ -741,7 +752,7 @@ def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
                 cols = [tgt.coords(v) for v in mat.transpose().nonzeros]
             except ValueError:
                 raise AssertionError("kernel is not action-stable") from None
-            mat = QMatrix.from_columns(len(tgt.vectors), cols)
+            mat = _stored_columns(len(tgt.vectors), cols)
         if not mat.is_zero():
             restricted[label] = mat
     return inclusions, restricted

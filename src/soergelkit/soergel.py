@@ -39,6 +39,7 @@ from .gradedmod import (
     GradedModule,
     ModuleMap,
     check_hom_size,
+    graded_hom_poly,
     hom_degree_range,
     hom_graded,
     hom_images,
@@ -194,9 +195,11 @@ class SoergelCategory:
         return cached
 
     def hom_poly(self, x: Perm, y: Perm) -> LaurentPoly:
-        """Graded dimension of Hom(D_x, D_y)."""
-        dx, dy = self.indecomposable(x), self.indecomposable(y)
-        return LaurentPoly({d: len(self.hom_basis(x, y, d)) for d in hom_degree_range(dx, dy)})
+        """Graded dimension of Hom(D_x, D_y), counted degree by degree by
+        rank (:func:`~soergelkit.gradedmod.hom_dim`): no basis is solved
+        and no map is cached, so ``hom_basis`` and its cache are left as
+        they are."""
+        return graded_hom_poly(self.indecomposable(x), self.indecomposable(y))
 
     # -- oracle -----------------------------------------------------------------
 

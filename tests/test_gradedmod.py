@@ -9,6 +9,7 @@ from soergelkit.gradedmod import (
     ModuleMap,
     graded_hom_poly,
     hom_degree_range,
+    hom_dim,
     hom_graded,
     hom_ungraded_dim,
     kernel_module,
@@ -404,11 +405,16 @@ def test_hom_graded_refuses_over_the_cap(monkeypatch):
     m = regular_module(3)  # the ring is built before the cap is lowered
     # End^0 of the regular module has 1 + 4 + 4 + 1 unknowns
     monkeypatch.setenv("SOERGEL_MAX_DIM", "9")
-    with pytest.raises(SizeCapError, match="Hom system in 10 unknowns"):
+    with pytest.raises(SizeCapError, match="Hom system in 10 unknowns") as refused:
         hom_graded(m, m, 0)
+    # the count refuses with the same message
+    with pytest.raises(SizeCapError) as counted:
+        hom_dim(m, m, 0)
+    assert str(counted.value) == str(refused.value)
     # at the cap its equations outnumber its unknowns, and it is solved
     monkeypatch.setenv("SOERGEL_MAX_DIM", "10")
     capped = hom_graded(m, m, 0)
+    assert hom_dim(m, m, 0) == 1
     monkeypatch.delenv("SOERGEL_MAX_DIM")
     assert capped == hom_graded(m, m, 0)
     assert len(capped) == 1
@@ -419,12 +425,13 @@ def test_hom_graded_refuses_over_the_cap(monkeypatch):
 
 def _routes_agree(M, N):
     """Assert that hom_graded and the per-degree block system give the same
-    basis, map by map, in every degree where a map could be nonzero;
-    returns the number of maps."""
+    basis, map by map, and that hom_dim counts it, in every degree where a
+    map could be nonzero; returns the number of maps."""
     maps = 0
     for d in hom_degree_range(M, N):
         got = hom_graded(M, N, d)
         assert got == hom_graded_blocks(M, N, d), d
+        assert hom_dim(M, N, d) == len(got), d
         maps += len(got)
     return maps
 
@@ -464,6 +471,22 @@ def test_hom_graded_equals_the_block_system_on_bott_samelson_shifted_and_sum_mod
     for w in (parse_perm("3412"), parse_perm("2143"), cat4.group.longest_element()):
         maps += _routes_agree(bs, cat4.indecomposable(w)) + _routes_agree(cat4.indecomposable(w), bs.shift(-1))
     assert maps > 0
+
+
+def test_hom_graded_equals_the_block_system_on_a_seeded_rank_5_sample():
+    cat = soergel_category(5)
+    elements = sorted(cat.group.elements())
+    rng = random.Random(30)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(10)]
+    assert sum(_routes_agree(cat.indecomposable(x), cat.indecomposable(y)) for x, y in pairs) > 0
+
+
+def test_hom_refuses_modules_over_two_rings():
+    one, other = trivial_module(coinvariant_ring(2)), trivial_module(coinvariant_ring(3))
+    for route in (hom_graded, hom_dim):
+        for M, N in ((one, other), (other, one)):
+            with pytest.raises(ValueError, match="different rings"):
+                route(M, N, 0)
 
 
 def test_hom_graded_keeps_the_relations_above_the_top_degree():

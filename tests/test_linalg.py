@@ -170,7 +170,8 @@ def test_rref_matches_dense_reference():
 
 def test_rref_matches_dense_reference_on_rank3_hom_systems(monkeypatch):
     # every graded and ungraded Hom system between rank-3 D_w: the sparse
-    # kernel and rank against the dense reference on the densified system
+    # kernel and rank against the dense reference on the densified system;
+    # the graded systems are counted by rank, the ungraded ones solved
     cat = soergel_category(3)
     modules = [cat.indecomposable(w) for w in cat.group.elements()]
     seen = []
@@ -184,7 +185,16 @@ def test_rref_matches_dense_reference_on_rank3_hom_systems(monkeypatch):
         seen.append(len(system.equations) * system.cols)
         return basis
 
+    def checked_rank(system):
+        assert isinstance(system, SparseSystem)
+        densified = densify(system)
+        got = rank(system)
+        assert got == dense_rref(densified).rank == system.cols - len(dense_kernel(densified))
+        seen.append(len(system.equations) * system.cols)
+        return got
+
     monkeypatch.setattr(gradedmod, "kernel_basis", checked_kernel_basis)
+    monkeypatch.setattr(gradedmod, "rank", checked_rank)
     for dx in modules:
         for dy in modules:
             graded_hom_poly(dx, dy)
@@ -853,37 +863,47 @@ def _restrict_reference(maps, blocks):
 def test_restrict_to_kernels_with_zero_maps_matches_the_general_route():
     # keyed maps, some of them zero (whose kernel is the whole space), and
     # blocks between the keys, stable ones built as (kernel basis of the
-    # target) * (random) and unstable ones drawn at random
-    rng = random.Random(2326)
-    seen = set()
-    for _ in range(150):
-        dims = [rng.randint(0, 4) for _ in range(4)]
-        maps = {}
-        for key, n in enumerate(dims):
-            rows = rng.randint(0, 3)
-            maps[key] = QMatrix.zero(rows, n) if rng.random() < 0.5 else random_matrix(rng, rows, n, -2, 2)
-        blocks = []
-        for label in range(rng.randint(1, 6)):
-            key, tgt_key = rng.randrange(4), rng.randrange(4)
-            tgt = maps[tgt_key]
-            if rng.random() < 0.8:
-                span = QMatrix.from_columns(tgt.cols, kernel_basis(tgt))
-                block = span * random_matrix(rng, span.cols, dims[key], -2, 2)
-            else:
-                block = random_matrix(rng, tgt.cols, dims[key], -2, 2)
-            blocks.append((label, key, tgt_key, block))
-        try:
-            expected = _restrict_reference(maps, blocks)
-        except AssertionError:
-            with pytest.raises(AssertionError, match="not action-stable"):
-                restrict_to_kernels(maps, blocks)
-            seen.add("unstable")
-            continue
-        assert restrict_to_kernels(maps, blocks) == expected
-        # which kinds of kernel, whole or not, the kept blocks ran between
-        whole = {key for key, m in maps.items() if m.cols and m.is_zero()}
-        seen.update((key in whole, tgt_key in whole) for label, key, tgt_key, _ in blocks if label in expected[1])
-    assert seen == {(False, False), (False, True), (True, False), (True, True), "unstable"}
+    # target) * (random) and unstable ones drawn at random, first with small
+    # integer entries, then with rational ones; the inclusions and blocks,
+    # built from stored columns without the per-entry check, must be what
+    # the reference builds through the checked from_columns
+    def integral(rng, rows, cols):
+        return random_matrix(rng, rows, cols, -2, 2)
+
+    for seed, draw in ((2326, integral), (3030, _oracle_matrix)):
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(150):
+            dims = [rng.randint(0, 4) for _ in range(4)]
+            maps = {}
+            for key, n in enumerate(dims):
+                rows = rng.randint(0, 3)
+                maps[key] = QMatrix.zero(rows, n) if rng.random() < 0.5 else draw(rng, rows, n)
+            blocks = []
+            for label in range(rng.randint(1, 6)):
+                key, tgt_key = rng.randrange(4), rng.randrange(4)
+                tgt = maps[tgt_key]
+                if rng.random() < 0.8:
+                    span = QMatrix.from_columns(tgt.cols, kernel_basis(tgt))
+                    block = span * draw(rng, span.cols, dims[key])
+                else:
+                    block = draw(rng, tgt.cols, dims[key])
+                blocks.append((label, key, tgt_key, block))
+            try:
+                expected = _restrict_reference(maps, blocks)
+            except AssertionError:
+                with pytest.raises(AssertionError, match="not action-stable"):
+                    restrict_to_kernels(maps, blocks)
+                seen.add("unstable")
+                continue
+            inclusions, restricted = restrict_to_kernels(maps, blocks)
+            assert (inclusions, restricted) == expected
+            for m in (*inclusions.values(), *restricted.values()):
+                seen.update(type(x) for row in _stored(m).nonzeros for x in row.values())
+            # which kinds of kernel, whole or not, the kept blocks ran between
+            whole = {key for key, m in maps.items() if m.cols and m.is_zero()}
+            seen.update((key in whole, tgt_key in whole) for label, key, tgt_key, _ in blocks if label in expected[1])
+        assert seen == {(False, False), (False, True), (True, False), (True, True), "unstable", int, Fraction}, seed
 
 
 def test_from_columns_keeps_shape():

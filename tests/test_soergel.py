@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from soergelkit import soergel
+from soergelkit import gradedmod, soergel
 from soergelkit.formal import FormalCategory, Gen
 from soergelkit.gradedmod import (
     GradedModule,
@@ -580,12 +580,31 @@ def test_endo_algebra_with_shifts_matches_direct_solves_rank3():
             assert alg.compose_indices(i, j) == tuple((idxs[t], c) for t, c in enumerate(coords) if c)
 
 
+def test_hom_poly_counts_by_rank_and_caches_no_map(monkeypatch):
+    cat = SoergelCategory(3)
+    els = sorted(cat.group.elements())
+    for w in els:
+        cat.indecomposable(w)
+    cat._hom.clear()  # the degree-0 endomorphisms that the builds publish
+    solved, ranked = [], []
+    kernel_basis, rank = gradedmod.kernel_basis, gradedmod.rank
+    monkeypatch.setattr(gradedmod, "kernel_basis", lambda *args: solved.append(args) or kernel_basis(*args))
+    monkeypatch.setattr(gradedmod, "rank", lambda *args: ranked.append(args) or rank(*args))
+    hecke = cat.hecke
+    for x in els:
+        for y in els:
+            assert cat.hom_poly(x, y) == hecke.pairing(hecke.kl_basis(x), hecke.kl_basis(y))
+    assert solved == [] and cat._hom == {}
+    assert ranked
+
+
 def test_endo_algebra_and_formal_spaces_solve_no_hom_system_twice(monkeypatch):
     cat = SoergelCategory(3)
     els = sorted(cat.group.elements())
     for x in els:
         for y in els:
-            cat.hom_poly(x, y)
+            for d in hom_degree_range(cat.indecomposable(x), cat.indecomposable(y)):
+                cat.hom_basis(x, y, d)
     calls = []
     original = soergel.hom_graded
     monkeypatch.setattr(soergel, "hom_graded", lambda *args: calls.append(args) or original(*args))
@@ -881,7 +900,7 @@ def test_inclusions_visited_by_ascending_shift_refuse_true_predictions(monkeypat
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_a_certified_prediction_solves_no_block_system_and_takes_no_peel(n, monkeypatch):
-    from soergelkit import gradedmod, linalg
+    from soergelkit import linalg
     from soergelkit.selftest import CURATED_RANK4_WORDS
 
     cat = soergel_category(n)
