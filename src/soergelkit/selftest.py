@@ -7,12 +7,14 @@ reports byte for byte (the tests compare runs in fresh interpreters under
 different hash seeds).  The same functions back the command line
 ``selftest`` and the acceptance test module, and ``tate --demo`` and
 ``koszul-square`` run the checks of criteria 7 and 8 through
-:func:`tate_battery` and :func:`square_failures`.
+:func:`tate_battery` and :func:`square_failures`, and the rank-5 frontier
+checks run criteria 2 and 4 through :func:`demazure_calculus` and :func:`hom_formula`.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -30,6 +32,7 @@ from .tate import (
     t_truncate_leq,
     weight_of,
 )
+from .weyl import format_perm
 
 #: Curated rank-4 words for the oracle agreement run; all stay far below
 #: the dimension cap (the largest has dimension 32).
@@ -76,40 +79,57 @@ def criterion_1_coinvariant_dimensions() -> CriterionResult:
     )
 
 
-def criterion_2_demazure_calculus() -> CriterionResult:
+def _first_failure(counts: dict, cases) -> tuple[dict, tuple | None]:
+    """Evaluate every ``(kind, holds, case)`` of ``cases``, counting them by
+    kind in ``counts``; returns the counts and the first failing case."""
+    first = None
+    for kind, holds, case in cases:
+        counts[kind] += 1
+        if not holds and first is None:
+            first = (kind, *case)
+    return counts, first
+
+
+def demazure_calculus(n: int) -> tuple[dict, tuple | None]:
+    """The divided differences on the full staircase basis of the rank-n
+    coinvariant ring: ∂_i² = 0, the braid relations and the twisted Leibniz
+    rule ∂_i(cd) = ∂_i(c) d + s_i(c) ∂_i(d).  Returns the counts of squares,
+    braids and products, and the first failing case or None."""
     from .coinvariant import coinvariant_ring
     from .weyl import simple_reflection
 
-    squares = braids = leibniz = 0
-    ok = True
-    for n in (2, 3, 4):
-        ring = coinvariant_ring(n)
-        basis = [ring.basis_element(i) for i in range(ring.dim)]
+    ring = coinvariant_ring(n)
+    basis = [ring.basis_element(i) for i in range(ring.dim)]
+    d = ring.demazure
+
+    def cases():
         for i in range(1, n):
             for c in basis:
-                ok = ok and not ring.demazure(i, ring.demazure(i, c))
-                squares += 1
+                yield "squares", not d(i, d(i, c)), (i, c)
         for i in range(1, n - 1):
             for c in basis:
-                lhs = ring.demazure(i, ring.demazure(i + 1, ring.demazure(i, c)))
-                rhs = ring.demazure(i + 1, ring.demazure(i, ring.demazure(i + 1, c)))
-                ok = ok and lhs == rhs
-                braids += 1
+                yield "braids", d(i, d(i + 1, d(i, c))) == d(i + 1, d(i, d(i + 1, c))), (i, c)
         for i in range(1, n):
             s = simple_reflection(i, n)
             for c in basis:
-                sc = ring.weyl_act(s, c)
-                dc = ring.demazure(i, c)
-                for d in basis:
-                    lhs = ring.demazure(i, c * d)
-                    rhs = dc * d + sc * ring.demazure(i, d)
-                    ok = ok and lhs == rhs
-                    leibniz += 1
+                sc, dc = ring.weyl_act(s, c), d(i, c)
+                for e in basis:
+                    yield "leibniz", d(i, c * e) == dc * e + sc * d(i, e), (i, c, e)
+
+    return _first_failure({"squares": 0, "braids": 0, "leibniz": 0}, cases())
+
+
+def criterion_2_demazure_calculus() -> CriterionResult:
+    totals, ok = Counter(), True
+    for n in (2, 3, 4):
+        counts, failure = demazure_calculus(n)
+        totals.update(counts)
+        ok = ok and failure is None
     return CriterionResult(
         2,
         "divided-difference calculus on the full staircase basis up to rank 4",
         ok,
-        {"squares": squares, "braids": braids, "leibniz": leibniz},
+        dict(totals),
     )
 
 
@@ -132,21 +152,24 @@ def criterion_3_bott_samelson_oracle() -> CriterionResult:
     )
 
 
+def hom_formula(n: int) -> tuple[dict, tuple | None]:
+    """Soergel's Hom formula on every rank-n pair: the graded dimension of
+    Hom(D_x, D_y) against the Hecke pairing of b_x and b_y.  Returns the
+    pair count and the first failing pair or None."""
+    cat = soergel_category(n)
+    hecke, elements = cat.hecke, cat.group.elements()
+    holds = lambda x, y: cat.hom_poly(x, y) == hecke.pairing(hecke.kl_basis(x), hecke.kl_basis(y))
+    cases = (("pairs", holds(x, y), (format_perm(x), format_perm(y))) for x in elements for y in elements)
+    return _first_failure({"pairs": 0}, cases)
+
+
 def criterion_4_hom_formula() -> CriterionResult:
-    cat = soergel_category(3)
-    pairs = 0
-    ok = True
-    for x in cat.group.elements():
-        for y in cat.group.elements():
-            lhs = cat.hom_poly(x, y)
-            rhs = cat.hecke.pairing(cat.hecke.kl_basis(x), cat.hecke.kl_basis(y))
-            ok = ok and lhs == rhs
-            pairs += 1
+    counts, failure = hom_formula(3)
     return CriterionResult(
         4,
         "graded Hom dimensions equal the algebra pairing on all rank-3 pairs",
-        ok,
-        {"pairs": pairs},
+        failure is None,
+        counts,
     )
 
 

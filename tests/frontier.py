@@ -1,0 +1,170 @@
+"""The frontier checks: one function of the rank per two-route check,
+which the tests run at ranks 2-4 and CI at rank 5 (the graded Cartan
+matrix at rank 4).  Each asserts with the failing case in its message and
+returns the counts it checked; the battery's two, ``demazure_calculus``
+and ``hom_formula`` from :mod:`soergelkit.selftest`, return the counts and
+the first failing case.  ``PYTHONPATH=src python3
+tests/frontier.py hom_formula 5`` runs one check at one rank and prints
+its counts, seconds and peak RSS.
+"""
+
+import json
+import random
+import resource
+import sys
+import time
+from collections import Counter
+from fractions import Fraction
+
+from soergelkit import soergel
+from soergelkit.coinvariant import CoinvariantElement, coinvariant_ring
+from soergelkit.dualalg import dual_algebra
+from soergelkit.laurent import LaurentPoly
+from soergelkit.multipoly import divided_difference
+from soergelkit.selftest import demazure_calculus, hom_formula
+from soergelkit.soergel import DecompositionError, soergel_category
+from soergelkit.weyl import format_perm, length, weyl_group
+
+from reference import indecomposable_by_peel, peel_along
+
+
+def mixed_element(rng, ring):
+    """A few basis elements of mixed degrees with true-fraction coefficients."""
+    return CoinvariantElement(ring, {rng.randrange(ring.dim): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)})
+
+
+def polynomial_route(n):
+    """Products, divided differences and the Weyl action of 200 seeded
+    pairs of coinvariant elements against the polynomial route: lift,
+    compute in the polynomial ring, take the normal form."""
+    ring = coinvariant_ring(n)
+    group = weyl_group(n).elements()
+    rng = random.Random(5)
+    for _ in range(200):
+        c, d = mixed_element(rng, ring), mixed_element(rng, ring)
+        i, w = rng.randint(1, n - 1), rng.choice(group)
+        assert c * d == ring.normal_form(c.lift() * d.lift()), (c, d)
+        assert ring.demazure(i, c) == ring.normal_form(divided_difference(c.lift(), i)), (i, c)
+        assert ring.weyl_act(w, c) == ring.normal_form(c.lift().perm_act(w)), (format_perm(w), c)
+    return {"sampled_pairs": 200}
+
+
+def graded_cartan(n):
+    """The graded Cartan matrix of the rank-n dual algebra against the
+    Hecke pairing on all pairs, with the premise of decompose's
+    certificate: no negative degree, and the scalars in degree 0 exactly
+    when x = y.  The algebra's dimension is the sum of the entries at v = 1."""
+    alg = dual_algebra(n)
+    hecke = alg.cat.hecke
+    total = 0
+    for x in alg.summands:
+        for y in alg.summands:
+            pairing = hecke.pairing(hecke.kl_basis(x), hecke.kl_basis(y))
+            case = (format_perm(x), format_perm(y))
+            assert alg.graded_cartan(x, y) == pairing, case
+            assert pairing.min_exp() >= 0 and pairing.coeff(0) == (x == y), case
+            total += pairing.at_one()
+    assert alg.dim == total, (alg.dim, total)
+    return {"dim": alg.dim, "pairs": len(alg.summands) ** 2}
+
+
+def character_of_b(cat, w):
+    """The character of D_w predicted from b_w, by H_x -> v^-length(x): it
+    takes multiplication by b_s to multiplication by (v + v^-1)."""
+    out = LaurentPoly.zero()
+    for x, p in cat.hecke.kl_basis(w).terms():
+        out = out + p.shift(-length(x))
+    return out
+
+
+def indecomposables(n):
+    """Every rank-n D_w: its character against that of b_w, every action
+    entry stored as an int (so the hot paths never fall back to Fraction
+    arithmetic), and equality in dims and actions with the reference
+    recursion that peels the lower summands off the induction."""
+    cat = soergel_category(n)
+    elements = sorted(cat.group.elements(), key=lambda w: (length(w), w))
+    entries = 0
+    for w in elements:
+        module = cat.indecomposable(w)
+        assert module.character() == character_of_b(cat, w), format_perm(w)
+        for mat in module.actions.values():
+            for row in mat.nonzeros:
+                assert all(type(x) is int for x in row.values()), format_perm(w)
+                entries += len(row)
+        peeled = indecomposable_by_peel(cat, w)
+        assert module.dims == peeled.dims and module.actions == peeled.actions, format_perm(w)
+    return {"modules": len(elements), "int_entries": entries, "equal_to_peel": len(elements)}
+
+
+def certified_words(n):
+    """60 seeded rank-n words of length 3-7, each decomposed by the
+    certified prediction, the peel along it and the Hecke product, and a
+    same-character substitute of one summand, where any exists, refused.
+    Counts the largest and the total unknowns: block unknowns of the
+    certificate and of the peel, and the generator-image unknowns solved."""
+    cat = soergel_category(n)
+    hecke = cat.hecke
+    by_character = {}
+    for w in sorted(cat.group.elements(), key=lambda w: (length(w), w)):
+        by_character.setdefault(cat.indecomposable(w).character(), []).append(w)
+    largest, total, route = Counter(), Counter(), ["certify"]
+
+    def count(key, unknowns):
+        largest[key] = max(largest[key], unknowns)
+        total[key] += unknowns
+
+    def blocks(M, N, degree):
+        count(route[0], sum(M.dim_at(a) * N.dim_at(a + degree) for a in M.degrees()))
+
+    def images(M, N, degree):
+        count("images", sum(g * N.dim_at(d + degree) for d, g in M.presentation().generators().items()))
+
+    hom_graded, hom_images = soergel.hom_graded, soergel.hom_images
+    soergel.hom_graded = lambda *args: blocks(*args) or hom_graded(*args)
+    soergel.hom_images = lambda *args: blocks(*args) or images(*args) or hom_images(*args)
+    rng = random.Random(5)
+    sample = [tuple(rng.randint(1, n - 1) for _ in range(rng.randint(3, 7))) for _ in range(60)]
+    order = lambda t: (length(t[0]), t[0], t[1])
+    refused = 0
+    try:
+        for word in sample:
+            module, expected = cat.bott_samelson(word), cat.expected_summands(word)
+            route[0] = "certify"
+            certified = cat.decompose(module, expected=expected).summands
+            route[0] = "peel"
+            peeled = [(x, k) for x, k, _ in peel_along(cat, module, expected)]
+            route[0] = "certify"
+            assert certified == tuple(expected), word
+            assert sorted(peeled, key=order) == sorted(expected, key=order), word
+            h = sum((hecke.kl_basis(x).scale(LaurentPoly.v(-k)) for x, k in certified), hecke.zero())
+            assert h == hecke.product_bs(word), word
+            i, (x, k) = max(enumerate(expected), key=lambda t: len(by_character[cat.indecomposable(t[1][0]).character()]))
+            substitutes = [y for y in by_character[cat.indecomposable(x).character()] if y != x]
+            if not substitutes:
+                continue
+            try:
+                cat.decompose(module, expected=expected[:i] + [(rng.choice(substitutes), k)] + expected[i + 1 :])
+            except DecompositionError:
+                refused += 1
+            else:
+                raise AssertionError(f"a same-character substitute certified on {word}")
+    finally:
+        soergel.hom_graded, soergel.hom_images = hom_graded, hom_images
+    return {"words": len(sample), "substitutes_refused": refused, "largest_unknowns": dict(largest), "unknowns": dict(total)}
+
+
+CHECKS = {f.__name__: f for f in (demazure_calculus, polynomial_route, graded_cartan, indecomposables, hom_formula, certified_words)}
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3 or sys.argv[1] not in CHECKS:
+        sys.exit(f"usage: frontier.py {{{','.join(CHECKS)}}} RANK")
+    name, n = sys.argv[1], int(sys.argv[2])
+    start = time.perf_counter()
+    counts = CHECKS[name](n)
+    if isinstance(counts, tuple):  # the battery's checks return their first failing case
+        counts, failure = counts
+        assert failure is None, failure
+    seconds = time.perf_counter() - start
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{name} at rank {n}: {json.dumps(counts)} in {seconds:.1f} s; maxrss {maxrss:.0f} MB")

@@ -131,9 +131,9 @@ def _uses(node):
 def test_every_public_name_has_a_caller_or_a_stated_reason():
     # a public function, class or method passes when the library refers to
     # it outside its own body (a method only as an attribute), or when the
-    # benchmark, a CI workflow or pyproject.toml names it; the rest must be
-    # exactly the stated exceptions, so a reference route that only tests
-    # call belongs in tests/reference.py
+    # benchmark, a CI workflow, the frontier checks CI runs or pyproject.toml
+    # names it; the rest must be exactly the stated exceptions, so a
+    # reference route that only tests call belongs in tests/reference.py
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
     names, attributes = Counter(), Counter()
     for tree in trees.values():
@@ -143,6 +143,7 @@ def test_every_public_name_has_a_caller_or_a_stated_reason():
     outside = [
         *sorted(ROOT.glob("benchmarks/*.py")),
         *sorted(ROOT.glob(".github/workflows/*.yml")),
+        ROOT / "tests" / "frontier.py",
         ROOT / "pyproject.toml",
     ]
     named_outside = {word for path in outside for word in re.findall(r"\w+", path.read_text())}
@@ -160,3 +161,24 @@ def test_every_public_name_has_a_caller_or_a_stated_reason():
     assert not no_caller, "no caller outside the tests: " + ", ".join(no_caller)
     # an exception that gained a caller leaves the list
     assert set(uncalled) == set(UNCALLED_PUBLIC_NAMES)
+
+
+#: a heredoc, python reading its program from stdin, or a ``python -c``
+#: program that runs over more than one line
+INLINE_PYTHON = re.compile(r"<<|\bpython3?\s+-(?:\s|$)|\bpython3?\s+-c\s*(['\"])(?:(?!\1)[^\n])*\n")
+
+
+def test_no_workflow_runs_inline_python():
+    # each check CI runs is a function that the tests also call, so CI
+    # holds no copy of it that the tests never run
+    for inline in ("python3 - <<'PY'\n", "cat <<EOF\n", "python -c 'import os\nos.sep'", "python3 -\n"):
+        assert INLINE_PYTHON.search(inline), inline
+    assert not INLINE_PYTHON.search("python -c 'import soergelkit'\npython -m pytest -q\n")
+    workflows = sorted(ROOT.glob(".github/workflows/*.yml"))
+    found = [
+        f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}"
+        for path in workflows
+        for text in [path.read_text()]
+        for match in INLINE_PYTHON.finditer(text)
+    ]
+    assert workflows and found == []
