@@ -12,23 +12,28 @@ A graded Hom space is solved on generator images: a module map is fixed
 by its values on generators, so each module keeps a
 :class:`Presentation`, a basis of every degree made of products x_i b of
 basis vectors one degree down, completed by unit vectors (the
-generators), and the other products as relations.  The unknowns are the
-images of the generators and each relation gives the equations
-(:func:`hom_images`); :func:`hom_graded` writes the maps as blocks and
-returns the reduced echelon basis that a solve with one unknown per block
-entry would.  A dimension needs no basis: :func:`hom_dim` is the number
-of unknowns less the rank of the same system, found with no
-back-substitution and no map, and :func:`graded_hom_poly` counts with it
-degree by degree; ``len(hom_graded(...))`` is its test oracle.  The
-ungraded Hom dimension is computed by an independent solve of the
-unrestricted block system, which gives the degrading comparison a second
-route rather than summing the graded answer by construction.
+generators), and the other products as relations.  Most relations follow
+from lower ones, and the presentation also marks the few that generate
+the relation module, found once in the free module on the generators.
+The unknowns are the images of the generators and only those kept
+relations give equations (:func:`hom_images`); the others are linear
+combinations of them, so the solutions are the same.
+:func:`hom_graded` writes the maps as blocks and returns the reduced
+echelon basis that a solve with one unknown per block entry would.  A
+dimension needs no basis: :func:`hom_dim` is the number of unknowns less
+the rank of the same system, found with no back-substitution and no map,
+and :func:`graded_hom_poly` counts with it degree by degree;
+``len(hom_graded(...))`` is its test oracle.  The ungraded Hom dimension
+is computed by an independent solve of the unrestricted block system,
+which gives the degrading comparison a second route rather than summing
+the graded answer by construction.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate, combinations
 
 from .coinvariant import CoinvariantRing
@@ -207,6 +212,20 @@ def _times(columns: list[dict], image: dict, width: int) -> dict:
     return {k: x if type(x) is int else exact(x) for k, x in acc.items() if x}
 
 
+@lru_cache(maxsize=None)
+def _ring_actions(ring: CoinvariantRing) -> tuple[tuple[list[dict], ...], dict[int, list[int]]]:
+    """The columns of x_1 .. x_{n-1} acting on the ring by multiplication,
+    column b being x_i times basis element b as a {basis index: value}
+    dict, and the basis indices of each degree."""
+    columns = tuple(
+        [(ring.variable(i) * ring.basis_element(b)).coords for b in range(ring.dim)] for i in range(1, ring.n)
+    )
+    by_degree = {}
+    for b in range(ring.dim):
+        by_degree.setdefault(ring.basis_degree(b), []).append(b)
+    return columns, by_degree
+
+
 class Presentation:
     """Generators and relations of a graded module M, degree by degree.
 
@@ -218,39 +237,131 @@ class Presentation:
     in order, then the unit vectors that complete them, which are the
     generators.  Every other candidate is a relation, and ``relations[d]``
     lists them; the degrees just above those of M have relations only,
-    since every product vanishes there.  The inverse of a basis and the
-    coordinates of the relations in it are found when first asked for,
-    since a Hom system reads them only in the degrees its target reaches.
+    since every product vanishes there.
+
+    ``kept[d]`` lists the relations that generate the relation module.
+    Each row of ``bases[d]`` lifts to the free module F on the generators:
+    a generator to itself and a chosen product x_i b to x_i times the lift
+    of b, so every lift is a monomial times a generator.  A relation x_i b
+    = sum_j c_j b_j lifts to k_r = x_i lift(b) - sum_j c_j lift(b_j) in K =
+    ker(F -> M).  In degree d a relation is kept when it raises the span of
+    the products x_i k, k in K_{d-2}, i < n, and of the relations kept
+    before it; the pass stops once the span is all of K_d, of dimension
+    dim F_d - dim M_d.  The kept relations of a degree number dim
+    Tor_1(M, Q)_d, whatever the order.  A map from M is a map from F that
+    kills K, and f(x_i k) = x_i f(k), so the kept relations give every
+    equation a Hom system needs.
+
+    Only the relations x_i b with i at most the label of b are tried, the
+    label of a chosen product x_j b' being j and that of a generator n - 1.
+    For i > j, x_i x_j b' = x_j (x_i b'), and writing x_i b' in the basis
+    one degree down puts k_r in the span of the products x_j k and of the
+    candidates x_j b'', whose multiplier j is smaller; repeating, the
+    multiplier falls until it is at most the label.  The basis of K_{d-2}
+    is labelled the same way, a kept k_r by n - 1, and for the same reason
+    the products x_i k with i at most the label of k span x K_{d-2}.  The
+    inverse of a basis and the coordinates of the kept relations in it
+    are found when first asked for: while the presentation is built in a
+    degree with kept relations, and otherwise when a Hom system reads
+    them.
     """
 
-    __slots__ = ("bases", "chosen", "relations", "_products", "_inverses", "_coords")
+    __slots__ = ("bases", "chosen", "relations", "kept", "_products", "_inverses", "_coords")
 
     def __init__(self, M: GradedModule):
-        self.bases, self.chosen, self.relations = {}, {}, {}
+        self.bases, self.chosen, self.relations, self.kept = {}, {}, {}, {}
         self._products, self._inverses, self._coords = {}, {}, {}
+        ring_columns, ring_degrees = _ring_actions(M.ring)
+        (one,) = M.ring.one().coords
+        # an element of F is a dict: the coefficient of basis element b of
+        # the ring times generator g is kept at b * width + g
+        n, width, generators = M.ring.n, M.total_dim(), []
+        lifts, labels, kernels = {}, {}, {}
         for d in sorted({*M.degrees(), *(e + 2 for e in M.degrees())}):
             m, below = M.dim_at(d), self.bases.get(d - 2)
-            if not m:
-                self.relations[d] = tuple(range((M.ring.n - 1) * M.dim_at(d - 2)))
-                continue
-            candidates = []
-            if below is not None:
-                for i in range(1, M.ring.n):
-                    act = M.actions.get((i, d - 2))
-                    if act is None:
-                        candidates += [{}] * below.rows
-                    else:
-                        columns = _columns(act)
-                        candidates += [_times(columns, b, 1) for b in below.nonzeros]
-            span = RowSpan(m)
-            chosen = span.independent(QMatrix(len(candidates), m, candidates))
-            units = QMatrix.identity(m)
-            generators = [units.nonzeros[u] for u in span.independent(units)]
+            count, lifts_below = M.dim_at(d - 2), lifts.get(d - 2, ())
+
+            def lift(c):
+                i, t = divmod(c, count)
+                return _times(ring_columns[i], lifts_below[t], width)
+
+            columns = {}
+
+            def product(c):
+                i, t = divmod(c, count)
+                if i not in columns:
+                    act = M.actions.get((i + 1, d - 2))
+                    columns[i] = act and _columns(act)
+                return _times(columns[i], below.nonzeros[t], 1) if columns[i] else {}
+
+            chosen, units = [], []
+            if m:
+                span, rows = RowSpan(m), []
+                for c in range((n - 1) * count):
+                    if span.rank == m:
+                        break
+                    row = product(c)
+                    if span.raises(row):
+                        chosen.append(c)
+                        rows.append(row)
+                identity = QMatrix.identity(m)
+                units = [identity.nonzeros[u] for u in span.independent(identity)]
+                self.bases[d] = QMatrix(m, m, rows + units)
+                self.chosen[d] = tuple(chosen)
             taken = set(chosen)
-            relations = tuple(c for c in range(len(candidates)) if c not in taken)
-            self.bases[d] = QMatrix(m, m, [candidates[c] for c in chosen] + generators)
-            self.chosen[d], self.relations[d] = tuple(chosen), relations
-            self._products[d] = QMatrix(len(relations), m, [candidates[c] for c in relations])
+            relations = tuple(c for c in range((n - 1) * count) if c not in taken)
+            self.relations[d] = relations
+            first = len(generators)
+            lifts[d] = [lift(c) for c in chosen] + [{one * width + g: 1} for g in range(first, first + len(units))]
+            labels[d] = [c // count + 1 for c in chosen] + [n - 1] * len(units)
+            generators += [d] * len(units)
+            # a basis of K_d, of dimension dim F_d - m: the products x_i k
+            # that raise the rank, k in the basis of K_{d-2} and i up to the
+            # label of k, then the kept k_r.  Where M is 0 in degrees d - 2
+            # and d - 4, K_{d-2} is all of F_{d-2}.
+            full = sum(len(ring_degrees.get(d - e, ())) for e in generators)
+            below_kernel = kernels.get(d - 2)
+            if below_kernel is None:
+                below_kernel = [
+                    ({b * width + g: 1}, n - 1)
+                    for g, e in enumerate(generators)
+                    for b in ring_degrees.get(d - 2 - e, ())
+                ]
+            products = (
+                (_times(ring_columns[i], k, width), i + 1)
+                for i in range(n - 1)
+                for k, label in below_kernel
+                if i < label
+            )
+            span, kernel, kept = RowSpan(M.ring.dim * width), [], []
+            for row, label in products:
+                if span.rank == full - m:
+                    break
+                if span.raises(row):
+                    kernel.append((row, label))
+            if span.rank < full - m:
+                # a relation raises the span of the products and the lifted
+                # basis of M_d exactly when its k_r raises the span of the
+                # products; only x_i b with i up to the label of b is tried
+                for row in lifts[d]:
+                    span.raises(row)
+                labels_below = labels[d - 2]
+                for c in relations:
+                    if span.rank == full:
+                        break
+                    if c // count < labels_below[c % count] and span.raises(lift(c)):
+                        kept.append(c)
+            self.kept[d] = tuple(kept)
+            if kept and m:
+                self._products[d] = QMatrix(len(kept), m, [product(c) for c in kept])
+                lifted = lifts[d]
+                kernel += [
+                    (combine([(1, lift(c)), *((-x, lifted[j]) for j, x in row.items())]), n - 1)
+                    for c, row in zip(kept, self.coords(d).nonzeros)
+                ]
+            else:
+                kernel += [(lift(c), n - 1) for c in kept]
+            kernels[d] = kernel
 
     def generators(self) -> dict[int, int]:
         """The number of generators in each degree that has one."""
@@ -265,8 +376,8 @@ class Presentation:
         return inv
 
     def coords(self, d: int) -> QMatrix:
-        """Row r holds the coordinates in ``bases[d]`` of relation r of
-        degree d, a degree of M."""
+        """Row r holds the coordinates in ``bases[d]`` of kept relation r of
+        degree d, a degree of M with kept relations."""
         coords = self._coords.get(d)
         if coords is None:
             coords = self._coords.setdefault(d, self._products[d] * self.inverse(d))
@@ -397,20 +508,56 @@ def check_hom_size(M: GradedModule, N: GradedModule, degree: int) -> None:
     check_size("Hom system in {} unknowns", sum(M.dim_at(a) * N.dim_at(a + degree) for a in M.degrees()))
 
 
-def _hom_system(M: GradedModule, N: GradedModule, degree: int) -> tuple[int, dict[int, list[dict]], list[dict]]:
-    """The Hom^degree(M, N) system on generator images: the number of
-    unknowns, the packed image of every row of ``bases[d]`` by degree, and
-    the equations, one {unknown: value} dict each.
+class _Images:
+    """The images, under maps of degree ``degree`` into N, of the rows of
+    the bases of a presentation, each built when first read and packed as
+    :func:`_times` packs: coordinate r at column c is kept at r * width +
+    c.  ``generator(d, g)`` gives the packed image of generator g of degree
+    d; the image of a chosen product x_i b is x_i applied to the image of
+    b.  The columns of N's actions are found once per image set."""
+
+    __slots__ = ("pres", "N", "degree", "width", "generator", "_rows", "_columns")
+
+    def __init__(self, pres: Presentation, N: GradedModule, degree: int, width: int, generator):
+        self.pres, self.N, self.degree, self.width, self.generator = pres, N, degree, width, generator
+        self._rows, self._columns = {}, {}
+
+    def product(self, c: int, d: int) -> dict:
+        """The image of candidate c of degree d, x_i times a row of
+        ``bases[d - 2]``."""
+        i, t = divmod(c, self.pres.bases[d - 2].rows)
+        key = (i + 1, d - 2 + self.degree)
+        columns = self._columns.get(key)
+        if columns is None:
+            act = self.N.actions.get(key)
+            if act is None:
+                return {}
+            columns = self._columns[key] = _columns(act)
+        return _times(columns, self.image(d - 2, t), self.width)
+
+    def image(self, d: int, j: int) -> dict:
+        """The image of row j of ``bases[d]``."""
+        image = self._rows.get((d, j))
+        if image is None:
+            chosen = self.pres.chosen[d]
+            image = self.product(chosen[j], d) if j < len(chosen) else self.generator(d, j - len(chosen))
+            self._rows[d, j] = image
+        return image
+
+
+def _hom_system(M: GradedModule, N: GradedModule, degree: int) -> tuple[dict[int, list[int]], int, list[dict]]:
+    """The Hom^degree(M, N) system on generator images: the first unknown
+    of each generator by degree, the number of unknowns, and the
+    equations, one {unknown: value} dict each.
 
     The unknowns are the images of the generators, dim N_{d+degree} for a
-    generator in degree d.  The image of a chosen product x_i b is x_i
-    applied to the image of b, so every image is linear in the unknowns:
-    while they are built, an image is packed into one dict that holds the
-    coefficient of unknown u in coordinate r at r * width + u, width being
-    the number of unknowns.  Each relation gives dim N_{d+degree}
-    equations.  M and N must be modules, over one ring, and the size of
-    the block system of :func:`hom_graded` is checked against the cap
-    first.
+    generator in degree d.  Every image of a row of a basis is linear in
+    them, and is packed (:class:`_Images`) with one column per unknown.
+    Each kept relation x_i b = sum_j c_j b_j of degree d gives the dim
+    N_{d+degree} equations x_i f(b) - sum_j c_j f(b_j), which read only
+    the images of b and of the b_j; the other relations follow from them.
+    M and N must be modules, over one ring, and the size of the block
+    system of :func:`hom_graded` is checked against the cap first.
     """
     if M.ring is not N.ring:
         raise ValueError("Hom between modules over different rings")
@@ -422,38 +569,30 @@ def _hom_system(M: GradedModule, N: GradedModule, degree: int) -> tuple[int, dic
         nd = N.dim_at(d + degree)
         first[d] = [width + g * nd for g in range(gens)]
         width += gens * nd
-    images, equations = {}, []
+    equations = []
     if not width:
-        return width, images, equations
-    for d, relations in pres.relations.items():
+        return first, width, equations
+    images = _Images(
+        pres, N, degree, width, lambda d, g: {r * width + first[d][g] + r: 1 for r in range(N.dim_at(d + degree))}
+    )
+    for d, kept in pres.kept.items():
         nd = N.dim_at(d + degree)
-        if not nd:
+        if not nd or not kept:
             continue
-        below = images.get(d - 2)
-        candidates = []
-        for i in range(1, M.ring.n):
-            act = N.actions.get((i, d - 2 + degree))
-            if below is None or act is None:
-                candidates += [{}] * M.dim_at(d - 2)
-            else:
-                columns = _columns(act)
-                candidates += [_times(columns, image, width) for image in below]
         if d in pres.bases:
-            gens = [{r * width + u + r: 1 for r in range(nd)} for u in first.get(d, ())]
-            images[d] = image = [candidates[c] for c in pres.chosen[d]] + gens
             sums = [
-                combine([(1, candidates[c]), *((-x, image[j]) for j, x in row.items())])
-                for c, row in zip(relations, pres.coords(d).nonzeros)
+                combine([(1, images.product(c, d)), *((-x, images.image(d, j)) for j, x in row.items())])
+                for c, row in zip(kept, pres.coords(d).nonzeros)
             ]
         else:
-            sums = [candidates[c] for c in relations]
+            sums = [images.product(c, d) for c in kept]
         for packed in sums:
             split = [{} for _ in range(nd)]
             for col, x in packed.items():
                 r, u = divmod(col, width)
                 split[r][u] = x
             equations += split
-    return width, images, equations
+    return first, width, equations
 
 
 def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, QMatrix]]:
@@ -462,34 +601,43 @@ def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, 
     where it is nonzero, is the dim M_d x dim N_{d+degree} matrix whose row
     j is the image of row j of ``bases[d]``.
 
-    The kernel of the system of :func:`_hom_system` is solved and each
-    kernel vector is substituted into the packed images.  As in
+    The kernel of the system of :func:`_hom_system` is solved first.  Its
+    vectors are the generator images of the maps, which are then carried
+    up through the chosen products, packed with one column per solution,
+    so each x_i is applied once for all the maps.  As in
     :func:`hom_graded`, M and N must be modules.
     """
-    width, images, equations = _hom_system(M, N, degree)
+    first, width, equations = _hom_system(M, N, degree)
     if not width:
         return []
     vecs = kernel_basis(SparseSystem.of(width, equations))
+    if not vecs:
+        return []
     # solution s at unknown u is by_unknown[u][s]
     by_unknown = [{} for _ in range(width)]
     for s, vec in enumerate(vecs):
         for u, x in vec.items():
             by_unknown[u][s] = x
+    count = len(vecs)
+
+    def generator(d, g):
+        u = first[d][g]
+        return {r * count + s: x for r in range(N.dim_at(d + degree)) for s, x in by_unknown[u + r].items()}
+
+    images = _Images(M.presentation(), N, degree, count, generator)
     maps = [{} for _ in vecs]
-    for d, image in images.items():
-        blocks = [[{} for _ in image] for _ in vecs]
-        for j, packed in enumerate(image):
-            acc = {}
-            for col, x in packed.items():
-                r, u = divmod(col, width)
-                for s, y in by_unknown[u].items():
-                    acc[s, r] = acc[s, r] + x * y if (s, r) in acc else x * y
-            for (s, r), x in acc.items():
-                if x:
-                    blocks[s][j][r] = x if type(x) is int else exact(x)
+    for d, basis in images.pres.bases.items():
+        nd = N.dim_at(d + degree)
+        if not nd:
+            continue
+        blocks = [[{} for _ in range(basis.rows)] for _ in vecs]
+        for j in range(basis.rows):
+            for col, x in images.image(d, j).items():
+                r, s = divmod(col, count)
+                blocks[s][j][r] = x
         for f, rows in zip(maps, blocks):
             if any(rows):
-                f[d] = QMatrix(len(rows), N.dim_at(d + degree), rows)
+                f[d] = QMatrix(len(rows), nd, rows)
     return maps
 
 
@@ -552,11 +700,15 @@ def hom_dim(M: GradedModule, N: GradedModule, degree: int) -> int:
     """The dimension of Hom^degree(M, N): the unknowns of the system of
     :func:`_hom_system` less its rank.
 
-    The rank stops at the pivots, with no back-substitution, and no kernel
-    vector, image or map is formed.  It equals ``len(hom_graded(M, N,
-    degree))``, which is its test oracle, and refuses what that refuses.
+    The system holds the equations of the kept relations only, so it
+    forms only the images of the basis rows that those relations read,
+    through the chosen products: none for a module with no kept relation,
+    such as a free one.  The rank stops at the pivots, with no
+    back-substitution, and no kernel vector or map is formed.  It equals
+    ``len(hom_graded(M, N, degree))``, which is its test oracle, and
+    refuses what that refuses.
     """
-    width, _, equations = _hom_system(M, N, degree)
+    _, width, equations = _hom_system(M, N, degree)
     return width - rank(SparseSystem.of(width, equations)) if width else 0
 
 

@@ -28,10 +28,9 @@ row of ints is only copied) and eliminates fraction-free (Bareiss 1968),
 dividing every reduced row by its content to keep entries small; pivots
 are normalised back to 1 over the rationals at the end, each quotient an
 int where the division is exact.  Unknowns that one-term rows force to
-zero are taken out first, in one cascade (see :func:`_echelon`), which is
-where the tall Hom systems lose most of their rows.  Results are exact,
-and since the reduced row echelon form is unique they depend neither on
-the presolve nor on the pivot rows chosen.
+zero are taken out first, in one cascade (see :func:`_echelon`).  Results
+are exact, and since the reduced row echelon form is unique they depend
+neither on the presolve nor on the pivot rows chosen.
 
 Coordinates in a kernel basis are read off its free columns, where each
 vector is 1 and the others are 0, and checked by rebuilding the vector from
@@ -53,22 +52,27 @@ surviving term as a primitive integer row of a :class:`SparseSystem`.  :func:`ke
 :func:`rank` take such a system as well as a :class:`QMatrix`, through one
 private elimination core; an empty system has the unit basis as its kernel.
 :class:`RowSpan` reduces rows one at a time with the same elimination
-step, for a rank that grows as rows are added.
+step, for a rank that grows as rows are added, whether they come as a
+matrix or one {column: value} dict at a time.
 
 The environment variable ``SOERGEL_MAX_DIM`` (default 5000) caps the
 unknowns of every linear system, and :func:`check_size` is the one place
 that compares a size with it: a system over the cap is refused with
-:class:`SizeCapError` before any of its rows is made.  :func:`hom_equations`
-checks its unknowns before it reads a block, and every :class:`QMatrix`
-that is reduced is checked on its columns before a row is copied.  Rows
-and equations are not counted.  A row either reduces to zero and is
-dropped, or becomes one of at most ``cols`` pivot rows, so the elimination
-keeps at most cols² entries however tall the system is; tall systems are
-the cheap ones, since most of their rows reduce to nothing.  The same cap
-bounds the dimension of an induced module and of an ``EndoAlgebra``,
-whose dimension is read off the Hecke pairing before any of its modules
-is built: 282 075 for the sum of all rank-5 indecomposables, which is
-refused at the default cap.
+:class:`SizeCapError` before any of its rows is made.
+:func:`hom_equations` checks its unknowns before it reads a block, and
+every :class:`QMatrix` that is reduced is checked on its columns before a
+row is copied; a row given to :meth:`RowSpan.raises` alone is not, and its
+caller bounds the span it builds.  Rows and equations are not counted.  A
+row either reduces to zero and is dropped, or becomes one of at most
+``cols`` pivot rows, so the elimination keeps at most cols² entries
+however tall the system is, though every row costs its reduction.  The
+graded Hom systems are not tall: each holds the equations of the relations
+that generate the source's relation module, and those of the other
+relations, combinations of these that would reduce to zero, are never
+written.  The same cap bounds the dimension of an induced module and of an
+``EndoAlgebra``, whose dimension is read off the Hecke pairing before any
+of its modules is built: 282 075 for the sum of all rank-5
+indecomposables, which is refused at the default cap.
 """
 
 from __future__ import annotations
@@ -699,18 +703,24 @@ class RowSpan:
         for k, row in enumerate(m.nonzeros):
             if len(self.pivots) == self.cols:
                 break
-            if not row:
-                continue
-            row = _integer_row(row)
-            while row:
-                c = min(row)
-                prow = self.pivots.get(c)
-                if prow is None:
-                    self.pivots[c] = row
-                    raised.append(k)
-                    break
-                row = _eliminate(row, prow, c)
+            if self.raises(row):
+                raised.append(k)
         return raised
+
+    def raises(self, row: dict) -> bool:
+        """Add one row, a {column: value} dict of nonzero rationals below
+        ``cols``; returns whether it raised the rank."""
+        if not row:
+            return False
+        row = _integer_row(row)
+        while row:
+            c = min(row)
+            prow = self.pivots.get(c)
+            if prow is None:
+                self.pivots[c] = row
+                return True
+            row = _eliminate(row, prow, c)
+        return False
 
 
 def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:

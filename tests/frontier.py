@@ -3,7 +3,9 @@ which the tests run at ranks 2-4 and CI at rank 5 (the graded Cartan
 matrix at rank 4).  Each asserts with the failing case in its message and
 returns the counts it checked; the battery's two, ``demazure_calculus``
 and ``hom_formula`` from :mod:`soergelkit.selftest`, return the counts and
-the first failing case.  ``PYTHONPATH=src python3
+the first failing case, and ``kept_relations`` returns the sizes of the
+presentations and Hom systems of the ``D_w`` build, which CI pins.
+``PYTHONPATH=src python3
 tests/frontier.py hom_formula 5`` runs one check at one rank and prints
 its counts, seconds and peak RSS.
 """
@@ -16,7 +18,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from soergelkit import soergel
+from soergelkit import gradedmod, soergel
 from soergelkit.coinvariant import CoinvariantElement, coinvariant_ring
 from soergelkit.dualalg import dual_algebra
 from soergelkit.laurent import LaurentPoly
@@ -154,7 +156,34 @@ def certified_words(n):
     return {"words": len(sample), "substitutes_refused": refused, "largest_unknowns": dict(largest), "unknowns": dict(total)}
 
 
-CHECKS = {f.__name__: f for f in (demazure_calculus, polynomial_route, graded_cartan, indecomposables, hom_formula, certified_words)}
+def kept_relations(n):
+    """Every rank-n D_w built in a fresh category: the relations of all
+    their presentations, the kept ones, and the largest equation count of
+    a Hom system solved during the build, seen by a spy on the one
+    builder of those systems."""
+    cat = soergel.SoergelCategory(n)
+    build, largest = gradedmod._hom_system, [0]
+
+    def spy(*args):
+        system = build(*args)
+        largest[0] = max(largest[0], len(system[2]))
+        return system
+
+    gradedmod._hom_system = spy
+    try:
+        modules = [cat.indecomposable(w) for w in sorted(cat.group.elements(), key=lambda w: (length(w), w))]
+    finally:
+        gradedmod._hom_system = build
+    presentations = [M.presentation() for M in modules]
+    relations = sum(len(r) for pres in presentations for r in pres.relations.values())
+    kept = sum(len(k) for pres in presentations for k in pres.kept.values())
+    return {"relations": relations, "kept": kept, "largest_system": largest[0]}
+
+
+CHECKS = {
+    f.__name__: f
+    for f in (demazure_calculus, polynomial_route, graded_cartan, indecomposables, hom_formula, certified_words, kept_relations)
+}
 
 if __name__ == "__main__":
     if len(sys.argv) != 3 or sys.argv[1] not in CHECKS:

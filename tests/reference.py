@@ -13,7 +13,7 @@ from soergelkit import gradedmod
 from soergelkit.coinvariant import CoinvariantElement
 from soergelkit.gradedmod import ModuleMap
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import QMatrix, hom_equations, kernel_basis
+from soergelkit.linalg import QMatrix, SparseSystem, hom_equations, kernel_basis
 from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import DecompositionError
 from soergelkit.tate import Complex
@@ -176,6 +176,48 @@ def hom_graded_blocks(M, N, degree):
         blocks = {a: QMatrix(len(block_rows), M.dim_at(a), block_rows) for a, block_rows in rows.items()}
         maps.append(ModuleMap(M, N, degree, blocks))
     return maps
+
+
+def hom_system_every_relation(M, N, degree):
+    """The Hom^degree(M, N) system on generator images with the equations
+    of every relation of M's presentation, not only the kept ones.
+
+    The unknowns are those of ``gradedmod``'s system: generator g of
+    degree d has dim N_{d+degree} of them, generators taken by ascending
+    degree.  The image of each row of ``bases[d]`` is a dim N_{d+degree} x
+    unknowns matrix: a generator's is a unit block, and that of a chosen
+    product x_i b is x_i applied to the image of b.  A relation x_i b =
+    sum_j c_j b_j, its coordinates read off the inverse of ``bases[d]``,
+    gives the rows of x_i f(b) - sum_j c_j f(b_j); above the top degree of
+    M it gives those of x_i f(b)."""
+    pres = M.presentation()
+    first, width = {}, 0
+    for d, gens in pres.generators().items():
+        first[d] = width
+        width += gens * N.dim_at(d + degree)
+    images, equations = {}, []
+    for d, relations in pres.relations.items():
+        nd, below = N.dim_at(d + degree), pres.bases.get(d - 2)
+        products, vectors = [], []
+        for i in range(1, M.ring.n):
+            act = N.action(i, d - 2 + degree)
+            products += [act * image for image in images.get(d - 2, [])]
+            if below is not None:
+                vectors += (below * M.action(i, d - 2).transpose()).nonzeros
+        if d not in pres.bases:
+            equations += [row for c in relations for row in products[c].nonzeros]
+            continue
+        chosen = pres.chosen[d]
+        gens = pres.bases[d].rows - len(chosen)
+        units = [QMatrix(nd, width, [{first[d] + g * nd + r: 1} for r in range(nd)]) for g in range(gens)]
+        images[d] = [products[c] for c in chosen] + units
+        coords = QMatrix(len(relations), M.dim_at(d), [vectors[c] for c in relations]) * pres.inverse(d)
+        for c, row in zip(relations, coords.nonzeros):
+            image = products[c]
+            for j, x in row.items():
+                image = image - images[d][j].scale(x)
+            equations += image.nonzeros
+    return SparseSystem.of(width, equations)
 
 
 def idempotent_index(alg, a):

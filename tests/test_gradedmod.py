@@ -1,8 +1,11 @@
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from soergelkit import gradedmod
 from soergelkit.coinvariant import coinvariant_ring
 from soergelkit.gradedmod import (
     GradedModule,
@@ -16,17 +19,19 @@ from soergelkit.gradedmod import (
     trivial_module,
 )
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import QMatrix, SizeCapError, hom_equations, kernel_basis
+from soergelkit.linalg import QMatrix, SizeCapError, SparseSystem, hom_equations, inverse, kernel_basis, rank
 from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import soergel_category
-from soergelkit.weyl import format_perm, length, parse_perm
+from soergelkit.weyl import format_perm, identity_perm, length, parse_perm
 
 from dense_views import block_diagonal, dense, dense_flatten
+from frontier import kept_relations
 from reference import (
     check_commutes,
     degree_basis_indices,
     graded_hom_system,
     hom_graded_blocks,
+    hom_system_every_relation,
     multiply_by_variable_matrix,
     poly_action,
 )
@@ -425,13 +430,19 @@ def test_hom_graded_refuses_over_the_cap(monkeypatch):
 
 def _routes_agree(M, N):
     """Assert that hom_graded and the per-degree block system give the same
-    basis, map by map, and that hom_dim counts it, in every degree where a
-    map could be nonzero; returns the number of maps."""
+    basis, map by map, that hom_dim counts it, and that the system on the
+    kept relations has the rank and the kernel basis of the system on
+    every relation, in every degree where a map could be nonzero; returns
+    the number of maps."""
     maps = 0
     for d in hom_degree_range(M, N):
         got = hom_graded(M, N, d)
         assert got == hom_graded_blocks(M, N, d), d
         assert hom_dim(M, N, d) == len(got), d
+        _, width, equations = gradedmod._hom_system(M, N, d)
+        kept, every = SparseSystem.of(width, equations), hom_system_every_relation(M, N, d)
+        assert every.cols == width and rank(kept) == rank(every), d
+        assert kernel_basis(kept) == kernel_basis(every), d
         maps += len(got)
     return maps
 
@@ -511,8 +522,9 @@ def test_hom_graded_keeps_the_relations_above_the_top_degree():
 
 def _check_presentation(M):
     """Assert that M's presentation chooses a basis of every degree, made
-    of products and then unit vectors, and that every relation holds
-    exactly; returns its generators."""
+    of products and then unit vectors, that its kept relations are
+    relations, in order, and that each holds exactly in the coordinates
+    kept for it; returns its generators."""
     pres = M.presentation()
     degrees = set(M.degrees())
     assert set(pres.relations) == degrees | {d + 2 for d in degrees}
@@ -533,9 +545,13 @@ def _check_presentation(M):
         assert [basis.row(j) for j in range(len(chosen))] == [products[c] for c in chosen]
         units = [basis.row(j) for j in range(len(chosen), m)]
         assert all(sorted(row) == [0] * (m - 1) + [1] for row in units)
-        coords = pres.coords(d)
-        for r, c in enumerate(relations):
-            assert basis.transpose().times_vector(coords.row(r)) == products[c]
+        kept = pres.kept[d]
+        assert set(kept) <= set(relations) and list(kept) == sorted(kept)
+        if kept:
+            coords = pres.coords(d)
+            assert coords.rows == len(kept)
+            for r, c in enumerate(kept):
+                assert basis.transpose().times_vector(coords.row(r)) == products[c]
     return pres.generators()
 
 
@@ -564,3 +580,81 @@ def test_d_w_is_cyclic_exactly_when_w_avoids_3412_and_4231():
         "3412": {-4: 1, -2: 1},
         "4231": {-5: 1, -3: 1},
     }
+
+
+# -- kept relations ----------------------------------------------------------------
+
+
+def _kept_counts(M):
+    """The number of kept relations of M's presentation in each degree that has one."""
+    return {d: len(kept) for d, kept in M.presentation().kept.items() if kept}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_d_e_keeps_its_n_minus_1_variables_and_d_w0_keeps_nothing(n, monkeypatch):
+    # D_e is C / (x_1, .., x_{n-1}); D_w0 is C itself, free of rank one, so
+    # a count from it reads no relation and forms no image
+    cat = soergel_category(n)
+    assert _kept_counts(cat.indecomposable(identity_perm(n))) == {2: n - 1}
+    top = cat.indecomposable(cat.group.longest_element())
+    assert _kept_counts(top) == {} and sum(map(len, top.presentation().relations.values())) > 0
+    targets = [cat.indecomposable(w) for w in sorted(cat.group.elements())]
+    formed = []
+
+    def spying(method):
+        return lambda self, *args: formed.append(args) or method(self, *args)
+
+    for name in ("image", "product"):
+        monkeypatch.setattr(gradedmod._Images, name, spying(getattr(gradedmod._Images, name)))
+    dims = [hom_dim(top, N, k) for N in targets for k in hom_degree_range(top, N)]
+    assert formed == [] and sum(dims) > 0
+    # the spy sees the images that a count from D_e reads
+    assert hom_dim(cat.trivial(), top, -length(cat.group.longest_element())) == 0 and formed
+
+
+def test_kept_relations_add_over_direct_sums_and_move_with_shifts():
+    # the kept relations of a degree number dim Tor_1(M, Q) there, which
+    # adds over direct sums and moves with shifts, whatever the greedy order
+    cat = soergel_category(3)
+    modules = [cat.indecomposable(w) for w in sorted(cat.group.elements())]
+    modules += [cat.bott_samelson((1, 2, 1)), cat.bott_samelson((2, 1)).shift(1), cat.trivial().shift(-6)]
+    top = cat.indecomposable(cat.group.longest_element())
+    assert not _kept_counts(top) and all(_kept_counts(M) for M in modules if M is not top)
+    for M in modules:
+        for k in (-3, 2):
+            assert _kept_counts(M.shift(k)) == {d - k: c for d, c in _kept_counts(M).items()}
+        for N in modules:
+            total = Counter(_kept_counts(M))
+            total.update(_kept_counts(N))
+            assert _kept_counts(M.direct_sum(N)) == dict(total), (M.dims, N.dims)
+    # degrees 0 and 6 leave a gap at 4, where K is all of the free module:
+    # its products fill C_8 in degree 8, so only the new generator's three
+    # relations are kept there
+    trivial = soergel_category(4).trivial()
+    assert _kept_counts(trivial.direct_sum(trivial.shift(-6))) == {2: 3, 8: 3}
+
+
+def test_kept_relations_of_a_rational_change_of_basis():
+    # conjugating the actions by a diagonal of true fractions leaves a module
+    # isomorphic, with the same kept counts, and its lifts and kernel
+    # vectors hold Fractions
+    cat = soergel_category(3)
+    modules = [cat.indecomposable(w) for w in sorted(cat.group.elements())]
+    # j + 2 is a multiple of 3 exactly when j % 3 == 1, where the entry is 1
+    diagonal = {m: QMatrix(m, m, [{j: Fraction(j + 2, 3) if j % 3 != 1 else 1} for j in range(m)]) for m in range(1, 7)}
+    fractions = 0
+    for D in modules:
+        scale = {d: diagonal[m] for d, m in D.dims.items()}
+        actions = {(i, d): scale[d + 2] * a * inverse(scale[d]) for (i, d), a in D.actions.items()}
+        R = GradedModule(D.ring, D.dims, actions)
+        fractions += sum(type(x) is Fraction for a in R.actions.values() for row in a.nonzeros for x in row.values())
+        assert _kept_counts(R) == _kept_counts(D)
+        maps = [len(hom_graded(D, N, k)) for N in modules for k in hom_degree_range(D, N)]
+        assert sum(_routes_agree(R, N) for N in modules) == sum(maps)
+    assert fractions > 0
+
+
+@pytest.mark.parametrize("n, counts", [(2, (2, 1, 0)), (3, (25, 6, 3)), (4, (464, 40, 20))])
+def test_the_d_w_build_solves_on_the_kept_relations(n, counts):
+    # the CI step runs the same check at rank 5
+    assert kept_relations(n) == dict(zip(("relations", "kept", "largest_system"), counts))

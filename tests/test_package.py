@@ -94,7 +94,6 @@ UNCALLED_PUBLIC_NAMES = {
     "hecke.HeckeAlgebra.kl_poly": "user API: one Kazhdan-Lusztig polynomial",
     "soergel.SoergelCategory.hecke_class": "user API: the Hecke class of a module, read off its decomposition",
     "hecke.HeckeAlgebra.std": "elementary operation: the standard basis element H_w",
-    "coinvariant.CoinvariantRing.variable": "elementary operation: the class of the generator x_i",
     "linalg.QMatrix.from_rows": "elementary operation: a matrix from its rows",
     "weyl.multiply": "elementary operation: the group product",
     "hecke.HeckeElement.from_json_dict": "reads back the elements that the kl command prints",
