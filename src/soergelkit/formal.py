@@ -21,7 +21,10 @@ The Hom spaces themselves live in :class:`SoergelCategory`:
 matrices of the cached ``hom_basis`` maps with the echelon basis of their
 flattenings, and the endomorphism algebras read their coordinates from the
 same store.  Twisted sides ask for the centred degree, untwisted sides for
-every degree at once.
+every degree at once.  A layout of the maps of one degree looks each
+slot's space up once, straight from the two group elements and the
+centred degree (read off a per-rank length table), and hands the space on
+with the slot's offset.
 
 One linear system, the differential of the Hom complex, serves both
 hom_homotopy and random_complex; the squaring-to-zero constraint on a new
@@ -31,13 +34,22 @@ coordinates, and its blocks are composition matrices: the coordinates of
 a fixed entry composed with every basis map of one Hom space, read in the
 Hom space of the composite through its echelon basis, and placed at the
 offsets of the two slots.  Centred degrees add under composition, so
-every composite lies in that space.
+every composite lies in that space.  The system is built from the layouts
+of its two degrees, so random_complex assembles a new differential from
+the layout its constraint was built on, and hom_homotopies, which sweeps
+a range of degrees, builds each layout and each differential once
+(hom_homotopy is its one-degree case).
 
 The graded-to-ungraded functor drops twist labels and reinterprets each
 entry inside the full Hom space; the duality functor is a relabelling that
 keeps all data and changes only the side tag (and hence how positions and
 twists are read).  The square of the four functors therefore commutes on
 the nose, and square_check verifies that equality entry by entry.
+
+The public constructor checks every complex it is given.  The complexes
+this module derives from checked ones (the four relabellings, twist, and
+the two complexes of each random_complex constraint) are built with their
+fields as that constructor would give them, and are not checked again.
 """
 
 from __future__ import annotations
@@ -104,6 +116,17 @@ class FormalComplex:
             if any(e is not None for row in rows for e in row):
                 self.diffs[c] = rows
 
+    @classmethod
+    def _derived(cls, side: str, terms: dict, diffs: dict) -> FormalComplex:
+        """A complex from fields already in the form the constructor gives
+        them, unchecked: nonempty generator tuples of the side's kind, and
+        differentials of the right block shape with zero entries as None
+        and no all-zero position.  Only this module calls it, for complexes
+        it derives from checked ones."""
+        x = object.__new__(cls)
+        x.side, x.terms, x.diffs = side, terms, diffs
+        return x
+
     def positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.terms))
 
@@ -134,14 +157,22 @@ class FormalComplex:
 
 def _relabel(x: FormalComplex, start: str, side: str, name: str) -> FormalComplex:
     """x with the side tag ``side``, and without twist labels when ``side``
-    is untwisted; the entries are kept.  Raises ValueError unless x is on
-    the ``start`` side."""
+    is untwisted; the entries are kept, shared with x.  Raises ValueError
+    unless x is on the ``start`` side."""
     if x.side != start:
         raise ValueError(f"{name} starts on the {start} side")
     terms = x.terms
     if TWISTED[start] and not TWISTED[side]:
         terms = {c: tuple(Gen(g.w) for g in gens) for c, gens in terms.items()}
-    return FormalComplex(side, terms, x.diffs)
+    return FormalComplex._derived(side, terms, x.diffs)
+
+
+def _read(space, maps) -> QMatrix:
+    """Coordinates of total-space matrices in a Hom space, given as its
+    basis maps with their echelon basis, one column per matrix; raises
+    ValueError for a matrix outside that space."""
+    mats, basis = space
+    return QMatrix.from_columns(len(mats), [basis.coords(flatten(m)) for m in maps])
 
 
 class FormalCategory:
@@ -150,30 +181,25 @@ class FormalCategory:
     def __init__(self, cat: SoergelCategory):
         self.cat = cat
         self.n = cat.n
+        self._lengths = {w: length(w) for w in cat.group.elements()}
 
     # -- Hom spaces between generators --------------------------------------
 
-    def _centred_degree(self, x: Perm, m: int, y: Perm, n: int) -> int:
-        # twist difference in untwisted normalisation, offset by centring
-        return 2 * (n - m) + length(x) - length(y)
+    def _space(self, side: str, src: Gen, tgt: Gen):
+        """The Hom space of entries from src to tgt, as
+        ``SoergelCategory.hom_space`` stores it: of the centred degree
+        2(n - m) + l(x) - l(y) on the twisted sides (the twist difference in
+        untwisted normalisation, offset by centring), of every degree on
+        the untwisted ones."""
+        degree = None
+        if TWISTED[side]:
+            lengths = self._lengths
+            degree = 2 * (tgt.twist - src.twist) + lengths[src.w] - lengths[tgt.w]
+        return self.cat.hom_space(src.w, tgt.w, degree)
 
     def hom_space(self, side: str, src: Gen, tgt: Gen) -> tuple[QMatrix, ...]:
         """Basis of allowed differential entries, as total-space matrices."""
-        return self._space_data(side, src, tgt)[0]
-
-    def hom_space_dim(self, side: str, src: Gen, tgt: Gen) -> int:
-        return len(self.hom_space(side, src, tgt))
-
-    def _space_data(self, side: str, src: Gen, tgt: Gen):
-        degree = self._centred_degree(src.w, src.twist, tgt.w, tgt.twist) if TWISTED[side] else None
-        return self.cat.hom_space(src.w, tgt.w, degree)
-
-    def _coords(self, side: str, src: Gen, tgt: Gen, maps) -> QMatrix:
-        """Coordinates of total-space matrices in the basis of
-        ``hom_space(side, src, tgt)``, one column per matrix; raises
-        ValueError for a matrix outside that space."""
-        mats, basis = self._space_data(side, src, tgt)
-        return QMatrix.from_columns(len(mats), [basis.coords(flatten(m)) for m in maps])
+        return self._space(side, src, tgt)[0]
 
     def validate(self, x: FormalComplex) -> None:
         """Check entry membership and that the differential squares to zero."""
@@ -183,7 +209,7 @@ class FormalCategory:
             for t, row in enumerate(rows):
                 for s, e in enumerate(row):
                     if e is not None:
-                        self._coords(x.side, src[s], tgt[t], [e])
+                        _read(self._space(x.side, src[s], tgt[t]), [e])
         if not self.dsquare_check(x):
             raise AssertionError("formal differential does not square to zero")
 
@@ -235,7 +261,7 @@ class FormalCategory:
         """The weight-preserving auto-equivalence: twist labels move by t."""
         if not TWISTED[x.side]:
             raise ValueError("twisting is defined on the twisted sides")
-        return FormalComplex(
+        return FormalComplex._derived(
             x.side,
             {c: tuple(Gen(g.w, g.twist + t) for g in gens) for c, gens in x.terms.items()},
             x.diffs,
@@ -245,58 +271,72 @@ class FormalCategory:
 
     def hom_homotopy(self, x: FormalComplex, y: FormalComplex, k: int = 0) -> int:
         """Dimension of chain maps x -> y[k] modulo homotopy."""
+        return self.hom_homotopies(x, y, range(k, k + 1))[0]
+
+    def hom_homotopies(self, x: FormalComplex, y: FormalComplex, ks: range) -> list[int]:
+        """Dimensions of chain maps x -> y[k] modulo homotopy, for each k
+        of the step-1 range ks.  The dimension at k is the coordinate count
+        of degree-k maps less the ranks of the Hom differentials d_k and
+        d_{k-1}, so the sweep builds the layouts of degrees ks.start - 1 to
+        ks.stop and the differentials between them once each."""
         if x.side != y.side:
             raise ValueError("Hom between complexes on different sides")
-        d_k = self._hom_differential_matrix(x, y, k)
-        d_prev = self._hom_differential_matrix(x, y, k - 1)
-        return d_k.cols - rank(d_k) - rank(d_prev)
+        if ks.step != 1:
+            raise ValueError("a sweep of homotopy Homs runs over consecutive degrees")
+        degrees = range(ks.start - 1, ks.stop + 1)
+        layouts = [self._hom_layout(x, y, j) for j in degrees]
+        ranks = [
+            rank(self._hom_differential_matrix(x, y, j, src, tgt))
+            for j, src, tgt in zip(degrees, layouts, layouts[1:])
+        ]
+        return [layouts[i + 1][1] - ranks[i + 1] - ranks[i] for i in range(len(ks))]
 
     def _hom_layout(self, x: FormalComplex, y: FormalComplex, k: int) -> tuple[dict, int]:
-        """Offsets of the coordinates of maps of degree k: one slot (c, s, t)
-        per position c, target generator t and source generator s, in that
-        order, whose Hom space is nonzero.  Returns the offset of each
-        slot's first coordinate and the coordinate count.  The order fixes
-        the free columns that random_complex draws on, and with them the
-        seeded corpus."""
-        offsets = {}
+        """Coordinates of maps of degree k: one slot (c, s, t) per position
+        c, target generator t and source generator s, in that order, whose
+        Hom space is nonzero.  Returns, for each slot, the offset of its
+        first coordinate with its Hom space (basis maps and echelon basis),
+        and the coordinate count.  The order fixes the free columns that
+        random_complex draws on, and with them the seeded corpus."""
+        slots = {}
         count = 0
         for c in x.positions():
+            src = x.terms[c]
             for t, gt in enumerate(y.generators(c + k)):
-                for s, gs in enumerate(x.generators(c)):
-                    dim = self.hom_space_dim(x.side, gs, gt)
-                    if dim:
-                        offsets[(c, s, t)] = count
-                        count += dim
-        return offsets, count
+                for s, gs in enumerate(src):
+                    space = self._space(x.side, gs, gt)
+                    if space[0]:
+                        slots[(c, s, t)] = (count, space)
+                        count += len(space[0])
+        return slots, count
 
-    def _hom_differential_matrix(self, x: FormalComplex, y: FormalComplex, k: int) -> QMatrix:
+    def _hom_differential_matrix(
+        self, x: FormalComplex, y: FormalComplex, k: int, src_layout, tgt_layout
+    ) -> QMatrix:
         """Matrix of f -> d_Y f - (-1)^k f d_X from degree-k to degree-(k+1)
-        maps, in Hom-space coordinates on both sides.
+        maps, in Hom-space coordinates on both sides, laid out by the
+        ``_hom_layout`` of k and of k + 1.
 
         Slot (c, s, t) feeds (c, s, t2) through the entries of d_Y out of t
         and (c - 1, s2, t) through the entries of d_X into s; the two kinds
         of target differ in position, so no two blocks overlap.
         """
-        src_layout, n_src = self._hom_layout(x, y, k)
-        tgt_layout, n_tgt = self._hom_layout(x, y, k + 1)
+        (slots, n_src), (targets, n_tgt) = src_layout, tgt_layout
         sign = -1 if k % 2 else 1
         blocks = []
-        for (c, s, t), col in src_layout.items():
-            gs = x.generators(c)[s]
-            gt = y.generators(c + k)[t]
-            basis = self.hom_space(x.side, gs, gt)
-            for t2, gt2 in enumerate(y.generators(c + k + 1)):
-                e = y.entry(c + k, t2, t)
-                row = tgt_layout.get((c, s, t2))
-                if e is not None and row is not None:
-                    comp = self._coords(x.side, gs, gt2, [e * b for b in basis])
-                    blocks.append((row, col, comp))
-            for s2, gs2 in enumerate(x.generators(c - 1)):
-                e = x.entry(c - 1, s, s2)
-                row = tgt_layout.get((c - 1, s2, t))
-                if e is not None and row is not None:
-                    comp = self._coords(x.side, gs2, gt, [b * e for b in basis])
-                    blocks.append((row, col, comp.scale(-sign)))
+        for (c, s, t), (col, (basis, _)) in slots.items():
+            for t2, y_row in enumerate(y.diffs.get(c + k, ())):
+                e = y_row[t]
+                target = targets.get((c, s, t2))
+                if e is not None and target is not None:
+                    row, space = target
+                    blocks.append((row, col, _read(space, [e * b for b in basis])))
+            x_rows = x.diffs.get(c - 1)
+            for s2, e in enumerate(x_rows[s] if x_rows else ()):
+                target = targets.get((c - 1, s2, t))
+                if e is not None and target is not None:
+                    row, space = target
+                    blocks.append((row, col, _read(space, [b * e for b in basis]).scale(-sign)))
         return place_blocks(n_tgt, n_src, blocks)
 
     # -- corpus generation ----------------------------------------------------
@@ -312,7 +352,10 @@ class FormalCategory:
         Each differential is a random combination of the kernel basis of the
         squaring-to-zero constraint against the previous one, in Hom-space
         coordinates in the layout of ``_hom_layout``; twist labels are drawn
-        from -TWIST_RANGE..TWIST_RANGE.
+        from -TWIST_RANGE..TWIST_RANGE.  The two complexes of each
+        constraint are derived from the terms and differentials drawn so
+        far, unchecked; the result is checked by the public constructor and
+        ``dsquare_check``.
         """
         n_pos = rng.randint(1, max_positions)
         terms = {}
@@ -328,25 +371,35 @@ class FormalCategory:
             src = terms[c]
             tgt = terms[c + 1]
             # d_c d_{c-1} = 0 says that d_c, a degree-0 map from the two-term
-            # complex d_{c-1} to the stalk of terms[c+1] at c, is a cocycle
-            step = FormalComplex(
-                "MIX", {c - 1: terms.get(c - 1, ()), c: src}, {c - 1: diffs[c - 1]} if c else None
+            # complex d_{c-1} to the stalk of terms[c+1] at c, is a cocycle;
+            # diffs holds only positions with a nonzero entry, as the
+            # constructor would
+            step = FormalComplex._derived(
+                "MIX",
+                {c - 1: terms[c - 1], c: src} if c else {c: src},
+                {c - 1: diffs[c - 1]} if c - 1 in diffs else {},
             )
-            stalk = self.stalk("MIX", tgt, c)
-            layout, _ = self._hom_layout(step, stalk, 0)
+            stalk = FormalComplex._derived("MIX", {c: tgt}, {})
+            layout = self._hom_layout(step, stalk, 0)
+            constraint = self._hom_differential_matrix(
+                step, stalk, 0, layout, self._hom_layout(step, stalk, 1)
+            )
             coords: dict[int, int | Fraction] = {}
-            for vec in kernel_basis(self._hom_differential_matrix(step, stalk, 0)):
+            for vec in kernel_basis(constraint):
                 c_rand = rng.randint(-2, 2)
                 if c_rand:
                     for j, x in vec.items():
                         coords[j] = coords.get(j, 0) + c_rand * x
+            # an entry is a combination of basis maps with nonzero
+            # coefficients, so it is never zero
             entries = [[None] * len(src) for _ in range(len(tgt))]
-            for (_, s, t), off in layout.items():
-                for k, b in enumerate(self.hom_space("MIX", src[s], tgt[t]), off):
+            for (_, s, t), (off, (basis, _)) in layout[0].items():
+                for k, b in enumerate(basis, off):
                     if val := coords.get(k):
                         piece = b.scale(val)
                         entries[t][s] = piece if entries[t][s] is None else entries[t][s] + piece
-            diffs[c] = entries
+            if any(e is not None for row in entries for e in row):
+                diffs[c] = entries
         x = FormalComplex("MIX", terms, diffs)
         if not self.dsquare_check(x):
             raise AssertionError("random corpus generator produced a bad differential")

@@ -1,12 +1,14 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from soergelkit.formal import Gen, FormalComplex, formal_category
+from soergelkit.formal import SIDES, TWISTED, FormalCategory, FormalComplex, Gen, formal_category
 from soergelkit.linalg import QMatrix
+from soergelkit.selftest import degrading_sides
 from soergelkit.tate import Complex, GradedComplex, hom_homotopy as tate_hom
-from soergelkit.weyl import parse_perm
+from soergelkit.weyl import length, parse_perm
 
 from dense_views import dense_flatten
 
@@ -14,15 +16,15 @@ from dense_views import dense_flatten
 def test_hom_rule_scalars():
     fc = formal_category(2)
     e = parse_perm("12")
-    assert fc.hom_space_dim("MIX", Gen(e, 0), Gen(e, 0)) == 1
+    assert len(fc.hom_space("MIX", Gen(e, 0), Gen(e, 0))) == 1
     # graded endomorphisms of the unit generator sit only in twist 0
-    assert fc.hom_space_dim("MIX", Gen(e, 0), Gen(e, 1)) == 0
+    assert len(fc.hom_space("MIX", Gen(e, 0), Gen(e, 1))) == 0
 
 
 def test_hom_rule_untwisted_total():
     fc = formal_category(2)
     s = parse_perm("21")
-    assert fc.hom_space_dim("K", Gen(s), Gen(s)) == 2
+    assert len(fc.hom_space("K", Gen(s), Gen(s))) == 2
 
 
 def test_hom_rule_degrading_sum():
@@ -31,11 +33,30 @@ def test_hom_rule_degrading_sum():
         fc = formal_category(n)
         for x in fc.cat.group.elements():
             for y in fc.cat.group.elements():
-                total = fc.hom_space_dim("K", Gen(x), Gen(y))
+                total = len(fc.hom_space("K", Gen(x), Gen(y)))
                 graded = sum(
-                    fc.hom_space_dim("MIX", Gen(x, 0), Gen(y, t)) for t in range(-8, 9)
+                    len(fc.hom_space("MIX", Gen(x, 0), Gen(y, t))) for t in range(-8, 9)
                 )
                 assert total == graded, (x, y)
+
+
+def test_slot_lookup_reads_the_category_store():
+    # a slot's Hom space is the store's own entry: of the centred degree
+    # 2(n - m) + l(x) - l(y) on the twisted sides, of every degree on the
+    # untwisted ones
+    fc = formal_category(3)
+    cat = fc.cat
+    els = cat.group.elements()
+    for x in els:
+        for y in els:
+            for side in SIDES:
+                if not TWISTED[side]:
+                    assert fc._space(side, Gen(x), Gen(y)) is cat.hom_space(x, y, None)
+                    continue
+                for m in range(-3, 4):
+                    for n in range(-3, 4):
+                        degree = 2 * (n - m) + length(x) - length(y)
+                        assert fc._space(side, Gen(x, m), Gen(y, n)) is cat.hom_space(x, y, degree)
 
 
 def test_single_generator_square():
@@ -102,6 +123,116 @@ def test_kos_preserves_hom_homotopy():
         y = fc.iota_formal(fc.random_complex(rng, max_positions=3, max_gens=2))
         for k in range(-3, 4):
             assert fc.hom_homotopy(x, y, k) == fc.hom_homotopy(fc.kos_formal(x), fc.kos_formal(y), k)
+
+
+def _spy_on_builds(monkeypatch):
+    """Counters of the Hom layouts and Hom differentials built, keyed by
+    (id(x), id(y), k); the complexes are held so that no id is reused."""
+    layouts, differentials, held = Counter(), Counter(), []
+    layout = FormalCategory._hom_layout
+    differential = FormalCategory._hom_differential_matrix
+
+    def spy_layout(self, x, y, k):
+        held.append((x, y))
+        layouts[(id(x), id(y), k)] += 1
+        return layout(self, x, y, k)
+
+    def spy_differential(self, x, y, k, *given):
+        held.append((x, y))
+        differentials[(id(x), id(y), k)] += 1
+        return differential(self, x, y, k, *given)
+
+    monkeypatch.setattr(FormalCategory, "_hom_layout", spy_layout)
+    monkeypatch.setattr(FormalCategory, "_hom_differential_matrix", spy_differential)
+    return layouts, differentials
+
+
+def test_degrading_sweep_builds_each_differential_once(monkeypatch):
+    # one criterion-5 pair at rank 3 (seed 42): the k = 0, 1 sweep into the
+    # collapsed y and into each of the 21 twists of y builds d_{-1}, d_0 and
+    # d_1 once each, from the layouts of degrees -1..2, each built once
+    fc = formal_category(3)
+    rng = random.Random(42 + 3)
+    x = fc.random_complex(rng, max_positions=3, max_gens=2)
+    y = fc.random_complex(rng, max_positions=3, max_gens=2)
+    layouts, differentials = _spy_on_builds(monkeypatch)
+    degrading_sides(fc, x, y, range(2))
+    assert len(differentials) == 22 * 3 and set(differentials.values()) == {1}
+    assert Counter(k for _, _, k in differentials) == {-1: 22, 0: 22, 1: 22}
+    assert len(layouts) == 22 * 4 and set(layouts.values()) == {1}
+    # control: the spy sees d_0 built twice when each k is asked for apart
+    layouts.clear()
+    differentials.clear()
+    for k in (0, 1):
+        fc.hom_homotopy(x, y, k)
+    assert differentials[(id(x), id(y), 0)] == 2 and layouts[(id(x), id(y), 0)] == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_equals_separate_calls(n):
+    fc = formal_category(n)
+    rng = random.Random(31)
+    for _ in range(5):
+        x = fc.random_complex(rng, max_positions=3, max_gens=2)
+        y = fc.random_complex(rng, max_positions=3, max_gens=2)
+        ix, iy = fc.iota_formal(x), fc.iota_formal(y)
+        for a, b in ((x, y), (ix, iy)):
+            assert fc.hom_homotopies(a, b, range(-2, 3)) == [fc.hom_homotopy(a, b, k) for k in range(-2, 3)]
+        lhs, rhs = degrading_sides(fc, x, y, range(2))
+        assert lhs == [fc.hom_homotopy(ix, iy, k) for k in (0, 1)]
+        assert rhs == [sum(fc.hom_homotopy(x, fc.twist(y, t), k) for t in range(-10, 11)) for k in (0, 1)]
+    assert fc.hom_homotopies(x, y, range(0)) == []
+    with pytest.raises(ValueError):
+        fc.hom_homotopies(x, y, range(0, 4, 2))
+
+
+def _assert_checked_form(x: FormalComplex, side: str, terms, diffs=None):
+    """x has, field by field, what the checked constructor builds from the
+    given data, and the constructor keeps its fields as they are."""
+    for expected in (FormalComplex(side, terms, diffs), FormalComplex(x.side, x.terms, x.diffs)):
+        assert x.side == expected.side
+        assert x.terms == expected.terms
+        assert x.diffs == expected.diffs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_derived_complexes_are_in_checked_form(n, monkeypatch):
+    # the relabels, twists, and random_complex's constraint complexes skip
+    # the checked constructor; each must equal what it would have built
+    fc = formal_category(n)
+    derived = []
+    original = FormalComplex.__dict__["_derived"].__func__
+
+    def spy(cls, side, terms, diffs):
+        x = original(cls, side, terms, diffs)
+        derived.append(x)
+        return x
+
+    monkeypatch.setattr(FormalComplex, "_derived", classmethod(spy))
+    rng = random.Random(37)
+    for _ in range(30):
+        derived.clear()
+        x = fc.random_complex(rng, max_positions=4, max_gens=3)
+        # the constraint for d_c: the two-term complex of d_{c-1} (every
+        # entry of it, zero ones included) and the stalk of terms[c + 1]
+        expected = []
+        for c in x.positions()[:-1]:
+            src, prev = x.generators(c), x.generators(c - 1)
+            rows = [[x.entry(c - 1, t, s) for s in range(len(prev))] for t in range(len(src))]
+            expected.append(("MIX", {c - 1: prev, c: src}, {c - 1: rows} if c else None))
+            expected.append(("MIX", {c: x.generators(c + 1)}, None))
+        assert len(derived) == len(expected)
+        for got, data in zip(derived, expected):
+            _assert_checked_form(got, *data)
+        untwisted = {c: tuple(Gen(g.w) for g in gens) for c, gens in x.terms.items()}
+        _assert_checked_form(fc.gkos(x), "PERV_GR", x.terms, x.diffs)
+        _assert_checked_form(fc.iota_formal(x), "K", untwisted, x.diffs)
+        _assert_checked_form(fc.kos_formal(fc.iota_formal(x)), "PERV", untwisted, x.diffs)
+        _assert_checked_form(fc.v_formal(fc.gkos(x)), "PERV", untwisted, x.diffs)
+        for t in (-3, 1):
+            shifted = {c: tuple(Gen(g.w, g.twist + t) for g in gens) for c, gens in x.terms.items()}
+            _assert_checked_form(fc.twist(x, t), "MIX", shifted, x.diffs)
+            _assert_checked_form(fc.twist(fc.gkos(x), t), "PERV_GR", shifted, x.diffs)
 
 
 def test_stalk_homs():

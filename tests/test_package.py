@@ -96,6 +96,7 @@ UNCALLED_PUBLIC_NAMES = {
     "hecke.HeckeAlgebra.std": "elementary operation: the standard basis element H_w",
     "linalg.QMatrix.from_rows": "elementary operation: a matrix from its rows",
     "weyl.multiply": "elementary operation: the group product",
+    "formal.FormalCategory.stalk": "user API: the complex of one term, checked like any complex built from outside data",
     "hecke.HeckeElement.from_json_dict": "reads back the elements that the kl command prints",
     "linalg.QMatrix.col": "dense view: the benchmark tracer binds the dense views, which leave with it",
     "linalg.SpanSolver.contains": "dense view: the benchmark tracer binds the dense views, which leave with it",
