@@ -3,24 +3,23 @@ data, and minimal graded projective resolutions of the simple modules.
 
 The algebra A is nonnegatively graded with semisimple degree-0 part (one
 identity per summand); both facts are asserted when it is built.  Left
-projectives are the column spaces A e_x with basis the Hom-space basis
-elements out of D_x; modules appearing in resolutions are represented
-concretely, block by block, where a block is a (degree, target-summand)
-pair and every structure map is blockwise because all maps in sight are
-degree preserving and commute with the idempotents.
+projectives are the column spaces A e_x, with basis the records out of D_x.
+A sum of shifted projectives, a free cover, is laid out in blocks (degree,
+target summand), and every map in sight is blockwise.
 
-Minimal resolutions are computed by iterated kernel-and-cover: the head of
-a module is the complement of the radical image in each block, each head
-vector pulls in one shifted projective, and the next syzygy is the exact
-kernel of the cover map.  Minimality makes Ext tables readable off the
-resolution: Ext^k between simples is the multiset of cover degrees at step
-k.  The numerical Koszulity certificate asks every such degree to equal k
-on the internal scale where a twist step counts 1 (equivalently 2k in the
-doubled cohomological scale reported by ext tables).
-
-The Euler characteristic of any Ext table inverts the Cartan matrix; the
-inverse is computed independently by exact elimination, which gives the
-resolution machinery an external check.
+A resolution stays inside its free covers.  Each syzygy K is stored per
+block as an echelon basis in the coordinates of the cover it lies in, and
+A acts on vectors through its structure constants; no action matrix is
+built.  The radical of K is G . K, for records G spanning A_+ modulo
+A_+ . A_+ (all of A_1, and in degree g >= 2 a complement of A_1 . A_(g-1)).
+The heads are the basis vectors of K outside the span of the radical; the
+cover map sends the record ``rec`` of the projective of head h to
+``rec . h`` in K's basis, and its kernel is the next syzygy.  Minimality
+makes Ext^k between simples the multiset of cover degrees at step k,
+whichever heads are picked; Koszulity asks every such degree to equal k on
+the scale where a twist step counts 1 (2k on the doubled scale of ext
+tables).  The Euler characteristic of the Ext tables inverts the Cartan
+matrix, whose inverse is computed independently by exact elimination.
 """
 
 from __future__ import annotations
@@ -29,35 +28,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly
-from .linalg import QMatrix, inverse, rank, restrict_to_kernels, rref
+from .linalg import EchelonBasis, QMatrix, RowSpan, exact, inverse, kernel_basis
+from .linalg import rref  # noqa: F401  benchmarks/test_harness.py traces this binding
 from .soergel import EndoAlgebra, SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
 #: resolutions stop, incomplete, after this many steps
 MAX_RESOLUTION_LENGTH = 32
-
-
-class _AMod:
-    """A graded module over the endomorphism algebra, stored blockwise.
-
-    ``blocks`` maps (degree, summand slot) to a dimension; ``act`` maps an
-    (algebra basis index, source block) pair to its nonzero matrix.
-    """
-
-    __slots__ = ("blocks", "act")
-
-    def __init__(self, blocks, act):
-        self.blocks = {k: d for k, d in blocks.items() if d}
-        self.act = act
-
-    def block_keys(self):
-        return sorted(self.blocks)
-
-    def dim(self, key) -> int:
-        return self.blocks.get(key, 0)
-
-    def total_dim(self) -> int:
-        return sum(self.blocks.values())
+#: the zero block of a syzygy: only the zero vector has coordinates in it
+_NO_VECTORS = EchelonBasis([], 0)
 
 
 class Resolution:
@@ -98,6 +77,8 @@ class DualAlgebra:
         for idx, (a, _, _, _) in enumerate(self.endo.basis):
             self._out_of.setdefault(a, []).append(idx)
         self._resolutions: dict[Perm, Resolution] = {}
+        #: records spanning A_+ modulo A_+ . A_+, by source slot
+        self.radical_generators = self._radical_generators()
 
     # -- Cartan data -----------------------------------------------------------
 
@@ -122,69 +103,78 @@ class DualAlgebra:
         """Exact inverse of the Cartan matrix (independent of resolutions)."""
         return inverse(self.cartan_matrix())
 
-    # -- projective machinery -----------------------------------------------------
+    # -- the free cover and its syzygies ------------------------------------------
 
-    def _projective_sum(self, cover) -> tuple[_AMod, dict[tuple[int, int], list[tuple[int, int]]]]:
-        """The direct sum of P_w shifted so generators sit at given degrees.
-
-        Returns the module together with its ordered basis per block: for
-        each block key (degree, slot), the (cover index, record index) pairs
-        in block position order.
-        """
-        basis_at: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for ci, (w, d0) in enumerate(cover):
-            for rec_idx in self._out_of[self.slot[w]]:
-                _, b, d, _ = self.endo.basis[rec_idx]
-                basis_at.setdefault((d + d0, b), []).append((ci, rec_idx))
-        blocks = {key: len(items) for key, items in basis_at.items()}
-        pos_of: dict[tuple[int, int], int] = {}
-        for items in basis_at.values():
-            for p, (ci, rec_idx) in enumerate(items):
-                pos_of[(ci, rec_idx)] = p
-        act: dict[tuple[int, tuple[int, int]], QMatrix] = {}
-        for key, items in basis_at.items():
-            d, slot = key
-            for a_idx in self._out_of[slot]:
-                _, v, g, _ = self.endo.basis[a_idx]
-                tgt_items = basis_at.get((d + g, v))
-                if not tgt_items:
-                    continue
-                # each structure constant is nonzero and lands in its own entry
-                data = [{} for _ in tgt_items]
-                for col, (ci, rec_idx) in enumerate(items):
-                    for out_idx, coeff in self.endo.compose_indices(a_idx, rec_idx):
-                        data[pos_of[(ci, out_idx)]][col] = coeff
-                if any(data):
-                    act[(a_idx, key)] = QMatrix(len(tgt_items), len(items), data)
-        return _AMod(blocks, act), basis_at
-
-    def _radical_complement(self, mod: _AMod) -> dict[tuple[int, int], list[int]]:
-        """Free coordinates of each block modulo the radical image."""
-        images: dict[tuple[int, int], list[dict[int, int | Fraction]]] = {}
-        for (a_idx, (d, _)), blk in mod.act.items():
-            _, v, g, _ = self.endo.basis[a_idx]
-            if g > 0:
-                images.setdefault((d + g, v), []).extend(blk.transpose().nonzeros)
-        out: dict[tuple[int, int], list[int]] = {}
-        for key in mod.block_keys():
-            rows = images.get(key, [])
-            pivots = set(rref(QMatrix(len(rows), mod.dim(key), rows)).pivots)
-            free = [j for j in range(mod.dim(key)) if j not in pivots]
-            if free:
-                out[key] = free
+    def _radical_generators(self) -> dict[int, tuple[int, ...]]:
+        """Records spanning A_+ modulo A_+ . A_+, by source slot: those of
+        positive degree that raise the span of the products A_1 . A_+, which
+        is all of A_1 and in degree g >= 2 a complement of A_1 . A_(g-1)."""
+        basis = self.endo.basis
+        into: dict[int, list[int]] = {}
+        for idx, (_, b, d, _) in enumerate(basis):
+            if d > 0:
+                into.setdefault(b, []).append(idx)
+        # products sit in the blocks of their records, so one span holds them all
+        span = RowSpan(self.endo.dim)
+        for i, (c, _, d, _) in enumerate(basis):
+            if d == 1:
+                for j in into.get(c, ()):
+                    span.raises(dict(self.endo.compose_indices(i, j)))
+        out: dict[int, tuple[int, ...]] = {}
+        for idx, (a, _, d, _) in enumerate(basis):
+            if d > 0 and span.raises({idx: 1}):
+                out[a] = out.get(a, ()) + (idx,)
         return out
 
-    def _kernel_of_cover(self, cover_mod: _AMod, cover_map) -> _AMod:
-        """The kernel of a blockwise module map, given on every block of
-        ``cover_mod``, with restricted action."""
-        blocks = []
-        for (a_idx, key), blk in cover_mod.act.items():
-            _, v, g, _ = self.endo.basis[a_idx]
-            blocks.append(((a_idx, key), key, (key[0] + g, v), blk))
-        inclusions, act = restrict_to_kernels(cover_map, blocks)
-        return _AMod({key: inc.cols for key, inc in inclusions.items()}, act)
+    def _free_cover(self, cover):
+        """The basis of the sum of the P_w with generators at the cover's
+        degrees: for each block key (degree, slot) its (cover index, record)
+        pairs in position order, and the position of every pair."""
+        items: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        position: dict[tuple[int, int], int] = {}
+        for ci, (w, d0) in enumerate(cover):
+            for rec in self._out_of[self.slot[w]]:
+                _, b, d, _ = self.endo.basis[rec]
+                block = items.setdefault((d + d0, b), [])
+                position[(ci, rec)] = len(block)
+                block.append((ci, rec))
+        return items, position
 
-    # -- resolutions -------------------------------------------------------------
+    def _act(self, a: int, vec, block, position) -> dict[int, int | Fraction]:
+        """The record a applied to a vector of a free cover, both vector and
+        image given by their positions: ``block`` lists the vector's block,
+        ``position`` places every (cover index, record) pair."""
+        out: dict[int, int | Fraction] = {}
+        for p, c in vec.items():
+            ci, rec = block[p]
+            for o, x in self.endo.compose_indices(a, rec):
+                q = position[(ci, o)]
+                out[q] = out.get(q, 0) + c * x
+        return {q: x if type(x) is int else exact(x) for q, x in out.items() if x}
+
+    def _heads(self, bases, items, position) -> list[tuple[tuple[int, int], dict]]:
+        """The (block key, vector) of each basis vector of a syzygy K, given by
+        its blocks' echelon bases, that raises the span of the radical G . K,
+        in key order; raises AssertionError for a radical image outside K."""
+        spans = {key: RowSpan(len(basis.vectors)) for key, basis in bases.items()}
+        for (d, slot), basis in bases.items():
+            for g in self.radical_generators.get(slot, ()):
+                _, v, e, _ = self.endo.basis[g]
+                key = (d + e, v)
+                for vec in basis.vectors:
+                    image = self._act(g, vec, items[(d, slot)], position)
+                    try:
+                        coords = bases.get(key, _NO_VECTORS).coords(image)
+                    except ValueError:
+                        raise AssertionError("the radical of a syzygy leaves the syzygy") from None
+                    if coords and spans[key].rank < spans[key].cols:
+                        spans[key].raises(coords)
+        return [
+            (key, vec)
+            for key in sorted(bases)
+            for t, vec in enumerate(bases[key].vectors)
+            if spans[key].raises({t: 1})
+        ]
 
     def projective_resolution(self, x: Perm) -> Resolution:
         """Minimal graded projective resolution of the simple at x, stopped
@@ -192,43 +182,43 @@ class DualAlgebra:
         cached = self._resolutions.get(x)
         if cached is not None:
             return cached
-        slot_x = self.slot[x]
-        p0, _ = self._projective_sum([(x, 0)])
-        if p0.dim((0, slot_x)) != 1:
+        cover = [(x, 0)]
+        items, position = self._free_cover(cover)
+        if len(items.get((0, self.slot[x]), ())) != 1:
             raise AssertionError("projective cover of a simple has a bad degree-0 block")
-        # radical of P_x: all blocks of positive degree (degree 0 is the identity)
-        rad_blocks = {key: d for key, d in p0.blocks.items() if key[0] > 0}
-        rad_act = {label: mat for label, mat in p0.act.items() if label[1][0] > 0}
-        current = _AMod(rad_blocks, rad_act)
-        steps = [[(x, 0)]]
+        # the first syzygy is the radical of P_x: its blocks of positive degree
+        syzygy = {k: EchelonBasis([{p: 1} for p in range(len(b))], len(b)) for k, b in items.items() if k[0] > 0}
+        steps = [cover]
         complete = True
-        while current.total_dim():
+        while syzygy:
             if len(steps) > MAX_RESOLUTION_LENGTH:
                 complete = False
                 break
-            heads = self._radical_complement(current)
-            head_coords = [(key, j) for key in sorted(heads) for j in heads[key]]
-            cover = [(self.summands[slot], d) for (d, slot), _ in head_coords]
-            cover_mod, basis_at = self._projective_sum(cover)
-            # the cover map sends the basis record (ci, rec) to rec . h_ci, the
-            # column of rec's action at the coordinate of the head h_ci
-            act_columns = {label: blk.transpose().nonzeros for label, blk in current.act.items()}
-            cover_map: dict[tuple[int, int], QMatrix] = {}
-            for key, items in basis_at.items():
-                columns = []
-                for ci, rec_idx in items:
-                    h_key, j = head_coords[ci]
-                    cols = act_columns.get((rec_idx, h_key))
-                    columns.append({} if cols is None else cols[j])
-                cover_map[key] = QMatrix.from_columns(current.dim(key), columns)
-            # surjectivity is Nakayama from the head choice, but assert it so
-            # a bookkeeping slip cannot silently corrupt the Ext tables
-            for key in current.block_keys():
-                mat = cover_map.get(key)
-                if mat is None or rank(mat) != current.dim(key):
+            heads = self._heads(syzygy, items, position)
+            cover = [(self.summands[slot], d) for (d, slot), _ in heads]
+            new_items, new_position = self._free_cover(cover)
+            kernels = {}
+            for key in new_items.keys() | syzygy.keys():
+                # the cover map sends (ci, rec) to rec . h_ci, which lies in
+                # the block of the same key, read in the syzygy's basis
+                new_block = new_items.get(key, [])
+                basis = syzygy.get(key, _NO_VECTORS)
+                try:
+                    columns = [
+                        basis.coords(self._act(rec, heads[ci][1], items[heads[ci][0]], position))
+                        for ci, rec in new_block
+                    ]
+                except ValueError:
+                    raise AssertionError("the cover map leaves the syzygy") from None
+                kernel = kernel_basis(QMatrix.from_columns(len(basis.vectors), columns))
+                # surjectivity is Nakayama from the head choice, but assert it so
+                # a bookkeeping slip cannot silently corrupt the Ext tables
+                if len(new_block) - len(kernel) != len(basis.vectors):
                     raise AssertionError("projective cover failed to surject onto a syzygy")
+                if kernel:
+                    kernels[key] = EchelonBasis(kernel, len(new_block))
             steps.append(cover)
-            current = self._kernel_of_cover(cover_mod, cover_map)
+            syzygy, items, position = kernels, new_items, new_position
         resolution = Resolution(x, steps, complete)
         if complete:
             self._resolutions[x] = resolution

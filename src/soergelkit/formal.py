@@ -155,18 +155,6 @@ class FormalComplex:
         return f"FormalComplex<{self.side}>({' '.join(parts)})"
 
 
-def _relabel(x: FormalComplex, start: str, side: str, name: str) -> FormalComplex:
-    """x with the side tag ``side``, and without twist labels when ``side``
-    is untwisted; the entries are kept, shared with x.  Raises ValueError
-    unless x is on the ``start`` side."""
-    if x.side != start:
-        raise ValueError(f"{name} starts on the {start} side")
-    terms = x.terms
-    if TWISTED[start] and not TWISTED[side]:
-        terms = {c: tuple(Gen(g.w) for g in gens) for c, gens in terms.items()}
-    return FormalComplex._derived(side, terms, x.diffs)
-
-
 def _read(space, maps) -> QMatrix:
     """Coordinates of total-space matrices in a Hom space, given as its
     basis maps with their echelon basis, one column per matrix; raises
@@ -182,6 +170,8 @@ class FormalCategory:
         self.cat = cat
         self.n = cat.n
         self._lengths = {w: length(w) for w in cat.group.elements()}
+        # one untwisted generator per group element, shared by every relabel
+        self._untwisted = {w: Gen(w) for w in cat.group.elements()}
 
     # -- Hom spaces between generators --------------------------------------
 
@@ -236,21 +226,32 @@ class FormalCategory:
 
     # -- the four functors ----------------------------------------------------
 
+    def _relabel(self, x: FormalComplex, start: str, side: str, name: str) -> FormalComplex:
+        """x with the side tag ``side``, and without twist labels when ``side``
+        is untwisted; the entries are kept, shared with x.  Raises ValueError
+        unless x is on the ``start`` side."""
+        if x.side != start:
+            raise ValueError(f"{name} starts on the {start} side")
+        terms = x.terms
+        if TWISTED[start] and not TWISTED[side]:
+            terms = {c: tuple(self._untwisted[g.w] for g in gens) for c, gens in terms.items()}
+        return FormalComplex._derived(side, terms, x.diffs)
+
     def gkos(self, x: FormalComplex) -> FormalComplex:
         """Graded duality: identical data, reinterpreted side tag."""
-        return _relabel(x, "MIX", "PERV_GR", "graded duality")
+        return self._relabel(x, "MIX", "PERV_GR", "graded duality")
 
     def kos_formal(self, x: FormalComplex) -> FormalComplex:
         """Ungraded duality: identical data between the untwisted sides."""
-        return _relabel(x, "K", "PERV", "ungraded duality")
+        return self._relabel(x, "K", "PERV", "ungraded duality")
 
     def iota_formal(self, x: FormalComplex) -> FormalComplex:
         """Drop twist labels; entries embed into the full Hom spaces."""
-        return _relabel(x, "MIX", "K", "the grading collapse")
+        return self._relabel(x, "MIX", "K", "the grading collapse")
 
     def v_formal(self, x: FormalComplex) -> FormalComplex:
         """Forget the grading on the dual side."""
-        return _relabel(x, "PERV_GR", "PERV", "the grading forgetting")
+        return self._relabel(x, "PERV_GR", "PERV", "the grading forgetting")
 
     def square_check(self, x: FormalComplex) -> bool:
         """Both ways around the square give the same labelled complex."""

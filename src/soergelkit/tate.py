@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import QMatrix, SparseSystem, hom_equations, inverse, place_blocks, rank
+from .linalg import QMatrix, SparseSystem, combine, hom_equations, place_blocks, rank
 
 
 class Complex:
@@ -329,10 +329,26 @@ def _dims(*xs) -> set:
 # -- random generators -------------------------------------------------------
 
 
-def _random_unimodular(rng: random.Random, n: int) -> QMatrix:
+def _unimodular_factors(rng: random.Random, n: int) -> tuple[QMatrix, QMatrix]:
+    """Unit lower and upper triangular factors of a unimodular base change."""
     lower = [[1 if i == j else rng.randint(-1, 1) if i > j else 0 for j in range(n)] for i in range(n)]
     upper = [[1 if i == j else rng.randint(-1, 1) if i < j else 0 for j in range(n)] for i in range(n)]
-    return QMatrix(n, n, lower) * QMatrix(n, n, upper)
+    return QMatrix(n, n, lower), QMatrix(n, n, upper)
+
+
+def _inverse_of_product(lower: QMatrix, upper: QMatrix) -> QMatrix:
+    """(lower * upper)^-1 as upper^-1 * lower^-1, each unit triangular m
+    inverted by exact substitution: row i of m^-1 is e_i minus m[i][k] times
+    row k of m^-1 over k != i, a row found already when the rows of upper are
+    taken bottom up and those of lower top down."""
+    n = lower.rows
+    inverses = []
+    for m, order in ((upper, range(n - 1, -1, -1)), (lower, range(n))):
+        inv: dict[int, dict] = {}
+        for i in order:
+            inv[i] = combine([(1, {i: 1})] + [(-x, inv[k]) for k, x in m.nonzeros[i].items() if k != i])
+        inverses.append(QMatrix(n, n, [inv[i] for i in range(n)]))
+    return inverses[0] * inverses[1]
 
 
 def random_minimized_complex(rng: random.Random, max_pos: int = 3, max_dim: int = 2) -> Complex:
@@ -356,13 +372,14 @@ def random_complex(rng: random.Random, max_pos: int = 3, max_dim: int = 2) -> Co
         ones.setdefault(c, set()).add((dims.get(c + 1, 0), dims.get(c, 0)))
         dims[c] = dims.get(c, 0) + 1
         dims[c + 1] = dims.get(c + 1, 0) + 1
-    changes = {c: _random_unimodular(rng, dims[c]) for c in sorted(dims)}
+    # every factor is drawn, but only the changes next to a piece are formed
+    factors = {c: _unimodular_factors(rng, dims[c]) for c in sorted(dims)}
     diffs = {}
     for c, entries in sorted(ones.items()):
         rows, cols = dims[c + 1], dims[c]
         cells = [[int((r, s) in entries) for s in range(cols)] for r in range(rows)]
-        d = QMatrix(rows, cols, cells)
-        diffs[c] = changes[c + 1] * d * inverse(changes[c])
+        lower, upper = factors[c + 1]
+        diffs[c] = lower * upper * QMatrix(rows, cols, cells) * _inverse_of_product(*factors[c])
     return Complex(dims, diffs)
 
 

@@ -1,11 +1,11 @@
 """The frontier checks: one function of the rank per two-route check,
 which the tests run at ranks 2-4 and CI at rank 5 (the graded Cartan
-matrix at rank 4).  Each asserts with the failing case in its message and
-returns the counts it checked; the battery's two, ``demazure_calculus``
-and ``hom_formula`` from :mod:`soergelkit.selftest`, return the counts and
-the first failing case, and ``kept_relations`` returns the sizes of the
-presentations and Hom systems of the ``D_w`` build, which CI pins.
-``PYTHONPATH=src python3
+matrix and the resolutions at rank 4).  Each asserts with the failing
+case in its message and returns the counts it checked; the battery's
+two, ``demazure_calculus`` and ``hom_formula`` from
+:mod:`soergelkit.selftest`, return the counts and the first failing case,
+and ``kept_relations`` returns the sizes of the presentations and Hom
+systems of the ``D_w`` build, which CI pins.  ``PYTHONPATH=src python3
 tests/frontier.py hom_formula 5`` runs one check at one rank and prints
 its counts, seconds and peak RSS.
 """
@@ -27,7 +27,7 @@ from soergelkit.selftest import demazure_calculus, hom_formula
 from soergelkit.soergel import DecompositionError, soergel_category
 from soergelkit.weyl import format_perm, length, weyl_group
 
-from reference import indecomposable_by_peel, peel_along
+from reference import indecomposable_by_peel, peel_along, restricted_resolution
 
 
 def mixed_element(rng, ring):
@@ -180,9 +180,76 @@ def kept_relations(n):
     return {"relations": relations, "kept": kept, "largest_system": largest[0]}
 
 
+def graded_euler(n):
+    """C(v) E(v) = I for the graded Cartan matrix C(v) of the rank-n dual
+    algebra and E(v), whose (x, y) entry sums (-1)^k v^d over the step-k
+    covers (y, d) of the resolution of x; as the control, E with every v^d
+    taken to v^-d must break it.  Counts the cover terms summed."""
+    alg = dual_algebra(n)
+    cartan = [[alg.graded_cartan(x, y) for y in alg.summands] for x in alg.summands]
+
+    def euler(sign):
+        entries = [[{} for _ in alg.summands] for _ in alg.summands]
+        for row, x in zip(entries, alg.summands):
+            res = alg.projective_resolution(x)
+            assert res.complete, format_perm(x)
+            for k, step in enumerate(res.steps):
+                for y, d in step:
+                    entry = row[alg.slot[y]]
+                    entry[sign * d] = entry.get(sign * d, 0) + (-1) ** k
+        return [[LaurentPoly(entry) for entry in row] for row in entries]
+
+    def times_cartan_is_identity(e):
+        size = len(alg.summands)
+        return all(
+            sum((cartan[i][k] * e[k][j] for k in range(size)), LaurentPoly.zero()) == LaurentPoly({0: int(i == j)})
+            for i in range(size)
+            for j in range(size)
+        )
+
+    assert times_cartan_is_identity(euler(1)), n
+    assert not times_cartan_is_identity(euler(-1)), n
+    terms = sum(len(step) for x in alg.summands for step in alg.projective_resolution(x).steps)
+    return {"simples": len(alg.summands), "cover_terms": terms}
+
+
+def resolutions(n):
+    """The minimal resolutions of all rank-n simples: complete and Koszul,
+    the radical generators as many as the degree-1 records, the graded Euler
+    identity with its control (:func:`graded_euler`), and the steps of the
+    identity's and of the cycle 23..n1's resolutions equal to those of the
+    reference route that restricts every action matrix to each syzygy."""
+    alg = dual_algebra(n)
+    report = alg.koszulity_check()
+    assert report["complete"] and report["koszul"], report
+    generators = sum(len(g) for g in alg.radical_generators.values())
+    assert generators == alg.endo.graded_dims().get(1, 0), generators
+    euler = graded_euler(n)
+    oracle = [tuple(range(n)), tuple(range(1, n)) + (0,)]
+    for x in oracle:
+        assert alg.projective_resolution(x).steps == restricted_resolution(alg, x).steps, format_perm(x)
+    return {
+        "simples": euler["simples"],
+        "max_k": report["max_k"],
+        "generators": generators,
+        "cover_terms": euler["cover_terms"],
+        "oracle": [format_perm(x) for x in oracle],
+    }
+
+
 CHECKS = {
     f.__name__: f
-    for f in (demazure_calculus, polynomial_route, graded_cartan, indecomposables, hom_formula, certified_words, kept_relations)
+    for f in (
+        demazure_calculus,
+        polynomial_route,
+        graded_cartan,
+        indecomposables,
+        hom_formula,
+        certified_words,
+        kept_relations,
+        graded_euler,
+        resolutions,
+    )
 }
 
 if __name__ == "__main__":

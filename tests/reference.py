@@ -4,16 +4,18 @@ Each is a plain function over the public API, with no cache, and none has
 a caller in the library: the coinvariant ring's matrices, invariants and
 rank-two splitting, the action of a polynomial on a graded module, the
 graded Hom with one unknown per block entry, the peel along a prediction
-and the Hecke recursion of the indecomposables built with it, the general
-Hecke product, and the Weyl-group enumerations the Bruhat order and
-canonical words are checked against.
+and the Hecke recursion of the indecomposables built with it, the minimal
+resolutions of the dual algebra's simples on modules that carry every
+action matrix, the general Hecke product, and the Weyl-group enumerations
+the Bruhat order and canonical words are checked against.
 """
 
 from soergelkit import gradedmod
 from soergelkit.coinvariant import CoinvariantElement
 from soergelkit.gradedmod import ModuleMap
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import QMatrix, SparseSystem, hom_equations, kernel_basis
+from soergelkit.dualalg import MAX_RESOLUTION_LENGTH, Resolution
+from soergelkit.linalg import QMatrix, SparseSystem, hom_equations, kernel_basis, rank, restrict_to_kernels, rref
 from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import DecompositionError
 from soergelkit.tate import Complex
@@ -266,6 +268,143 @@ def indecomposable_by_peel(cat, w):
     for _, _, split in peel_along(cat, module, rest):
         module = split[0]
     return module
+
+
+# -- dual algebra ----------------------------------------------------------------
+
+
+class AMod:
+    """A graded module over the endomorphism algebra, stored blockwise.
+
+    ``blocks`` maps (degree, summand slot) to a dimension; ``act`` maps an
+    (algebra basis index, source block) pair to its nonzero matrix.
+    """
+
+    __slots__ = ("blocks", "act")
+
+    def __init__(self, blocks, act):
+        self.blocks = {k: d for k, d in blocks.items() if d}
+        self.act = act
+
+    def block_keys(self):
+        return sorted(self.blocks)
+
+    def dim(self, key) -> int:
+        return self.blocks.get(key, 0)
+
+    def total_dim(self) -> int:
+        return sum(self.blocks.values())
+
+
+def projective_sum(alg, cover):
+    """The direct sum of P_w shifted so generators sit at given degrees,
+    with every action block built as a matrix.
+
+    Returns the module together with its ordered basis per block: for
+    each block key (degree, slot), the (cover index, record index) pairs
+    in block position order.
+    """
+    out_of = {}
+    for idx, (a, _, _, _) in enumerate(alg.endo.basis):
+        out_of.setdefault(a, []).append(idx)
+    basis_at = {}
+    for ci, (w, d0) in enumerate(cover):
+        for rec_idx in out_of[alg.slot[w]]:
+            _, b, d, _ = alg.endo.basis[rec_idx]
+            basis_at.setdefault((d + d0, b), []).append((ci, rec_idx))
+    blocks = {key: len(items) for key, items in basis_at.items()}
+    pos_of = {}
+    for items in basis_at.values():
+        for p, (ci, rec_idx) in enumerate(items):
+            pos_of[(ci, rec_idx)] = p
+    act = {}
+    for key, items in basis_at.items():
+        d, slot = key
+        for a_idx in out_of[slot]:
+            _, v, g, _ = alg.endo.basis[a_idx]
+            tgt_items = basis_at.get((d + g, v))
+            if not tgt_items:
+                continue
+            # each structure constant is nonzero and lands in its own entry
+            data = [{} for _ in tgt_items]
+            for col, (ci, rec_idx) in enumerate(items):
+                for out_idx, coeff in alg.endo.compose_indices(a_idx, rec_idx):
+                    data[pos_of[(ci, out_idx)]][col] = coeff
+            if any(data):
+                act[(a_idx, key)] = QMatrix(len(tgt_items), len(items), data)
+    return AMod(blocks, act), basis_at
+
+
+def radical_complement(alg, mod):
+    """Free coordinates of each block modulo the image of every
+    positive-degree basis element."""
+    images = {}
+    for (a_idx, (d, _)), blk in mod.act.items():
+        _, v, g, _ = alg.endo.basis[a_idx]
+        if g > 0:
+            images.setdefault((d + g, v), []).extend(blk.transpose().nonzeros)
+    out = {}
+    for key in mod.block_keys():
+        rows = images.get(key, [])
+        pivots = set(rref(QMatrix(len(rows), mod.dim(key), rows)).pivots)
+        free = [j for j in range(mod.dim(key)) if j not in pivots]
+        if free:
+            out[key] = free
+    return out
+
+
+def kernel_of_cover(alg, cover_mod, cover_map):
+    """The kernel of a blockwise module map, given on every block of
+    ``cover_mod``, with restricted action."""
+    blocks = []
+    for (a_idx, key), blk in cover_mod.act.items():
+        _, v, g, _ = alg.endo.basis[a_idx]
+        blocks.append(((a_idx, key), key, (key[0] + g, v), blk))
+    inclusions, act = restrict_to_kernels(cover_map, blocks)
+    return AMod({key: inc.cols for key, inc in inclusions.items()}, act)
+
+
+def restricted_resolution(alg, x):
+    """The minimal graded projective resolution of the simple at x by
+    iterated kernel-and-cover on modules that carry every action matrix:
+    heads are the free coordinates modulo the image of all of A_+, and each
+    syzygy gets its action restricted to kernel coordinates.  Uncached."""
+    slot_x = alg.slot[x]
+    p0, _ = projective_sum(alg, [(x, 0)])
+    if p0.dim((0, slot_x)) != 1:
+        raise AssertionError("projective cover of a simple has a bad degree-0 block")
+    # radical of P_x: all blocks of positive degree (degree 0 is the identity)
+    rad_blocks = {key: d for key, d in p0.blocks.items() if key[0] > 0}
+    rad_act = {label: mat for label, mat in p0.act.items() if label[1][0] > 0}
+    current = AMod(rad_blocks, rad_act)
+    steps = [[(x, 0)]]
+    complete = True
+    while current.total_dim():
+        if len(steps) > MAX_RESOLUTION_LENGTH:
+            complete = False
+            break
+        heads = radical_complement(alg, current)
+        head_coords = [(key, j) for key in sorted(heads) for j in heads[key]]
+        cover = [(alg.summands[slot], d) for (d, slot), _ in head_coords]
+        cover_mod, basis_at = projective_sum(alg, cover)
+        # the cover map sends the basis record (ci, rec) to rec . h_ci, the
+        # column of rec's action at the coordinate of the head h_ci
+        act_columns = {label: blk.transpose().nonzeros for label, blk in current.act.items()}
+        cover_map = {}
+        for key, items in basis_at.items():
+            columns = []
+            for ci, rec_idx in items:
+                h_key, j = head_coords[ci]
+                cols = act_columns.get((rec_idx, h_key))
+                columns.append({} if cols is None else cols[j])
+            cover_map[key] = QMatrix.from_columns(current.dim(key), columns)
+        for key in current.block_keys():
+            mat = cover_map.get(key)
+            if mat is None or rank(mat) != current.dim(key):
+                raise AssertionError("projective cover failed to surject onto a syzygy")
+        steps.append(cover)
+        current = kernel_of_cover(alg, cover_mod, cover_map)
+    return Resolution(x, steps, complete)
 
 
 # -- Hecke algebra ---------------------------------------------------------------

@@ -1,11 +1,13 @@
 import pytest
 
-from soergelkit.dualalg import dual_algebra
+from soergelkit import dualalg
+from soergelkit.dualalg import DualAlgebra, dual_algebra
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import QMatrix
-from soergelkit.weyl import parse_perm
+from soergelkit.linalg import QMatrix, RowSpan
+from soergelkit.weyl import format_perm, parse_perm
 
-from frontier import graded_cartan
+from frontier import graded_cartan, graded_euler, resolutions
+from reference import restricted_resolution
 
 
 def test_rank1_trivial():
@@ -74,6 +76,74 @@ def test_rank3_resolution_lengths():
 def test_graded_cartan_matches_pairing():
     assert graded_cartan(2) == {"dim": 5, "pairs": 4}
     assert graded_cartan(3) == {"dim": 77, "pairs": 36}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_resolutions_equal_the_restricted_action_oracle(n):
+    alg = dual_algebra(n)
+    for x in alg.summands:
+        res, oracle = alg.projective_resolution(x), restricted_resolution(alg, x)
+        assert (res.steps, res.complete) == (oracle.steps, oracle.complete), format_perm(x)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_radical_generators_span_the_positive_part_modulo_its_square(n):
+    alg = dual_algebra(n)
+    basis, endo = alg.endo.basis, alg.endo
+    generators = [g for slot, gs in alg.radical_generators.items() for g in gs]
+    assert all(basis[g][0] == slot for slot, gs in alg.radical_generators.items() for g in gs)
+    assert len(generators) == len(set(generators)) == endo.graded_dims()[1]
+    # A_+ . A_+ from every product in the table, block by block
+    square = {}
+    for i in range(endo.dim):
+        for j in range(endo.dim):
+            if basis[i][2] > 0 and basis[j][2] > 0 and endo.compose_indices(i, j):
+                a, b = basis[j][0], basis[i][1]
+                square.setdefault((a, b, basis[i][2] + basis[j][2]), []).append(dict(endo.compose_indices(i, j)))
+    blocks = {}
+    for idx, (a, b, d, _) in enumerate(basis):
+        if d > 0:
+            blocks.setdefault((a, b, d), []).append(idx)
+    for key, records in blocks.items():
+        span = RowSpan(endo.dim)
+        for row in square.get(key, []) + [{g: 1} for g in generators if g in records]:
+            span.raises(row)
+        assert span.rank == len(records), key
+
+
+def test_dropping_degree_one_generators_of_one_slot_breaks_minimality(monkeypatch):
+    # with the degree-1 generators out of one slot gone, G . K misses part
+    # of the radical, so some resolution takes a head too many
+    expected = {x: restricted_resolution(dual_algebra(3), x) for x in dual_algebra(3).summands}
+    alg = DualAlgebra(3)
+    slot = alg.slot[parse_perm("213")]
+    kept = tuple(g for g in alg.radical_generators[slot] if alg.endo.basis[g][2] != 1)
+    assert len(kept) < len(alg.radical_generators[slot])
+    alg.radical_generators[slot] = kept
+    differs = []
+    for x, oracle in expected.items():
+        monkeypatch.setattr(dualalg, "MAX_RESOLUTION_LENGTH", oracle.length() + 1)
+        res = alg.projective_resolution(x)
+        if (res.steps, res.complete) != (oracle.steps, oracle.complete):
+            differs.append(format_perm(x))
+    assert differs
+
+
+def test_a_cover_that_misses_a_head_is_refused(monkeypatch):
+    heads = DualAlgebra._heads
+    monkeypatch.setattr(DualAlgebra, "_heads", lambda self, *args: heads(self, *args)[1:])
+    with pytest.raises(AssertionError, match="failed to surject"):
+        DualAlgebra(2).projective_resolution(parse_perm("12"))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_graded_euler_inverts_the_graded_cartan_matrix(n):
+    assert graded_euler(n) == {"simples": len(dual_algebra(n).summands), "cover_terms": dual_algebra(n).dim}
+
+
+def test_resolution_frontier_check_at_ranks_two_and_three():
+    assert resolutions(2) == {"simples": 2, "max_k": 2, "generators": 2, "cover_terms": 5, "oracle": ["12", "21"]}
+    assert resolutions(3) == {"simples": 6, "max_k": 6, "generators": 16, "cover_terms": 77, "oracle": ["123", "231"]}
 
 
 def test_cartan_matches_ungraded_hom_dims():

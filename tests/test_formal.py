@@ -416,3 +416,16 @@ def test_hom_homotopy_is_pinned(n):
         ix, iy = fc.iota_formal(x), fc.iota_formal(y)
         untwisted.append([fc.hom_homotopy(ix, iy, k) for k in range(-2, 3)])
     assert (mix, untwisted) == HOM_HOMOTOPY_PINS[n]
+
+
+def test_untwisting_shares_one_generator_per_group_element():
+    fc = formal_category(3)
+    rng = random.Random(47)
+    seen = {}
+    for _ in range(20):
+        x = fc.random_complex(rng, max_positions=4, max_gens=3)
+        for y in (fc.iota_formal(x), fc.v_formal(fc.gkos(x))):
+            for gens in y.terms.values():
+                for g in gens:
+                    assert seen.setdefault(g.w, g) is g and g == Gen(g.w)
+    assert len(seen) > 1

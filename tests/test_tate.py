@@ -1,7 +1,7 @@
 import hashlib
 import random
 
-from soergelkit.linalg import QMatrix
+from soergelkit.linalg import QMatrix, inverse
 from soergelkit.tate import (
     Complex,
     GradedComplex,
@@ -17,6 +17,8 @@ from soergelkit.tate import (
     w_truncate_leq,
     w_truncate_geq,
     weight_of,
+    _inverse_of_product,
+    _unimodular_factors,
 )
 
 from dense_views import block_diagonal
@@ -273,3 +275,16 @@ def test_direct_sum_is_the_block_diagonal_of_its_summands():
         else:
             kinds.add("overlapping" if set(x.dims) & set(y.dims) else "disjoint")
     assert kinds == {"empty", "overlapping", "disjoint"}
+
+
+def test_base_change_inverse_from_triangular_factors():
+    # random_complex inverts each base change L U as U^-1 L^-1 by
+    # substitution; inverses are unique, so it must equal row reduction's
+    rng = random.Random(3517)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        lower, upper = _unimodular_factors(rng, n)
+        change = lower * upper
+        got = _inverse_of_product(lower, upper)
+        assert got * change == QMatrix.identity(n)
+        assert got == inverse(change)
