@@ -14,38 +14,62 @@ integer corrections.
 The algebra serves as the multiplicity and Hom-dimension oracle for the
 module side: products of b_s along a word predict how the matching induced
 module decomposes, and the pairing tau(a(h1) h2) predicts graded Hom
-dimensions.  With the standard trace tau(H_x H_y) = delta_{xy,e} and the
-v-linear anti-involution a(H_w) = H_{w^-1}, that pairing is the dot product
-of standard-basis coefficients; see :meth:`HeckeAlgebra.pairing` and
-docs/conventions.md for how it is pinned against the exact linear-algebra
-Hom computation.
+dimensions (see :meth:`HeckeAlgebra.pairing` and docs/conventions.md for
+how it is pinned against the exact linear-algebra Hom computation).
 
-Every right multiplication the library makes is by H_s + c for a simple
-reflection s and a scalar c: by b_s = H_s + v for products and the
-canonical basis, and by bar(H_s) = H_s + (v - v^-1) for the bar involution.
-The product of general elements is a reference route for the tests, in
-``tests/reference.py``; the library never forms it.
+The library multiplies on the right only by b_s = H_s + v and bar(H_s) =
+H_s + (v - v^-1), by the step rule H_w (H_s + c) = H_{ws} + (c + [ws < w]
+(v^-1 - v)) H_w, on {w: {exponent: value}} dicts of stored values
+(:func:`~soergelkit.linalg.exact`), each operation accumulating into one
+dict.  The general product and the object-level routes are test oracles in
+``tests/reference.py``; see docs/conventions.md, "Hecke arithmetic".
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly
-from .weyl import Perm, Word, WeylGroup, length, mult_right_simple, right_descents, weyl_group
+from .linalg import exact
+from .weyl import Perm, Word, WeylGroup, format_perm, length, mult_right_simple, parse_perm, right_descents, weyl_group
 
-_V = LaurentPoly.v()
-_V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
+#: a Laurent polynomial as stored: {exponent: nonzero value in stored form}
+Coeffs = dict[int, int | Fraction]
+
+_ONE: Coeffs = {0: 1}
+_V: Coeffs = {1: 1}
+
+
+def _add_into(q: Coeffs, p: Coeffs, m: Coeffs) -> None:
+    """q += p m in place; an exponent whose value cancels leaves q."""
+    for k2, x2 in m.items():
+        for k1, x1 in p.items():
+            k = k1 + k2
+            y = q.get(k, 0) + x1 * x2
+            if y:
+                q[k] = y if type(y) is int else exact(y)
+            else:
+                del q[k]
+
+
+def _add_term(acc: dict[Perm, Coeffs], w: Perm, p: Coeffs, m: Coeffs) -> None:
+    """acc[w] += p m in place; a coefficient that cancels leaves acc."""
+    q = acc.get(w) or acc.setdefault(w, {})
+    _add_into(q, p, m)
+    if not q:
+        del acc[w]
 
 
 class HeckeElement:
-    """A finitely supported map from group elements to Laurent polynomials."""
+    """A finitely supported map from group elements to Laurent polynomials,
+    kept as {w: {exponent: value}} and wrapped as they are read."""
 
     __slots__ = ("n", "_c")
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
-        c: dict[Perm, LaurentPoly] = {}
+        c: dict[Perm, Coeffs] = {}
         if coeffs:
             for w, p in coeffs.items():
                 if len(w) != n:
@@ -53,18 +77,26 @@ class HeckeElement:
                 if not isinstance(p, LaurentPoly):
                     p = LaurentPoly({0: p})
                 if p:
-                    c[tuple(w)] = p
+                    c[tuple(w)] = p._c
         self._c = c
 
+    @classmethod
+    def _wrap(cls, n: int, c: dict[Perm, Coeffs]) -> "HeckeElement":
+        out = cls.__new__(cls)  # takes over c, in stored form
+        out.n = n
+        out._c = c
+        return out
+
     def coeff(self, w: Perm) -> LaurentPoly:
-        return self._c.get(w, LaurentPoly.zero())
+        p = self._c.get(w)
+        return LaurentPoly.zero() if p is None else LaurentPoly._stored(p)
 
     def support(self) -> tuple[Perm, ...]:
         return tuple(sorted(self._c, key=lambda w: (length(w), w)))
 
     def terms(self):
         """Pairs (w, coefficient) sorted by (length, one-line notation)."""
-        return [(w, self._c[w]) for w in self.support()]
+        return [(w, LaurentPoly._stored(self._c[w])) for w in self.support()]
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -80,23 +112,13 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if self.n != other.n:
             raise ValueError("rank mismatch in Hecke addition")
-        c = dict(self._c)
+        c = {w: dict(p) for w, p in self._c.items()}
         for w, p in other._c.items():
-            q = c.get(w, LaurentPoly.zero()) + p
-            if q:
-                c[w] = q
-            else:
-                c.pop(w, None)
-        out = HeckeElement.__new__(HeckeElement)
-        out.n = self.n
-        out._c = c
-        return out
+            _add_term(c, w, p, _ONE)
+        return HeckeElement._wrap(self.n, c)
 
     def __neg__(self) -> "HeckeElement":
-        out = HeckeElement.__new__(HeckeElement)
-        out.n = self.n
-        out._c = {w: -p for w, p in self._c.items()}
-        return out
+        return HeckeElement._wrap(self.n, {w: {k: -x for k, x in p.items()} for w, p in self._c.items()})
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + (-other)
@@ -104,20 +126,14 @@ class HeckeElement:
     def scale(self, p) -> "HeckeElement":
         if not isinstance(p, LaurentPoly):
             p = LaurentPoly({0: p})
-        out = HeckeElement.__new__(HeckeElement)
-        out.n = self.n
-        out._c = {}
+        c: dict[Perm, Coeffs] = {}
         for w, q in self._c.items():
-            r = q * p
-            if r:
-                out._c[w] = r
-        return out
+            _add_term(c, w, q, p._c)
+        return HeckeElement._wrap(self.n, c)
 
     def __str__(self) -> str:
         if not self._c:
             return "0"
-        from .weyl import format_perm
-
         return " + ".join(f"({p})H[{format_perm(w)}]" for w, p in self.terms())
 
     def __repr__(self) -> str:
@@ -125,14 +141,10 @@ class HeckeElement:
 
     def to_json_dict(self) -> dict:
         """The wire form {"terms": [{"w": "321", "coeff": "v^3+v"}, ...]}."""
-        from .weyl import format_perm
-
         return {"terms": [{"w": format_perm(w), "coeff": str(p)} for w, p in self.terms()]}
 
     @classmethod
     def from_json_dict(cls, data, n: int) -> "HeckeElement":
-        from .weyl import parse_perm
-
         coeffs = {}
         for term in data["terms"]:
             w = parse_perm(term["w"])
@@ -146,7 +158,13 @@ class HeckeAlgebra:
     def __init__(self, group: WeylGroup):
         self.group = group
         self.n = group.n
-        self._bar_std: dict[Perm, HeckeElement] = {}
+        elements = group.elements()
+        # made whole here, so threads only ever read the step table
+        self._step: dict[int, dict[Perm, tuple[Perm, bool]]] = {
+            i: {w: (mult_right_simple(w, i), w[i - 1] > w[i]) for w in elements} for i in range(1, self.n)
+        }
+        self._descending = elements[::-1]
+        self._bar_std: dict[Perm, dict[Perm, Coeffs]] = {}
         self._kl: dict[Perm, HeckeElement] = {}
 
     # -- basic elements ----------------------------------------------------
@@ -162,51 +180,46 @@ class HeckeAlgebra:
 
     # -- multiplication ----------------------------------------------------
 
-    def mult_gen(self, h: HeckeElement, i: int) -> HeckeElement:
-        """Right multiplication by H_{s_i}."""
-        vinv_minus_v = LaurentPoly({-1: 1, 1: -1})
-        c: dict[Perm, LaurentPoly] = {}
-
-        def add(w, p):
-            q = c.get(w, LaurentPoly.zero()) + p
-            if q:
-                c[w] = q
-            else:
-                c.pop(w, None)
-
-        for w, p in h._c.items():
-            ws = mult_right_simple(w, i)
-            if i in right_descents(w):
-                add(ws, p)
-                add(w, p * vinv_minus_v)
-            else:
-                add(ws, p)
-        return HeckeElement(self.n, c)
+    def _times(self, h: dict[Perm, Coeffs], i: int, c: Coeffs) -> dict[Perm, Coeffs]:
+        """h (H_{s_i} + c) in one pass over h, by the step rule."""
+        step = self._step[i]
+        at_descent = dict(c)
+        _add_into(at_descent, {-1: 1, 1: -1}, _ONE)
+        acc: dict[Perm, Coeffs] = {}
+        for w, p in h.items():
+            ws, descent = step[w]
+            _add_term(acc, ws, p, _ONE)
+            m = at_descent if descent else c
+            if m:
+                _add_term(acc, w, p, m)
+        return acc
 
     def mult_gen_plus(self, h: HeckeElement, i: int, c: LaurentPoly) -> HeckeElement:
         """Right multiplication by H_{s_i} + c."""
-        return self.mult_gen(h, i) + h.scale(c)
+        return HeckeElement._wrap(self.n, self._times(h._c, i, c._c))
 
     # -- bar involution ----------------------------------------------------
 
-    def _bar_of_std(self, w: Perm) -> HeckeElement:
-        """bar(H_w) = (H_{w^-1})^{-1}, expanded via bar(H_s) on a reduced word."""
+    def _bar_of_std(self, w: Perm) -> dict[Perm, Coeffs]:
+        """bar(H_w) = bar(H_{ws}) bar(H_s) for a right descent s of w, with
+        bar(H_s) = H_s + (v - v^-1) H_e, since bar is a ring homomorphism."""
         cached = self._bar_std.get(w)
-        if cached is not None:
-            return cached
-        # bar is a ring homomorphism, so expand along the word, with
-        # bar(H_s) = H_s + (v - v^-1) H_e
-        result = self.unit()
-        for i in self.group.a_reduced_word(w):
-            result = self.mult_gen_plus(result, i, _V_MINUS_VINV)
-        self._bar_std[w] = result
-        return result
+        if cached is None:
+            if length(w) == 0:
+                cached = {w: dict(_ONE)}
+            else:
+                i = max(right_descents(w))
+                cached = self._times(self._bar_of_std(self._step[i][w][0]), i, {1: 1, -1: -1})
+            self._bar_std[w] = cached
+        return cached
 
     def bar(self, h: HeckeElement) -> HeckeElement:
-        out = self.zero()
-        for w, p in h.terms():
-            out = out + self._bar_of_std(w).scale(p.bar())
-        return out
+        acc: dict[Perm, Coeffs] = {}
+        for w, p in h._c.items():
+            p_bar = {-k: x for k, x in p.items()}
+            for x, q in self._bar_of_std(w).items():
+                _add_term(acc, x, q, p_bar)
+        return HeckeElement._wrap(self.n, acc)
 
     # -- canonical basis ---------------------------------------------------
 
@@ -221,33 +234,31 @@ class HeckeAlgebra:
         if cached is not None:
             return cached
         if length(w) == 0:
-            result = self.unit()
+            c = {w: dict(_ONE)}
         else:
             i = max(right_descents(w))
-            u = mult_right_simple(w, i)
-            result = self.mult_gen_plus(self.kl_basis(u), i, _V)
-            # subtract integer multiples of shorter canonical elements until
-            # every lower coefficient lies in v Z[v]
-            for x in sorted(result.support(), key=lambda y: (-length(y), y)):
-                if x == w:
-                    continue
-                m = result.coeff(x).coeff(0)
+            c = self._times(self.kl_basis(self._step[i][w][0])._c, i, _V)
+            # subtract integer multiples m b_x of shorter canonical elements
+            # until every lower coefficient lies in v Z[v], in one pass from
+            # the top, since m b_x adds no constant term below x
+            for x in self._descending:
+                m = c[x].get(0) if x in c and x != w else 0
                 if m:
-                    if m.denominator != 1:
+                    if type(m) is not int:
                         raise AssertionError("canonical-basis correction is not integral")
-                    result = result - self.kl_basis(x).scale(int(m))
+                    minus_m = {0: -m}
+                    for y, q in self.kl_basis(x)._c.items():
+                        _add_term(c, y, q, minus_m)
+        result = HeckeElement._wrap(self.n, c)
         self._verify_canonical(w, result)
         self._kl[w] = result
         return result
 
     def _verify_canonical(self, w: Perm, b: HeckeElement) -> None:
-        if b.coeff(w) != LaurentPoly.one():
+        if b._c.get(w) != _ONE:
             raise AssertionError("canonical-basis element is not unitriangular")
-        for x, p in b.terms():
-            if x == w:
-                continue
-            if length(x) >= length(w) or any(k <= 0 for k, _ in p.items()):
-                raise AssertionError("canonical-basis coefficients must lie in v Z[v]")
+        if any(x != w and (length(x) >= length(w) or min(p) <= 0) for x, p in b._c.items()):
+            raise AssertionError("canonical-basis coefficients must lie in v Z[v]")
         if self.bar(b) != b:
             raise AssertionError("canonical-basis element is not bar-invariant")
 
@@ -257,20 +268,27 @@ class HeckeAlgebra:
 
     def product_bs(self, word: Word) -> HeckeElement:
         """The product b_{s_1} ... b_{s_l} over the letters of ``word``."""
-        out = self.unit()
+        c = {self.group.identity: dict(_ONE)}
         for i in word:
-            out = self.mult_gen_plus(out, i, _V)
-        return out
+            c = self._times(c, i, _V)
+        return HeckeElement._wrap(self.n, c)
 
     def kl_expand(self, h: HeckeElement) -> dict[Perm, LaurentPoly]:
-        """Coefficients m_x with h equal to the sum of m_x b_x; unique."""
-        rest = h
+        """Coefficients m_x with h equal to the sum of m_x b_x; unique.  One
+        pass down the group in (length, w) order subtracts m_x b_x, which
+        changes only x and shorter elements, at each x left in h."""
+        if h.n != self.n:
+            raise ValueError("rank mismatch in canonical-basis expansion")
+        rest = {w: dict(p) for w, p in h._c.items()}
         out: dict[Perm, LaurentPoly] = {}
-        while rest:
-            x = max(rest.support(), key=lambda y: (length(y), y))
-            m = rest.coeff(x)
-            out[x] = m
-            rest = rest - self.kl_basis(x).scale(m)
+        for x in self._descending:
+            if x in rest:
+                m = rest.pop(x)
+                out[x] = LaurentPoly._stored(m)
+                minus_m = {k: -a for k, a in m.items()}
+                for y, q in self.kl_basis(x)._c.items():
+                    if y != x:
+                        _add_term(rest, y, q, minus_m)
         return out
 
     # -- pairing -----------------------------------------------------------
@@ -285,12 +303,11 @@ class HeckeAlgebra:
         """
         if h1.n != h2.n:
             raise ValueError("rank mismatch in Hecke pairing")
-        out = LaurentPoly.zero()
+        out: Coeffs = {}
         for w, p in h1._c.items():
-            q = h2._c.get(w)
-            if q is not None:
-                out = out + p * q
-        return out
+            if w in h2._c:
+                _add_into(out, p, h2._c[w])
+        return LaurentPoly._stored(out)
 
 
 @lru_cache(maxsize=None)

@@ -41,6 +41,14 @@ class LaurentPoly:
         self._c = c
 
     @classmethod
+    def _stored(cls, c: dict[int, int | Fraction]) -> "LaurentPoly":
+        """The polynomial of c, a dict already in stored form (nonzero values
+        as :func:`exact` gives them), which it takes over unchecked."""
+        out = cls.__new__(cls)
+        out._c = c
+        return out
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
@@ -83,16 +91,12 @@ class LaurentPoly:
                 c[k] = y if type(y) is int else exact(y)
             else:
                 c.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return LaurentPoly._stored(c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {k: -x for k, x in self._c.items()}
-        return out
+        return LaurentPoly._stored({k: -x for k, x in self._c.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -112,9 +116,7 @@ class LaurentPoly:
                     c[k] = y if type(y) is int else exact(y)
                 else:
                     c.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return LaurentPoly._stored(c)
 
     __rmul__ = __mul__
 
@@ -128,11 +130,11 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """Substitute v by its inverse, negating every exponent."""
-        return LaurentPoly({-k: x for k, x in self._c.items()})
+        return LaurentPoly._stored({-k: x for k, x in self._c.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        return LaurentPoly({e + k: x for e, x in self._c.items()})
+        return LaurentPoly._stored({e + k: x for e, x in self._c.items()})
 
     def is_symmetric(self) -> bool:
         """True when invariant under v -> v^-1."""

@@ -406,6 +406,20 @@ def _candidate_shifts(dx_char: LaurentPoly, char: LaurentPoly):
             yield k
 
 
+def endo_dimension(hecke: HeckeAlgebra, elements) -> int:
+    """The dimension of the endomorphism algebra of a sum of shifted D_w, one
+    for each w of ``elements`` (repeats counted): the sum over ordered pairs
+    (a, b) of pairing(b_a, b_b) at v = 1, since shifts move degrees and not
+    the count.  Evaluation at v = 1 is a ring map and the pairing a dot
+    product, so that sum is the sum over x of the square of the sum over a
+    of b_a's coefficient at H_x at v = 1, read off each b_a once."""
+    totals: Counter = Counter()
+    for w in elements:
+        for x, p in hecke.kl_basis(w).terms():
+            totals[x] += p.at_one()
+    return sum(t * t for t in totals.values())
+
+
 class EndoAlgebra:
     """The endomorphism algebra of a direct sum of shifted indecomposables.
 
@@ -420,15 +434,9 @@ class EndoAlgebra:
             raise ValueError("endomorphism algebra of an empty sum")
         for w, _ in self.summands:
             cat._check_element(w)
-        # the dimension is the sum over summand pairs of the pairing of b_wa
-        # and b_wb at v = 1 (shifts move degrees, not the count), so an
-        # oversize algebra is refused before any D_w is built
-        hecke = cat.hecke
-        kl = [hecke.kl_basis(w) for w, _ in self.summands]
-        check_size(
-            "endomorphism algebra of dimension {}",
-            sum(hecke.pairing(ba, bb).at_one() for ba in kl for bb in kl),
-        )
+        # an oversize algebra is refused before any D_w is built
+        dim = endo_dimension(cat.hecke, [w for w, _ in self.summands])
+        check_size("endomorphism algebra of dimension {}", dim)
         self.modules = [cat.indecomposable(w).shift(k) for w, k in self.summands]
         self.basis: list[tuple[int, int, int, ModuleMap]] = []
         self._block_index: dict[tuple[int, int], list[int]] = {}

@@ -21,13 +21,22 @@ from fractions import Fraction
 from soergelkit import gradedmod, soergel
 from soergelkit.coinvariant import CoinvariantElement, coinvariant_ring
 from soergelkit.dualalg import dual_algebra
+from soergelkit.hecke import HeckeAlgebra
 from soergelkit.laurent import LaurentPoly
 from soergelkit.multipoly import divided_difference
 from soergelkit.selftest import demazure_calculus, hom_formula
 from soergelkit.soergel import DecompositionError, soergel_category
 from soergelkit.weyl import format_perm, length, weyl_group
 
-from reference import indecomposable_by_peel, peel_along, restricted_resolution
+from reference import (
+    endo_dimension_by_pairings,
+    indecomposable_by_peel,
+    kl_basis_table,
+    kl_expand,
+    peel_along,
+    product_of_bs,
+    restricted_resolution,
+)
 
 
 def mixed_element(rng, ring):
@@ -180,6 +189,32 @@ def kept_relations(n):
     return {"relations": relations, "kept": kept, "largest_system": largest[0]}
 
 
+def hecke_oracle(n):
+    """The Hecke arithmetic against its object-level reference routes, in a
+    fresh algebra: every rank-n b_w; the dimension of the endomorphism
+    algebra of the sum of all D_w by the sum-of-squares identity against
+    the sum of the pairings of all pairs; and, on 60 seeded words of length
+    6-12, the product of the b_s against the general product, and its
+    expansion in the canonical basis against the reference expansion, key
+    order included, and re-multiplied to the product."""
+    hecke = HeckeAlgebra(weyl_group(n))
+    table = kl_basis_table(hecke)
+    for w, b in table.items():
+        assert hecke.kl_basis(w) == b, format_perm(w)
+    elements = hecke.group.elements()
+    dim = soergel.endo_dimension(hecke, elements)
+    assert dim == endo_dimension_by_pairings(hecke, [(w, 0) for w in elements]), (n, dim)
+    rng = random.Random(7)
+    words = [tuple(rng.randint(1, n - 1) for _ in range(rng.randint(6, 12))) for _ in range(60)]
+    for word in words:
+        h = hecke.product_bs(word)
+        assert h == product_of_bs(hecke, word), word
+        expansion = hecke.kl_expand(h)
+        assert list(expansion.items()) == list(kl_expand(table, h).items()), word
+        assert sum((hecke.kl_basis(x).scale(m) for x, m in expansion.items()), hecke.zero()) == h, word
+    return {"elements": len(table), "dimension": dim, "words": len(words)}
+
+
 def graded_euler(n):
     """C(v) E(v) = I for the graded Cartan matrix C(v) of the rank-n dual
     algebra and E(v), whose (x, y) entry sums (-1)^k v^d over the step-k
@@ -247,6 +282,7 @@ CHECKS = {
         hom_formula,
         certified_words,
         kept_relations,
+        hecke_oracle,
         graded_euler,
         resolutions,
     )

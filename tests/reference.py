@@ -6,13 +6,16 @@ rank-two splitting, the action of a polynomial on a graded module, the
 graded Hom with one unknown per block entry, the peel along a prediction
 and the Hecke recursion of the indecomposables built with it, the minimal
 resolutions of the dual algebra's simples on modules that carry every
-action matrix, the general Hecke product, and the Weyl-group enumerations
-the Bruhat order and canonical words are checked against.
+action matrix, the Hecke arithmetic on objects (the general product, the
+bar involution, the canonical basis, the expansion in it, and the pairing
+sum behind an endomorphism algebra's dimension), and the Weyl-group
+enumerations the Bruhat order and canonical words are checked against.
 """
 
 from soergelkit import gradedmod
 from soergelkit.coinvariant import CoinvariantElement
 from soergelkit.gradedmod import ModuleMap
+from soergelkit.hecke import HeckeElement
 from soergelkit.laurent import LaurentPoly
 from soergelkit.dualalg import MAX_RESOLUTION_LENGTH, Resolution
 from soergelkit.linalg import QMatrix, SparseSystem, hom_equations, kernel_basis, rank, restrict_to_kernels, rref
@@ -408,13 +411,42 @@ def restricted_resolution(alg, x):
 
 
 # -- Hecke algebra ---------------------------------------------------------------
+#
+# Object-level routes: every sum is LaurentPoly arithmetic on (w, coefficient)
+# pairs, and an element is made by the public constructor, so none of them
+# goes through the dict arithmetic of the library.
+
+
+def element(n, pairs):
+    """The element of rank n whose H_w coefficient sums the p of the pairs (w, p)."""
+    c = {}
+    for w, p in pairs:
+        c[w] = c.get(w, LaurentPoly.zero()) + p
+    return HeckeElement(n, c)
+
+
+def mult_gen(alg, h, i):
+    """Right multiplication by H_{s_i}: H_w H_s is H_{ws}, plus
+    (v^-1 - v) H_w when s is a right descent of w."""
+    vinv_minus_v = LaurentPoly({-1: 1, 1: -1})
+    pairs = []
+    for w, p in h.terms():
+        pairs.append((mult_right_simple(w, i), p))
+        if i in right_descents(w):
+            pairs.append((w, p * vinv_minus_v))
+    return element(alg.n, pairs)
+
+
+def mult_gen_plus(alg, h, i, c):
+    """Right multiplication by H_{s_i} + c."""
+    return element(alg.n, mult_gen(alg, h, i).terms() + [(w, p * c) for w, p in h.terms()])
 
 
 def mult_std(alg, h, w):
     """h times H_w, one simple reflection of a reduced word of w at a time."""
     out = h
     for i in alg.group.a_reduced_word(w):
-        out = alg.mult_gen(out, i)
+        out = mult_gen(alg, out, i)
     return out
 
 
@@ -422,10 +454,73 @@ def mult(alg, h1, h2):
     """The general product h1 h2, term by term in h2."""
     if h1.n != h2.n:
         raise ValueError("rank mismatch in Hecke multiplication")
-    out = alg.zero()
-    for w, p in h2.terms():
-        out = out + mult_std(alg, h1, w).scale(p)
+    return element(alg.n, [(x, q * p) for w, p in h2.terms() for x, q in mult_std(alg, h1, w).terms()])
+
+
+def product_of_bs(alg, word):
+    """b_{s_1} ... b_{s_l} by the general product, with b_s = H_s + v H_e."""
+    out = alg.unit()
+    for i in word:
+        b_s = element(alg.n, [(alg.group.simple(i), LaurentPoly.one()), (alg.group.identity, LaurentPoly.v())])
+        out = mult(alg, out, b_s)
     return out
+
+
+def bar_of_std(alg, w):
+    """bar(H_w), multiplied out along the canonical word of w by
+    bar(H_s) = H_s + (v - v^-1) H_e."""
+    out = alg.unit()
+    for i in alg.group.a_reduced_word(w):
+        out = mult_gen_plus(alg, out, i, LaurentPoly({1: 1, -1: -1}))
+    return out
+
+
+def bar(alg, h):
+    """The bar involution, term by term: bar(p H_w) = bar(p) bar(H_w)."""
+    return element(alg.n, [(x, q * p.bar()) for w, p in h.terms() for x, q in bar_of_std(alg, w).terms()])
+
+
+def kl_basis_table(alg):
+    """Every b_w, by length: b_u b_s for u = ws and the largest right descent
+    s of w, minus integer multiples of shorter b_x, from the top, until
+    every lower coefficient lies in v Z[v]; each b_w is checked
+    unitriangular, in v Z[v] below w and bar-invariant."""
+    table = {}
+    for w in alg.group.elements():
+        if length(w) == 0:
+            table[w] = alg.unit()
+            continue
+        i = max(right_descents(w))
+        b = mult_gen_plus(alg, table[mult_right_simple(w, i)], i, LaurentPoly.v())
+        for x in sorted(b.support(), key=lambda y: (-length(y), y)):
+            m = b.coeff(x).coeff(0)
+            if x != w and m:
+                b = element(alg.n, b.terms() + [(y, q * -m) for y, q in table[x].terms()])
+        assert b.coeff(w) == LaurentPoly.one(), format_perm(w)
+        assert all(length(x) < length(w) and p.min_exp() > 0 for x, p in b.terms() if x != w), format_perm(w)
+        assert bar(alg, b) == b, format_perm(w)
+        table[w] = b
+    return table
+
+
+def kl_expand(table, h):
+    """Coefficients m_x with h the sum of m_x b_x for the b_x of ``table``:
+    take the (length, w)-largest element left, record its coefficient m and
+    subtract m b_x, until nothing is left."""
+    out = {}
+    while h:
+        x = max(h.support(), key=lambda y: (length(y), y))
+        m = out[x] = h.coeff(x)
+        h = element(h.n, h.terms() + [(y, -(q * m)) for y, q in table[x].terms()])
+    return out
+
+
+def endo_dimension_by_pairings(hecke, summands):
+    """The dimension of the endomorphism algebra of the sum of the D_w
+    shifted by k over the summands (w, k): the sum over ordered pairs (a, b)
+    of the pairing of v^-k_a b_a and v^-k_b b_b at v = 1."""
+    kl = [hecke.kl_basis(w).scale(LaurentPoly.v(-k)) for w, k in summands]
+    return sum(hecke.pairing(ba, bb).at_one() for ba in kl for bb in kl)
 
 
 # -- Tate categories -------------------------------------------------------------

@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from soergelkit.hecke import HeckeElement, hecke_algebra
+from soergelkit.hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from soergelkit.laurent import LaurentPoly
-from soergelkit.weyl import evaluate_word, inverse, length, parse_perm
+from soergelkit.weyl import evaluate_word, inverse, length, parse_perm, weyl_group
 
-from reference import bruhat_interval_below, is_nonneg_integral, mult
+from frontier import hecke_oracle
+from reference import bar, bruhat_interval_below, is_nonneg_integral, kl_basis_table, kl_expand, mult, mult_gen_plus
 
 
 def random_element(rng, alg, max_terms=3):
@@ -17,6 +19,24 @@ def random_element(rng, alg, max_terms=3):
         w = rng.choice(els)
         coeffs[w] = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
     return HeckeElement(alg.n, coeffs)
+
+
+def fraction_element(rng, alg, max_terms=4):
+    """Up to max_terms terms whose coefficients have up to three terms and
+    true-fraction values."""
+    els = alg.group.elements()
+    coeffs = {}
+    for _ in range(max_terms):
+        coeffs[rng.choice(els)] = LaurentPoly(
+            {rng.randint(-3, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)}
+        )
+    return HeckeElement(alg.n, coeffs)
+
+
+def in_stored_form(p):
+    """Whether every value of a LaurentPoly is an int, or a Fraction that is
+    not integral."""
+    return all(type(x) is int or x.denominator != 1 for _, x in p.items())
 
 
 def antipode(alg, h):
@@ -254,3 +274,72 @@ def test_json_roundtrip():
     payload = b.to_json_dict()
     assert payload["terms"][-1] == {"w": "321", "coeff": "1"}
     assert HeckeElement.from_json_dict(payload, 3) == b
+
+
+@pytest.mark.parametrize("n, elements, dimension", [(2, 2, 5), (3, 6, 77), (4, 24, 3061)])
+def test_hecke_oracle_frontier_check(n, elements, dimension):
+    # every b_w, the endomorphism-algebra dimension identity and 60 products
+    # of b_s with their expansions, against the object-level routes
+    assert hecke_oracle(n) == {"elements": elements, "dimension": dimension, "words": 60}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_right_multiplication_matches_the_object_route(n):
+    alg = hecke_algebra(n)
+    rng = random.Random(53 + n)
+    scalars = [LaurentPoly.v(), LaurentPoly({1: 1, -1: -1}), LaurentPoly({-2: Fraction(3, 4), 0: -1, 1: 2})]
+    for _ in range(10):
+        h = rng.choice([fraction_element, random_element])(rng, alg)
+        i = rng.randint(1, n - 1)
+        for c in scalars:
+            product = alg.mult_gen_plus(h, i, c)
+            assert product == mult_gen_plus(alg, h, i, c), (h, i, c)
+            assert all(in_stored_form(p) for _, p in product.terms()), (h, i, c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bar_expansion_and_pairing_match_the_object_routes(n):
+    alg = hecke_algebra(n)
+    table = kl_basis_table(alg)
+    rng = random.Random(59 + n)
+    for _ in range(10):
+        h, g = fraction_element(rng, alg), fraction_element(rng, alg)
+        barred, expansion, pairing = alg.bar(h), alg.kl_expand(h), alg.pairing(h, g)
+        assert barred == bar(alg, h), h
+        # the keys come in the same order, from the top in (length, w)
+        assert list(expansion.items()) == list(kl_expand(table, h).items()), h
+        assert pairing == product_pairing(alg, h, g), (h, g)
+        values = [p for _, p in barred.terms()] + list(expansion.values()) + [pairing]
+        assert all(in_stored_form(p) for p in values), h
+
+
+@pytest.mark.parametrize(
+    "x, change, message",
+    [
+        # 2 H_w at the top
+        ("321", LaurentPoly.one(), "not unitriangular"),
+        # a constant term below the top
+        ("123", LaurentPoly.one(), "must lie in v Z"),
+        # still in v Z[v], but no longer bar-invariant
+        ("123", LaurentPoly.v(), "not bar-invariant"),
+    ],
+)
+def test_verify_canonical_refuses_each_corruption(monkeypatch, x, change, message):
+    # negative control: one coefficient of the candidate b_w0 changed by a
+    # spy in front of the check trips exactly the check named, and the
+    # candidate is not published
+    alg = HeckeAlgebra(weyl_group(3))
+    w0 = alg.group.longest_element()
+    for w in alg.group.elements()[:-1]:
+        alg.kl_basis(w)
+    verify = HeckeAlgebra._verify_canonical
+
+    def corrupted(self, w, b):
+        verify(self, w, b + HeckeElement(self.n, {parse_perm(x): change}))
+
+    monkeypatch.setattr(HeckeAlgebra, "_verify_canonical", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        alg.kl_basis(w0)
+    assert w0 not in alg._kl
+    monkeypatch.undo()
+    assert alg.kl_basis(w0).coeff(parse_perm(x)) == LaurentPoly.v(length(w0) - length(parse_perm(x)))

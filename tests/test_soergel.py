@@ -27,6 +27,7 @@ from dense_views import dense_flatten
 from frontier import certified_words, character_of_b, indecomposables
 from reference import (
     check_commutes,
+    endo_dimension_by_pairings,
     idempotent_index,
     invariant_generators,
     lower_summands,
@@ -494,6 +495,19 @@ def test_endo_algebra_cap_refuses_before_any_module_is_built(monkeypatch):
     assert built == []
     monkeypatch.setenv("SOERGEL_MAX_DIM", str(size))
     assert EndoAlgebra(soergel_category(3), summands).dim == size
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_endo_dimension_equals_the_pairing_sum(n):
+    # seeded summand lists with repeats and shifts: the sum-of-squares
+    # identity the size check reads against the sum over all pairs
+    hecke = soergel_category(n).hecke
+    rng = random.Random(61 + n)
+    elements = hecke.group.elements()
+    for size in (1, 2, 5, 9):
+        summands = [(rng.choice(elements), rng.randint(-3, 3)) for _ in range(size)]
+        summands += summands[: size // 2]
+        assert soergel.endo_dimension(hecke, [w for w, _ in summands]) == endo_dimension_by_pairings(hecke, summands)
 
 
 def test_endo_algebra_longest_s3():
