@@ -238,9 +238,6 @@ class CoinvariantRing:
 
     # -- elements ------------------------------------------------------------
 
-    def zero(self) -> CoinvariantElement:
-        return CoinvariantElement(self)
-
     def one(self) -> CoinvariantElement:
         return CoinvariantElement(self, {self.basis_index[(0,) * self.n]: 1})
 

@@ -235,9 +235,9 @@ class Presentation:
     x_{n-1}) on every module.  ``bases[d]`` holds a basis of M_d, one
     vector per row: first the candidates ``chosen[d]`` that raise the rank,
     in order, then the unit vectors that complete them, which are the
-    generators.  Every other candidate is a relation, and ``relations[d]``
-    lists them; the degrees just above those of M have relations only,
-    since every product vanishes there.
+    generators.  Every other candidate is a relation; the degrees just
+    above those of M have relations only, since every product vanishes
+    there.
 
     ``kept[d]`` lists the relations that generate the relation module.
     Each row of ``bases[d]`` lifts to the free module F on the generators:
@@ -266,10 +266,10 @@ class Presentation:
     them.
     """
 
-    __slots__ = ("bases", "chosen", "relations", "kept", "_products", "_inverses", "_coords")
+    __slots__ = ("bases", "chosen", "kept", "_products", "_inverses", "_coords")
 
     def __init__(self, M: GradedModule):
-        self.bases, self.chosen, self.relations, self.kept = {}, {}, {}, {}
+        self.bases, self.chosen, self.kept = {}, {}, {}
         self._products, self._inverses, self._coords = {}, {}, {}
         ring_columns, ring_degrees = _ring_actions(M.ring)
         (one,) = M.ring.one().coords
@@ -308,9 +308,6 @@ class Presentation:
                 units = [identity.nonzeros[u] for u in span.independent(identity)]
                 self.bases[d] = QMatrix(m, m, rows + units)
                 self.chosen[d] = tuple(chosen)
-            taken = set(chosen)
-            relations = tuple(c for c in range((n - 1) * count) if c not in taken)
-            self.relations[d] = relations
             first = len(generators)
             lifts[d] = [lift(c) for c in chosen] + [{one * width + g: 1} for g in range(first, first + len(units))]
             labels[d] = [c // count + 1 for c in chosen] + [n - 1] * len(units)
@@ -345,11 +342,11 @@ class Presentation:
                 # products; only x_i b with i up to the label of b is tried
                 for row in lifts[d]:
                     span.raises(row)
-                labels_below = labels[d - 2]
-                for c in relations:
+                labels_below, taken = labels[d - 2], set(chosen)
+                for c in range((n - 1) * count):
                     if span.rank == full:
                         break
-                    if c // count < labels_below[c % count] and span.raises(lift(c)):
+                    if c not in taken and c // count < labels_below[c % count] and span.raises(lift(c)):
                         kept.append(c)
             self.kept[d] = tuple(kept)
             if kept and m:
@@ -407,10 +404,6 @@ class ModuleMap:
         self.blocks = blks
 
     @classmethod
-    def zero(cls, source: GradedModule, target: GradedModule, degree: int) -> "ModuleMap":
-        return cls(source, target, degree, {})
-
-    @classmethod
     def identity(cls, module: GradedModule) -> "ModuleMap":
         return cls(
             module,
@@ -440,17 +433,6 @@ class ModuleMap:
 
     def __hash__(self):
         raise TypeError("ModuleMap is unhashable")
-
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        if self.degree != other.degree or self.source is not other.source or self.target is not other.target:
-            raise ValueError("incompatible maps in addition")
-        blocks = {}
-        for d in set(self.blocks) | set(other.blocks):
-            blocks[d] = self.block(d) + other.block(d)
-        return ModuleMap(self.source, self.target, self.degree, blocks)
-
-    def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "ModuleMap":
         return ModuleMap(

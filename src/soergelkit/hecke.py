@@ -194,8 +194,13 @@ class HeckeAlgebra:
                 _add_term(acc, w, p, m)
         return acc
 
+    def _check_letter(self, i: int) -> None:
+        if i not in self._step:
+            raise ValueError(f"letter {i!r} is not a simple reflection of rank {self.n}: letters run 1..{self.n - 1}")
+
     def mult_gen_plus(self, h: HeckeElement, i: int, c: LaurentPoly) -> HeckeElement:
         """Right multiplication by H_{s_i} + c."""
+        self._check_letter(i)
         return HeckeElement._wrap(self.n, self._times(h._c, i, c._c))
 
     # -- bar involution ----------------------------------------------------
@@ -270,6 +275,7 @@ class HeckeAlgebra:
         """The product b_{s_1} ... b_{s_l} over the letters of ``word``."""
         c = {self.group.identity: dict(_ONE)}
         for i in word:
+            self._check_letter(i)
             c = self._times(c, i, _V)
         return HeckeElement._wrap(self.n, c)
 

@@ -212,9 +212,3 @@ class LaurentPoly:
                 exp = int(m.group(3))
             coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
         return cls(coeffs)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

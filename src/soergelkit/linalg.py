@@ -17,8 +17,8 @@ placed blocks, transposes and reduced forms store only nonzeros too.  A
 vector is stored the same way, as an {index: value} dict: kernel bases,
 :func:`flatten` and :class:`EchelonBasis` build and read such dicts.  The
 dense forms, lists of Fractions, are test views and reference routes:
-:attr:`QMatrix.data`, ``row``, ``col``, ``times_vector``, :func:`solve`
-and :class:`SpanSolver`.  No other library routine calls them; they stay
+:attr:`QMatrix.data`, ``row``, ``times_vector``, :func:`solve` and
+:class:`SpanSolver`.  No other library routine calls them; they stay
 here, not with the other reference routes in ``tests/reference.py``,
 because the benchmark tracer binds them.
 
@@ -160,8 +160,8 @@ class QMatrix:
     values from stored values, kept only when nonzero and put in the stored
     form, so they cannot be malformed.
     Stored rows are never changed, so matrices share them, and all empty
-    rows are one shared dict.  The dense views :attr:`data`, :meth:`row`
-    and :meth:`col` hold Fractions.
+    rows are one shared dict.  The dense views :attr:`data` and
+    :meth:`row` hold Fractions.
     """
 
     __slots__ = ("rows", "cols", "nonzeros")
@@ -234,9 +234,6 @@ class QMatrix:
         for j, x in self.nonzeros[i].items():
             out[j] = Fraction(x)
         return out
-
-    def col(self, j: int) -> list[Fraction]:
-        return [Fraction(r.get(j, 0)) for r in self.nonzeros]
 
     def transpose(self) -> "QMatrix":
         return _stored_columns(self.cols, self.nonzeros)
@@ -796,7 +793,3 @@ class SpanSolver:
         if any(t[self.k :]):
             raise ValueError("vector does not lie in the span")
         return t[: self.k]
-
-    def contains(self, vec: list[Fraction]) -> bool:
-        t = self._e.times_vector(vec)
-        return not any(t[self.k :])

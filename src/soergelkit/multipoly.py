@@ -141,14 +141,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "MultiPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MultiPoly.one(self.n)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def perm_act(self, w: tuple[int, ...]) -> "MultiPoly":
         """Apply the variable permutation x_i -> x_{w(i)}.
 
@@ -230,9 +222,3 @@ def divided_difference(p: MultiPoly, i: int) -> MultiPoly:
             b[ib] = pe + qe - 1 - t
             add(tuple(b), sign * x)
     return MultiPoly(p.n, terms)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -122,10 +122,6 @@ class GradedComplex:
     def __init__(self, layers):
         self.layers = {int(g): layer for g, layer in layers.items() if layer.total_dim()}
 
-    @classmethod
-    def zero(cls) -> "GradedComplex":
-        return cls({})
-
     def internal_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.layers))
 

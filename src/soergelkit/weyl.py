@@ -228,9 +228,3 @@ class WeylGroup:
 def weyl_group(n: int) -> WeylGroup:
     """Shared per-rank group instance (add-only caches, thread-safe reads)."""
     return WeylGroup(n)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -2,7 +2,8 @@
 
 The library stores a vector as an {index: value} dict of its nonzeros, each
 value an int when integral and a Fraction otherwise; these helpers give the
-list form of Fractions, zeros included, and back.
+list form of Fractions, zeros included, and back, and read columns and
+span membership in that form.
 """
 
 from fractions import Fraction
@@ -22,6 +23,20 @@ def sparse(values):
     """The nonzero entries of a list, as an {index: value} dict in the
     stored form."""
     return {j: exact(x) for j, x in enumerate(values) if x}
+
+
+def col(m, j):
+    """Column j of a QMatrix as a list of Fractions, zeros included."""
+    return [Fraction(r.get(j, 0)) for r in m.nonzeros]
+
+
+def in_span(solver, vec):
+    """Whether the list ``vec`` lies in the span of a SpanSolver's vectors."""
+    try:
+        solver.coords(vec)
+    except ValueError:
+        return False
+    return True
 
 
 def dense_flatten(m):

@@ -34,6 +34,7 @@ from reference import (
     kl_basis_table,
     kl_expand,
     peel_along,
+    presentation_relations,
     product_of_bs,
     restricted_resolution,
 )
@@ -183,9 +184,8 @@ def kept_relations(n):
         modules = [cat.indecomposable(w) for w in sorted(cat.group.elements(), key=lambda w: (length(w), w))]
     finally:
         gradedmod._hom_system = build
-    presentations = [M.presentation() for M in modules]
-    relations = sum(len(r) for pres in presentations for r in pres.relations.values())
-    kept = sum(len(k) for pres in presentations for k in pres.kept.values())
+    relations = sum(len(r) for M in modules for r in presentation_relations(M).values())
+    kept = sum(len(k) for M in modules for k in M.presentation().kept.values())
     return {"relations": relations, "kept": kept, "largest_system": largest[0]}
 
 

@@ -3,13 +3,14 @@
 Each is a plain function over the public API, with no cache, and none has
 a caller in the library: the coinvariant ring's matrices, invariants and
 rank-two splitting, the action of a polynomial on a graded module, the
-graded Hom with one unknown per block entry, the peel along a prediction
-and the Hecke recursion of the indecomposables built with it, the minimal
-resolutions of the dual algebra's simples on modules that carry every
-action matrix, the Hecke arithmetic on objects (the general product, the
-bar involution, the canonical basis, the expansion in it, and the pairing
-sum behind an endomorphism algebra's dimension), and the Weyl-group
-enumerations the Bruhat order and canonical words are checked against.
+relations of a presentation and the graded Hom with one unknown per block
+entry or with every relation, the peel along a prediction and the Hecke
+recursion of the indecomposables built with it, the minimal resolutions
+of the dual algebra's simples on modules that carry every action matrix,
+the Hecke arithmetic on objects (the general product, the bar involution,
+the canonical basis, the expansion in it, and the pairing sum behind an
+endomorphism algebra's dimension), and the Weyl-group enumerations the
+Bruhat order and canonical words are checked against.
 """
 
 from soergelkit import gradedmod
@@ -183,6 +184,17 @@ def hom_graded_blocks(M, N, degree):
     return maps
 
 
+def presentation_relations(M):
+    """{d: the relations of M's presentation in degree d}, for every degree
+    of M and each degree two above one: the candidates x_i b, numbered as
+    in ``gradedmod.Presentation``, that are not among the chosen ones."""
+    pres, n, degrees = M.presentation(), M.ring.n, set(M.degrees())
+    return {
+        d: tuple(c for c in range((n - 1) * M.dim_at(d - 2)) if c not in pres.chosen.get(d, ()))
+        for d in sorted(degrees | {e + 2 for e in degrees})
+    }
+
+
 def hom_system_every_relation(M, N, degree):
     """The Hom^degree(M, N) system on generator images with the equations
     of every relation of M's presentation, not only the kept ones.
@@ -201,7 +213,7 @@ def hom_system_every_relation(M, N, degree):
         first[d] = width
         width += gens * N.dim_at(d + degree)
     images, equations = {}, []
-    for d, relations in pres.relations.items():
+    for d, relations in presentation_relations(M).items():
         nd, below = N.dim_at(d + degree), pres.bases.get(d - 2)
         products, vectors = [], []
         for i in range(1, M.ring.n):

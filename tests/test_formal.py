@@ -344,6 +344,21 @@ def test_validate_rejects_bad_entry():
         fc.validate(bad)
 
 
+def test_validate_rejects_a_differential_that_does_not_square_to_zero():
+    fc = formal_category(2)
+    e, s = parse_perm("12"), parse_perm("21")
+    # D_s -> D_e -> D_s: onto the degree-0 part, then onto the socle; the
+    # composite sends 1 to the socle, so d^2 != 0 though each entry is legal
+    onto = fc.hom_space("MIX", Gen(s, 0), Gen(e, 0))[0]
+    socle = fc.hom_space("MIX", Gen(e, 0), Gen(s, 1))[0]
+    terms = {0: (Gen(s, 0),), 1: (Gen(e, 0),), 2: (Gen(s, 1),)}
+    fc.validate(FormalComplex("MIX", terms, {0: [[onto]]}))
+    bad = FormalComplex("MIX", terms, {0: [[onto]], 1: [[socle]]})
+    assert not fc.dsquare_check(bad)
+    with pytest.raises(AssertionError, match="does not square to zero"):
+        fc.validate(bad)
+
+
 def test_sides_are_enforced():
     fc = formal_category(2)
     x = fc.stalk("MIX", [Gen(parse_perm("12"), 0)])

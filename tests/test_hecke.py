@@ -6,6 +6,7 @@ import pytest
 
 from soergelkit.hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from soergelkit.laurent import LaurentPoly
+from soergelkit.soergel import soergel_category
 from soergelkit.weyl import evaluate_word, inverse, length, parse_perm, weyl_group
 
 from frontier import hecke_oracle
@@ -168,6 +169,20 @@ def test_product_bs_single_and_square():
     b_s = alg.kl_basis(s)
     assert alg.product_bs((1,)) == b_s
     assert alg.product_bs((1, 1)) == b_s.scale(LaurentPoly({1: 1, -1: 1}))
+
+
+@pytest.mark.parametrize("word", [(0,), (3,), (1, 5, 2), (7,)])
+def test_letters_outside_the_rank_raise_a_value_error_naming_them(word):
+    # at rank 3 the letters are 1 and 2
+    alg = hecke_algebra(3)
+    (bad,) = [i for i in word if i not in (1, 2)]
+    message = f"letter {bad} is not a simple reflection of rank 3"
+    with pytest.raises(ValueError, match=message):
+        alg.product_bs(word)
+    with pytest.raises(ValueError, match=message):
+        soergel_category(3).expected_summands(word)
+    with pytest.raises(ValueError, match=message):
+        alg.mult_gen_plus(alg.unit(), bad, LaurentPoly.v())
 
 
 def test_product_bs_braid_expansion():

@@ -1,11 +1,14 @@
 """Package structure: modules share only their public names."""
 
 import ast
+import importlib.util
 import re
+import threading
 from collections import Counter
 from pathlib import Path
 
 import soergelkit
+from execution_audit import findings, unrun
 
 PACKAGE = Path(soergelkit.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,8 +101,6 @@ UNCALLED_PUBLIC_NAMES = {
     "weyl.multiply": "elementary operation: the group product",
     "formal.FormalCategory.stalk": "user API: the complex of one term, checked like any complex built from outside data",
     "hecke.HeckeElement.from_json_dict": "reads back the elements that the kl command prints",
-    "linalg.QMatrix.col": "dense view: the benchmark tracer binds the dense views, which leave with it",
-    "linalg.SpanSolver.contains": "dense view: the benchmark tracer binds the dense views, which leave with it",
 }
 
 
@@ -182,3 +183,60 @@ def test_no_workflow_runs_inline_python():
         for match in INLINE_PYTHON.finditer(text)
     ]
     assert workflows and found == []
+
+
+PLANTED = """
+def called():
+    def inner():
+        return 1
+
+    def never():
+        return 2
+
+    return inner()
+
+
+def planted():
+    return 3
+
+
+def in_thread():
+    return 4
+
+
+class Box:
+    @staticmethod
+    def method():
+        return 5
+
+    def spare(self):
+        return 6
+"""
+
+
+def test_execution_audit_flags_each_function_that_never_runs(tmp_path):
+    # the audit's core on a planted module: nested and decorated functions
+    # and one run in another thread are seen, and only the unrun ones listed
+    path = tmp_path / "planted.py"
+    path.write_text(PLANTED)
+    spec = importlib.util.spec_from_file_location("planted", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def run():
+        module.called()
+        module.Box.method()
+        thread = threading.Thread(target=module.in_thread)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    never = unrun([path], run)
+    assert never == ["planted.Box.spare", "planted.called.never", "planted.planted"]
+    # an allowed function that never ran passes; an allowed one that ran fails
+    allowed = {"planted.planted": "kept for a reason", "planted.called.inner": "kept for a reason"}
+    assert findings(never, allowed) == [
+        "never ran: planted.Box.spare",
+        "never ran: planted.called.never",
+        "allowed as unrun, but ran: planted.called.inner",
+    ]

@@ -23,7 +23,7 @@ from soergelkit.selftest import hom_formula
 from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory, soergel_category
 from soergelkit.weyl import format_perm, length, parse_perm
 
-from dense_views import dense_flatten
+from dense_views import col, dense_flatten
 from frontier import certified_words, character_of_b, indecomposables
 from reference import (
     check_commutes,
@@ -96,7 +96,7 @@ def tensor_quotient_induct(ring, i, M):
                 gc = (g * ring.basis_element(ci)).coords
                 for mi in range(M.dim_at(dm)):
                     entries = [((dm, mi, cj), x) for cj, x in gc.items()]
-                    fm = g_on_m[dm].col(mi)
+                    fm = col(g_on_m[dm], mi)
                     entries += [((dm + dg, mj, ci), -x) for mj, x in enumerate(fm) if x]
                     relations.setdefault(d, []).append(tensor(d, entries))
 

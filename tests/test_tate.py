@@ -1,6 +1,9 @@
 import hashlib
 import random
 
+import pytest
+
+from soergelkit import tate
 from soergelkit.linalg import QMatrix, inverse
 from soergelkit.tate import (
     Complex,
@@ -219,6 +222,30 @@ def test_axiom_checkers_pass():
         w_report = check_w_axioms(sample)
         assert t_report["all_pass"], t_report
         assert w_report["all_pass"], w_report
+
+
+def _lowest(x):
+    return min(c for c, _ in x.components())
+
+
+@pytest.mark.parametrize(
+    "axiom, leq, geq",
+    [
+        ("nesting", lambda x, m: t_truncate_leq(x, m) if m < 1 else GradedComplex({}), t_truncate_geq),
+        ("decomposition", t_truncate_leq, lambda x, m: t_truncate_geq(x, m).direct_sum(t_truncate_geq(x, m))),
+        # each object cut at its own lowest position: every object still
+        # splits, but the lower part of one meets the upper part of another
+        ("orthogonality", lambda x, m: t_truncate_leq(x, m + _lowest(x)), lambda x, m: t_truncate_geq(x, m + _lowest(x))),
+    ],
+)
+def test_axiom_checker_flags_the_one_broken_axiom(axiom, leq, geq, monkeypatch):
+    sample = [simple(1, 0), simple(0, 0).direct_sum(simple(1, 0))]
+    assert check_t_axioms(sample)["all_pass"]
+    monkeypatch.setattr(tate, "t_truncate_leq", leq)
+    monkeypatch.setattr(tate, "t_truncate_geq", geq)
+    report = check_t_axioms(sample)
+    assert [flag for flag in ("nesting", "orthogonality", "decomposition") if not report[flag]] == [axiom]
+    assert not report["all_pass"]
 
 
 def test_axiom_checker_single_simple():
