@@ -16,8 +16,11 @@ generators), and the other products as relations.  Most relations follow
 from lower ones, and the presentation also marks the few that generate
 the relation module, found once in the free module on the generators.
 The unknowns are the images of the generators and only those kept
-relations give equations (:func:`hom_images`); the others are linear
-combinations of them, so the solutions are the same.
+relations give equations; the others are linear combinations of them, so
+the solutions are the same.  :func:`hom_generator_images` returns the
+maps as those generator images, which fix each map and generate its
+image, and :func:`hom_images` carries them up to the whole presentation
+basis.
 :func:`hom_graded` writes the maps as blocks and returns the reduced
 echelon basis that a solve with one unknown per block entry would.  A
 dimension needs no basis: :func:`hom_dim` is the number of unknowns less
@@ -577,42 +580,68 @@ def _hom_system(M: GradedModule, N: GradedModule, degree: int) -> tuple[dict[int
     return first, width, equations
 
 
+def hom_generator_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, list[dict]]]:
+    """A basis of the degree-``degree`` maps M -> N, each given by its
+    images of the generators of M's :class:`Presentation` alone: at each
+    degree d of generators where N_{d+degree} is nonzero, the list whose
+    entry g is the image of generator g, a vector of N_{d+degree} as a
+    {row: value} dict of its nonzero entries.
+
+    They are the kernel vectors of the system of :func:`_hom_system`, read
+    off its layout: the unknown first[d][g] + r is row r of the image of
+    generator g.  A map is fixed by these images, and the image of the map
+    is the submodule they generate.  As in :func:`hom_graded`, M and N
+    must be modules.
+    """
+    first, width, equations = _hom_system(M, N, degree)
+    if not width:
+        return []
+    vecs = kernel_basis(SparseSystem.of(width, equations))
+    # unknown u is row r of the image of generator g of degree d at owner[u] = (d, g, r)
+    owner, layout = [None] * width, {}
+    for d, starts in first.items():
+        nd = N.dim_at(d + degree)
+        if nd:
+            layout[d] = len(starts)
+            for g, u in enumerate(starts):
+                owner[u : u + nd] = [(d, g, r) for r in range(nd)]
+    maps = []
+    for vec in vecs:
+        images = {d: [{} for _ in range(gens)] for d, gens in layout.items()}
+        for u, x in vec.items():
+            d, g, r = owner[u]
+            images[d][g][r] = x
+        maps.append(images)
+    return maps
+
+
 def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, QMatrix]]:
     """A basis of the degree-``degree`` maps M -> N, each given by its
     images of the basis of M's :class:`Presentation`: the block at d, kept
     where it is nonzero, is the dim M_d x dim N_{d+degree} matrix whose row
     j is the image of row j of ``bases[d]``.
 
-    The kernel of the system of :func:`_hom_system` is solved first.  Its
-    vectors are the generator images of the maps, which are then carried
-    up through the chosen products, packed with one column per solution,
-    so each x_i is applied once for all the maps.  As in
-    :func:`hom_graded`, M and N must be modules.
+    The generator images come from :func:`hom_generator_images`, the one
+    solve; they are then carried up through the chosen products, packed
+    with one column per map, so each x_i is applied once for all the maps.
+    As in :func:`hom_graded`, M and N must be modules.
     """
-    first, width, equations = _hom_system(M, N, degree)
-    if not width:
+    generators = hom_generator_images(M, N, degree)
+    if not generators:
         return []
-    vecs = kernel_basis(SparseSystem.of(width, equations))
-    if not vecs:
-        return []
-    # solution s at unknown u is by_unknown[u][s]
-    by_unknown = [{} for _ in range(width)]
-    for s, vec in enumerate(vecs):
-        for u, x in vec.items():
-            by_unknown[u][s] = x
-    count = len(vecs)
+    count = len(generators)
 
     def generator(d, g):
-        u = first[d][g]
-        return {r * count + s: x for r in range(N.dim_at(d + degree)) for s, x in by_unknown[u + r].items()}
+        packed = {r * count + s: x for s, images in enumerate(generators) for r, x in images[d][g].items()}
+        return dict(sorted(packed.items()))
 
     images = _Images(M.presentation(), N, degree, count, generator)
-    maps = [{} for _ in vecs]
+    maps = [{} for _ in generators]
     for d, basis in images.pres.bases.items():
         nd = N.dim_at(d + degree)
         if not nd:
             continue
-        blocks = [[{} for _ in range(basis.rows)] for _ in vecs]
+        blocks = [[{} for _ in range(basis.rows)] for _ in generators]
         for j in range(basis.rows):
             for col, x in images.image(d, j).items():
                 r, s = divmod(col, count)

@@ -14,10 +14,13 @@ gives the Bott-Samelson module of the word.  The Hecke algebra predicts
 the summands D_x[k] of a module, and ``decompose`` certifies a prediction
 by an isomorphism from their direct sum, stacked from inclusions alone,
 one Hom solve on the generators of D_x per predicted summand, visited by
-descending shift; that order completes the stack because Hom^d(D_x, D_y)
-is 0 for d < 0 and the scalars (y = x) or 0 for d = 0.  D_w follows the
-canonical-basis recursion (Soergel 2007; Elias and Williamson 2014): with
-s the last letter of the canonical word of w and u = ws, it is the common
+descending shift.  Only the generator images enter the span, which starts
+from C_+M, the products of the variables with M, so by graded Nakayama a
+span that fills M proves the map onto; that order completes the stack
+because Hom^d(D_x, D_y) is 0 for d < 0 and the scalars (y = x) or 0 for
+d = 0.  D_w follows the canonical-basis recursion (Soergel 2007; Elias
+and Williamson 2014): with s the last letter of the canonical word of w
+and u = ws, it is the common
 kernel of the degree-0 maps from the induction of D_u along s to the
 summands of b_u b_s - b_w, certified by the same stack.  Without a
 prediction a peel loop searches, splitting summands off one at a time
@@ -41,8 +44,8 @@ from .gradedmod import (
     check_hom_size,
     graded_hom_poly,
     hom_degree_range,
+    hom_generator_images,
     hom_graded,
-    hom_images,
     kernel_module,
     trivial_module,
 )
@@ -109,8 +112,9 @@ class SoergelCategory:
     def induct(self, i: int, M: GradedModule) -> GradedModule:
         """C (x)_{C^s} M for s = s_i, shifted one step down.
 
-        Degree d holds 1 (x) M_d followed by x_i (x) M_{d-2}.  With E1 and E2
-        the actions of x_i + x_{i+1} and x_i x_{i+1}, the relation
+        Before the shift, degree d holds 1 (x) M_d followed by x_i (x)
+        M_{d-2}.  With E1 and E2 the actions of x_i + x_{i+1}, formed once
+        per degree of M, and x_i x_{i+1}, the relation
         x_i^2 = E1 x_i - E2 gives x_i the blocks [[0, -E2], [I, E1]] and
         x_{i+1} = E1 - x_i the blocks [[E1, E2], [-I, 0]]; every other
         variable is invariant and acts diagonally.  Each action from degree
@@ -118,7 +122,8 @@ class SoergelCategory:
         does not hold is zero, so no zero E1, E2 or action block is built,
         negated or placed, and an action with no block is left out.  Its rows
         are 1 (x) M_{d+2} then x_i (x) M_d, its columns 1 (x) M_d then
-        x_i (x) M_{d-2}.
+        x_i (x) M_{d-2}.  The module is built and validated at the shifted
+        degrees d - 1 directly.
         """
         if M.ring is not self.ring:
             raise ValueError("module belongs to a different ring")
@@ -126,11 +131,10 @@ class SoergelCategory:
             raise ValueError(f"simple reflection index {i} out of range for rank {self.n}")
         check_size("induced module of dimension {}", 2 * M.total_dim())
         act, dim = M.actions.get, M.dim_at
-
-        def e1(d: int) -> QMatrix | None:
+        e1 = {}
+        for d in M.degrees():
             a, b = act((i, d)), act((i + 1, d))
-            return b if a is None else a if b is None else a + b
-
+            e1[d] = b if a is None else a if b is None else a + b
         dims = {d: dim(d) + dim(d - 2) for e in M.degrees() for d in (e, e + 2)}
         actions = {}
         for d in dims:
@@ -147,15 +151,15 @@ class SoergelCategory:
                 minus_e2 = -e2
             for l in range(1, self.n + 1):
                 if l == i:
-                    blocks = [(0, c1, minus_e2), (r1, 0, one), (r1, c1, e1(d - 2))]
+                    blocks = [(0, c1, minus_e2), (r1, 0, one), (r1, c1, e1.get(d - 2))]
                 elif l == i + 1:
-                    blocks = [(0, 0, e1(d)), (0, c1, e2), (r1, 0, minus_one)]
+                    blocks = [(0, 0, e1.get(d)), (0, c1, e2), (r1, 0, minus_one)]
                 else:
                     blocks = [(0, 0, act((l, d))), (r1, c1, act((l, d - 2)))]
                 blocks = [blk for blk in blocks if blk[2] is not None]
                 if blocks:
-                    actions[(l, d)] = place_blocks(dims[d + 2], dims[d], blocks)
-        return GradedModule(self.ring, dims, actions, validate=True).shift(1)
+                    actions[(l, d - 1)] = place_blocks(dims[d + 2], dims[d], blocks)
+        return GradedModule(self.ring, {d - 1: m for d, m in dims.items()}, actions, validate=True)
 
     def bott_samelson(self, word: Word) -> GradedModule:
         """Iterated induction along the word, starting from the trivial module."""
@@ -289,13 +293,14 @@ class SoergelCategory:
             raise DecompositionError(f"summand characters do not add up to the module character{context}")
 
     def _certify(self, M: GradedModule, expected: list) -> Decomposition:
-        """The decomposition ``expected`` of M, certified by a bijective
-        module map onto M stacked from inclusions D_x[k] -> M
+        """The decomposition ``expected`` of M, certified by a module map
+        onto M from the sum of the predicted D_x[k], stacked from
+        inclusions D_x[k] -> M read on the generators of D_x modulo C_+M
         (:meth:`_stack_inclusions`).  The characters are compared first,
-        which makes the stack square in every degree, so a span that is all
-        of M makes it bijective, whatever the theory says.  Before any
-        solve, each group's Hom is checked against the cap by its
-        block-entry count, groups by ascending k."""
+        which makes the map square in every degree, so a surjective one is
+        bijective, whatever the theory says.  Before any solve, each
+        group's Hom is checked against the cap by its block-entry count,
+        groups by ascending k."""
         self._check_characters(M.character(), expected)
         groups = list(Counter(expected).items())
         for (x, k), _ in sorted(groups, key=lambda group: group[0][1]):
@@ -304,22 +309,42 @@ class SoergelCategory:
         return Decomposition(expected)
 
     def _stack_inclusions(self, M: GradedModule, groups, spans, context: str = "") -> None:
-        """Add to ``spans``, one RowSpan per degree of M, the images of
-        degree -k maps D_x -> M, solved on the generators of D_x
-        (:func:`~soergelkit.gradedmod.hom_images`), for the predicted groups
-        ((x, k), m), by descending k, ties in their order.  Each group keeps
-        the first m maps, in basis order, whose images raise the rank of the
-        span, degree by degree.  A map D_x[k] -> D_y[j] is a map D_x -> D_y
-        of degree j - k, which is 0 for j < k, and the scalars (y = x) or 0
-        for j = k; so on a true prediction each group adds a fresh copy of
-        each D_x[k] to those of the larger shifts, and the greedy choice
-        completes the span.  Raises DecompositionError when a group keeps
-        fewer than m maps or the spans do not fill M."""
+        """Certify that maps D_x[k] -> M for the predicted groups ((x, k),
+        m), with what the caller put in ``spans`` (one RowSpan per degree of
+        M, holding a submodule of M or nothing), reach all of M.
+
+        The spans are first seeded with C_+M: the columns of x_1 .. x_{n-1}
+        acting into each degree, which span it since x_n = -(x_1 + .. +
+        x_{n-1}) on a module.  Then the groups are visited by descending k,
+        ties in their order.  For each, the degree -k maps D_x -> M are
+        solved on the generators of D_x
+        (:func:`~soergelkit.gradedmod.hom_generator_images`), and only the
+        generator images go into the spans.  A group keeps the first m maps,
+        in basis order, whose generator images raise the rank.
+
+        Spans that fill M prove M = N + C_+M, with N the submodule the kept
+        maps and the seed generate; C_+ is nilpotent on M, so graded
+        Nakayama gives N = M.  On a true prediction the greedy choice fills
+        them: modulo C_+M a module is the sum of the tops of its summands,
+        and a map D_x[k] -> D_y[j] is a map D_x -> D_y of degree j - k,
+        which is 0 for j < k and the scalars (y = x) or 0 for j = k.  So
+        modulo the tops of the larger shifts, already in the spans, a map
+        of the group reaches only the tops of the copies of D_x[k], each by
+        a scalar, and it raises the rank exactly when its scalars are new.
+        Raises DecompositionError when a group keeps fewer than m maps or
+        the spans do not fill M."""
+        for (i, d), act in M.actions.items():
+            span = spans[d + 2]
+            if i < self.n and span.rank < span.cols:
+                for column in act.transpose().nonzeros:
+                    if span.rank == span.cols:
+                        break
+                    span.raises(column)
         for (x, k), m in _by_descending_shift(groups):
             kept = 0
-            for images in hom_images(self.indecomposable(x), M, -k):
-                # a list, not a lazy any(): every block goes into the span
-                if sum([spans[d - k].add(img) for d, img in images.items()]):
+            for images in hom_generator_images(self.indecomposable(x), M, -k):
+                # a list, not a lazy any(): every image goes into the span
+                if sum([spans[d - k].raises(img) for d, imgs in images.items() for img in imgs]):
                     kept += 1
                     if kept == m:
                         break

@@ -247,11 +247,13 @@ def _hom_differential(x: Complex, y: Complex, k: int) -> SparseSystem:
 
 
 def hom_homotopy(x, y, k: int = 0) -> int:
-    """Dimension of chain maps x -> y[k] modulo homotopy."""
+    """Dimension of chain maps x -> y[k] modulo homotopy.  Graded
+    complexes are summed over the internal degrees that both have: a layer
+    that either lacks has no Hom."""
     if isinstance(x, GradedComplex) and isinstance(y, GradedComplex):
         return sum(
             hom_homotopy(x.layer(g), y.layer(g), k)
-            for g in set(x.internal_degrees()) | set(y.internal_degrees())
+            for g in set(x.internal_degrees()) & set(y.internal_degrees())
         )
     if isinstance(x, GradedComplex) or isinstance(y, GradedComplex):
         raise TypeError("cannot mix graded and ungraded complexes in Hom")

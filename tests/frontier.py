@@ -29,6 +29,7 @@ from soergelkit.soergel import DecompositionError, soergel_category
 from soergelkit.weyl import format_perm, length, weyl_group
 
 from reference import (
+    certify_by_full_images,
     endo_dimension_by_pairings,
     indecomposable_by_peel,
     kl_basis_table,
@@ -109,12 +110,24 @@ def indecomposables(n):
     return {"modules": len(elements), "int_entries": entries, "equal_to_peel": len(elements)}
 
 
+def refuses(certify, *args):
+    """Whether ``certify(*args)`` raises DecompositionError."""
+    try:
+        certify(*args)
+    except DecompositionError:
+        return True
+    return False
+
+
 def certified_words(n):
     """60 seeded rank-n words of length 3-7, each decomposed by the
     certified prediction, the peel along it and the Hecke product, and a
-    same-character substitute of one summand, where any exists, refused.
-    Counts the largest and the total unknowns: block unknowns of the
-    certificate and of the peel, and the generator-image unknowns solved."""
+    same-character substitute of one summand, where any exists, refused;
+    the reference certificate by full images (``oracle_agrees``) certifies
+    the same prediction and refuses the same substitute.  Counts the
+    largest and the total unknowns: block unknowns of the certificate and
+    of the peel, and the generator-image unknowns solved; the reference
+    certificate solves outside the counted bindings."""
     cat = soergel_category(n)
     hecke = cat.hecke
     by_character = {}
@@ -132,13 +145,13 @@ def certified_words(n):
     def images(M, N, degree):
         count("images", sum(g * N.dim_at(d + degree) for d, g in M.presentation().generators().items()))
 
-    hom_graded, hom_images = soergel.hom_graded, soergel.hom_images
+    hom_graded, hom_generator_images = soergel.hom_graded, soergel.hom_generator_images
     soergel.hom_graded = lambda *args: blocks(*args) or hom_graded(*args)
-    soergel.hom_images = lambda *args: blocks(*args) or images(*args) or hom_images(*args)
+    soergel.hom_generator_images = lambda *args: blocks(*args) or images(*args) or hom_generator_images(*args)
     rng = random.Random(5)
     sample = [tuple(rng.randint(1, n - 1) for _ in range(rng.randint(3, 7))) for _ in range(60)]
     order = lambda t: (length(t[0]), t[0], t[1])
-    refused = 0
+    refused = agrees = 0
     try:
         for word in sample:
             module, expected = cat.bott_samelson(word), cat.expected_summands(word)
@@ -151,19 +164,24 @@ def certified_words(n):
             assert sorted(peeled, key=order) == sorted(expected, key=order), word
             h = sum((hecke.kl_basis(x).scale(LaurentPoly.v(-k)) for x, k in certified), hecke.zero())
             assert h == hecke.product_bs(word), word
+            assert certify_by_full_images(cat, module, expected) == certified, word
             i, (x, k) = max(enumerate(expected), key=lambda t: len(by_character[cat.indecomposable(t[1][0]).character()]))
             substitutes = [y for y in by_character[cat.indecomposable(x).character()] if y != x]
-            if not substitutes:
-                continue
-            try:
-                cat.decompose(module, expected=expected[:i] + [(rng.choice(substitutes), k)] + expected[i + 1 :])
-            except DecompositionError:
+            if substitutes:
+                fake = expected[:i] + [(rng.choice(substitutes), k)] + expected[i + 1 :]
+                assert refuses(cat.decompose, module, fake), f"a same-character substitute certified on {word}"
+                assert refuses(certify_by_full_images, cat, module, fake), f"the oracle certified one on {word}"
                 refused += 1
-            else:
-                raise AssertionError(f"a same-character substitute certified on {word}")
+            agrees += 1
     finally:
-        soergel.hom_graded, soergel.hom_images = hom_graded, hom_images
-    return {"words": len(sample), "substitutes_refused": refused, "largest_unknowns": dict(largest), "unknowns": dict(total)}
+        soergel.hom_graded, soergel.hom_generator_images = hom_graded, hom_generator_images
+    return {
+        "words": len(sample),
+        "substitutes_refused": refused,
+        "oracle_agrees": agrees,
+        "largest_unknowns": dict(largest),
+        "unknowns": dict(total),
+    }
 
 
 def kept_relations(n):

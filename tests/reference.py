@@ -5,7 +5,8 @@ a caller in the library: the coinvariant ring's matrices, invariants and
 rank-two splitting, the action of a polynomial on a graded module, the
 relations of a presentation and the graded Hom with one unknown per block
 entry or with every relation, the peel along a prediction and the Hecke
-recursion of the indecomposables built with it, the minimal resolutions
+recursion of the indecomposables built with it, the certificate of a
+prediction by the full images of its inclusions, the minimal resolutions
 of the dual algebra's simples on modules that carry every action matrix,
 the Hecke arithmetic on objects (the general product, the bar involution,
 the canonical basis, the expansion in it, and the pairing sum behind an
@@ -13,13 +14,15 @@ endomorphism algebra's dimension), and the Weyl-group enumerations the
 Bruhat order and canonical words are checked against.
 """
 
-from soergelkit import gradedmod
+from collections import Counter
+
+from soergelkit import gradedmod, soergel
 from soergelkit.coinvariant import CoinvariantElement
 from soergelkit.gradedmod import ModuleMap
 from soergelkit.hecke import HeckeElement
 from soergelkit.laurent import LaurentPoly
 from soergelkit.dualalg import MAX_RESOLUTION_LENGTH, Resolution
-from soergelkit.linalg import QMatrix, SparseSystem, hom_equations, kernel_basis, rank, restrict_to_kernels, rref
+from soergelkit.linalg import QMatrix, RowSpan, SparseSystem, hom_equations, kernel_basis, rank, restrict_to_kernels, rref
 from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import DecompositionError
 from soergelkit.tate import Complex
@@ -260,6 +263,38 @@ def peel_along(cat, M, expected):
             raise DecompositionError(f"predicted summand (D[{format_perm(x)}], {k}) could not be split off")
         yield x, k, res
         cur = res[0]
+
+
+def certify_by_full_images(cat, M, expected):
+    """The prediction ``expected`` of M certified by the full images of
+    inclusions, the route ``decompose`` took before it read generator
+    images modulo C_+M: after the characters and the size of each Hom,
+    one RowSpan per degree of M, empty at first, takes for each group
+    ((x, k), m), in the category's visiting order, the image of every row
+    of the presentation of D_x under the degree -k maps D_x -> M
+    (``gradedmod.hom_images``); a group keeps the first m maps whose
+    images raise the rank, and the spans must fill M.  Returns the
+    prediction as a tuple, or raises DecompositionError with the
+    library's messages."""
+    cat._check_characters(M.character(), expected)
+    groups = list(Counter(expected).items())
+    for (x, k), _ in sorted(groups, key=lambda group: group[0][1]):
+        gradedmod.check_hom_size(cat.indecomposable(x), M, -k)
+    spans = {d: RowSpan(M.dim_at(d)) for d in M.degrees()}
+    for (x, k), m in soergel._by_descending_shift(groups):
+        kept = 0
+        for images in gradedmod.hom_images(cat.indecomposable(x), M, -k):
+            # a list, not a lazy any(): every block goes into the span
+            if sum([spans[d - k].add(img) for d, img in images.items()]):
+                kept += 1
+                if kept == m:
+                    break
+        else:
+            raise DecompositionError(f"predicted summand (D[{format_perm(x)}], {k}) could not be split off")
+    for d, span in spans.items():
+        if span.rank < M.dim_at(d):
+            raise DecompositionError(f"the predicted inclusions are not surjective in degree {d}")
+    return tuple(expected)
 
 
 def lower_summands(cat, w):

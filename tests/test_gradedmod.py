@@ -13,7 +13,9 @@ from soergelkit.gradedmod import (
     graded_hom_poly,
     hom_degree_range,
     hom_dim,
+    hom_generator_images,
     hom_graded,
+    hom_images,
     hom_ungraded_dim,
     kernel_module,
     trivial_module,
@@ -429,17 +431,34 @@ def test_hom_graded_refuses_over_the_cap(monkeypatch):
 # -- Hom on generator images against the block system ----------------------------
 
 
+def _generator_rows(M, N, degree):
+    """The images of the generators under each map of ``hom_images``,
+    read off its blocks as ``hom_generator_images`` lays them out."""
+    pres = M.presentation()
+    out = []
+    for blocks in hom_images(M, N, degree):
+        images = {}
+        for d, gens in pres.generators().items():
+            if N.dim_at(d + degree):
+                block, chosen = blocks.get(d), len(pres.chosen[d])
+                images[d] = [dict(block.nonzeros[chosen + g]) if block else {} for g in range(gens)]
+        out.append(images)
+    return out
+
+
 def _routes_agree(M, N):
     """Assert that hom_graded and the per-degree block system give the same
-    basis, map by map, that hom_dim counts it, and that the system on the
-    kept relations has the rank and the kernel basis of the system on
-    every relation, in every degree where a map could be nonzero; returns
-    the number of maps."""
+    basis, map by map, that hom_dim counts it, that the generator images
+    are the generator rows of the images of the presentation basis, and
+    that the system on the kept relations has the rank and the kernel
+    basis of the system on every relation, in every degree where a map
+    could be nonzero; returns the number of maps."""
     maps = 0
     for d in hom_degree_range(M, N):
         got = hom_graded(M, N, d)
         assert got == hom_graded_blocks(M, N, d), d
         assert hom_dim(M, N, d) == len(got), d
+        assert hom_generator_images(M, N, d) == _generator_rows(M, N, d), d
         _, width, equations = gradedmod._hom_system(M, N, d)
         kept, every = SparseSystem.of(width, equations), hom_system_every_relation(M, N, d)
         assert every.cols == width and rank(kept) == rank(every), d

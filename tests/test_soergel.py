@@ -24,8 +24,9 @@ from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory,
 from soergelkit.weyl import format_perm, length, parse_perm
 
 from dense_views import col, dense_flatten
-from frontier import certified_words, character_of_b, indecomposables
+from frontier import certified_words, character_of_b, indecomposables, refuses
 from reference import (
+    certify_by_full_images,
     check_commutes,
     endo_dimension_by_pairings,
     idempotent_index,
@@ -300,7 +301,7 @@ def test_a_faulty_split_of_the_induced_module_is_refused_before_anything_is_cach
             with monkeypatch.context() as patch:
                 patch.setattr(cat, "_summands_of", lambda h: fake)
                 if fault == "no inclusions":
-                    patch.setattr(soergel, "hom_images", lambda *args: [])
+                    patch.setattr(soergel, "hom_generator_images", lambda *args: [])
                 with pytest.raises(DecompositionError, match=re.escape(f"D[{format_perm(w)}]")) as refusal:
                     cat.indecomposable(w)
             assert REFUSALS[fault] in str(refusal.value)
@@ -758,7 +759,7 @@ def test_certified_prediction_agrees_with_both_peel_routes(n):
     from soergelkit.selftest import CURATED_RANK4_WORDS
 
     counts = certified_words(n)
-    assert (counts["words"], counts["substitutes_refused"]) == (60, {3: 60, 4: 56}[n])
+    assert (counts["words"], counts["substitutes_refused"], counts["oracle_agrees"]) == (60, {3: 60, 4: 56}[n], 60)
     cat = soergel_category(n)
     words = words_up_to(3, 5) if n == 3 else words_up_to(4, 3) + list(CURATED_RANK4_WORDS)
     for word in words:
@@ -785,27 +786,61 @@ def test_a_scrambled_prediction_certifies_in_its_given_order(n, word):
         assert cat.decompose(M, expected=scrambled).summands == tuple(scrambled)
 
 
+def same_character_substitutes(cat):
+    """A function that takes a prediction to every prediction with one
+    summand (x, k) replaced by (y, k), y != x with D_y of the character of
+    D_x."""
+    by_character = {}
+    for w in sorted(cat.group.elements()):
+        by_character.setdefault(cat.indecomposable(w).character(), []).append(w)
+
+    def substitutes(expected):
+        for i, (x, k) in enumerate(expected):
+            for y in by_character[cat.indecomposable(x).character()]:
+                if y != x:
+                    yield expected[:i] + [(y, k)] + expected[i + 1 :]
+
+    return substitutes
+
+
 @pytest.mark.parametrize("n, max_length", [(3, 6), (4, 4)])
 def test_every_same_character_substitute_is_refused(n, max_length):
     # D_x and D_y of equal character differ as modules: a prediction with
     # one summand replaced by such a D_y passes the character comparison,
     # and the certificate refuses it
     cat = soergel_category(n)
-    by_character = {}
-    for w in sorted(cat.group.elements()):
-        by_character.setdefault(cat.indecomposable(w).character(), []).append(w)
+    substitutes = same_character_substitutes(cat)
     fakes = 0
     for word in words_up_to(n, max_length):
         M = cat.bott_samelson(word)
-        expected = cat.expected_summands(word)
-        for i, (x, k) in enumerate(expected):
-            for y in by_character[cat.indecomposable(x).character()]:
-                if y != x:
-                    fake = expected[:i] + [(y, k)] + expected[i + 1 :]
-                    with pytest.raises(DecompositionError, match="could not be split off"):
-                        cat.decompose(M, expected=fake)
-                    fakes += 1
+        for fake in substitutes(cat.expected_summands(word)):
+            with pytest.raises(DecompositionError, match="could not be split off"):
+                cat.decompose(M, expected=fake)
+            fakes += 1
     assert fakes == {3: 728, 4: 984}[n]
+
+
+@pytest.mark.parametrize("n, max_length, curated", [(3, 6, False), (4, 4, True)])
+def test_the_certificate_agrees_with_the_full_image_route(n, max_length, curated):
+    # the library reads generator images modulo C_+M; the reference route
+    # carries every image up through the products and starts from empty
+    # spans.  On every short word and the curated rank-4 ones both certify
+    # the true prediction, and both refuse each same-character substitute.
+    from soergelkit.selftest import CURATED_RANK4_WORDS
+
+    cat = soergel_category(n)
+    substitutes = same_character_substitutes(cat)
+    words = words_up_to(n, max_length) + (list(CURATED_RANK4_WORDS) if curated else [])
+    certified = refused = 0
+    for word in words:
+        M, expected = cat.bott_samelson(word), cat.expected_summands(word)
+        summands = cat.decompose(M, expected=expected).summands
+        assert summands == certify_by_full_images(cat, M, expected) == tuple(expected), word
+        certified += 1
+        for fake in substitutes(expected):
+            assert refuses(cat.decompose, M, fake) and refuses(certify_by_full_images, cat, M, fake), (word, fake)
+            refused += 1
+    assert (certified, refused) == {3: (127, 728), 4: (127, 984 + 28)}[n]
 
 
 def test_a_wrong_shift_or_a_moved_copy_is_refused_before_any_hom_solve(monkeypatch):
@@ -854,26 +889,47 @@ def test_a_certified_prediction_takes_no_complement_and_no_peel(n, monkeypatch):
         assert cat.decompose(cat.bott_samelson(word), expected=expected).summands == tuple(expected)
 
 
-def test_inclusions_visited_by_ascending_shift_refuse_true_predictions(monkeypatch):
-    # negative control for the visiting order: ascending, a group's
-    # inclusions also reach the summands of larger shift, and the greedy
-    # choice can keep a map that leaves a copy uncovered
+def ascending_shift_refusals(certify, monkeypatch):
+    """The nonempty rank-3 words of length at most 4 whose true prediction
+    ``certify`` refuses when the groups are visited by ascending shift, each
+    with the refusal's message."""
     cat = soergel_category(3)
     words = words_up_to(3, 4)[1:]
     assert len(words) == 30
-    monkeypatch.setattr(soergel, "_by_descending_shift", lambda groups: sorted(groups, key=lambda g: g[0][1]))
-    refused = []
-    for word in words:
-        try:
-            cat.decompose(cat.bott_samelson(word), expected=cat.expected_summands(word))
-        except DecompositionError as exc:
-            assert "not surjective" in str(exc)
-            refused.append(word)
-    assert len(refused) == 10 and (1, 2, 2) in refused
-    monkeypatch.undo()
+    refused = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(soergel, "_by_descending_shift", lambda groups: sorted(groups, key=lambda g: g[0][1]))
+        for word in words:
+            try:
+                certify(cat, cat.bott_samelson(word), cat.expected_summands(word))
+            except DecompositionError as exc:
+                refused[word] = str(exc)
     for word in refused:
         expected = cat.expected_summands(word)
-        assert cat.decompose(cat.bott_samelson(word), expected=expected).summands == tuple(expected)
+        assert certify(cat, cat.bott_samelson(word), expected) == tuple(expected)
+    return refused
+
+
+def test_inclusions_visited_by_ascending_shift_refuse_true_predictions(monkeypatch):
+    # negative control for the visiting order on the full-image route:
+    # ascending, a group's inclusions also reach the summands of larger
+    # shift, and the greedy choice can keep a map that leaves a copy
+    # uncovered; by descending shift every refused prediction certifies
+    refused = ascending_shift_refusals(certify_by_full_images, monkeypatch)
+    assert len(refused) == 10 and (1, 2, 2) in refused
+    assert all("not surjective" in message for message in refused.values())
+
+
+def test_generator_images_visited_by_ascending_shift_refuse_true_predictions(monkeypatch):
+    # the same control on the library's route: read modulo C_+M, a map of a
+    # group of smaller shift can raise the rank only through the tops of
+    # the larger shifts, and the greedy choice keeps it in place of a fresh
+    # copy, so the group is refused
+    refused = ascending_shift_refusals(
+        lambda cat, M, expected: cat.decompose(M, expected=expected).summands, monkeypatch
+    )
+    assert sorted(refused) == [(1, 2, 1, 1), (1, 2, 2, 1), (2, 1, 1, 2), (2, 1, 2, 2)]
+    assert all("could not be split off" in message for message in refused.values())
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -902,7 +958,7 @@ def test_a_certified_prediction_solves_no_block_system_and_takes_no_peel(n, monk
         expected = cat.expected_summands(word)
         assert cat.decompose(cat.bott_samelson(word), expected=expected).summands == tuple(expected)
     # a prediction of the wrong character is refused before any solve
-    monkeypatch.setattr(soergel, "hom_images", refuse)
+    monkeypatch.setattr(soergel, "hom_generator_images", refuse)
     x, k = cat.expected_summands(words[-1])[0]
     with pytest.raises(DecompositionError, match="do not add up"):
         cat.decompose(cat.bott_samelson(words[-1]), expected=[(x, k + 1)])
