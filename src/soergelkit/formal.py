@@ -55,7 +55,6 @@ fields as that constructor would give them, and are not checked again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,12 +68,31 @@ TWISTED = {"MIX": True, "K": False, "PERV_GR": True, "PERV": False}
 TWIST_RANGE = 2
 
 
-@dataclass(frozen=True)
 class Gen:
-    """A formal generator: a group element with an optional twist label."""
+    """A formal generator: a group element with an optional twist label.
 
-    w: Perm
-    twist: int | None = None
+    Immutable; two Gens are equal, and hash alike, when their ``(w,
+    twist)`` agree."""
+
+    __slots__ = ("w", "twist")
+
+    def __init__(self, w: Perm, twist: int | None = None):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "twist", twist)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Gen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Gen")
+
+    def __eq__(self, other):
+        if type(other) is not Gen:
+            return NotImplemented
+        return self.w == other.w and self.twist == other.twist
+
+    def __hash__(self):
+        return hash((self.w, self.twist))
 
     def label(self) -> str:
         if self.twist is None:

@@ -80,7 +80,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -335,13 +334,21 @@ def place_blocks(rows: int, cols: int, blocks) -> QMatrix:
     return QMatrix(rows, cols, _StoredRows([r or _EMPTY_ROW for r in out]))
 
 
-@dataclass(frozen=True)
 class SparseSystem:
     """A homogeneous linear system in ``cols`` unknowns, one primitive
-    integer row {column: coefficient} per equation, none of them empty."""
+    integer row {column: coefficient} per equation, none of them empty;
+    equal systems have equal fields."""
 
-    cols: int
-    equations: list[dict[int, int]]
+    __slots__ = ("cols", "equations")
+
+    def __init__(self, cols: int, equations: list[dict[int, int]]):
+        self.cols = cols
+        self.equations = equations
+
+    def __eq__(self, other):
+        if type(other) is not SparseSystem:
+            return NotImplemented
+        return self.cols == other.cols and self.equations == other.equations
 
     @classmethod
     def of(cls, cols: int, rows) -> "SparseSystem":
@@ -415,11 +422,21 @@ def flatten(m: QMatrix) -> dict[int, int | Fraction]:
     return {i * cols + j: x for i, row in enumerate(m.nonzeros) for j, x in row.items()}
 
 
-@dataclass(frozen=True)
 class RrefResult:
-    matrix: QMatrix
-    pivots: tuple[int, ...]
-    rank: int
+    """The reduced echelon form ``matrix`` with its pivot columns and rank;
+    equal results have equal fields."""
+
+    __slots__ = ("matrix", "pivots", "rank")
+
+    def __init__(self, matrix: QMatrix, pivots: tuple[int, ...], rank: int):
+        self.matrix = matrix
+        self.pivots = pivots
+        self.rank = rank
+
+    def __eq__(self, other):
+        if type(other) is not RrefResult:
+            return NotImplemented
+        return self.matrix == other.matrix and self.pivots == other.pivots and self.rank == other.rank
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

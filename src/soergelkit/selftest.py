@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 
 from .dualalg import dual_algebra
@@ -46,12 +45,17 @@ CURATED_RANK4_WORDS = (
 )
 
 
-@dataclass(frozen=True)
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    details: dict
+    """The outcome of one criterion: its number, name, verdict and the
+    checked numbers."""
+
+    __slots__ = ("number", "name", "passed", "details")
+
+    def __init__(self, number: int, name: str, passed: bool, details: dict):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.details = details
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -27,8 +27,9 @@ prediction a peel loop searches, splitting summands off one at a time
 (:meth:`SoergelCategory._try_peel`).  Oracle and linear algebra verify
 each other; a predicted summand that cannot be split or certified is a
 hard error.  Scalar-valued peeling is sound because degree-zero
-endomorphisms of each D_w are one-dimensional, which is asserted
-whenever a composite endomorphism is read off.
+endomorphisms of each D_w are one-dimensional: ``indecomposable`` counts
+them by rank before it publishes D_w, and a composite endomorphism read
+off as a scalar is checked to be one.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .gradedmod import (
     check_hom_size,
     graded_hom_poly,
     hom_degree_range,
+    hom_dim,
     hom_generator_images,
     hom_graded,
     kernel_module,
@@ -363,7 +365,8 @@ class SoergelCategory:
         canonical word of w, u = ws, the common kernel K of the degree-0
         maps to the summands D_y of b_u b_s - b_w, certified as M = K + (sum
         of the D_y) by characters and by its inclusion stacked with
-        inclusions D_y -> M; cached per rank, the first copy published
+        inclusions D_y -> M, with its degree-0 endomorphisms counted as
+        one dimension; cached per rank, the first copy published
         winning."""
         cached = self._indec.get(w)
         if cached is not None:
@@ -390,14 +393,11 @@ class SoergelCategory:
                 raise DecompositionError(
                     f"D[{format_perm(w)}] came out with a non-self-dual character"
                 )
-        endo = tuple(hom_graded(module, module, 0))
-        if len(endo) != 1:
+        if hom_dim(module, module, 0) != 1:
             raise DecompositionError(
                 f"degree-0 endomorphisms of D[{format_perm(w)}] are not scalars"
             )
-        if self._indec.setdefault(w, module) is module:
-            self._hom.setdefault((w, w, 0), endo)
-        return self._indec[w]
+        return self._indec.setdefault(w, module)
 
     def _check_element(self, w) -> None:
         """Refuse with ValueError what is not an element of the rank's group."""

@@ -2,7 +2,10 @@
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -89,6 +92,30 @@ def test_no_library_routine_uses_a_dense_view():
     # the scan sees the uses it allows
     linalg_uses = {(owner, name) for _, owner, name in _dense_view_uses(PACKAGE / "linalg.py")}
     assert {("QMatrix.data", "row"), ("SpanSolver.coords", "times_vector")} <= linalg_uses
+
+
+#: modules that a fresh process must not load for the library: dataclasses
+#: and the introspection it pulls in, and typing
+NOT_IMPORTED = ("dataclasses", "inspect", "ast", "dis", "typing")
+
+
+def _modules_after(code):
+    """The names in ``sys.modules`` once a new interpreter, with the package
+    on its path, has run ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    listing = "\nimport sys; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code + listing], capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_a_fresh_process_imports_no_introspection_module():
+    # cold start: the package, the CLI and the battery add none of these to
+    # what a bare interpreter on the same Python (site included) loads
+    bare = _modules_after("")
+    loaded = _modules_after("import soergelkit, soergelkit.cli, soergelkit.selftest")
+    assert {"soergelkit.cli", "soergelkit.selftest", "fractions"} <= loaded - bare
+    assert sorted((loaded - bare) & set(NOT_IMPORTED)) == []
 
 
 #: public names that nothing in the library, the benchmark, CI or the

@@ -1,5 +1,5 @@
-"""The elementary protocol of the public value types: hashing, truth and
-printing."""
+"""The elementary protocol of the public value types: hashing, truth,
+equality, immutability and printing."""
 
 import pytest
 
@@ -7,8 +7,9 @@ from soergelkit.coinvariant import coinvariant_ring
 from soergelkit.formal import FormalComplex, Gen, formal_category
 from soergelkit.gradedmod import ModuleMap
 from soergelkit.hecke import hecke_algebra
-from soergelkit.linalg import QMatrix
+from soergelkit.linalg import QMatrix, RrefResult, SparseSystem, rref
 from soergelkit.multipoly import MultiPoly
+from soergelkit.selftest import CriterionResult
 from soergelkit.soergel import Decomposition, soergel_category
 from soergelkit.tate import Complex, simple
 from soergelkit.weyl import parse_perm
@@ -58,3 +59,44 @@ def test_polynomials_hash_by_value_and_zero_is_false(n):
 )
 def test_printed_forms(text, make):
     assert make() == text
+
+
+def test_gens_are_equal_and_hash_alike_by_w_and_twist():
+    assert Gen(S, 1) == Gen(w=S, twist=1) and hash(Gen(S, 1)) == hash(Gen(S, 1))
+    assert Gen(S, 1) != Gen(S, 0) and Gen(S, 0) != Gen(E, 0) and Gen(S, 0) != Gen(S)
+    assert Gen(S).twist is None
+    assert len({Gen(S, 0), Gen(S, 0), Gen(S), Gen(E, 0)}) == 3
+    # the hash of the key, so sets and dicts of generators keep their order
+    assert hash(Gen(S, 1)) == hash((S, 1))
+    # a bare key is not a generator, on either side of the comparison
+    assert Gen(S, 1) != (S, 1) and (S, 1) != Gen(S, 1)
+    assert Gen(S) != (S, None)
+
+
+def test_gens_are_immutable():
+    g = Gen(S, 1)
+    with pytest.raises(AttributeError):
+        g.twist = 2
+    with pytest.raises(AttributeError):
+        g.label = None
+    with pytest.raises(AttributeError):
+        del g.w
+    assert (g.w, g.twist, g.label()) == (S, 1, "21(1)")
+
+
+def test_linear_systems_and_echelon_forms_are_equal_by_value():
+    system = SparseSystem(3, [{0: 2, 2: -3}])
+    assert system == SparseSystem(cols=3, equations=[{0: 2, 2: -3}])
+    assert system != SparseSystem(4, [{0: 2, 2: -3}]) and system != SparseSystem(3, [{1: 1}])
+    assert system != (3, [{0: 2, 2: -3}])
+    res = rref(QMatrix.from_rows([[2, 4], [1, 2]]))
+    assert res == RrefResult(QMatrix.from_rows([[1, 2], [0, 0]]), (0,), 1)
+    assert res != RrefResult(QMatrix.from_rows([[1, 2], [0, 0]]), (1,), 1)
+    assert res != rref(QMatrix.identity(2)) and res != (res.matrix, res.pivots, res.rank)
+
+
+def test_criterion_results_keep_their_fields_and_print_one_line():
+    result = CriterionResult(3, "three", True, {"cases": 4})
+    assert (result.number, result.name, result.passed, result.details) == (3, "three", True, {"cases": 4})
+    assert result.line() == "[ 3] PASS  three"
+    assert CriterionResult(number=12, name="twelve", passed=False, details={}).line() == "[12] FAIL  twelve"
