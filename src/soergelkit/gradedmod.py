@@ -72,6 +72,8 @@ class GradedModule:
         self._offsets = dict(zip(self._degrees, accumulate((self.dims[d] for d in self._degrees), initial=0)))
         acts: dict[tuple[int, int], QMatrix] = {}
         for (i, d), mat in actions.items():
+            if not 1 <= i <= ring.n:
+                raise ValueError(f"x_{i} is not a variable at rank {ring.n}")
             if mat.rows != self.dim_at(d + 2) or mat.cols != self.dim_at(d):
                 raise ValueError(f"action block for x_{i} at degree {d} has wrong shape")
             if not mat.is_zero():
@@ -192,15 +194,6 @@ def _product(a: QMatrix | None, b: QMatrix | None) -> QMatrix | None:
     return None if a is None or b is None else a * b
 
 
-def _columns(action: QMatrix) -> list[dict]:
-    """The columns of ``action`` as {row: value} dicts."""
-    out = [{} for _ in range(action.cols)]
-    for s, row in enumerate(action.nonzeros):
-        for r, x in row.items():
-            out[r][s] = x
-    return out
-
-
 def _times(columns: list[dict], image: dict, width: int) -> dict:
     """x_i applied to a packed image, given the columns of the action of
     x_i: coordinate s of the result at unknown u, kept at s * width + u,
@@ -294,7 +287,7 @@ class Presentation:
                 i, t = divmod(c, count)
                 if i not in columns:
                     act = M.actions.get((i + 1, d - 2))
-                    columns[i] = act and _columns(act)
+                    columns[i] = act and act.transpose().nonzeros
                 return _times(columns[i], below.nonzeros[t], 1) if columns[i] else {}
 
             chosen, units = [], []
@@ -517,7 +510,7 @@ class _Images:
             act = self.N.actions.get(key)
             if act is None:
                 return {}
-            columns = self._columns[key] = _columns(act)
+            columns = self._columns[key] = act.transpose().nonzeros
         return _times(columns, self.image(d - 2, t), self.width)
 
     def image(self, d: int, j: int) -> dict:
@@ -764,6 +757,8 @@ def kernel_module(*maps: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     module map.  A degree where no map has a block is kept whole, with no
     elimination (see :func:`~soergelkit.linalg.restrict_to_kernels`).
     """
+    if not maps:
+        raise ValueError("the common kernel of no maps has no source")
     M = maps[0].source
     if any(f.source is not M for f in maps):
         raise ValueError("common kernel of maps out of different sources")

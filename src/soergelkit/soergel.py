@@ -18,18 +18,15 @@ descending shift.  Only the generator images enter the span, which starts
 from C_+M, the products of the variables with M, so by graded Nakayama a
 span that fills M proves the map onto; that order completes the stack
 because Hom^d(D_x, D_y) is 0 for d < 0 and the scalars (y = x) or 0 for
-d = 0.  D_w follows the canonical-basis recursion (Soergel 2007; Elias
-and Williamson 2014): with s the last letter of the canonical word of w
-and u = ws, it is the common
-kernel of the degree-0 maps from the induction of D_u along s to the
-summands of b_u b_s - b_w, certified by the same stack.  Without a
-prediction a peel loop searches, splitting summands off one at a time
-(:meth:`SoergelCategory._try_peel`).  Oracle and linear algebra verify
-each other; a predicted summand that cannot be split or certified is a
-hard error.  Scalar-valued peeling is sound because degree-zero
-endomorphisms of each D_w are one-dimensional: ``indecomposable`` counts
-them by rank before it publishes D_w, and a composite endomorphism read
-off as a scalar is checked to be one.
+d = 0.  Without a prediction, one is read off Hom counts by ascending
+shift (:meth:`SoergelCategory._predict`) and certified the same way.
+D_w follows the canonical-basis recursion (Soergel 2007; Elias and
+Williamson 2014): with s the last letter of the canonical word of w and
+u = ws, it is the common kernel of the degree-0 maps from the induction
+of D_u along s to the summands of b_u b_s - b_w, certified by the same
+stack, with its degree-0 endomorphisms counted as one dimension before
+it is published.  Oracle and linear algebra verify each other; a
+prediction that cannot be certified is a hard error.
 """
 
 from __future__ import annotations
@@ -64,8 +61,7 @@ class DecompositionError(RuntimeError):
 
 class Decomposition:
     """Summands (w, k), each a copy of D_w with degrees lowered by k, in
-    the order of the prediction that certified them, or in the order the
-    search split them off."""
+    the order of the prediction that certified them."""
 
     __slots__ = ("summands",)
 
@@ -235,7 +231,9 @@ class SoergelCategory:
         D_x -> M and p: M -> D_x such that p j = c is a nonzero scalar, returns
         the complement, the kernel of the idempotent j p / c, and its
         inclusion, both read off ker p, which is that kernel since j is
-        injective."""
+        injective.  No library route calls it: the peels of
+        ``tests/reference.py`` do, and it stays here because the benchmark
+        tracer wraps it by name for its ``soergel.peel`` span."""
         dx = self.indecomposable(x)
         inclusions = hom_graded(dx, M, -k)
         if not inclusions:
@@ -247,43 +245,44 @@ class SoergelCategory:
                     return kernel_module(p)
         return None
 
-    def _peel_search(self, M: GradedModule):
-        """Split off what is left of M, one (x, k) at a time: the first whose
-        shifted character fits under the remaining one, longest x first,
-        yielding (x, k, split); raises DecompositionError when no candidate
-        splits off."""
-        order = sorted(self.group.elements(), key=lambda w: (-length(w), w))
-        cur = M
-        while cur.total_dim():
-            char = cur.character()
-            fits = (
-                (x, k) for x in order for k in _candidate_shifts(self.indecomposable(x).character(), char)
-            )
-            for x, k in fits:
-                res = self._try_peel(cur, x, k)
-                if res is not None:
-                    break
-            else:
-                raise DecompositionError("module is not a direct sum of shifted indecomposables")
-            yield x, k, res
-            cur = res[0]
-
     def decompose(self, M: GradedModule, expected=None) -> Decomposition:
-        """Split M into shifted indecomposables.
+        """Split M into shifted indecomposables, in the order of the
+        prediction: ``expected`` (a list of (x, k) pairs) or, when it is
+        None, the one :meth:`_predict` reads off Hom counts.
 
-        With ``expected`` (a list of (x, k) pairs) the prediction is
-        certified by an isomorphism from the sum of the predicted D_x[k]
-        onto M, built from inclusions D_x[k] -> M alone (see
-        :meth:`_certify`); otherwise candidates are searched by character
-        containment over all indecomposables of the rank and peeled off one
-        at a time.  A prediction that fails, or a module that is no such
-        sum, raises :class:`DecompositionError`.
+        The prediction is certified by an isomorphism from the sum of the
+        predicted D_x[k] onto M, built from inclusions D_x[k] -> M alone
+        (see :meth:`_certify`).  A prediction that fails, or a module that
+        is no such sum, raises :class:`DecompositionError`.
         """
-        if expected is not None:
-            return self._certify(M, list(expected))
-        summands = [(x, k) for x, k, _ in self._peel_search(M)]
-        self._check_characters(M.character(), summands)
-        return Decomposition(summands)
+        return self._certify(M, self._predict(M) if expected is None else list(expected))
+
+    def _predict(self, M: GradedModule) -> list[tuple[Perm, int]]:
+        """The summands (x, d) of M, were M a sum of shifted D_y, read off
+        Hom counts by ascending d over the shifts :func:`_candidate_shifts`
+        admits, x by (length, x).  Hom^d(D_y[k], D_x) has the dimension of
+        the v^(d - k) coefficient of pairing(b_y, b_x), which lies in
+        delta_xy + vN[v], so hom_dim(M, D_x, d) is the multiplicity of
+        (x, d) plus the v^d coefficient of pairing(h, b_x), h the sum of
+        v^k b_y over the summands (y, k) found at smaller k.  A negative
+        multiplicity raises DecompositionError; whatever else is wrong the
+        certificate refuses."""
+        char, h, out = M.character(), self.hecke.zero(), []
+        candidates = sorted(
+            (d, length(x), x) for x in self.group.elements()
+            for d in _candidate_shifts(self.indecomposable(x).character(), char)
+        )
+        for d, _, x in candidates:
+            b_x = self.hecke.kl_basis(x)
+            m = hom_dim(M, self.indecomposable(x), d) - self.hecke.pairing(h, b_x).coeff(d)
+            if m < 0:
+                raise DecompositionError(
+                    f"module is not a direct sum of shifted indecomposables: "
+                    f"Hom^{d}(M, D[{format_perm(x)}]) is too small"
+                )
+            out += [(x, d)] * m
+            h = h + b_x.scale(LaurentPoly({d: m}))
+        return out
 
     def _check_characters(self, char: LaurentPoly, summands, context: str = "") -> None:
         """Raise unless the shifted characters of the summands (x, k) add

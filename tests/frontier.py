@@ -35,6 +35,7 @@ from reference import (
     kl_basis_table,
     kl_expand,
     peel_along,
+    peel_search,
     presentation_relations,
     product_of_bs,
     restricted_resolution,
@@ -119,6 +120,11 @@ def refuses(certify, *args):
     return False
 
 
+def seeded_words(rng, n):
+    """60 rank-n words of length 3-7 drawn from ``rng``."""
+    return [tuple(rng.randint(1, n - 1) for _ in range(rng.randint(3, 7))) for _ in range(60)]
+
+
 def certified_words(n):
     """60 seeded rank-n words of length 3-7, each decomposed by the
     certified prediction, the peel along it and the Hecke product, and a
@@ -149,7 +155,7 @@ def certified_words(n):
     soergel.hom_graded = lambda *args: blocks(*args) or hom_graded(*args)
     soergel.hom_generator_images = lambda *args: blocks(*args) or images(*args) or hom_generator_images(*args)
     rng = random.Random(5)
-    sample = [tuple(rng.randint(1, n - 1) for _ in range(rng.randint(3, 7))) for _ in range(60)]
+    sample = seeded_words(rng, n)
     order = lambda t: (length(t[0]), t[0], t[1])
     refused = agrees = 0
     try:
@@ -182,6 +188,23 @@ def certified_words(n):
         "largest_unknowns": dict(largest),
         "unknowns": dict(total),
     }
+
+
+def predicted_words(n):
+    """The 60 seeded words of :func:`certified_words`, each decomposed with
+    no prediction given, so by the one read off Hom counts: the multiset
+    equals the Hecke prediction and that of the reference peel search."""
+    cat = soergel_category(n)
+    words = seeded_words(random.Random(5), n)
+    order = lambda t: (length(t[0]), t[0], t[1])
+    agree = 0
+    for word in words:
+        module = cat.bott_samelson(word)
+        predicted = sorted(cat.decompose(module).summands, key=order)
+        assert predicted == sorted(cat.expected_summands(word), key=order), word
+        assert predicted == sorted(((x, k) for x, k, _ in peel_search(cat, module)), key=order), word
+        agree += 1
+    return {"words": len(words), "agree_with_search": agree}
 
 
 def kept_relations(n):
@@ -299,6 +322,7 @@ CHECKS = {
         indecomposables,
         hom_formula,
         certified_words,
+        predicted_words,
         kept_relations,
         hecke_oracle,
         graded_euler,

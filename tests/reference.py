@@ -4,14 +4,15 @@ Each is a plain function over the public API, with no cache, and none has
 a caller in the library: the coinvariant ring's matrices, invariants and
 rank-two splitting, the action of a polynomial on a graded module, the
 relations of a presentation and the graded Hom with one unknown per block
-entry or with every relation, the peel along a prediction and the Hecke
-recursion of the indecomposables built with it, the certificate of a
-prediction by the full images of its inclusions, the minimal resolutions
-of the dual algebra's simples on modules that carry every action matrix,
-the Hecke arithmetic on objects (the general product, the bar involution,
-the canonical basis, the expansion in it, and the pairing sum behind an
-endomorphism algebra's dimension), and the Weyl-group enumerations the
-Bruhat order and canonical words are checked against.
+entry or with every relation, the peel along a prediction, the peel
+search without one and the Hecke recursion of the indecomposables built
+with the peel, the certificate of a prediction by the full images of its
+inclusions, the minimal resolutions of the dual algebra's simples on
+modules that carry every action matrix, the Hecke arithmetic on objects
+(the general product, the bar involution, the canonical basis, the
+expansion in it, and the pairing sum behind an endomorphism algebra's
+dimension), and the Weyl-group enumerations the Bruhat order and
+canonical words are checked against.
 """
 
 from collections import Counter
@@ -261,6 +262,28 @@ def peel_along(cat, M, expected):
         res = cat._try_peel(cur, x, k)
         if res is None:
             raise DecompositionError(f"predicted summand (D[{format_perm(x)}], {k}) could not be split off")
+        yield x, k, res
+        cur = res[0]
+
+
+def peel_search(cat, M):
+    """Split off what is left of M with the category's peel step, one
+    (x, k) at a time: the first whose shifted character fits under the
+    remaining one, longest x first, yielding (x, k, split) as
+    :func:`peel_along` does; raises DecompositionError when no candidate
+    splits off.  It is the route ``decompose`` took without a prediction
+    before it read one off Hom counts."""
+    order = sorted(cat.group.elements(), key=lambda w: (-length(w), w))
+    cur = M
+    while cur.total_dim():
+        char = cur.character()
+        fits = ((x, k) for x in order for k in soergel._candidate_shifts(cat.indecomposable(x).character(), char))
+        for x, k in fits:
+            res = cat._try_peel(cur, x, k)
+            if res is not None:
+                break
+        else:
+            raise DecompositionError("module is not a direct sum of shifted indecomposables")
         yield x, k, res
         cur = res[0]
 

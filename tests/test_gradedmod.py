@@ -92,6 +92,16 @@ def test_validate_names_e_2_when_e_1_vanishes():
         m.validate()
 
 
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("i", [0, 4, 7, -1])
+def test_an_action_of_no_variable_of_the_rank_is_refused(i, validate):
+    # the block has the right shape, and validate() reads only x_1 .. x_n,
+    # so without the check the key would be stored and the module accepted
+    ring = coinvariant_ring(3)
+    with pytest.raises(ValueError, match=f"^x_{i} is not a variable at rank 3$"):
+        GradedModule(ring, {0: 1, 2: 1}, {(i, 0): QMatrix.from_rows([[1]])}, validate=validate)
+
+
 def _subset_sum_failure(m):
     """The first failure of the module axioms, with each e_k summed over
     the subsets of k variables: None for a module.  Commutation is checked
@@ -319,6 +329,11 @@ def test_common_kernel_is_the_iterated_kernel():
     assert shrinks > 20
     with pytest.raises(ValueError, match="different sources"):
         kernel_module(maps[0], hom_graded(cat.bott_samelson((1,)), cat.bott_samelson((1,)), 0)[0])
+
+
+def test_the_common_kernel_of_no_maps_is_refused():
+    with pytest.raises(ValueError, match="no maps"):
+        kernel_module()
 
 
 def test_kernel_module_rejects_a_non_module_map():

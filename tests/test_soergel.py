@@ -25,7 +25,7 @@ from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory,
 from soergelkit.weyl import format_perm, length, parse_perm
 
 from dense_views import col, dense_flatten
-from frontier import certified_words, character_of_b, indecomposables, refuses
+from frontier import certified_words, character_of_b, indecomposables, predicted_words, refuses
 from reference import (
     certify_by_full_images,
     check_commutes,
@@ -34,6 +34,7 @@ from reference import (
     invariant_generators,
     lower_summands,
     peel_along,
+    peel_search,
     poly_action,
 )
 
@@ -321,7 +322,6 @@ def test_building_an_indecomposable_takes_no_peel(monkeypatch):
         raise AssertionError("an indecomposable was built by a peel")
 
     monkeypatch.setattr(cat, "_try_peel", refuse)
-    monkeypatch.setattr(cat, "_peel_search", refuse)
     monkeypatch.setattr(reference, "peel_along", refuse)
     for w in cat.group.elements():
         cat.indecomposable(w)
@@ -375,10 +375,8 @@ def test_oracle_multiplicity_agreement_s3(word):
     expected = cat.expected_summands(word)
     dec = cat.decompose(cat.bott_samelson(word), expected=expected)
     assert dec.multiset() == tuple(sorted(expected, key=lambda t: (length(t[0]), t[0], t[1])))
-    # and the generic search finds the same multiset
-    if len(word) <= 3:
-        dec2 = cat.decompose(cat.bott_samelson(word))
-        assert dec2.multiset() == dec.multiset()
+    # and the prediction read off Hom counts is the same multiset
+    assert cat.decompose(cat.bott_samelson(word)).multiset() == dec.multiset()
 
 
 def test_hecke_class_matches_product_s3():
@@ -664,7 +662,7 @@ def test_each_peel_step_splits_off_the_image_of_its_idempotent(word, route, monk
     if route == "expected":
         steps = peel_along(cat, cur, cat.expected_summands(word))
     else:
-        steps = cat._peel_search(cur)
+        steps = peel_search(cat, cur)
     for x, k, (complement, inclusion) in steps:
         (p,), (kernel, _) = calls[-1]
         assert kernel is complement
@@ -688,6 +686,60 @@ def test_decompose_shifted_sum_generic():
     m = cat.indecomposable(s).shift(3).direct_sum(cat.trivial())
     dec = cat.decompose(m)
     assert dec.multiset() == ((parse_perm("12"), 0), (s, 3))
+
+
+def test_modules_that_are_no_sums_of_shifted_indecomposables_are_refused_on_both_routes():
+    # negative controls: V = C/(x_2, x_1 + x_3, x_1 x_3), spanned by 1 and
+    # x_1 = -x_3, is no sum of shifted D_w: it is cyclic, hence
+    # indecomposable, and the D_w of its dimension, D_s1 and D_s2, have
+    # x_3 = 0 and x_1 = 0; the counts predict D_e alone, which the
+    # certificate refuses, and the peel search finds nothing to split off
+    cat = soergel_category(3)
+    one = QMatrix.from_rows([[1]])
+    V = GradedModule(cat.ring, {0: 1, 2: 1}, {(1, 0): one, (3, 0): -one})
+    assert cat._predict(V) == [(parse_perm("123"), 0)]
+    with pytest.raises(DecompositionError, match="do not add up"):
+        cat.decompose(V)
+    with pytest.raises(DecompositionError, match="not a direct sum"):
+        list(peel_search(cat, V))
+    # K, the kernel of a degree-1 map from the Bott-Samelson module of
+    # (1, 2, 1) to D_231, counts one map of degree 0 to each of D_132 and
+    # D_213, whose pairings with b_e at v ask for two of degree 1 to D_e,
+    # where K has one: the count goes negative before any certificate solve
+    K, _ = kernel_module(hom_graded(cat.bott_samelson((1, 2, 1)), cat.indecomposable(parse_perm("231")), 1)[1])
+    assert K.dims == {-1: 1, 1: 2, 3: 1}
+    assert hom_dim(K, cat.indecomposable(parse_perm("123")), 1) == 1
+    with pytest.raises(DecompositionError, match=re.escape("Hom^1(M, D[123]) is too small")):
+        cat.decompose(K)
+    with pytest.raises(DecompositionError, match="not a direct sum"):
+        list(peel_search(cat, K))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_prediction_from_hom_counts_solves_no_basis_and_takes_no_peel(n, monkeypatch):
+    # with every D_w built, the counts are ranks and the certificate solves
+    # generator images only: no block basis, no complement, no peel step
+    from soergelkit.selftest import CURATED_RANK4_WORDS
+
+    cat = soergel_category(n)
+    for w in cat.group.elements():
+        cat.indecomposable(w)
+
+    def refuse(*args):
+        raise AssertionError("decompose without a prediction solved a basis, took a complement or peeled")
+
+    monkeypatch.setattr(soergel, "hom_graded", refuse)
+    monkeypatch.setattr(soergel, "kernel_module", refuse)
+    monkeypatch.setattr(cat, "_try_peel", refuse)
+    words = words_up_to(3, 4) if n == 3 else CURATED_RANK4_WORDS
+    for word in words:
+        dec = cat.decompose(cat.bott_samelson(word))
+        assert dec.multiset() == multiset_of(cat.expected_summands(word)), word
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_predicted_words_frontier_check(n):
+    assert predicted_words(n) == {"words": 60, "agree_with_search": 60}
 
 
 def test_composites_flatten_like_their_total_matrices():
@@ -727,7 +779,7 @@ def test_each_peel_step_reads_the_kernel_of_its_idempotent_off_the_projection(n,
         if route == "expected":
             steps = peel_along(cat, cur, cat.expected_summands(word))
         else:
-            steps = cat._peel_search(cur)
+            steps = peel_search(cat, cur)
         for x, k, (complement, inclusion) in steps:
             (p,), (kernel, kernel_inclusion) = calls[-1]
             assert p.source is cur and p.target is cat.indecomposable(x) and p.degree == k
@@ -756,17 +808,19 @@ def test_certified_prediction_agrees_with_both_peel_routes(n):
     # the sequential peel along it gives the same multiset, both add up to
     # the Hecke product, and a same-character substitute is refused (4 of
     # the rank-4 words have no summand with such a partner); on every short
-    # word the search finds the certified multiset
+    # word the search and the prediction read off Hom counts find the
+    # certified multiset
     from soergelkit.selftest import CURATED_RANK4_WORDS
 
     counts = certified_words(n)
     assert (counts["words"], counts["substitutes_refused"], counts["oracle_agrees"]) == (60, {3: 60, 4: 56}[n], 60)
     cat = soergel_category(n)
-    words = words_up_to(3, 5) if n == 3 else words_up_to(4, 3) + list(CURATED_RANK4_WORDS)
+    words = words_up_to(3, 5) if n == 3 else words_up_to(4, 4) + list(CURATED_RANK4_WORDS)
     for word in words:
         M = cat.bott_samelson(word)
         dec = cat.decompose(M, expected=cat.expected_summands(word))
-        assert multiset_of((x, k) for x, k, _ in cat._peel_search(M)) == dec.multiset(), word
+        assert multiset_of((x, k) for x, k, _ in peel_search(cat, M)) == dec.multiset(), word
+        assert cat.decompose(M).multiset() == dec.multiset(), word
 
 
 def test_certified_prediction_with_multiplicities_across_shifts():
