@@ -259,7 +259,7 @@ def cmd_endo(args) -> tuple[dict, bool, tuple | None]:
     from .soergel import soergel_category
 
     cat = soergel_category(args.rank)
-    if args.w:
+    if args.w is not None:
         w = cat.group.evaluate(parse_word(args.w, args.rank))
         summands = [(w, 0)]
     else:

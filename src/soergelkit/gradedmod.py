@@ -262,10 +262,10 @@ class Presentation:
     them.
     """
 
-    __slots__ = ("bases", "chosen", "kept", "_products", "_inverses", "_coords")
+    __slots__ = ("bases", "chosen", "kept", "_generators", "_products", "_inverses", "_coords")
 
     def __init__(self, M: GradedModule):
-        self.bases, self.chosen, self.kept = {}, {}, {}
+        self.bases, self.chosen, self.kept, self._generators = {}, {}, {}, {}
         self._products, self._inverses, self._coords = {}, {}, {}
         ring_columns, ring_degrees = _ring_actions(M.ring)
         (one,) = M.ring.one().coords
@@ -304,6 +304,8 @@ class Presentation:
                 units = [identity.nonzeros[u] for u in span.independent(identity)]
                 self.bases[d] = QMatrix(m, m, rows + units)
                 self.chosen[d] = tuple(chosen)
+                if units:
+                    self._generators[d] = len(units)
             first = len(generators)
             lifts[d] = [lift(c) for c in chosen] + [{one * width + g: 1} for g in range(first, first + len(units))]
             labels[d] = [c // count + 1 for c in chosen] + [n - 1] * len(units)
@@ -357,8 +359,8 @@ class Presentation:
             kernels[d] = kernel
 
     def generators(self) -> dict[int, int]:
-        """The number of generators in each degree that has one."""
-        return {d: gens for d, basis in self.bases.items() if (gens := basis.rows - len(self.chosen[d]))}
+        """The number of generators in each degree that has one, counted at the build."""
+        return self._generators
 
     def inverse(self, d: int) -> QMatrix:
         """The inverse of ``bases[d]``: its row c holds the coordinates of
@@ -480,10 +482,17 @@ def trivial_module(ring: CoinvariantRing) -> GradedModule:
     return GradedModule(ring, {0: 1}, {})
 
 
-def check_hom_size(M: GradedModule, N: GradedModule, degree: int) -> None:
-    """Refuse Hom^degree(M, N) when its blocks M_a -> N_{a+degree} hold
-    more entries than the cap, as a Hom system in that many unknowns."""
-    check_size("Hom system in {} unknowns", sum(M.dim_at(a) * N.dim_at(a + degree) for a in M.degrees()))
+def check_hom_size(M: GradedModule, N: GradedModule, degree: int, blocks: bool = False) -> int:
+    """The size of what a Hom^degree(M, N) routine builds, refused over the
+    cap by a message naming it: the unknowns of :func:`_hom_system`, dim
+    N_{d+degree} per generator of M in degree d, or with ``blocks`` the
+    entries of the blocks M_a -> N_{a+degree} that :func:`hom_images` writes."""
+    if blocks:
+        size = sum(M.dim_at(a) * N.dim_at(a + degree) for a in M.degrees())
+    else:
+        size = sum(g * N.dim_at(d + degree) for d, g in M.presentation().generators().items())
+    check_size("Hom map of {} block entries" if blocks else "Hom system in {} generator-image unknowns", size)
+    return size
 
 
 class _Images:
@@ -525,8 +534,8 @@ class _Images:
 
 def _hom_system(M: GradedModule, N: GradedModule, degree: int) -> tuple[dict[int, list[int]], int, list[dict]]:
     """The Hom^degree(M, N) system on generator images: the first unknown
-    of each generator by degree, the number of unknowns, and the
-    equations, one {unknown: value} dict each.
+    of each generator by degree (where N_{d+degree} is nonzero), the
+    number of unknowns, and the equations, one {unknown: value} dict each.
 
     The unknowns are the images of the generators, dim N_{d+degree} for a
     generator in degree d.  Every image of a row of a basis is linear in
@@ -534,19 +543,19 @@ def _hom_system(M: GradedModule, N: GradedModule, degree: int) -> tuple[dict[int
     Each kept relation x_i b = sum_j c_j b_j of degree d gives the dim
     N_{d+degree} equations x_i f(b) - sum_j c_j f(b_j), which read only
     the images of b and of the b_j; the other relations follow from them.
-    M and N must be modules, over one ring, and the size of the block
-    system of :func:`hom_graded` is checked against the cap first.
+    M and N must be modules, over one ring, and the unknowns are capped
+    (:func:`check_hom_size`) before any image or equation is formed.
     """
     if M.ring is not N.ring:
         raise ValueError("Hom between modules over different rings")
     check_hom_size(M, N, degree)
     pres = M.presentation()
-    # generator g of degree d has the unknowns first[d][g] + r, r < dim N_{d+degree}
+    # generator g of degree d, N_{d+degree} nonzero, has the unknowns first[d][g] + r, r < dim N_{d+degree}
     first, width = {}, 0
     for d, gens in pres.generators().items():
-        nd = N.dim_at(d + degree)
-        first[d] = [width + g * nd for g in range(gens)]
-        width += gens * nd
+        if nd := N.dim_at(d + degree):
+            first[d] = [width + g * nd for g in range(gens)]
+            width += gens * nd
     equations = []
     if not width:
         return first, width, equations
@@ -591,16 +600,14 @@ def hom_generator_images(M: GradedModule, N: GradedModule, degree: int) -> list[
         return []
     vecs = kernel_basis(SparseSystem.of(width, equations))
     # unknown u is row r of the image of generator g of degree d at owner[u] = (d, g, r)
-    owner, layout = [None] * width, {}
+    owner = [None] * width
     for d, starts in first.items():
         nd = N.dim_at(d + degree)
-        if nd:
-            layout[d] = len(starts)
-            for g, u in enumerate(starts):
-                owner[u : u + nd] = [(d, g, r) for r in range(nd)]
+        for g, u in enumerate(starts):
+            owner[u : u + nd] = [(d, g, r) for r in range(nd)]
     maps = []
     for vec in vecs:
-        images = {d: [{} for _ in range(gens)] for d, gens in layout.items()}
+        images = {d: [{} for _ in starts] for d, starts in first.items()}
         for u, x in vec.items():
             d, g, r = owner[u]
             images[d][g][r] = x
@@ -619,6 +626,7 @@ def hom_images(M: GradedModule, N: GradedModule, degree: int) -> list[dict[int, 
     with one column per map, so each x_i is applied once for all the maps.
     As in :func:`hom_graded`, M and N must be modules.
     """
+    check_hom_size(M, N, degree, blocks=True)
     generators = hom_generator_images(M, N, degree)
     if not generators:
         return []
@@ -666,11 +674,9 @@ def hom_graded(M: GradedModule, N: GradedModule, degree: int) -> list[ModuleMap]
     maps = hom_images(M, N, degree)
     if not maps:
         return []
-    pres = M.presentation()
-    offsets, count = {}, 0
-    for a in M.degrees():
-        offsets[a] = count
-        count += N.dim_at(a + degree) * M.dims[a]
+    pres, degrees = M.presentation(), M.degrees()
+    starts = list(accumulate((N.dim_at(a + degree) * M.dims[a] for a in degrees), initial=0))
+    offsets, count = dict(zip(degrees, starts)), starts[-1]
     # each map as one vector, entry k of the layout kept at last - k
     last = count - 1
     reversed_vecs = []
@@ -684,7 +690,6 @@ def hom_graded(M: GradedModule, N: GradedModule, degree: int) -> list[ModuleMap]
                     vec[base - r * cols - c] = x
         reversed_vecs.append(vec)
     echelon = rref(QMatrix(len(maps), count, reversed_vecs)).matrix.nonzeros[: len(maps)]
-    degrees, starts = list(offsets), list(offsets.values())
     out = []
     for row in reversed(echelon):
         rows = {}
@@ -709,8 +714,8 @@ def hom_dim(M: GradedModule, N: GradedModule, degree: int) -> int:
     through the chosen products: none for a module with no kept relation,
     such as a free one.  The rank stops at the pivots, with no
     back-substitution, and no kernel vector or map is formed.  It equals
-    ``len(hom_graded(M, N, degree))``, which is its test oracle, and
-    refuses what that refuses.
+    ``len(hom_graded(M, N, degree))``, which is its test oracle, but is
+    refused only by its unknowns, so never in a degree with none.
     """
     _, width, equations = _hom_system(M, N, degree)
     return width - rank(SparseSystem.of(width, equations)) if width else 0

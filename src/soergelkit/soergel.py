@@ -300,8 +300,8 @@ class SoergelCategory:
         (:meth:`_stack_inclusions`).  The characters are compared first,
         which makes the map square in every degree, so a surjective one is
         bijective, whatever the theory says.  Before any solve, each
-        group's Hom is checked against the cap by its block-entry count,
-        groups by ascending k."""
+        group's Hom is checked against the cap by the generator-image
+        unknowns it solves, groups by ascending k."""
         self._check_characters(M.character(), expected)
         groups = list(Counter(expected).items())
         for (x, k), _ in sorted(groups, key=lambda group: group[0][1]):

@@ -125,56 +125,71 @@ def seeded_words(rng, n):
     return [tuple(rng.randint(1, n - 1) for _ in range(rng.randint(3, 7))) for _ in range(60)]
 
 
+def _order(summand):
+    x, k = summand
+    return length(x), x, k
+
+
+def _hecke_class(cat, summands):
+    """The sum of v^-k b_x over the summands (x, k)."""
+    return sum((cat.hecke.kl_basis(x).scale(LaurentPoly.v(-k)) for x, k in summands), cat.hecke.zero())
+
+
+def _by_character(cat):
+    """The elements of the rank by the character of their D_w, each list
+    by (length, w)."""
+    out = {}
+    for w in sorted(cat.group.elements(), key=lambda w: (length(w), w)):
+        out.setdefault(cat.indecomposable(w).character(), []).append(w)
+    return out
+
+
+def _substitute(cat, by_character, rng, expected):
+    """``expected`` with the summand whose character the most D_w share
+    swapped for another of them drawn from ``rng``, or [] where no other
+    D_w shares it."""
+    i, (x, k) = max(enumerate(expected), key=lambda t: len(by_character[cat.indecomposable(t[1][0]).character()]))
+    substitutes = [y for y in by_character[cat.indecomposable(x).character()] if y != x]
+    return substitutes and expected[:i] + [(rng.choice(substitutes), k)] + expected[i + 1 :]
+
+
 def certified_words(n):
     """60 seeded rank-n words of length 3-7, each decomposed by the
     certified prediction, the peel along it and the Hecke product, and a
     same-character substitute of one summand, where any exists, refused;
     the reference certificate by full images (``oracle_agrees``) certifies
     the same prediction and refuses the same substitute.  Counts the
-    largest and the total unknowns: block unknowns of the certificate and
-    of the peel, and the generator-image unknowns solved; the reference
+    largest and the total size of the Hom routines, as
+    ``gradedmod.check_hom_size`` reads it: the block entries of the peel's
+    maps and the generator-image unknowns solved; the reference
     certificate solves outside the counted bindings."""
     cat = soergel_category(n)
     hecke = cat.hecke
-    by_character = {}
-    for w in sorted(cat.group.elements(), key=lambda w: (length(w), w)):
-        by_character.setdefault(cat.indecomposable(w).character(), []).append(w)
-    largest, total, route = Counter(), Counter(), ["certify"]
+    by_character = _by_character(cat)
+    largest, total = Counter(), Counter()
 
-    def count(key, unknowns):
-        largest[key] = max(largest[key], unknowns)
-        total[key] += unknowns
-
-    def blocks(M, N, degree):
-        count(route[0], sum(M.dim_at(a) * N.dim_at(a + degree) for a in M.degrees()))
-
-    def images(M, N, degree):
-        count("images", sum(g * N.dim_at(d + degree) for d, g in M.presentation().generators().items()))
+    def count(key, M, N, degree, blocks=False):
+        size = gradedmod.check_hom_size(M, N, degree, blocks)
+        largest[key] = max(largest[key], size)
+        total[key] += size
 
     hom_graded, hom_generator_images = soergel.hom_graded, soergel.hom_generator_images
-    soergel.hom_graded = lambda *args: blocks(*args) or hom_graded(*args)
-    soergel.hom_generator_images = lambda *args: blocks(*args) or images(*args) or hom_generator_images(*args)
+    soergel.hom_graded = lambda *args: count("peel", *args, blocks=True) or hom_graded(*args)
+    soergel.hom_generator_images = lambda *args: count("images", *args) or hom_generator_images(*args)
     rng = random.Random(5)
     sample = seeded_words(rng, n)
-    order = lambda t: (length(t[0]), t[0], t[1])
     refused = agrees = 0
     try:
         for word in sample:
             module, expected = cat.bott_samelson(word), cat.expected_summands(word)
-            route[0] = "certify"
             certified = cat.decompose(module, expected=expected).summands
-            route[0] = "peel"
             peeled = [(x, k) for x, k, _ in peel_along(cat, module, expected)]
-            route[0] = "certify"
             assert certified == tuple(expected), word
-            assert sorted(peeled, key=order) == sorted(expected, key=order), word
-            h = sum((hecke.kl_basis(x).scale(LaurentPoly.v(-k)) for x, k in certified), hecke.zero())
-            assert h == hecke.product_bs(word), word
+            assert sorted(peeled, key=_order) == sorted(expected, key=_order), word
+            assert _hecke_class(cat, certified) == hecke.product_bs(word), word
             assert certify_by_full_images(cat, module, expected) == certified, word
-            i, (x, k) = max(enumerate(expected), key=lambda t: len(by_character[cat.indecomposable(t[1][0]).character()]))
-            substitutes = [y for y in by_character[cat.indecomposable(x).character()] if y != x]
-            if substitutes:
-                fake = expected[:i] + [(rng.choice(substitutes), k)] + expected[i + 1 :]
+            fake = _substitute(cat, by_character, rng, expected)
+            if fake:
                 assert refuses(cat.decompose, module, fake), f"a same-character substitute certified on {word}"
                 assert refuses(certify_by_full_images, cat, module, fake), f"the oracle certified one on {word}"
                 refused += 1
@@ -190,19 +205,42 @@ def certified_words(n):
     }
 
 
+def long_words(n):
+    """20 seeded rank-n words, four of each length 8-12 (letters drawn from
+    ``random.Random(11)``), each decomposed against the Hecke prediction at
+    the default cap and equal to the Hecke product, and a same-character
+    substitute, where any exists, refused.  At rank 5 the largest of their
+    Homs has 91 884 block entries, and the largest solve 2 079
+    generator-image unknowns."""
+    cat = soergel_category(n)
+    by_character = _by_character(cat)
+    rng = random.Random(11)
+    words = [tuple(rng.randint(1, n - 1) for _ in range(size)) for size in range(8, 13) for _ in range(4)]
+    certified = 0
+    for word in words:
+        module, expected = cat.bott_samelson(word), cat.expected_summands(word)
+        summands = cat.decompose(module, expected=expected).summands
+        assert summands == tuple(expected), word
+        assert _hecke_class(cat, summands) == cat.hecke.product_bs(word), word
+        fake = _substitute(cat, by_character, rng, expected)
+        if fake:
+            assert refuses(cat.decompose, module, fake), f"a same-character substitute certified on {word}"
+        certified += 1
+    return {"words": len(words), "certified": certified}
+
+
 def predicted_words(n):
     """The 60 seeded words of :func:`certified_words`, each decomposed with
     no prediction given, so by the one read off Hom counts: the multiset
     equals the Hecke prediction and that of the reference peel search."""
     cat = soergel_category(n)
     words = seeded_words(random.Random(5), n)
-    order = lambda t: (length(t[0]), t[0], t[1])
     agree = 0
     for word in words:
         module = cat.bott_samelson(word)
-        predicted = sorted(cat.decompose(module).summands, key=order)
-        assert predicted == sorted(cat.expected_summands(word), key=order), word
-        assert predicted == sorted(((x, k) for x, k, _ in peel_search(cat, module)), key=order), word
+        predicted = sorted(cat.decompose(module).summands, key=_order)
+        assert predicted == sorted(cat.expected_summands(word), key=_order), word
+        assert predicted == sorted(((x, k) for x, k, _ in peel_search(cat, module)), key=_order), word
         agree += 1
     return {"words": len(words), "agree_with_search": agree}
 
@@ -322,6 +360,7 @@ CHECKS = {
         indecomposables,
         hom_formula,
         certified_words,
+        long_words,
         predicted_words,
         kept_relations,
         hecke_oracle,

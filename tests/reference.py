@@ -302,7 +302,7 @@ def certify_by_full_images(cat, M, expected):
     cat._check_characters(M.character(), expected)
     groups = list(Counter(expected).items())
     for (x, k), _ in sorted(groups, key=lambda group: group[0][1]):
-        gradedmod.check_hom_size(cat.indecomposable(x), M, -k)
+        gradedmod.check_hom_size(cat.indecomposable(x), M, -k, blocks=True)
     spans = {d: RowSpan(M.dim_at(d)) for d in M.degrees()}
     for (x, k), m in soergel._by_descending_shift(groups):
         kept = 0

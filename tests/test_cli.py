@@ -52,6 +52,15 @@ def test_hom_match_and_exit_zero():
     assert data["graded"] == {"0": 1, "2": 1}
 
 
+def test_the_empty_word_is_the_identity():
+    # as in kl and hom, an empty word names the identity, not every element
+    code, out = run_cli(["endo", "--rank", "3", "--w", ""])
+    assert code == 0
+    assert out == '{"dim":1,"graded":{"0":1},"rank":3,"summands":["123"]}\n'
+    code, out = run_cli(["kl", "--rank", "3", "--w", ""])
+    assert code == 0 and json.loads(out)["w"] == "123"
+
+
 def test_identical_invocations_byte_identical():
     for argv in (
         ["bs", "--rank", "3", "--word", "2,1,2", "--decompose"],

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from soergelkit import gradedmod
+from soergelkit import gradedmod, linalg
 from soergelkit.coinvariant import coinvariant_ring
 from soergelkit.gradedmod import (
     GradedModule,
@@ -426,21 +426,57 @@ def test_x_n_equations_are_redundant_on_a_rank_4_sample():
 
 def test_hom_graded_refuses_over_the_cap(monkeypatch):
     m = regular_module(3)  # the ring is built before the cap is lowered
-    # End^0 of the regular module has 1 + 4 + 4 + 1 unknowns
+    # End^0 of the regular module solves 1 generator-image unknown, and a
+    # map in blocks has 1 + 4 + 4 + 1 entries
     monkeypatch.setenv("SOERGEL_MAX_DIM", "9")
-    with pytest.raises(SizeCapError, match="Hom system in 10 unknowns") as refused:
-        hom_graded(m, m, 0)
-    # the count refuses with the same message
-    with pytest.raises(SizeCapError) as counted:
-        hom_dim(m, m, 0)
-    assert str(counted.value) == str(refused.value)
-    # at the cap its equations outnumber its unknowns, and it is solved
+    assert hom_dim(m, m, 0) == 1
+    assert hom_generator_images(m, m, 0) == [{0: [{0: 1}]}]
+    solved = []
+    solve = gradedmod.hom_generator_images
+    monkeypatch.setattr(gradedmod, "hom_generator_images", lambda *args: solved.append(args) or solve(*args))
+    for route in (hom_graded, hom_images):
+        with pytest.raises(SizeCapError, match="Hom map of 10 block entries exceeds the dimension cap 9 "):
+            route(m, m, 0)
+    assert solved == []
+    # at the cap it is solved
     monkeypatch.setenv("SOERGEL_MAX_DIM", "10")
     capped = hom_graded(m, m, 0)
-    assert hom_dim(m, m, 0) == 1
     monkeypatch.delenv("SOERGEL_MAX_DIM")
     assert capped == hom_graded(m, m, 0)
-    assert len(capped) == 1
+    assert len(capped) == 1 and len(solved) == 2
+
+
+def test_a_generator_image_system_over_the_cap_is_refused_before_any_elimination(monkeypatch):
+    m = regular_module(3)
+    m.presentation()  # built before the cap is lowered
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "1")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a Hom system over the cap reached the elimination")
+
+    # Hom^2 of the regular module: its one generator, in degree 0, has dim m_2 = 2 unknowns
+    monkeypatch.setattr(linalg, "_echelon", must_not_run)
+    for route in (hom_dim, hom_generator_images):
+        with pytest.raises(SizeCapError, match="Hom system in 2 generator-image unknowns exceeds the dimension cap 1 "):
+            route(m, m, 2)
+    assert gradedmod.check_hom_size(m, m, 6) == 1
+    monkeypatch.undo()
+    assert hom_dim(m, m, 2) == 2
+
+
+def test_empty_degrees_are_never_refused(monkeypatch):
+    cat = soergel_category(3)
+    top = cat.indecomposable(cat.group.longest_element())  # built before the cap is lowered
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "3")
+    assert graded_hom_poly(top, top) == LaurentPoly({0: 1, 2: 2, 4: 2, 6: 1})
+    # a degree with no generator-image unknowns builds no system and takes no rank
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "1")
+    ranks = []
+    monkeypatch.setattr(gradedmod, "rank", lambda system: ranks.append(system) or rank(system))
+    empty = [d for d in hom_degree_range(top, top) if d < 0]
+    assert empty and all(gradedmod.check_hom_size(top, top, d) == 0 for d in empty)
+    assert [hom_dim(top, top, d) for d in empty] == [0] * len(empty)
+    assert ranks == []
 
 
 # -- Hom on generator images against the block system ----------------------------

@@ -25,7 +25,7 @@ from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory,
 from soergelkit.weyl import format_perm, length, parse_perm
 
 from dense_views import col, dense_flatten
-from frontier import certified_words, character_of_b, indecomposables, predicted_words, refuses
+from frontier import certified_words, character_of_b, indecomposables, long_words, predicted_words, refuses
 from reference import (
     certify_by_full_images,
     check_commutes,
@@ -173,6 +173,24 @@ def test_induct_cap_bounds_the_induced_module(monkeypatch):
     assert m.total_dim() == 16
     with pytest.raises(SizeCapError):
         cat.induct(1, m)
+
+
+def test_the_certificate_refuses_a_later_group_before_its_first_solve(monkeypatch):
+    cat = SoergelCategory(3)
+    M, expected = cat.bott_samelson((1, 1, 2)), cat.expected_summands((1, 1, 2))
+    # visited by descending shift, Hom^-1(D_231, M) solves 1 generator-image
+    # unknown and Hom^1(D_231, M) then solves 3
+    assert sorted(expected, key=lambda t: -t[1]) == [(parse_perm("231"), 1), (parse_perm("231"), -1)]
+    assert [gradedmod.check_hom_size(cat.indecomposable(x), M, -k) for x, k in expected] == [3, 1]
+    solved = []
+    solve = soergel.hom_generator_images
+    monkeypatch.setattr(soergel, "hom_generator_images", lambda *args: solved.append(args) or solve(*args))
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "2")
+    with pytest.raises(SizeCapError, match="Hom system in 3 generator-image unknowns exceeds the dimension cap 2 "):
+        cat.decompose(M, expected)
+    assert solved == []
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "3")
+    assert cat.decompose(M, expected).summands == tuple(expected) and len(solved) == 2
 
 
 def test_indecomposable_verifies_before_publishing(monkeypatch):
@@ -740,6 +758,10 @@ def test_the_prediction_from_hom_counts_solves_no_basis_and_takes_no_peel(n, mon
 @pytest.mark.parametrize("n", [3, 4])
 def test_predicted_words_frontier_check(n):
     assert predicted_words(n) == {"words": 60, "agree_with_search": 60}
+
+
+def test_long_words_frontier_check():
+    assert long_words(2) == {"words": 20, "certified": 20}
 
 
 def test_composites_flatten_like_their_total_matrices():
