@@ -45,6 +45,7 @@ from .linalg import (
     QMatrix,
     RowSpan,
     SparseSystem,
+    check_dims,
     check_size,
     combine,
     exact,
@@ -61,11 +62,17 @@ _PRESENTATION_LOCK = threading.Lock()
 
 
 class GradedModule:
-    """A graded module over the coinvariant algebra of rank n."""
+    """A graded module over the coinvariant algebra of rank n.
 
-    __slots__ = ("ring", "dims", "actions", "_degrees", "_offsets", "_presentation")
+    ``validate``, the default, checks the degrees and dimensions (ints, none
+    negative) and the module axioms.  The module keeps, built on first use,
+    its :class:`Presentation` and the columns of its action blocks."""
+
+    __slots__ = ("ring", "dims", "actions", "_degrees", "_offsets", "_presentation", "_columns")
 
     def __init__(self, ring: CoinvariantRing, dims, actions, validate: bool = True):
+        if validate:
+            check_dims(dims, "degree", (d for _, d in actions))
         self.ring = ring
         self.dims = {int(d): int(m) for d, m in dims.items() if m}
         self._degrees = tuple(sorted(self.dims))
@@ -79,7 +86,7 @@ class GradedModule:
             if not mat.is_zero():
                 acts[(int(i), int(d))] = mat
         self.actions = acts
-        self._presentation = None
+        self._presentation, self._columns = None, {}
         if validate:
             self.validate()
 
@@ -102,6 +109,15 @@ class GradedModule:
         if mat is None:
             return QMatrix.zero(self.dim_at(d + 2), self.dim_at(d))
         return mat
+
+    def columns(self, i: int, d: int) -> list[dict] | None:
+        """The columns of x_i from degree d, the stored rows of the block's
+        transpose, or None where there is no block; built on first read and
+        kept, so that readers, concurrent ones too, all get the one kept."""
+        cols = self._columns.get((i, d))
+        if cols is None and (i, d) in self.actions:
+            cols = self._columns.setdefault((i, d), self.actions[i, d].transpose().nonzeros)
+        return cols
 
     def total_offsets(self) -> dict[int, int]:
         return self._offsets
@@ -227,8 +243,9 @@ class Presentation:
 
     The candidates in degree d are the products x_i b, i < n, of the rows b
     of ``bases[d - 2]``, numbered i-major: candidate (i - 1) dim M_{d-2} + t
-    is x_i times row t.  x_n is left out, since it acts as -(x_1 + .. +
-    x_{n-1}) on every module.  ``bases[d]`` holds a basis of M_d, one
+    is x_i times row t, read off :meth:`GradedModule.columns`.  x_n is left
+    out, since it acts as -(x_1 + .. + x_{n-1}) on every module.
+    ``bases[d]`` holds a basis of M_d, one
     vector per row: first the candidates ``chosen[d]`` that raise the rank,
     in order, then the unit vectors that complete them, which are the
     generators.  Every other candidate is a relation; the degrees just
@@ -281,14 +298,10 @@ class Presentation:
                 i, t = divmod(c, count)
                 return _times(ring_columns[i], lifts_below[t], width)
 
-            columns = {}
-
             def product(c):
                 i, t = divmod(c, count)
-                if i not in columns:
-                    act = M.actions.get((i + 1, d - 2))
-                    columns[i] = act and act.transpose().nonzeros
-                return _times(columns[i], below.nonzeros[t], 1) if columns[i] else {}
+                columns = M.columns(i + 1, d - 2)
+                return _times(columns, below.nonzeros[t], 1) if columns else {}
 
             chosen, units = [], []
             if m:
@@ -501,26 +514,20 @@ class _Images:
     :func:`_times` packs: coordinate r at column c is kept at r * width +
     c.  ``generator(d, g)`` gives the packed image of generator g of degree
     d; the image of a chosen product x_i b is x_i applied to the image of
-    b.  The columns of N's actions are found once per image set."""
+    b, through the columns N keeps (:meth:`GradedModule.columns`)."""
 
-    __slots__ = ("pres", "N", "degree", "width", "generator", "_rows", "_columns")
+    __slots__ = ("pres", "N", "degree", "width", "generator", "_rows")
 
     def __init__(self, pres: Presentation, N: GradedModule, degree: int, width: int, generator):
         self.pres, self.N, self.degree, self.width, self.generator = pres, N, degree, width, generator
-        self._rows, self._columns = {}, {}
+        self._rows = {}
 
     def product(self, c: int, d: int) -> dict:
         """The image of candidate c of degree d, x_i times a row of
         ``bases[d - 2]``."""
         i, t = divmod(c, self.pres.bases[d - 2].rows)
-        key = (i + 1, d - 2 + self.degree)
-        columns = self._columns.get(key)
-        if columns is None:
-            act = self.N.actions.get(key)
-            if act is None:
-                return {}
-            columns = self._columns[key] = act.transpose().nonzeros
-        return _times(columns, self.image(d - 2, t), self.width)
+        columns = self.N.columns(i + 1, d - 2 + self.degree)
+        return _times(columns, self.image(d - 2, t), self.width) if columns else {}
 
     def image(self, d: int, j: int) -> dict:
         """The image of row j of ``bases[d]``."""

@@ -94,8 +94,10 @@ class SizeCapError(RuntimeError):
 
 def check_size(what: str, size: int) -> None:
     """Refuse ``size`` over the cap ``SOERGEL_MAX_DIM`` with a
-    :class:`SizeCapError` that names ``what``, a template with one ``{}``
-    for the size."""
+    :class:`SizeCapError` naming ``what``, a template with one ``{}`` for
+    the size; a size of 0 returns before the environment is read."""
+    if not size:
+        return
     raw = os.environ.get("SOERGEL_MAX_DIM")
     cap = DEFAULT_DIMENSION_CAP
     if raw:
@@ -108,6 +110,18 @@ def check_size(what: str, size: int) -> None:
     if size > cap:
         what = what.format(size)
         raise SizeCapError(f"{what} exceeds the dimension cap {cap} (raise SOERGEL_MAX_DIM to override)")
+
+
+def check_dims(dims: dict, what: str, keys=()) -> None:
+    """Raise ValueError for a ``what`` (a degree or a position) that is not
+    an int, among the keys of ``dims`` and ``keys``, and for a dimension in
+    ``dims`` that is not an int or is negative."""
+    for key in (*dims, *keys):
+        if not isinstance(key, int):
+            raise ValueError(f"{what} {key!r} is not an integer")
+    for key, m in dims.items():
+        if not isinstance(m, int) or m < 0:
+            raise ValueError(f"dimension {m!r} at {what} {key} is not a non-negative integer")
 
 
 def exact(x) -> int | Fraction:

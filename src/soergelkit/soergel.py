@@ -334,10 +334,10 @@ class SoergelCategory:
         a scalar, and it raises the rank exactly when its scalars are new.
         Raises DecompositionError when a group keeps fewer than m maps or
         the spans do not fill M."""
-        for (i, d), act in M.actions.items():
+        for i, d in M.actions:
             span = spans[d + 2]
             if i < self.n and span.rank < span.cols:
-                for column in act.transpose().nonzeros:
+                for column in M.columns(i, d):
                     if span.rank == span.cols:
                         break
                     span.raises(column)

@@ -29,15 +29,20 @@ from __future__ import annotations
 
 import random
 
-from .linalg import QMatrix, SparseSystem, combine, hom_equations, place_blocks, rank
+from .linalg import QMatrix, SparseSystem, check_dims, combine, hom_equations, place_blocks, rank
 
 
 class Complex:
-    """A bounded complex of finite-dimensional rational vector spaces."""
+    """A bounded complex of finite-dimensional rational vector spaces.
+
+    With ``validate``, the default, the positions and dimensions given are
+    checked to be ints, the dimensions non-negative, and d∘d to vanish."""
 
     __slots__ = ("dims", "diffs")
 
     def __init__(self, dims, diffs=None, validate: bool = True):
+        if validate:
+            check_dims(dims, "position", diffs or ())
         self.dims = {int(c): int(m) for c, m in dims.items() if m}
         ds: dict[int, QMatrix] = {}
         for c, mat in (diffs or {}).items():

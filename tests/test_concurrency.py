@@ -93,6 +93,39 @@ def test_concurrent_readers_of_one_module_get_one_presentation():
     assert all(p is seen[0] for p in seen) and module.presentation() is seen[0]
 
 
+def test_concurrent_readers_of_one_module_get_one_set_of_columns():
+    # a module fresh from induction has no columns kept yet; threads that
+    # read every block's columns at once all get the ones the module keeps
+    cat = SoergelCategory(4)
+    module = cat.induct(2, cat.bott_samelson((1, 3, 2, 1, 3)))
+    keys = sorted(module.actions)
+    barrier = threading.Barrier(6)
+    seen, errors = [], []
+
+    def reader():
+        try:
+            barrier.wait(timeout=60)
+            seen.append([module.columns(i, d) for i, d in keys])
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(seen) == 6
+    assert seen[0] == [module.actions[key].transpose().nonzeros for key in keys]
+    assert all(all(a is b for a, b in zip(columns, seen[0])) for columns in seen)
+    assert all(module.columns(i, d) is c for (i, d), c in zip(keys, seen[0]))
+
+
 def test_concurrent_first_calls_publish_one_indecomposable():
     # racing first calls each build their own copy of D_w; every caller gets
     # the first copy published, and the cached endomorphisms start from it

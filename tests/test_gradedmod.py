@@ -102,6 +102,21 @@ def test_an_action_of_no_variable_of_the_rank_is_refused(i, validate):
         GradedModule(ring, {0: 1, 2: 1}, {(i, 0): QMatrix.from_rows([[1]])}, validate=validate)
 
 
+@pytest.mark.parametrize(
+    "dims, actions, message",
+    [
+        ({0: -1}, {}, "^dimension -1 at degree 0 is not a non-negative integer$"),
+        ({0: 1.5}, {}, "^dimension 1.5 at degree 0 is not a non-negative integer$"),
+        ({0.5: 1}, {}, "^degree 0.5 is not an integer$"),
+        ({0: 1, 2: 1}, {(1, 0.0): QMatrix.from_rows([[1]])}, "^degree 0.0 is not an integer$"),
+    ],
+    ids=["negative", "fractional_dimension", "fractional_degree", "float_action_degree"],
+)
+def test_dimensions_and_degrees_from_outside_are_checked(dims, actions, message):
+    with pytest.raises(ValueError, match=message):
+        GradedModule(coinvariant_ring(2), dims, actions)
+
+
 def _subset_sum_failure(m):
     """The first failure of the module axioms, with each e_k summed over
     the subsets of k variables: None for a module.  Commutation is checked
@@ -624,6 +639,55 @@ def _check_presentation(M):
             for r, c in enumerate(kept):
                 assert basis.transpose().times_vector(coords.row(r)) == products[c]
     return pres.generators()
+
+
+def test_columns_are_the_transposed_action_blocks_kept_on_the_module():
+    cat = soergel_category(3)
+    modules = [cat.indecomposable(w) for w in sorted(cat.group.elements())]
+    modules += [cat.bott_samelson((1, 2, 1)), regular_module(3)]
+    for M in modules:
+        for i in range(1, 4):
+            for d in range(min(M.degrees()) - 2, max(M.degrees()) + 1):
+                act = M.actions.get((i, d))
+                if act is None:
+                    assert M.columns(i, d) is None
+                else:
+                    columns = M.columns(i, d)
+                    assert columns == act.transpose().nonzeros and M.columns(i, d) is columns
+
+
+def test_a_hom_solve_transposes_no_action_block_of_a_target_whose_columns_were_read(monkeypatch):
+    cat = soergel_category(3)
+    word = (1, 2, 1, 2)
+    M = cat.induct(2, cat.bott_samelson(word[:-1]))
+    expected = cat.expected_summands(word)
+    sources = [cat.indecomposable(x) for x, _ in expected]
+    blocks = list(M.actions.values())
+    transposed = []
+    transpose = QMatrix.transpose
+
+    def spying(self):
+        transposed.extend(b for b in blocks if b is self)
+        return transpose(self)
+
+    monkeypatch.setattr(QMatrix, "transpose", spying)
+
+    def solves():
+        for D in sources:
+            for k in hom_degree_range(D, M):
+                hom_dim(D, M, k)
+                hom_generator_images(D, M, k)
+                hom_graded(D, M, k)
+        cat.decompose(M, expected)
+
+    # the spy sees the first reads of a fresh target, each block once
+    solves()
+    assert transposed and len(transposed) == len({id(b) for b in transposed})
+    for i, d in M.actions:
+        M.columns(i, d)
+    transposed.clear()
+    solves()
+    assert transposed == []
 
 
 def test_presentations_are_bases_of_products_and_their_relations_hold():

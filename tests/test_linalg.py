@@ -760,6 +760,13 @@ def test_size_cap(monkeypatch):
         rref(QMatrix.zero(1, 1))
 
 
+def test_a_size_of_0_is_under_every_cap_and_reads_no_environment(monkeypatch):
+    monkeypatch.setenv("SOERGEL_MAX_DIM", "bogus")
+    linalg.check_size("nothing in {} unknowns", 0)
+    with pytest.raises(SizeCapError, match="^SOERGEL_MAX_DIM='bogus' is not an integer$"):
+        linalg.check_size("one in {} unknowns", 1)
+
+
 def test_hom_equations_cap(monkeypatch):
     monkeypatch.setenv("SOERGEL_MAX_DIM", "4")
     ident = QMatrix.identity(2)

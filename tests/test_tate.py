@@ -64,6 +64,21 @@ def test_iota_functorial_sum_and_shift():
         assert iota_collapse(x.shift(1)).dims == iota_collapse(x).shift(1).dims
 
 
+@pytest.mark.parametrize(
+    "dims, diffs, message",
+    [
+        ({0: -2}, None, "^dimension -2 at position 0 is not a non-negative integer$"),
+        ({0: 1.5}, None, "^dimension 1.5 at position 0 is not a non-negative integer$"),
+        ({0.5: 1}, None, "^position 0.5 is not an integer$"),
+        ({0: 1, 1: 1}, {0.0: QMatrix.from_rows([[1]])}, "^position 0.0 is not an integer$"),
+    ],
+    ids=["negative", "fractional_dimension", "fractional_position", "float_differential_position"],
+)
+def test_positions_and_dimensions_from_outside_are_checked(dims, diffs, message):
+    with pytest.raises(ValueError, match=message):
+        tate.Complex(dims, diffs)
+
+
 def test_minimize_contractible():
     x = Complex({0: 1, 1: 1}, {0: QMatrix.identity(1)})
     assert x.minimize() == Complex({})
