@@ -4,9 +4,10 @@ indecomposable summand modules.
 Four variants share one data structure.  Objects are formal sums of
 generators: on the twisted sides (MIX and PERV_GR) a generator is a pair
 (w, n) of a group element and an integer twist; on the untwisted sides
-(K and PERV) it is a bare group element.  Differential entries are stored
-uniformly as matrices on the totalised bases of the modules D_w, and the
-side decides which subspace of maps an entry may come from:
+(K and PERV) it is a bare group element.  A differential entry from a
+generator of x to one of y is a module map D_x -> D_y between the
+category's own modules, the form of every Hom-space element, and the side
+decides which maps an entry may be:
 
 * MIX and PERV_GR between (x, m) and (y, n): the graded maps whose degree,
   measured against the untwisted normalisation of the modules, is 2(n-m).
@@ -14,14 +15,14 @@ side decides which subspace of maps an entry may come from:
   offsets that degree by l(x) - l(y); this is the one place the two
   bookkeepings meet, and the offset is pinned by requiring the degrading
   count and the commuting square to hold at the same time.
-* K and PERV between x and y: all module maps.
+* K and PERV between x and y: a homogeneous module map of any degree.
 
 The Hom spaces themselves live in :class:`SoergelCategory`:
-``hom_space(x, y, degree)`` keeps, once per rank, the total-space
-matrices of the cached ``hom_basis`` maps with the echelon basis of their
-flattenings, and the endomorphism algebras read their coordinates from the
-same store.  Twisted sides ask for the centred degree, untwisted sides for
-every degree at once.  A layout of the maps of one degree looks each
+``hom_space(x, y, degree)`` keeps, once per rank, the cached
+``hom_basis`` maps with the echelon basis of their flattenings, and the
+endomorphism algebras read their coordinates from the same store.
+Twisted sides ask for the centred degree, untwisted sides for every
+degree at once.  A layout of the maps of one degree looks each
 slot's space up once, straight from the two group elements and the
 centred degree (read off a per-rank length table), and hands the space on
 with the slot's offset.
@@ -58,7 +59,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import QMatrix, flatten, kernel_basis, place_blocks, rank
+from .gradedmod import ModuleMap
+from .linalg import QMatrix, combine, kernel_basis, place_blocks, rank
 from .soergel import SoergelCategory, soergel_category
 from .weyl import Perm, format_perm, length
 
@@ -105,9 +107,10 @@ class FormalComplex:
 
     ``terms`` maps positions to generator tuples; ``diffs`` maps position c
     to a matrix of entries (rows indexed by the generators at c+1, columns
-    by those at c), each entry a nonzero total-space matrix or None for
-    zero.  Zero matrices passed in are stored as None, and positions whose
-    entries are all zero are left out, so equal complexes have equal fields.
+    by those at c), each entry a nonzero ModuleMap D_x -> D_y between the
+    modules of its two generators or None for zero.  Zero maps passed in
+    are stored as None, and positions whose entries are all zero are left
+    out, so equal complexes have equal fields.
     """
 
     __slots__ = ("side", "terms", "diffs")
@@ -130,6 +133,13 @@ class FormalComplex:
             tgt = self.terms.get(c + 1, ())
             if len(entries) != len(tgt) or any(len(row) != len(src) for row in entries):
                 raise ValueError(f"differential at position {c} has wrong block shape")
+            for t, row in enumerate(entries):
+                for s, e in enumerate(row):
+                    if e is not None and not isinstance(e, ModuleMap):
+                        raise ValueError(
+                            f"differential entry ({t}, {s}) at position {c} is a "
+                            f"{type(e).__name__}, not a ModuleMap"
+                        )
             rows = [[None if e is None or e.is_zero() else e for e in row] for row in entries]
             if any(e is not None for row in rows for e in row):
                 self.diffs[c] = rows
@@ -174,11 +184,11 @@ class FormalComplex:
 
 
 def _read(space, maps) -> QMatrix:
-    """Coordinates of total-space matrices in a Hom space, given as its
-    basis maps with their echelon basis, one column per matrix; raises
-    ValueError for a matrix outside that space."""
-    mats, basis = space
-    return QMatrix.from_columns(len(mats), [basis.coords(flatten(m)) for m in maps])
+    """Coordinates of module maps in a Hom space, given as its basis maps
+    with their echelon basis, one column per map; raises ValueError for a
+    map outside that space."""
+    basis, echelon = space
+    return QMatrix.from_columns(len(basis), [echelon.coords(m.flatten()) for m in maps])
 
 
 class FormalCategory:
@@ -205,40 +215,46 @@ class FormalCategory:
             degree = 2 * (tgt.twist - src.twist) + lengths[src.w] - lengths[tgt.w]
         return self.cat.hom_space(src.w, tgt.w, degree)
 
-    def hom_space(self, side: str, src: Gen, tgt: Gen) -> tuple[QMatrix, ...]:
-        """Basis of allowed differential entries, as total-space matrices."""
+    def hom_space(self, side: str, src: Gen, tgt: Gen) -> tuple[ModuleMap, ...]:
+        """Basis of allowed differential entries from src to tgt: the
+        ``hom_basis`` maps themselves."""
         return self._space(side, src, tgt)[0]
 
     def validate(self, x: FormalComplex) -> None:
-        """Check entry membership and that the differential squares to zero."""
+        """Check that each entry is a map between the category's modules of
+        its two generators and lies in the slot's Hom space (ValueError),
+        and that the differential squares to zero (AssertionError)."""
+        module = self.cat.indecomposable
         for c, rows in x.diffs.items():
             src = x.generators(c)
             tgt = x.generators(c + 1)
             for t, row in enumerate(rows):
                 for s, e in enumerate(row):
-                    if e is not None:
-                        _read(self._space(x.side, src[s], tgt[t]), [e])
+                    if e is None:
+                        continue
+                    if e.source is not module(src[s].w) or e.target is not module(tgt[t].w):
+                        raise ValueError(
+                            f"differential entry ({t}, {s}) at position {c} is not a map "
+                            f"D[{format_perm(src[s].w)}] -> D[{format_perm(tgt[t].w)}]"
+                        )
+                    _read(self._space(x.side, src[s], tgt[t]), [e])
         if not self.dsquare_check(x):
             raise AssertionError("formal differential does not square to zero")
 
     def dsquare_check(self, x: FormalComplex) -> bool:
-        for c in x.positions():
-            src = x.generators(c)
-            mid = x.generators(c + 1)
-            tgt = x.generators(c + 2)
-            if not src or not mid or not tgt:
-                continue
-            for t in range(len(tgt)):
-                for s in range(len(src)):
-                    total = None
-                    for k in range(len(mid)):
-                        a = x.entry(c + 1, t, k)
-                        b = x.entry(c, k, s)
-                        if a is None or b is None:
-                            continue
-                        prod = a * b
-                        total = prod if total is None else total + prod
-                    if total is not None and not total.is_zero():
+        """Whether the composites along the two-step paths between any two
+        generators sum to zero, summed flattened: on an untwisted side paths
+        of different degrees meet, which ModuleMap.__add__ refuses."""
+        for c, first in x.diffs.items():
+            second = x.diffs.get(c + 1)
+            for row in second or ():
+                for s in range(len(first[0])):
+                    paths = [
+                        (1, a.compose(b[s]).flatten())
+                        for a, b in zip(row, first)
+                        if a is not None and b[s] is not None
+                    ]
+                    if combine(paths):
                         return False
         return True
 
@@ -349,13 +365,13 @@ class FormalCategory:
                 target = targets.get((c, s, t2))
                 if e is not None and target is not None:
                     row, space = target
-                    blocks.append((row, col, _read(space, [e * b for b in basis])))
+                    blocks.append((row, col, _read(space, [e.compose(b) for b in basis])))
             x_rows = x.diffs.get(c - 1)
             for s2, e in enumerate(x_rows[s] if x_rows else ()):
                 target = targets.get((c - 1, s2, t))
                 if e is not None and target is not None:
                     row, space = target
-                    blocks.append((row, col, _read(space, [b * e for b in basis]).scale(-sign)))
+                    blocks.append((row, col, _read(space, [b.compose(e) for b in basis]).scale(-sign)))
         return place_blocks(n_tgt, n_src, blocks)
 
     # -- corpus generation ----------------------------------------------------

@@ -463,21 +463,21 @@ class ModuleMap:
                 blocks[d] = outer * inner
         return ModuleMap(other.source, self.target, self.degree + other.degree, blocks)
 
-    def to_total(self) -> QMatrix:
-        """The map as a single matrix on totalised bases (degree ascending)."""
-        t_off, s_off = self.target.total_offsets(), self.source.total_offsets()
-        return place_blocks(
-            self.target.total_dim(),
-            self.source.total_dim(),
-            ((t_off[d + self.degree], s_off[d], blk) for d, blk in self.blocks.items()),
-        )
+    def __add__(self, other: "ModuleMap") -> "ModuleMap":
+        """The sum of two maps of one Hom space: one source, one target and
+        one degree; raises ValueError for any other pair."""
+        if other.source is not self.source or other.target is not self.target or other.degree != self.degree:
+            raise ValueError("maps are not in one Hom space")
+        blocks = dict(self.blocks)
+        for d, blk in other.blocks.items():
+            blocks[d] = blocks[d] + blk if d in blocks else blk
+        return ModuleMap(self.source, self.target, self.degree, blocks)
 
     def flatten(self) -> dict:
-        """The nonzero entries of :meth:`to_total` keyed as
-        :func:`~soergelkit.linalg.flatten` keys them, written straight from
-        the blocks: entry (r, c) of the block at d is kept at
-        (t_off[d + degree] + r) * cols + s_off[d] + c, with cols the total
-        source dimension."""
+        """The nonzero entries of the map as one vector, the layout of
+        every Hom-space coordinate: entry (r, c) of the block at d is kept
+        at (t_off[d + degree] + r) * cols + s_off[d] + c, t_off and s_off
+        the totalised offsets and cols the total source dimension."""
         t_off, s_off = self.target.total_offsets(), self.source.total_offsets()
         cols = self.source.total_dim()
         out = {}

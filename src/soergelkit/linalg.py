@@ -15,9 +15,9 @@ product adds ``a * b`` over the stored entries of a left row and of the
 right rows they select, and keeps the sums that do not cancel; sums,
 placed blocks, transposes and reduced forms store only nonzeros too.  A
 vector is stored the same way, as an {index: value} dict: kernel bases,
-:func:`flatten` and :class:`EchelonBasis` build and read such dicts.  The
-dense forms, lists of Fractions, are test views and reference routes:
-:attr:`QMatrix.data`, ``row``, ``times_vector``, :func:`solve` and
+flattened module maps and :class:`EchelonBasis` build and read such
+dicts.  The dense forms, lists of Fractions, are test views and reference
+routes: :attr:`QMatrix.data`, ``row``, ``times_vector``, :func:`solve` and
 :class:`SpanSolver`.  No other library routine calls them; they stay
 here, not with the other reference routes in ``tests/reference.py``,
 because the benchmark tracer binds them.
@@ -428,12 +428,6 @@ def combine(terms) -> dict[int, int | Fraction]:
         for j, x in vec.items():
             acc[j] = acc[j] + a * x if j in acc else a * x
     return {j: x if type(x) is int else exact(x) for j, x in acc.items() if x}
-
-
-def flatten(m: QMatrix) -> dict[int, int | Fraction]:
-    """The nonzero entries of m, row by row: x at (i, j) is kept at i * cols + j."""
-    cols = m.cols
-    return {i * cols + j: x for i, row in enumerate(m.nonzeros) for j, x in row.items()}
 
 
 class RrefResult:

@@ -50,7 +50,7 @@ from .gradedmod import (
 )
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from .laurent import LaurentPoly
-from .linalg import EchelonBasis, QMatrix, RowSpan, check_size, flatten, place_blocks
+from .linalg import EchelonBasis, QMatrix, RowSpan, check_size, place_blocks
 from .linalg import rref  # noqa: F401  benchmarks/test_harness.py traces this binding
 from .weyl import Perm, Word, WeylGroup, format_perm, length, mult_right_simple, weyl_group
 
@@ -100,7 +100,7 @@ class SoergelCategory:
         self._bs: dict[Word, GradedModule] = {}
         self._indec: dict[Perm, GradedModule] = {}
         self._hom: dict[tuple[Perm, Perm, int], tuple[ModuleMap, ...]] = {}
-        self._spaces: dict[tuple, tuple[tuple[QMatrix, ...], EchelonBasis]] = {}
+        self._spaces: dict[tuple, tuple[tuple[ModuleMap, ...], EchelonBasis]] = {}
 
     # -- induction ----------------------------------------------------------
 
@@ -184,16 +184,17 @@ class SoergelCategory:
 
     def hom_space(self, x: Perm, y: Perm, degree: int | None = None):
         """The cached ``hom_basis`` maps D_x -> D_y of the given degree (of
-        every degree when None) as total-space matrices, with the
-        EchelonBasis of their flattenings; cached per rank."""
+        every degree when None) with the EchelonBasis of their flattenings
+        (:meth:`~soergelkit.gradedmod.ModuleMap.flatten`), in which every
+        map D_x -> D_y is read; cached per rank."""
         key = (x, y, degree)
         cached = self._spaces.get(key)
         if cached is None:
             dx, dy = self.indecomposable(x), self.indecomposable(y)
             degrees = [d for d in hom_degree_range(dx, dy) if degree in (None, d)]
-            mats = tuple(m.to_total() for d in degrees for m in self.hom_basis(x, y, d))
-            space = EchelonBasis([flatten(m) for m in mats], dy.total_dim() * dx.total_dim())
-            cached = self._spaces.setdefault(key, (mats, space))
+            maps = tuple(m for d in degrees for m in self.hom_basis(x, y, d))
+            space = EchelonBasis([m.flatten() for m in maps], dy.total_dim() * dx.total_dim())
+            cached = self._spaces.setdefault(key, (maps, space))
         return cached
 
     def hom_poly(self, x: Perm, y: Perm) -> LaurentPoly:

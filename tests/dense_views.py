@@ -41,7 +41,7 @@ def in_span(solver, vec):
 
 def dense_flatten(m):
     """The entries of a QMatrix row by row, zeros included: the dense
-    reference for :func:`soergelkit.linalg.flatten`."""
+    reference for ``flatten`` in ``tests/reference.py``."""
     return [x for row in m.data for x in row]
 
 

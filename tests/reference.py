@@ -2,7 +2,9 @@
 
 Each is a plain function over the public API, with no cache, and none has
 a caller in the library: the coinvariant ring's matrices, invariants and
-rank-two splitting, the action of a polynomial on a graded module, the
+rank-two splitting, the action of a polynomial on a graded module, a
+module map as one matrix on the totalised bases and that matrix's entries
+flattened row by row (the oracle for ``ModuleMap.flatten``), the
 relations of a presentation and the graded Hom with one unknown per block
 entry or with every relation, the peel along a prediction, the peel
 search without one and the Hecke recursion of the indecomposables built
@@ -23,7 +25,9 @@ from soergelkit.gradedmod import ModuleMap
 from soergelkit.hecke import HeckeElement
 from soergelkit.laurent import LaurentPoly
 from soergelkit.dualalg import MAX_RESOLUTION_LENGTH, Resolution
-from soergelkit.linalg import QMatrix, RowSpan, SparseSystem, hom_equations, kernel_basis, rank, restrict_to_kernels, rref
+from soergelkit.linalg import (
+    QMatrix, RowSpan, SparseSystem, hom_equations, kernel_basis, place_blocks, rank, restrict_to_kernels, rref
+)
 from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import DecompositionError
 from soergelkit.tate import Complex
@@ -148,6 +152,22 @@ def check_commutes(f: ModuleMap):
             rhs = f.block(d + 2) * f.source.action(i, d)
             if lhs != rhs:
                 raise AssertionError(f"map fails to commute with x_{i} at degree {d}")
+
+
+def to_total(f: ModuleMap) -> QMatrix:
+    """The map f as a single matrix on totalised bases (degree ascending)."""
+    t_off, s_off = f.target.total_offsets(), f.source.total_offsets()
+    return place_blocks(
+        f.target.total_dim(),
+        f.source.total_dim(),
+        ((t_off[d + f.degree], s_off[d], blk) for d, blk in f.blocks.items()),
+    )
+
+
+def flatten(m: QMatrix) -> dict:
+    """The nonzero entries of m, row by row: x at (i, j) is kept at i * cols + j."""
+    cols = m.cols
+    return {i * cols + j: x for i, row in enumerate(m.nonzeros) for j, x in row.items()}
 
 
 def graded_hom_system(M, N, degree, variables):

@@ -5,12 +5,15 @@ from collections import Counter
 import pytest
 
 from soergelkit.formal import SIDES, TWISTED, FormalCategory, FormalComplex, Gen, formal_category
+from soergelkit.gradedmod import ModuleMap
 from soergelkit.linalg import QMatrix
 from soergelkit.selftest import degrading_sides
+from soergelkit.soergel import SoergelCategory
 from soergelkit.tate import Complex, GradedComplex, hom_homotopy as tate_hom
 from soergelkit.weyl import length, parse_perm
 
 from dense_views import dense_flatten
+from reference import to_total
 
 
 def test_hom_rule_scalars():
@@ -295,7 +298,7 @@ def _scalar_complex(x: FormalComplex) -> Complex:
     """A rank-1 K-side complex as a toy complex: every entry is 1x1."""
     dims = {c: len(x.generators(c)) for c in x.positions()}
     diffs = {
-        c: QMatrix.from_rows([[0 if e is None else e.entry(0, 0) for e in row] for row in rows])
+        c: QMatrix.from_rows([[0 if e is None else to_total(e).entry(0, 0) for e in row] for row in rows])
         for c, rows in x.diffs.items()
     }
     return Complex(dims, diffs)
@@ -359,6 +362,54 @@ def test_validate_rejects_a_differential_that_does_not_square_to_zero():
         fc.validate(bad)
 
 
+def test_constructor_refuses_an_entry_that_is_not_a_module_map():
+    # total-space matrices, the entry form of old: the 1x2 one has the
+    # socle map's flattening {1: 1} but the shape of a map D_s -> D_e
+    e, s = parse_perm("12"), parse_perm("21")
+    terms = {0: (Gen(e, 0),), 1: (Gen(s, 1),)}
+    for total in (QMatrix(1, 2, [[0, 1]]), QMatrix(2, 1, [[0], [1]])):
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) at position 0 is a QMatrix, not a ModuleMap"):
+            FormalComplex("MIX", terms, {0: [[total]]})
+
+
+def test_validate_refuses_a_map_between_other_modules():
+    # the slot D_e -> D_s takes the socle map; a map D_s -> D_e that
+    # flattens like it, and the socle map of a rank-2 category built again,
+    # are maps between other modules
+    fc = formal_category(2)
+    e, s = parse_perm("12"), parse_perm("21")
+    socle = fc.hom_space("MIX", Gen(e, 0), Gen(s, 1))[0]
+    swapped = ModuleMap(fc.cat.indecomposable(s), fc.cat.indecomposable(e), -1, {1: QMatrix(1, 1, [[1]])})
+    rebuilt = SoergelCategory(2).hom_basis(e, s, 1)[0]
+    assert swapped.flatten() == rebuilt.flatten() == socle.flatten() == {1: 1}
+    terms = {0: (Gen(e, 0),), 1: (Gen(s, 1),)}
+    fc.validate(FormalComplex("MIX", terms, {0: [[socle]]}))
+    for bad in (swapped, rebuilt):
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) at position 0 is not a map D\[12\] -> D\[21\]"):
+            fc.validate(FormalComplex("MIX", terms, {0: [[bad]]}))
+
+
+def test_untwisted_dsquare_check_sums_paths_of_two_degrees():
+    # K side, s -> (e, s) -> s: the path through e composes onto and socle
+    # (degree 2), the one through s two identities (degree 0); the two
+    # composites lie in no one Hom space of a degree, and their sum is not 0
+    fc = formal_category(2)
+    e, s = parse_perm("12"), parse_perm("21")
+    onto = fc.hom_space("MIX", Gen(s, 0), Gen(e, 0))[0]
+    socle = fc.hom_space("MIX", Gen(e, 0), Gen(s, 1))[0]
+    ident = ModuleMap.identity(fc.cat.indecomposable(s))
+    terms = {0: (Gen(s),), 1: (Gen(e), Gen(s)), 2: (Gen(s),)}
+    x = FormalComplex("K", terms, {0: [[onto], [ident]], 1: [[socle, ident]]})
+    assert fc.dsquare_check(x) is False
+    with pytest.raises(AssertionError, match="does not square to zero"):
+        fc.validate(x)
+    # control: s -> (s, s) -> s with paths id and -id cancels
+    terms = {0: (Gen(s),), 1: (Gen(s), Gen(s)), 2: (Gen(s),)}
+    y = FormalComplex("K", terms, {0: [[ident], [ident]], 1: [[ident, ident.scale(-1)]]})
+    assert fc.dsquare_check(y) is True
+    fc.validate(y)
+
+
 def test_sides_are_enforced():
     fc = formal_category(2)
     x = fc.stalk("MIX", [Gen(parse_perm("12"), 0)])
@@ -371,17 +422,19 @@ def test_sides_are_enforced():
         FormalComplex("K", {0: (Gen(parse_perm("12"), 0),)})
 
 
+def _entry_bytes(e):
+    """An entry as its total-space matrix: the shape and the dense entries."""
+    if e is None:
+        return None
+    m = to_total(e)
+    return (m.rows, m.cols, [str(v) for v in dense_flatten(m)])
+
+
 def _formal_bytes(x: FormalComplex) -> bytes:
     out = []
     for c in x.positions():
         src, tgt = x.generators(c), x.generators(c + 1)
-        entries = [
-            [
-                None if e is None else (e.rows, e.cols, [str(v) for v in dense_flatten(e)])
-                for e in (x.entry(c, t, s) for s in range(len(src)))
-            ]
-            for t in range(len(tgt))
-        ]
+        entries = [[_entry_bytes(x.entry(c, t, s)) for s in range(len(src))] for t in range(len(tgt))]
         out.append((c, [g.label() for g in src], entries))
     return repr(out).encode()
 

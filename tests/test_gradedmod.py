@@ -37,6 +37,7 @@ from reference import (
     multiply_by_variable_matrix,
     poly_action,
     presentation_relations,
+    to_total,
 )
 
 
@@ -268,7 +269,7 @@ def test_module_map_compose_and_total():
     m = regular_module(2)
     ident = ModuleMap.identity(m)
     assert ident.compose(ident) == ident
-    assert ident.to_total() == QMatrix.identity(2)
+    assert to_total(ident) == QMatrix.identity(2)
     check_commutes(ident)
 
 

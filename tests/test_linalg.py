@@ -15,7 +15,6 @@ from soergelkit.linalg import (
     SpanSolver,
     SparseSystem,
     exact,
-    flatten,
     hom_equations,
     inverse,
     kernel_basis,
@@ -28,6 +27,7 @@ from soergelkit.linalg import (
 from soergelkit.soergel import soergel_category
 
 from dense_views import col, dense, dense_flatten, in_span, sparse
+from reference import flatten
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):

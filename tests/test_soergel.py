@@ -19,7 +19,7 @@ from soergelkit.gradedmod import (
     kernel_module,
 )
 from soergelkit.laurent import LaurentPoly
-from soergelkit.linalg import QMatrix, SizeCapError, SpanSolver, flatten, rank, rref
+from soergelkit.linalg import EchelonBasis, QMatrix, SizeCapError, SpanSolver, rank, rref
 from soergelkit.selftest import hom_formula
 from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory, soergel_category
 from soergelkit.weyl import format_perm, length, parse_perm
@@ -30,12 +30,14 @@ from reference import (
     certify_by_full_images,
     check_commutes,
     endo_dimension_by_pairings,
+    flatten,
     idempotent_index,
     invariant_generators,
     lower_summands,
     peel_along,
     peel_search,
     poly_action,
+    to_total,
 )
 
 
@@ -542,7 +544,7 @@ def test_endo_algebra_table_matches_span_solver_rank3():
         blocks.setdefault((a, b), []).append(i)
     solvers = {}
     for key, idxs in blocks.items():
-        vecs = [dense_flatten(alg.basis[i][3].to_total()) for i in idxs]
+        vecs = [dense_flatten(to_total(alg.basis[i][3])) for i in idxs]
         solvers[key] = (idxs, SpanSolver(vecs, len(vecs[0])))
     assert alg.dim == 77
     for i, (a1, b1, _, m1) in enumerate(alg.basis):
@@ -551,7 +553,7 @@ def test_endo_algebra_table_matches_span_solver_rank3():
                 assert alg.compose_indices(i, j) == ()
                 continue
             idxs, solver = solvers[(a2, b1)]
-            coords = solver.coords(dense_flatten(m1.compose(m2).to_total()))
+            coords = solver.coords(dense_flatten(to_total(m1.compose(m2))))
             expected = tuple((idxs[t], c) for t, c in enumerate(coords) if c)
             assert alg.compose_indices(i, j) == expected
 
@@ -575,7 +577,7 @@ def test_endo_algebra_with_shifts_matches_direct_solves_rank3():
         blocks.setdefault((a, b), []).append(i)
     solvers = {}
     for key, idxs in blocks.items():
-        vecs = [dense_flatten(basis[i][3].to_total()) for i in idxs]
+        vecs = [dense_flatten(to_total(basis[i][3])) for i in idxs]
         solvers[key] = (idxs, SpanSolver(vecs, len(vecs[0])))
     for i, (a1, b1, _, m1) in enumerate(basis):
         for j, (a2, b2, _, m2) in enumerate(basis):
@@ -583,7 +585,7 @@ def test_endo_algebra_with_shifts_matches_direct_solves_rank3():
                 assert alg.compose_indices(i, j) == ()
                 continue
             idxs, solver = solvers[(a2, b1)]
-            coords = solver.coords(dense_flatten(m1.compose(m2).to_total()))
+            coords = solver.coords(dense_flatten(to_total(m1.compose(m2))))
             assert alg.compose_indices(i, j) == tuple((idxs[t], c) for t, c in enumerate(coords) if c)
 
 
@@ -775,13 +777,66 @@ def test_composites_flatten_like_their_total_matrices():
         for _, b2, _, m2 in alg.basis:
             if b2 == a1:
                 comp = m1.compose(m2)
-                assert comp.flatten() == flatten(comp.to_total())
+                assert comp.flatten() == flatten(to_total(comp))
                 composites += not comp.is_zero()
     assert composites > 100
     for _, _, _, m in alg.basis:
-        assert m.flatten() == flatten(m.to_total())
+        assert m.flatten() == flatten(to_total(m))
         half = m.scale(Fraction(1, 2))
-        assert half.flatten() == flatten(half.to_total())
+        assert half.flatten() == flatten(to_total(half))
+
+
+def test_hom_space_keeps_the_hom_basis_maps_rank3():
+    # every rank-3 pair, each degree and every degree at once: the store
+    # keeps the hom_basis maps themselves, and its echelon basis is the one
+    # built from the reference flattening of their total matrices
+    cat = soergel_category(3)
+    els = sorted(cat.group.elements())
+    spaces = 0
+    for x in els:
+        for y in els:
+            dx, dy = cat.indecomposable(x), cat.indecomposable(y)
+            degrees = list(hom_degree_range(dx, dy))
+            for degree in [*degrees, None]:
+                maps, echelon = cat.hom_space(x, y, degree)
+                basis = [m for d in degrees if degree in (None, d) for m in cat.hom_basis(x, y, d)]
+                assert len(maps) == len(basis) and all(m is b for m, b in zip(maps, basis))
+                oracle = EchelonBasis([flatten(to_total(m)) for m in maps], dy.total_dim() * dx.total_dim())
+                assert (echelon.positions, echelon.vectors, echelon.dim) == (
+                    oracle.positions,
+                    oracle.vectors,
+                    oracle.dim,
+                )
+                spaces += bool(maps)
+    assert spaces > 100
+
+
+def test_module_map_sum_agrees_with_the_total_matrix_sum_rank3():
+    cat = soergel_category(3)
+    els = sorted(cat.group.elements())
+    sums = 0
+    for x in els:
+        for y in els:
+            for d in hom_degree_range(cat.indecomposable(x), cat.indecomposable(y)):
+                basis = cat.hom_basis(x, y, d)
+                for a, b in zip(basis, basis[1:] + basis[:1]):
+                    total = a + b.scale(Fraction(-3, 2))
+                    assert (total.source, total.target, total.degree) == (a.source, a.target, d)
+                    assert to_total(total) == to_total(a) + to_total(b).scale(Fraction(-3, 2))
+                    assert (a + a.scale(-1)).is_zero()
+                    sums += 1
+    assert sums == 77  # one per basis map: the rank-3 endomorphism algebra's dimension
+    # maps of two Hom spaces: another degree, another target, and equal
+    # modules of another category
+    w0, s1 = parse_perm("321"), parse_perm("213")
+    top = cat.hom_basis(w0, w0, 0)[0]
+    for other in (
+        cat.hom_basis(w0, w0, 2)[0],
+        cat.hom_basis(w0, s1, 2)[0],
+        SoergelCategory(3).hom_basis(w0, w0, 0)[0],
+    ):
+        with pytest.raises(ValueError, match="not in one Hom space"):
+            top + other
 
 
 
