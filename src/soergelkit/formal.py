@@ -371,7 +371,7 @@ class FormalCategory:
                 target = targets.get((c - 1, s2, t))
                 if e is not None and target is not None:
                     row, space = target
-                    blocks.append((row, col, _read(space, [b.compose(e) for b in basis]).scale(-sign)))
+                    blocks.append((row, col, _read(space, [b.compose(e) for b in basis]), -sign))
         return place_blocks(n_tgt, n_src, blocks)
 
     # -- corpus generation ----------------------------------------------------
@@ -386,7 +386,8 @@ class FormalCategory:
 
         Each differential is a random combination of the kernel basis of the
         squaring-to-zero constraint against the previous one, in Hom-space
-        coordinates in the layout of ``_hom_layout``; twist labels are drawn
+        coordinates in the layout of ``_hom_layout``, and of the unit basis
+        where no nonzero differential comes before it; twist labels are drawn
         from -TWIST_RANGE..TWIST_RANGE.  The two complexes of each
         constraint are derived from the terms and differentials drawn so
         far, unchecked; the result is checked by the public constructor and
@@ -408,19 +409,21 @@ class FormalCategory:
             # d_c d_{c-1} = 0 says that d_c, a degree-0 map from the two-term
             # complex d_{c-1} to the stalk of terms[c+1] at c, is a cocycle;
             # diffs holds only positions with a nonzero entry, as the
-            # constructor would
-            step = FormalComplex._derived(
-                "MIX",
-                {c - 1: terms[c - 1], c: src} if c else {c: src},
-                {c - 1: diffs[c - 1]} if c - 1 in diffs else {},
-            )
+            # constructor would.  With no d_{c-1} the step is the stalk of
+            # terms[c], the constraint is zero and its kernel the unit basis
+            prev = {c - 1: diffs[c - 1]} if c - 1 in diffs else {}
+            step = FormalComplex._derived("MIX", {c - 1: terms[c - 1], c: src} if prev else {c: src}, prev)
             stalk = FormalComplex._derived("MIX", {c: tgt}, {})
             layout = self._hom_layout(step, stalk, 0)
-            constraint = self._hom_differential_matrix(
-                step, stalk, 0, layout, self._hom_layout(step, stalk, 1)
-            )
+            if prev:
+                constraint = self._hom_differential_matrix(
+                    step, stalk, 0, layout, self._hom_layout(step, stalk, 1)
+                )
+                vectors = kernel_basis(constraint)
+            else:
+                vectors = [{j: 1} for j in range(layout[1])]
             coords: dict[int, int | Fraction] = {}
-            for vec in kernel_basis(constraint):
+            for vec in vectors:
                 c_rand = rng.randint(-2, 2)
                 if c_rand:
                     for j, x in vec.items():

@@ -6,7 +6,11 @@ matrices must commute pairwise and every elementary symmetric polynomial of
 them must vanish, which is exactly what makes the space a module over the
 quotient ring; :meth:`GradedModule.validate` checks both (commutation
 among x_1 .. x_{n-1}, which with e_1 = 0 gives the rest) and module
-constructors run it, so a broken construction never propagates.
+constructors run it, so a broken construction never propagates.  It checks
+them exactly in every degree, each commutator and each e_k accumulated row
+by row from the stored rows of the action blocks
+(:func:`~soergelkit.linalg.sum_of_products`), with no product or sum
+matrix formed.
 
 A graded Hom space is solved on generator images: a module map is fixed
 by its values on generators, so each module keeps a
@@ -56,6 +60,7 @@ from .linalg import (
     rank,
     restrict_to_kernels,
     rref,
+    sum_of_products,
 )
 
 _PRESENTATION_LOCK = threading.Lock()
@@ -78,10 +83,11 @@ class GradedModule:
         self._degrees = tuple(sorted(self.dims))
         self._offsets = dict(zip(self._degrees, accumulate((self.dims[d] for d in self._degrees), initial=0)))
         acts: dict[tuple[int, int], QMatrix] = {}
+        dim = self.dims.get
         for (i, d), mat in actions.items():
             if not 1 <= i <= ring.n:
                 raise ValueError(f"x_{i} is not a variable at rank {ring.n}")
-            if mat.rows != self.dim_at(d + 2) or mat.cols != self.dim_at(d):
+            if mat.rows != dim(d + 2, 0) or mat.cols != dim(d, 0):
                 raise ValueError(f"action block for x_{i} at degree {d} has wrong shape")
             if not mat.is_zero():
                 acts[(int(i), int(d))] = mat
@@ -170,44 +176,50 @@ class GradedModule:
 
         Only x_1 .. x_{n-1} are checked to commute: once e_1 vanishes,
         x_n = -(x_1 + .. + x_{n-1}) commutes with them, so a module whose
-        x_n does not commute is still rejected, by its e_1.  An absent
-        action block is zero, so a product with one is zero and is neither
-        built nor multiplied.
+        x_n does not commute is still rejected, by its e_1.  Each
+        commutator, and each e_k one variable at a time, is accumulated row
+        by row from the stored rows of the action blocks by
+        :func:`~soergelkit.linalg.sum_of_products`, so no product or sum
+        matrix is formed; an absent action block is zero, and a product
+        with one is left out.  The first pair that fails to commute is
+        reported at its lowest degree, else the smallest (k, degree) where
+        e_k does not vanish.
         """
         n = self.ring.n
-        act = self.actions.get
+        x = [{} for _ in range(n + 1)]  # x[i][d]: the rows of x_i from degree d
+        for (i, d), mat in self.actions.items():
+            x[i][d] = mat.nonzeros
         for i, j in combinations(range(1, n), 2):
+            xi, xj = x[i].get, x[j].get
             for d in self.degrees():
-                lhs = _product(act((i, d + 2)), act((j, d)))
-                rhs = _product(act((j, d + 2)), act((i, d)))
-                if lhs is None or rhs is None:
-                    other = rhs if lhs is None else lhs
-                    commute = other is None or other.is_zero()
-                else:
-                    commute = lhs == rhs
-                if not commute:
+                upper_i, lower_j, upper_j, lower_i = xi(d + 2), xj(d), xj(d + 2), xi(d)
+                terms = [(1, upper_i, lower_j)] if upper_i and lower_j else []
+                if upper_j and lower_i:
+                    terms.append((-1, upper_j, lower_i))
+                if terms and any(sum_of_products(len(terms[0][1]), terms)):
                     raise AssertionError(f"actions of x_{i} and x_{j} do not commute at degree {d}")
-        # e_k(x_1..x_i) = e_k(x_1..x_{i-1}) + x_i e_{k-1}(x_1..x_{i-1}), one
-        # variable at a time; e[k] maps degree d to degree d + 2k, e[0] is the
-        # identity and None is zero
+        # Into each degree ``top``, one variable at a time: e_k(x_1..x_i) =
+        # e_k(x_1..x_{i-1}) + e_{k-1}(x_1..x_{i-1}) x_i, where e[k] holds the
+        # rows of e_k from degree top - 2k and None is zero.  x_i is taken on
+        # the right: the order of the factors does not matter once e_1
+        # vanishes, and e_1 is a sum, so the first failure is the same
+        # either way.
         failures = []
-        for d in self.degrees():
-            e: list[QMatrix | None] = [None] * (n + 1)
+        for top in self.degrees():
+            rows = self.dims[top]
+            e: list[list[dict] | None] = [None] * (n + 1)
             for i in range(1, n + 1):
+                xi = x[i].get
                 for k in range(i, 0, -1):
-                    step = act((i, d + 2 * k - 2))
-                    term = step if k == 1 else _product(step, e[k - 1])
-                    if term is not None:
-                        e[k] = term if e[k] is None else e[k] + term
-            failures += [(k, d) for k in range(1, n + 1) if e[k] is not None and not e[k].is_zero()]
+                    step = xi(top - 2 * k)
+                    if step is None or k > 1 and e[k - 1] is None:
+                        continue
+                    term = (1, step, None) if k == 1 else (1, e[k - 1], step)
+                    e[k] = sum_of_products(rows, [term], e[k])
+            failures += [(k, top - 2 * k) for k in range(1, n + 1) if e[k] is not None and any(e[k])]
         if failures:
             k, d = min(failures)
             raise AssertionError(f"e_{k} of the actions does not vanish at degree {d}")
-
-
-def _product(a: QMatrix | None, b: QMatrix | None) -> QMatrix | None:
-    """a * b, or None (zero) when either factor is None."""
-    return None if a is None or b is None else a * b
 
 
 def _times(columns: list[dict], image: dict, width: int) -> dict:
@@ -767,7 +779,8 @@ def kernel_module(*maps: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     The kernel is a submodule of the source; its action blocks are read off
     the kernel bases, which is exact and raises if a map was not actually a
     module map.  A degree where no map has a block is kept whole, with no
-    elimination (see :func:`~soergelkit.linalg.restrict_to_kernels`).
+    elimination (see :func:`~soergelkit.linalg.restrict_to_kernels`), and
+    a block out of it reads the columns the source keeps, if it has them.
     """
     if not maps:
         raise ValueError("the common kernel of no maps has no source")
@@ -778,6 +791,7 @@ def kernel_module(*maps: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     inclusions, actions = restrict_to_kernels(
         {d: QMatrix(len(rows), M.dims[d], rows) for d, rows in stacks.items()},
         (((i, d), d, d + 2, mat) for (i, d), mat in M.actions.items()),
+        M._columns,
     )
     K = GradedModule(M.ring, {d: inc.cols for d, inc in inclusions.items()}, actions, validate=False)
     return K, ModuleMap(K, M, 0, inclusions)

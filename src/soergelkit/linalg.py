@@ -40,17 +40,22 @@ for any independent list, has no caller in the library: it is the
 reference route that tests check the free-column readouts against.
 
 Two assembly routines build every structured matrix.  :func:`place_blocks`
-copies the stored entries of the blocks it is given to their offsets, so
-callers pass only their nonzero blocks: the induced actions, the direct
-sums, the totalised matrices of graded modules, and the ``[m | I]`` and
-``[m | b]`` that :func:`inverse`, :func:`solve` and :class:`SpanSolver`
-reduce.  :func:`hom_equations` writes the equations of f -> A f - s f B on
+adds the stored entries of the blocks it is given, each with a sign, at
+their offsets, so callers pass only their nonzero blocks and an identity
+as its size: the induced actions (whose sums x_i + x_{i+1} are the overlap
+of two blocks), the direct sums, the totalised matrices of graded modules,
+the formal Hom differentials, and the ``[m | I]`` and ``[m | b]`` that
+:func:`inverse`, :func:`solve` and :class:`SpanSolver` reduce.
+:func:`hom_equations` writes the equations of f -> A f - s f B on
 row-major blocks of unknowns for the graded, ungraded and Tate Hom
 systems.  It reads A's rows and B's columns off their stored entries,
 clears each block pair's denominators once, and keeps each equation with a
 surviving term as a primitive integer row of a :class:`SparseSystem`.  :func:`kernel_basis` and
 :func:`rank` take such a system as well as a :class:`QMatrix`, through one
 private elimination core; an empty system has the unit basis as its kernel.
+:func:`sum_of_products` accumulates the rows of a signed sum of products
+without forming a product or a sum, which is how a graded module checks
+its axioms.
 :class:`RowSpan` reduces rows one at a time with the same elimination
 step, for a rank that grows as rows are added, whether they come as a
 matrix or one {column: value} dict at a time.
@@ -333,18 +338,57 @@ def _stored_columns(rows: int, columns: list[dict[int, int | Fraction]]) -> QMat
 
 
 def place_blocks(rows: int, cols: int, blocks) -> QMatrix:
-    """The rows x cols matrix that is zero except for each (r0, c0, block)
-    of ``blocks``, copied with its top-left entry at (r0, c0); raises
-    ValueError for a block that does not fit inside the matrix."""
-    out = [{} for _ in range(rows)]
-    for r0, c0, blk in blocks:
-        if not (0 <= r0 and r0 + blk.rows <= rows and 0 <= c0 and c0 + blk.cols <= cols):
-            raise ValueError(f"a {blk.rows}x{blk.cols} block at ({r0}, {c0}) does not fit in {rows}x{cols}")
-        for r, src in enumerate(blk.nonzeros, r0):
-            if src:
-                row = out[r]
+    """The rows x cols matrix that is the sum of ``blocks``, each placed with
+    its top-left entry at (r0, c0).
+
+    A block is (r0, c0, blk) or (r0, c0, blk, sign): blk is a QMatrix, or an
+    int k for the k x k identity, and the sign, 1 or -1 (1 when left out),
+    multiplies it.  Where blocks overlap their entries are added, and a sum
+    that cancels is not stored.  A stored row of a block with sign 1 at
+    column 0 that no other block reaches is kept as it is, shared rather
+    than copied; every other row is built here.  Raises ValueError for a
+    block that does not fit inside the matrix.
+    """
+    out: list = [None] * rows
+    shared = set()  # rows kept as a block's own, copied before another block changes them
+    for block in blocks:
+        r0, c0, blk, sign = block if len(block) == 4 else (*block, 1)
+        if type(blk) is int:
+            height = width = blk
+            src_rows, share = [{t: 1} for t in range(blk)], False
+        else:
+            height, width, src_rows = blk.rows, blk.cols, blk.nonzeros
+            share = not c0 and sign == 1
+        if not (0 <= r0 and r0 + height <= rows and 0 <= c0 and c0 + width <= cols):
+            raise ValueError(f"a {height}x{width} block at ({r0}, {c0}) does not fit in {rows}x{cols}")
+        for r, src in enumerate(src_rows, r0):
+            if not src:
+                continue
+            row = out[r]
+            if row is None:
+                if share:
+                    out[r] = src
+                    shared.add(r)
+                    continue
+                row = out[r] = {}
                 for j, x in src.items():
-                    row[c0 + j] = x
+                    row[c0 + j] = x if sign == 1 else -x
+                continue
+            if r in shared:
+                row = out[r] = dict(row)
+                shared.discard(r)
+            for j, x in src.items():
+                j += c0
+                if sign != 1:
+                    x = -x
+                if j in row:
+                    x += row[j]
+                    if not x:
+                        del row[j]
+                        continue
+                    if type(x) is not int:
+                        x = exact(x)
+                row[j] = x
     return QMatrix(rows, cols, _StoredRows([r or _EMPTY_ROW for r in out]))
 
 
@@ -428,6 +472,47 @@ def combine(terms) -> dict[int, int | Fraction]:
         for j, x in vec.items():
             acc[j] = acc[j] + a * x if j in acc else a * x
     return {j: x if type(x) is int else exact(x) for j, x in acc.items() if x}
+
+
+def sum_of_products(rows: int, terms, into=None) -> list[dict[int, int | Fraction]]:
+    """The rows of the sum of s * A B over the (s, A, B) of ``terms``.
+
+    A and B are given by their rows, lists of {column: value} dicts of
+    nonzeros in the form :func:`exact` gives (a :class:`QMatrix`'s
+    ``nonzeros``, or rows this routine returned), A with ``rows`` of them; B
+    is None for the identity, and s is an int.  Each row of the sum is
+    accumulated in one new dict, adding ``s * a * b`` over the stored
+    entries a of A's row and b of the rows of B they select, deleting a sum
+    that cancels and keeping the others in the stored form; no product or
+    sum matrix is formed, and no row given is changed.  A row that no term
+    reaches is the shared empty row, and one whose terms cancel an empty
+    dict, so the signed sum vanishes exactly when every row returned is
+    empty.  ``into``, when given, is a list of rows this routine returned,
+    ``rows`` of them, and the sum is added to it in place and it is
+    returned.
+    """
+    out = [_EMPTY_ROW] * rows if into is None else into
+    for s, a, b in terms:
+        for r, row in enumerate(a):
+            if not row:
+                continue
+            acc = out[r]
+            if acc is _EMPTY_ROW:
+                if b is None and s == 1:
+                    out[r] = dict(row)
+                    continue
+                acc = out[r] = {}
+            for k, x in row.items():
+                x *= s
+                for j, y in ((k, 1),) if b is None else b[k].items():  # row k of the identity is {k: 1}
+                    y *= x
+                    if j in acc:
+                        y += acc[j]
+                        if not y:
+                            del acc[j]
+                            continue
+                    acc[j] = y if type(y) is int else exact(y)
+    return out
 
 
 class RrefResult:
@@ -640,7 +725,7 @@ def inverse(m: QMatrix) -> QMatrix:
     n = m.rows
     if m.cols != n:
         raise ValueError(f"cannot invert a non-square {m.rows}x{m.cols} matrix")
-    res = rref(place_blocks(n, 2 * n, [(0, 0, m), (0, n, QMatrix.identity(n))]))
+    res = rref(place_blocks(n, 2 * n, [(0, 0, m), (0, n, n)]))
     if res.pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     out = [{j - n: x for j, x in row.items() if j >= n} or _EMPTY_ROW for row in res.matrix.nonzeros]
@@ -745,7 +830,7 @@ class RowSpan:
         return False
 
 
-def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
+def restrict_to_kernels(maps: dict, blocks, columns=None) -> tuple[dict, dict]:
     """The kernels of keyed matrices, and blocks restricted to them.
 
     Returns the inclusion of every nonzero kernel of ``maps``, by key (its
@@ -758,9 +843,11 @@ def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
     its whole space: its inclusion is the identity, found with no
     elimination, a block from it is not multiplied, and an image in it is
     its own coordinates, so a block between two whole kernels is passed
-    through unchanged.  Raises
-    AssertionError when a block maps a kernel vector outside the target
-    kernel.
+    through unchanged.  ``columns``, when given, maps the label of a block
+    to its columns (the stored rows of its transpose) where the caller
+    keeps them, and a block from a whole kernel reads its images there
+    rather than transposing again.  Raises AssertionError when a block maps
+    a kernel vector outside the target kernel.
     """
     bases, inclusions, whole = {}, {}, set()
     for key, mat in maps.items():
@@ -780,8 +867,9 @@ def restrict_to_kernels(maps: dict, blocks) -> tuple[dict, dict]:
         mat = block if key in whole else block * inclusions[key]
         if tgt_key not in whole:
             tgt = bases.get(tgt_key) or EchelonBasis([], block.rows)
+            images = columns.get(label) if columns and key in whole else None
             try:
-                cols = [tgt.coords(v) for v in mat.transpose().nonzeros]
+                cols = [tgt.coords(v) for v in images or mat.transpose().nonzeros]
             except ValueError:
                 raise AssertionError("kernel is not action-stable") from None
             mat = _stored_columns(len(tgt.vectors), cols)
@@ -806,7 +894,7 @@ class SpanSolver:
             if len(v) != dim:
                 raise ValueError("basis vector length does not match ambient dimension")
         a = QMatrix.from_columns(dim, vectors)
-        res = rref(place_blocks(dim, self.k + dim, [(0, 0, a), (0, self.k, QMatrix.identity(dim))]))
+        res = rref(place_blocks(dim, self.k + dim, [(0, 0, a), (0, self.k, dim)]))
         if res.pivots[: self.k] != tuple(range(self.k)):
             raise ValueError("vectors passed to SpanSolver are linearly dependent")
         # rows of E satisfy E a = [I_k; 0]

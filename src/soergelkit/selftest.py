@@ -115,10 +115,11 @@ def demazure_calculus(n: int) -> tuple[dict, tuple | None]:
                 yield "braids", d(i, d(i + 1, d(i, c))) == d(i + 1, d(i, d(i + 1, c))), (i, c)
         for i in range(1, n):
             s = simple_reflection(i, n)
+            de = [d(i, e) for e in basis]
             for c in basis:
                 sc, dc = ring.weyl_act(s, c), d(i, c)
-                for e in basis:
-                    yield "leibniz", d(i, c * e) == dc * e + sc * d(i, e), (i, c, e)
+                for e, d_e in zip(basis, de):
+                    yield "leibniz", d(i, c * e) == dc * e + sc * d_e, (i, c, e)
 
     return _first_failure({"squares": 0, "braids": 0, "leibniz": 0}, cases())
 

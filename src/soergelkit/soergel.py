@@ -50,7 +50,7 @@ from .gradedmod import (
 )
 from .hecke import HeckeAlgebra, HeckeElement, hecke_algebra
 from .laurent import LaurentPoly
-from .linalg import EchelonBasis, QMatrix, RowSpan, check_size, place_blocks
+from .linalg import EchelonBasis, RowSpan, check_size, place_blocks
 from .linalg import rref  # noqa: F401  benchmarks/test_harness.py traces this binding
 from .weyl import Perm, Word, WeylGroup, format_perm, length, mult_right_simple, weyl_group
 
@@ -111,53 +111,49 @@ class SoergelCategory:
         """C (x)_{C^s} M for s = s_i, shifted one step down.
 
         Before the shift, degree d holds 1 (x) M_d followed by x_i (x)
-        M_{d-2}.  With E1 and E2 the actions of x_i + x_{i+1}, formed once
-        per degree of M, and x_i x_{i+1}, the relation
-        x_i^2 = E1 x_i - E2 gives x_i the blocks [[0, -E2], [I, E1]] and
-        x_{i+1} = E1 - x_i the blocks [[E1, E2], [-I, 0]]; every other
-        variable is invariant and acts diagonally.  Each action from degree
-        d to d + 2 places only the blocks that exist: an action block that M
-        does not hold is zero, so no zero E1, E2 or action block is built,
-        negated or placed, and an action with no block is left out.  Its rows
-        are 1 (x) M_{d+2} then x_i (x) M_d, its columns 1 (x) M_d then
-        x_i (x) M_{d-2}.  The module is built and validated at the shifted
-        degrees d - 1 directly.
+        M_{d-2}.  With E1 and E2 the actions of x_i + x_{i+1} and x_i
+        x_{i+1} on M, the relation x_i^2 = E1 x_i - E2 gives x_i the blocks
+        [[0, -E2], [I, E1]] and x_{i+1} = E1 - x_i the blocks [[E1, E2],
+        [-I, 0]]; every other variable is invariant and acts diagonally.
+        Each action from degree d to d + 2 is written in one
+        :func:`~soergelkit.linalg.place_blocks` straight from M's stored
+        rows: E1 is the overlap of the blocks of x_i and x_{i+1}, a sign
+        negates a block, the identity is given by its size, and a row of M
+        that lands alone at column 0 is shared, so E2, one product per
+        degree, is the only block formed.  An action block that M does not
+        hold is zero and is not placed, and an action with no block is left
+        out.  Its rows are 1 (x) M_{d+2} then x_i (x) M_d, its columns 1 (x)
+        M_d then x_i (x) M_{d-2}.  The module is built and validated at the
+        shifted degrees d - 1 directly.
         """
         if M.ring is not self.ring:
             raise ValueError("module belongs to a different ring")
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"simple reflection index {i} out of range for rank {self.n}")
         check_size("induced module of dimension {}", 2 * M.total_dim())
-        act, dim = M.actions.get, M.dim_at
-        e1 = {}
-        for d in M.degrees():
-            a, b = act((i, d)), act((i + 1, d))
-            e1[d] = b if a is None else a if b is None else a + b
-        dims = {d: dim(d) + dim(d - 2) for e in M.degrees() for d in (e, e + 2)}
+        act, dim = M.actions.get, M.dims.get
+        dims = {d: dim(d, 0) + dim(d - 2, 0) for e in M.degrees() for d in (e, e + 2)}
         actions = {}
         for d in dims:
             if d + 2 not in dims:
                 continue
-            r1, c1 = dim(d + 2), dim(d)
-            one = minus_one = e2 = minus_e2 = None
-            if c1:
-                one = QMatrix.identity(c1)
-                minus_one = -one
+            r1, c1 = dim(d + 2, 0), dim(d, 0)
             a, b = act((i + 1, d)), act((i, d - 2))
-            if a is not None and b is not None:
-                e2 = a * b
-                minus_e2 = -e2
+            e2 = a * b if a is not None and b is not None else None
             for l in range(1, self.n + 1):
                 if l == i:
-                    blocks = [(0, c1, minus_e2), (r1, 0, one), (r1, c1, e1.get(d - 2))]
+                    blocks = [(0, c1, e2, -1), (r1, 0, c1), (r1, c1, b), (r1, c1, act((i + 1, d - 2)))]
                 elif l == i + 1:
-                    blocks = [(0, 0, e1.get(d)), (0, c1, e2), (r1, 0, minus_one)]
+                    blocks = [(0, 0, act((i, d))), (0, 0, a), (0, c1, e2), (r1, 0, c1, -1)]
                 else:
                     blocks = [(0, 0, act((l, d))), (r1, c1, act((l, d - 2)))]
-                blocks = [blk for blk in blocks if blk[2] is not None]
+                blocks = [blk for blk in blocks if blk[2]]  # no absent block, no empty identity
                 if blocks:
                     actions[(l, d - 1)] = place_blocks(dims[d + 2], dims[d], blocks)
-        return GradedModule(self.ring, {d - 1: m for d, m in dims.items()}, actions, validate=True)
+        # the degrees and dimensions are M's, so only the axioms are checked
+        module = GradedModule(self.ring, {d - 1: m for d, m in dims.items()}, actions, validate=False)
+        module.validate()
+        return module
 
     def bott_samelson(self, word: Word) -> GradedModule:
         """Iterated induction along the word, starting from the trivial module."""

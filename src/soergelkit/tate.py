@@ -333,9 +333,11 @@ def _dims(*xs) -> set:
 
 
 def _unimodular_factors(rng: random.Random, n: int) -> tuple[QMatrix, QMatrix]:
-    """Unit lower and upper triangular factors of a unimodular base change."""
-    lower = [[1 if i == j else rng.randint(-1, 1) if i > j else 0 for j in range(n)] for i in range(n)]
-    upper = [[1 if i == j else rng.randint(-1, 1) if i < j else 0 for j in range(n)] for i in range(n)]
+    """Unit lower and upper triangular factors of a unimodular base change,
+    their entries off the diagonal drawn row by row, lower first, and kept
+    as rows of their nonzeros."""
+    lower = [{**{j: x for j in range(i) if (x := rng.randint(-1, 1))}, i: 1} for i in range(n)]
+    upper = [{i: 1, **{j: x for j in range(i + 1, n) if (x := rng.randint(-1, 1))}} for i in range(n)]
     return QMatrix(n, n, lower), QMatrix(n, n, upper)
 
 
@@ -375,12 +377,20 @@ def random_complex(rng: random.Random, max_pos: int = 3, max_dim: int = 2) -> Co
         ones.setdefault(c, set()).add((dims.get(c + 1, 0), dims.get(c, 0)))
         dims[c] = dims.get(c, 0) + 1
         dims[c + 1] = dims.get(c + 1, 0) + 1
-    # every factor is drawn, but only the changes next to a piece are formed
-    factors = {c: _unimodular_factors(rng, dims[c]) for c in sorted(dims)}
+    # every factor is drawn, but only the changes next to a piece are formed:
+    # the others draw their n(n - 1) entries off the diagonal and drop them
+    used = {e for c in ones for e in (c, c + 1)}
+    factors = {}
+    for c in sorted(dims):
+        if c in used:
+            factors[c] = _unimodular_factors(rng, dims[c])
+        else:
+            for _ in range(dims[c] * (dims[c] - 1)):
+                rng.randint(-1, 1)
     diffs = {}
     for c, entries in sorted(ones.items()):
         rows, cols = dims[c + 1], dims[c]
-        cells = [[int((r, s) in entries) for s in range(cols)] for r in range(rows)]
+        cells = [{s: 1 for s in range(cols) if (r, s) in entries} for r in range(rows)]
         lower, upper = factors[c + 1]
         diffs[c] = lower * upper * QMatrix(rows, cols, cells) * _inverse_of_product(*factors[c])
     return Complex(dims, diffs)

@@ -2,9 +2,10 @@
 
 Each is a plain function over the public API, with no cache, and none has
 a caller in the library: the coinvariant ring's matrices, invariants and
-rank-two splitting, the action of a polynomial on a graded module, a
-module map as one matrix on the totalised bases and that matrix's entries
-flattened row by row (the oracle for ``ModuleMap.flatten``), the
+rank-two splitting, the action of a polynomial on a graded module, the
+induction from formed blocks (the oracle for ``SoergelCategory.induct``),
+a module map as one matrix on the totalised bases and that matrix's
+entries flattened row by row (the oracle for ``ModuleMap.flatten``), the
 relations of a presentation and the graded Hom with one unknown per block
 entry or with every relation, the peel along a prediction, the peel
 search without one and the Hecke recursion of the indecomposables built
@@ -168,6 +169,43 @@ def flatten(m: QMatrix) -> dict:
     """The nonzero entries of m, row by row: x at (i, j) is kept at i * cols + j."""
     cols = m.cols
     return {i * cols + j: x for i, row in enumerate(m.nonzeros) for j, x in row.items()}
+
+
+def induct_by_blocks(cat, i, M):
+    """C (x)_{C^s} M for s = s_i, shifted one step down, built as
+    ``SoergelCategory.induct`` builds it but from formed blocks: E1 = x_i +
+    x_{i+1} as a matrix sum, E2 = x_{i+1} x_i, the identity and the negated
+    copies, each placed where it does not overlap another; unvalidated."""
+    act, dim = M.actions.get, M.dim_at
+    e1 = {}
+    for d in M.degrees():
+        a, b = act((i, d)), act((i + 1, d))
+        e1[d] = b if a is None else a if b is None else a + b
+    dims = {d: dim(d) + dim(d - 2) for e in M.degrees() for d in (e, e + 2)}
+    actions = {}
+    for d in dims:
+        if d + 2 not in dims:
+            continue
+        r1, c1 = dim(d + 2), dim(d)
+        one = minus_one = e2 = minus_e2 = None
+        if c1:
+            one = QMatrix.identity(c1)
+            minus_one = -one
+        a, b = act((i + 1, d)), act((i, d - 2))
+        if a is not None and b is not None:
+            e2 = a * b
+            minus_e2 = -e2
+        for l in range(1, cat.n + 1):
+            if l == i:
+                blocks = [(0, c1, minus_e2), (r1, 0, one), (r1, c1, e1.get(d - 2))]
+            elif l == i + 1:
+                blocks = [(0, 0, e1.get(d)), (0, c1, e2), (r1, 0, minus_one)]
+            else:
+                blocks = [(0, 0, act((l, d))), (r1, c1, act((l, d - 2)))]
+            blocks = [blk for blk in blocks if blk[2] is not None]
+            if blocks:
+                actions[(l, d - 1)] = place_blocks(dims[d + 2], dims[d], blocks)
+    return gradedmod.GradedModule(cat.ring, {d - 1: m for d, m in dims.items()}, actions, validate=False)
 
 
 def graded_hom_system(M, N, degree, variables):

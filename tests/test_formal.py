@@ -216,13 +216,17 @@ def test_derived_complexes_are_in_checked_form(n, monkeypatch):
     for _ in range(30):
         derived.clear()
         x = fc.random_complex(rng, max_positions=4, max_gens=3)
-        # the constraint for d_c: the two-term complex of d_{c-1} (every
-        # entry of it, zero ones included) and the stalk of terms[c + 1]
+        # the constraint for d_c: the two-term complex of a nonzero d_{c-1}
+        # (every entry of it, zero ones included), else the stalk of
+        # terms[c], and the stalk of terms[c + 1]
         expected = []
         for c in x.positions()[:-1]:
             src, prev = x.generators(c), x.generators(c - 1)
-            rows = [[x.entry(c - 1, t, s) for s in range(len(prev))] for t in range(len(src))]
-            expected.append(("MIX", {c - 1: prev, c: src}, {c - 1: rows} if c else None))
+            if c - 1 in x.diffs:
+                rows = [[x.entry(c - 1, t, s) for s in range(len(prev))] for t in range(len(src))]
+                expected.append(("MIX", {c - 1: prev, c: src}, {c - 1: rows}))
+            else:
+                expected.append(("MIX", {c: src}, None))
             expected.append(("MIX", {c: x.generators(c + 1)}, None))
         assert len(derived) == len(expected)
         for got, data in zip(derived, expected):

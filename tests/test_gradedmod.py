@@ -24,7 +24,7 @@ from soergelkit.laurent import LaurentPoly
 from soergelkit.linalg import QMatrix, SizeCapError, SparseSystem, hom_equations, inverse, kernel_basis, rank
 from soergelkit.multipoly import MultiPoly
 from soergelkit.soergel import soergel_category
-from soergelkit.weyl import format_perm, identity_perm, length, parse_perm
+from soergelkit.weyl import format_perm, identity_perm, length, mult_right_simple, parse_perm
 
 from dense_views import block_diagonal, dense, dense_flatten
 from frontier import kept_relations
@@ -211,6 +211,55 @@ def test_validate_agrees_with_subset_sums_at_rank_4():
     assert {(3, "actions"), (3, "e_1")} <= kinds
 
 
+def test_validate_reads_a_commutator_with_one_product_present():
+    # x_1 x_2 at degree 0 goes through x_1 at 2 and x_2 at 0, and x_2 x_1
+    # through blocks the module does not hold; e_1 = 0 in every degree
+    ring = coinvariant_ring(3)
+    one, minus = QMatrix.from_rows([[1]]), QMatrix.from_rows([[-1]])
+    actions = {(1, 2): one, (2, 0): one, (3, 0): minus, (3, 2): minus}
+    m = GradedModule(ring, {0: 1, 2: 1, 4: 1}, actions, validate=False)
+    message = "actions of x_1 and x_2 do not commute at degree 0"
+    assert _subset_sum_failure(m) == message
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        m.validate()
+    # the one product present is zero: the actions commute, and the module
+    # is one
+    col, row = QMatrix.from_rows([[0], [1]]), QMatrix.from_rows([[1, 0]])
+    actions = {(1, 2): row, (2, 0): col, (3, 0): col.scale(-1), (3, 2): row.scale(-1)}
+    m = GradedModule(ring, {0: 1, 2: 2, 4: 1}, actions, validate=False)
+    assert (m.action(1, 2) * m.action(2, 0)).is_zero() and (2, 2) not in m.actions and (1, 0) not in m.actions
+    assert _subset_sum_failure(m) is None
+    m.validate()
+
+
+def test_validate_accepts_an_e_k_whose_nonzero_terms_cancel():
+    # the regular rank-3 module in a basis rescaled by fractions: each
+    # product x_i x_j into degree 4 is nonzero, with entries that are not
+    # integral, and e_2, their sum, vanishes
+    m = regular_module(3)
+    scale = {d: [Fraction(1, 2 + d + t) for t in range(m.dim_at(d))] for d in m.degrees()}
+    actions = {
+        (i, d): QMatrix.from_rows(
+            [[x * scale[d + 2][r] / scale[d][c] for c, x in enumerate(row)] for r, row in enumerate(blk.data)]
+        )
+        for (i, d), blk in m.actions.items()
+    }
+    scaled = GradedModule(m.ring, m.dims, actions, validate=False)
+    products = [scaled.action(i, 2) * scaled.action(j, 0) for i, j in combinations(range(1, 4), 2)]
+    assert sum(not p.is_zero() for p in products) >= 2
+    assert any(type(x) is Fraction for p in products for r in p.nonzeros for x in r.values())
+    assert _subset_sum_failure(scaled) is None
+    scaled.validate()
+    # x_1 + x_2 and 0 in place of x_1 and x_2 keep e_1 = 0 and commutation,
+    # and leave e_2 = x_3 (x_1 + x_2) = -x_3^2, which does not vanish
+    for d in m.degrees():
+        moved = actions.pop((2, d), None)
+        if moved is not None:
+            actions[(1, d)] = actions[(1, d)] + moved if (1, d) in actions else moved
+    broken = GradedModule(m.ring, m.dims, actions, validate=False)
+    assert _validate_failure(broken) == _subset_sum_failure(broken) == "e_2 of the actions does not vanish at degree 0"
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_validate_rejects_x_n_that_fails_to_commute_by_its_e_1(n):
     # validate checks commutation among x_1 .. x_{n-1} only; moving one
@@ -359,6 +408,44 @@ def test_kernel_module_rejects_a_non_module_map():
     e = ModuleMap(d_s, d_s, 0, {1: QMatrix.identity(1)})
     with pytest.raises(AssertionError, match="not action-stable"):
         kernel_module(e)
+
+
+def test_kernel_module_reads_the_columns_its_source_keeps(monkeypatch):
+    # a block out of a degree kept whole is read off the source's kept
+    # columns: the same kernel, with fewer transposes than on a copy of the
+    # source that keeps none
+    cat = soergel_category(3)
+    transposes = [0]
+    transpose = QMatrix.transpose
+
+    def counted(m):
+        transposes[0] += 1
+        return transpose(m)
+
+    def kernel_and_transposes(maps):
+        transposes[0] = 0
+        K, inc = kernel_module(*maps)
+        return K, inc, transposes[0]
+
+    monkeypatch.setattr(QMatrix, "transpose", counted)
+    saved = 0
+    for w in sorted(cat.group.elements()):
+        if not length(w):
+            continue
+        i = cat.group.a_reduced_word(w)[-1]
+        M = cat.induct(i, cat.indecomposable(mult_right_simple(w, i)))
+        bare = GradedModule(M.ring, M.dims, M.actions, validate=False)
+        for key in M.actions:
+            M.columns(*key)
+        for y in sorted(cat.group.elements()):
+            maps = hom_graded(M, cat.indecomposable(y), 0)
+            if maps:
+                K, inc, kept = kernel_and_transposes(maps)
+                K0, inc0, unkept = kernel_and_transposes([ModuleMap(bare, f.target, 0, f.blocks) for f in maps])
+                assert K.dims == K0.dims and K.actions == K0.actions and inc.blocks == inc0.blocks
+                assert kept <= unkept
+                saved += unkept - kept
+    assert saved
 
 
 def test_poly_action_well_defined():

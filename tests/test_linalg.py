@@ -23,6 +23,7 @@ from soergelkit.linalg import (
     restrict_to_kernels,
     rref,
     solve,
+    sum_of_products,
 )
 from soergelkit.soergel import soergel_category
 
@@ -928,6 +929,116 @@ def test_from_columns_keeps_shape():
     assert (empty.rows, empty.cols) == (3, 0)
     with pytest.raises(ValueError):
         QMatrix.from_columns(2, [[1, 2], [3]])
+
+
+def _dense_placed(rows, cols, blocks):
+    """Reference route for :func:`place_blocks`: the dense sum of every
+    block, an int k read as the k x k identity, each times its sign."""
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for r0, c0, blk, *sign in blocks:
+        sign = sign[0] if sign else 1
+        data = [[int(i == j) for j in range(blk)] for i in range(blk)] if type(blk) is int else blk.data
+        for r, row in enumerate(data, r0):
+            for c, x in enumerate(row, c0):
+                out[r][c] += sign * x
+    return out
+
+
+def test_place_blocks_adds_signed_blocks_and_identities():
+    rng = random.Random(4411)
+    overlaps = cancels = 0
+    for _ in range(300):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        blocks, areas = [], []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.25:
+                h = w = blk = rng.randint(0, min(rows, cols))
+            else:
+                h, w = rng.randint(0, rows), rng.randint(0, cols)
+                blk = _oracle_matrix(rng, h, w)
+            r0, c0 = rng.randint(0, rows - h), rng.randint(0, cols - w)
+            sign = rng.choice((None, 1, -1))
+            blocks.append((r0, c0, blk) if sign is None else (r0, c0, blk, sign))
+            areas.append((r0, c0, h, w))
+            if type(blk) is not int and not blk.is_zero() and rng.random() < 0.3:
+                # the same block negated on top of it cancels
+                blocks.append((r0, c0, blk, -(sign or 1)))
+                cancels += 1
+        overlaps += any(
+            r < r2 + h2 and r2 < r + h and c < c2 + w2 and c2 < c + w
+            for k, (r, c, h, w) in enumerate(areas)
+            for r2, c2, h2, w2 in areas[:k]
+        )
+        kept = [[dict(r) for r in b[2].nonzeros] for b in blocks if type(b[2]) is not int]
+        assert _stored(place_blocks(rows, cols, blocks)).data == _dense_placed(rows, cols, blocks)
+        # no block's stored rows were changed by a later one
+        assert [[dict(r) for r in b[2].nonzeros] for b in blocks if type(b[2]) is not int] == kept
+    assert overlaps > 20 and cancels > 20
+    # a row of a sign-1 block at column 0 that lands alone is shared, not copied
+    a, b = QMatrix.from_rows([[1, 2], [0, 0]]), QMatrix.from_rows([[3]])
+    m = place_blocks(3, 3, [(0, 0, a), (2, 2, b)])
+    assert m.nonzeros[0] is a.nonzeros[0] and m.nonzeros[1] is linalg._EMPTY_ROW
+    assert place_blocks(2, 3, [(0, 1, a)]).nonzeros[0] is not a.nonzeros[0]
+    assert place_blocks(2, 2, [(0, 0, a, -1)]).nonzeros[0] == {0: -1, 1: -2}
+    # E1 = x_i + x_{i+1} as two overlapping blocks, the identity by its size
+    assert place_blocks(2, 2, [(0, 0, a), (0, 0, 2, -1)]) == QMatrix.from_rows([[0, 2], [0, -1]])
+    assert a == QMatrix.from_rows([[1, 2], [0, 0]])
+    for blocks in ([(0, 2, 2)], [(2, 0, 1, -1)], [(-1, 0, 1)]):
+        with pytest.raises(ValueError, match="does not fit"):
+            place_blocks(2, 2, blocks)
+
+
+def test_sum_of_products_matches_the_dense_sum():
+    rng = random.Random(4412)
+    cancels = 0
+    for _ in range(300):
+        p, q = rng.randint(0, 6), rng.randint(0, 6)
+        terms, want = [], [[Fraction(0)] * q for _ in range(p)]
+        for _ in range(rng.randint(1, 3)):
+            s = rng.choice((1, -1, 2))
+            if rng.random() < 0.3:
+                a = _oracle_matrix(rng, p, q)
+                terms.append((s, a.nonzeros, None))
+                prod = a
+            else:
+                a = _oracle_matrix(rng, p, rng.randint(0, 6))
+                b = _oracle_matrix(rng, a.cols, q)
+                terms.append((s, a.nonzeros, b.nonzeros))
+                prod = dense_matmul(a, b)
+                if not prod.is_zero() and rng.random() < 0.3:
+                    # the same product with the opposite sign cancels it
+                    terms.append((-s, a.nonzeros, b.nonzeros))
+                    cancels += 1
+                    continue
+            want = [[x + s * y for x, y in zip(r, t)] for r, t in zip(want, prod.data)]
+        kept = [[dict(r) for r in m] for _, a, b in terms for m in (a, b or [])]
+        got = sum_of_products(p, terms)
+        assert len(got) == p and all(type(r) is dict for r in got)
+        # the checked constructor refuses a zero or an integral Fraction
+        assert QMatrix(p, q, got).data == want
+        assert [[dict(r) for r in m] for _, a, b in terms for m in (a, b or [])] == kept
+    assert cancels > 20
+    # nonzero products that cancel leave empty dicts, and a row that no
+    # term reaches is the shared empty row
+    x = QMatrix.from_rows([[1, 1], [0, 2]])
+    assert sum_of_products(2, [(1, x.nonzeros, x.nonzeros), (-1, (x * x).nonzeros, None)]) == [{}, {}]
+    assert sum_of_products(2, [(1, x.nonzeros, None), (-1, x.nonzeros, None)]) == [{}, {}]
+    assert all(r is linalg._EMPTY_ROW for r in sum_of_products(2, [(1, QMatrix.zero(2, 2).nonzeros, x.nonzeros)]))
+    # a first term with sign 1 through the identity is copied, not shared
+    got = sum_of_products(2, [(1, x.nonzeros, None)])
+    assert got == x.nonzeros and all(r is not s for r, s in zip(got, x.nonzeros))
+    # a sum added into rows it returned before equals the sum of all terms
+    rng = random.Random(4413)
+    for _ in range(100):
+        p, q = rng.randint(0, 5), rng.randint(0, 5)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            a = _oracle_matrix(rng, p, rng.randint(0, 5))
+            terms.append((rng.choice((1, -1)), a.nonzeros, _oracle_matrix(rng, a.cols, q).nonzeros))
+        k = rng.randint(0, len(terms))
+        first = sum_of_products(p, terms[:k])
+        got = sum_of_products(p, terms[k:], first)
+        assert got is first and QMatrix(p, q, got) == QMatrix(p, q, sum_of_products(p, terms))
 
 
 def test_place_blocks_copies_each_block_to_its_offset():

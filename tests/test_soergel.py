@@ -22,7 +22,7 @@ from soergelkit.laurent import LaurentPoly
 from soergelkit.linalg import EchelonBasis, QMatrix, SizeCapError, SpanSolver, rank, rref
 from soergelkit.selftest import hom_formula
 from soergelkit.soergel import DecompositionError, EndoAlgebra, SoergelCategory, soergel_category
-from soergelkit.weyl import format_perm, length, parse_perm
+from soergelkit.weyl import format_perm, length, mult_right_simple, parse_perm
 
 from dense_views import col, dense_flatten
 from frontier import certified_words, character_of_b, indecomposables, long_words, predicted_words, refuses
@@ -32,6 +32,7 @@ from reference import (
     endo_dimension_by_pairings,
     flatten,
     idempotent_index,
+    induct_by_blocks,
     invariant_generators,
     lower_summands,
     peel_along,
@@ -165,6 +166,39 @@ def test_induct_isomorphic_to_tensor_quotient(n, word):
         blocks[d] = QMatrix.from_columns(quotient.dim_at(d), cols)
         assert rank(blocks[d]) == quotient.dim_at(d) == len(cols)
     check_commutes(ModuleMap(induced, quotient, 0, blocks))
+
+
+def _typed_rows(m):
+    """The stored rows of m with each value's type beside it."""
+    return [{j: (type(x), x) for j, x in row.items()} for row in m.nonzeros]
+
+
+def _assert_induct_writes_the_formed_blocks(cat, i, M):
+    got, want = cat.induct(i, M), induct_by_blocks(cat, i, M)
+    assert got.dims == want.dims
+    assert got.actions.keys() == want.actions.keys()
+    for key, mat in want.actions.items():
+        assert (got.actions[key].rows, got.actions[key].cols) == (mat.rows, mat.cols)
+        assert _typed_rows(got.actions[key]) == _typed_rows(mat)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_induct_equals_the_placed_formed_blocks_on_words(n):
+    # the oracle forms E1 as a sum, E2, the identity and the negated copies
+    # and places them apart; induct writes the same stored rows directly
+    cat = soergel_category(n)
+    words = [w for k in range(1, 5) for w in product(range(1, n), repeat=k)]
+    for *prefix, i in words:
+        _assert_induct_writes_the_formed_blocks(cat, i, cat.bott_samelson(tuple(prefix)))
+
+
+def test_induct_equals_the_placed_formed_blocks_in_the_rank4_recursion():
+    # every (D_u, s) whose induction the rank-4 D_w are cut from
+    cat = soergel_category(4)
+    for w in sorted(cat.group.elements()):
+        if length(w):
+            i = cat.group.a_reduced_word(w)[-1]
+            _assert_induct_writes_the_formed_blocks(cat, i, cat.indecomposable(mult_right_simple(w, i)))
 
 
 def test_induct_cap_bounds_the_induced_module(monkeypatch):

@@ -297,6 +297,28 @@ def test_random_generators_are_pinned():
     assert digest.hexdigest() == "42b2f418e217d1a4e7d59f69f0055f707e8d531b7e9a51537ca895cf66c11e5f"
 
 
+def test_random_complex_forms_only_the_base_changes_it_uses(monkeypatch):
+    # each contractible piece at c conjugates d_c by the changes at c and
+    # c + 1; every other position draws its change and forms none (the pin
+    # above holds the draws in their order)
+    formed = []
+
+    def spy(rng, n):
+        formed.append(n)
+        return _unimodular_factors(rng, n)
+
+    monkeypatch.setattr(tate, "_unimodular_factors", spy)
+    rng = random.Random(61)
+    skipped = 0
+    for _ in range(200):
+        formed.clear()
+        x = random_complex(rng, max_pos=4, max_dim=3)
+        used = {e for c in x.diffs for e in (c, c + 1)}
+        assert sorted(formed) == sorted(x.dims[c] for c in used)
+        skipped += len(x.dims) - len(used)
+    assert skipped
+
+
 def test_direct_sum_is_the_block_diagonal_of_its_summands():
     rng = random.Random(1802)
     empty = Complex({})
